@@ -1,9 +1,11 @@
 // Interpreter throughput benchmark (docs/VM.md): runs mandelbrot-shaped,
-// OSEM-shaped and Gaussian-blur-stencil kernels on the kernelc VM across the
-// whole tier ladder —
+// OSEM-shaped and Gaussian-blur-stencil kernels, plus the kernels SkelCL
+// itself generates for a map, a reduce and a 2D stencil, on the kernelc VM
+// across the whole tier ladder —
 //   ref    tier 0, the guarded reference interpreter (SKELCL_KC_OPT=0)
 //   fast   tier 1, peephole superinstructions + packed encoding
-//   tier2  tier 2 pipeline (rewrite pass) on the sequential interpreter
+//   tier2  tier 2 pipeline (rewrite pass, call inlining) on the sequential
+//          interpreter
 //   batch  tier 2 pipeline on the work-group-batched interpreter
 //          (Vm::runKernelBatch, 256-lane groups)
 // and reports wall-clock Minstructions/s plus speedups over the tiers below.
@@ -13,7 +15,8 @@
 //
 //   usage: bench_vm [--smoke] [--gate]
 //     --smoke   small sizes (CI): divergence checks only
-//     --gate    additionally require batch >= 3x fast on mandelbrot and osem
+//     --gate    additionally require batch >= 3x fast on mandelbrot, osem
+//               and the three SkelCL kernels
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -75,6 +78,76 @@ const char* const kBlurSrc = R"(
   }
 )";
 
+// The exact kernel text SkelCL generates (src/core/detail/skeleton_exec.cpp
+// templates, no additional arguments) for perfbench's cluster_mix: its
+// 64-step map, its reduce, and its 2D Jacobi MapOverlap, whose program also
+// carries the pack kernel (the stencil kernel is the one timed).  Every one
+// calls the user function `func`, so none batches unless tier 2 inlines it.
+const char* const kHeavyFunc =
+    "float func(float x) { float s = x;"
+    " for (int i = 0; i < 64; ++i) s = s * 0.5f + 1.0f; return s; }";
+const char* const kAddFunc = "float func(float a, float b) { return a + b; }";
+const char* const kJacobiFunc =
+    "float func(__global float* m, int i, int s) {"
+    "  return 0.25f * (m[i - s] + m[i - 1] + m[i + 1] + m[i + s]);"
+    "}";
+
+const std::string kSkelMapSrc =
+    std::string(kHeavyFunc) +
+    "\n__kernel void skelcl_kernel(__global float* skelcl_in1, __global float* skelcl_out, "
+    "int skelcl_n, int skelcl_base) {\n"
+    "  int skelcl_i = get_global_id(0);\n"
+    "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = func(skelcl_in1[skelcl_i]);\n}\n";
+
+const std::string kSkelReduceSrc =
+    std::string(kAddFunc) +
+    "\n__kernel void skelcl_reduce(__global float* skelcl_in, __global float* "
+    "skelcl_partials, int skelcl_n, int skelcl_chunk) {\n"
+    "  int skelcl_w = get_global_id(0);\n"
+    "  int skelcl_begin = skelcl_w * skelcl_chunk;\n"
+    "  int skelcl_end = min(skelcl_begin + skelcl_chunk, skelcl_n);\n"
+    "  float skelcl_acc = skelcl_in[skelcl_begin];\n"
+    "  for (int skelcl_i = skelcl_begin + 1; skelcl_i < skelcl_end; ++skelcl_i)\n"
+    "    skelcl_acc = func(skelcl_acc, skelcl_in[skelcl_i]);\n"
+    "  skelcl_partials[skelcl_w] = skelcl_acc;\n}\n";
+
+const std::string kSkelJacobiSrc =
+    std::string(kJacobiFunc) +
+    "\n__kernel void skelcl_mo_pack(__global float* skelcl_src, __global float* skelcl_pad, "
+    "int skelcl_total, int skelcl_rows, int skelcl_cols, int skelcl_stride, int skelcl_r, "
+    "int skelcl_row0, int skelcl_prows, float skelcl_neutral) {\n"
+    "  int skelcl_i = get_global_id(0);\n"
+    "  if (skelcl_i < skelcl_total) {\n"
+    "    int skelcl_prow = skelcl_i / skelcl_stride;\n"
+    "    int skelcl_col = skelcl_i % skelcl_stride - skelcl_r;\n"
+    "    int skelcl_arow = skelcl_row0 - skelcl_r + skelcl_prow;\n"
+    "    if (skelcl_col < 0 || skelcl_col >= skelcl_cols || skelcl_arow < 0 || "
+    "skelcl_arow >= skelcl_rows) {\n"
+    "      int skelcl_crow = clamp(skelcl_arow, 0, skelcl_rows - 1);\n"
+    "      int skelcl_ccol = clamp(skelcl_col, 0, skelcl_cols - 1);\n"
+    "      if (skelcl_crow >= skelcl_row0 && skelcl_crow < skelcl_row0 + skelcl_prows) {\n"
+    "        skelcl_pad[skelcl_i] = "
+    "skelcl_src[(skelcl_crow - skelcl_row0) * skelcl_cols + skelcl_ccol];\n"
+    "      } else {\n"
+    "        skelcl_pad[skelcl_i] = skelcl_pad[(skelcl_crow - skelcl_row0 + skelcl_r) * "
+    "skelcl_stride + skelcl_r + skelcl_ccol];\n"
+    "      }\n"
+    "    } else if (skelcl_arow >= skelcl_row0 && skelcl_arow < skelcl_row0 + skelcl_prows) "
+    "{\n"
+    "      skelcl_pad[skelcl_i] = "
+    "skelcl_src[(skelcl_arow - skelcl_row0) * skelcl_cols + skelcl_col];\n"
+    "    }\n"
+    "  }\n}\n"
+    "__kernel void skelcl_overlap2(__global float* skelcl_pad, __global float* skelcl_out, "
+    "int skelcl_n, int skelcl_cols, int skelcl_stride, int skelcl_r) {\n"
+    "  int skelcl_i = get_global_id(0);\n"
+    "  if (skelcl_i < skelcl_n) {\n"
+    "    int skelcl_row = skelcl_i / skelcl_cols;\n"
+    "    int skelcl_col = skelcl_i % skelcl_cols;\n"
+    "    skelcl_out[skelcl_i] = func(skelcl_pad, "
+    "(skelcl_row + skelcl_r) * skelcl_stride + skelcl_col + skelcl_r, skelcl_stride);\n"
+    "  }\n}\n";
+
 struct RunResult {
   double seconds = 0.0;
   std::uint64_t instructions = 0;
@@ -82,7 +155,7 @@ struct RunResult {
 
 struct Workload {
   const char* name;
-  const char* source;
+  std::string source;
   const char* kernel;
   std::int64_t items;
   std::vector<Slot> extraArgs;           ///< after the buffer pointer args
@@ -231,20 +304,40 @@ int main(int argc, char** argv) {
                       {},
                       /*inputSizes=*/{blurItems + 5 * 512, 5}};
 
-  const BenchOutcome m = benchWorkload(mandel);
-  const BenchOutcome o = benchWorkload(osem);
-  const BenchOutcome bl = benchWorkload(blur);
-  bool ok = m.identical && o.identical && bl.identical;
-  if (gate && !smoke) {
-    if (m.speedupBatchOverFast < 3.0) {
-      std::fprintf(stderr, "gate: mandelbrot batch/fast %.2fx < 3x\n",
-                   m.speedupBatchOverFast);
+  // SkelCL's kernels, sized so the batched pass lasts tens of milliseconds
+  // (shorter passes made the gated ratio noisy).
+  const std::int64_t mapItems = smoke ? 1024 : 65536;
+  const std::int64_t partials = smoke ? 64 : 4096;
+  const std::int64_t chunk = smoke ? 16 : 256;
+  const std::int64_t rows = smoke ? 8 : 2048;
+  const std::int64_t cols = smoke ? 32 : 512;
+  const std::int64_t stride = cols + 2;
+  const Workload skelMap{"skelcl-map", kSkelMapSrc, "skelcl_kernel", mapItems,
+                         {Slot::fromInt(mapItems), Slot::fromInt(0)},
+                         /*inputSizes=*/{mapItems}};
+  const Workload skelReduce{"skelcl-reduce", kSkelReduceSrc, "skelcl_reduce", partials,
+                            {Slot::fromInt(partials * chunk), Slot::fromInt(chunk)},
+                            /*inputSizes=*/{partials * chunk}};
+  const Workload skelJacobi{"skelcl-jacobi", kSkelJacobiSrc, "skelcl_overlap2", rows * cols,
+                            {Slot::fromInt(rows * cols), Slot::fromInt(cols),
+                             Slot::fromInt(stride), Slot::fromInt(1)},
+                            /*inputSizes=*/{(rows + 2) * stride}};
+
+  bool ok = true;
+  const auto run = [&](const Workload& w, bool gated) {
+    const BenchOutcome r = benchWorkload(w);
+    ok = ok && r.identical;
+    if (gate && !smoke && gated && r.speedupBatchOverFast < 3.0) {
+      std::fprintf(stderr, "gate: %s batch/fast %.2fx < 3x\n", w.name,
+                   r.speedupBatchOverFast);
       ok = false;
     }
-    if (o.speedupBatchOverFast < 3.0) {
-      std::fprintf(stderr, "gate: osem batch/fast %.2fx < 3x\n", o.speedupBatchOverFast);
-      ok = false;
-    }
-  }
+  };
+  run(mandel, true);
+  run(osem, true);
+  run(blur, false);
+  run(skelMap, true);
+  run(skelReduce, true);
+  run(skelJacobi, true);
   return ok ? 0 : 1;
 }

@@ -729,6 +729,12 @@ void Model::elementwiseOnce(const std::string& fn, MVec* in1, MVec* in2, MVec& o
 
 void Model::runElementwise(const std::string& fn, MVec* in1, MVec* in2, MVec& output,
                            std::vector<MExtra>& extras) {
+  // skeleton_exec.cpp's rejectOutputAsExtra: before anything is touched.
+  for (const MExtra& e : extras) {
+    if (e.kind == MExtra::Kind::VectorRef && e.vec == &output) {
+      throw UsageError("model: output vector passed as an additional argument");
+    }
+  }
   const bool inPlace = (&output == in1) || (&output == in2);
   std::vector<MVec*> inputs{in1, in2};
   for (const MExtra& e : extras) {

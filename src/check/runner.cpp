@@ -953,7 +953,7 @@ class Driver {
           }
         }
       }
-      if (vd.hostValid()) {
+      if (vd.hostValid() && n_ > 0) {  // n = 0: both buffers may be null
         const auto& hb = detail::VectorDataTestAccess::host(vd);
         if (std::memcmp(hb.data(), mv.host.data(), n_ * 4) != 0) {
           std::size_t j = 0;

@@ -111,6 +111,20 @@ std::string extraNames(const std::vector<ExtraArg>& extras,
   return out;
 }
 
+/// A vector additional argument that is also the skeleton's output would be
+/// read by some work-items after others wrote it.  That race is undefined in
+/// OpenCL, and here its result would depend on the host thread count and on
+/// batched execution, so it is rejected before the skeleton touches anything.
+void rejectOutputAsExtra(const std::vector<ExtraArg>& extras, const VectorData& output) {
+  for (const ExtraArg& e : extras) {
+    if (e.kind == ExtraArg::Kind::VectorRef && e.vector == &output) {
+      throw UsageError(
+          "a skeleton's output vector cannot also be passed as an additional argument: "
+          "work-items would read elements that other work-items write");
+    }
+  }
+}
+
 /// Prepare all extra-argument vectors (they must carry an explicit
 /// distribution, paper Section III-B) and bind extras to a kernel starting at
 /// parameter `firstIndex` for `device`.
@@ -396,6 +410,7 @@ void runElementwise(Session& session, const std::string& userSource,
                     const std::string& inType1, const std::string& inType2,
                     const std::string& outType, std::vector<ExtraArg>& extras) {
   std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
+  rejectOutputAsExtra(extras, output);
   const bool inPlace = (&output == input1) || (&output == input2);
   withDeviceLossRecovery(session, recoveryInputs(input1, input2, extras),
                          inPlace ? nullptr : &output, [&] {
@@ -1326,6 +1341,7 @@ bool runFusedChain(Session& session, VectorData& input, const std::string& inTyp
   SKELCL_CHECK(!stages.empty(), "skeleton pipeline has no stages");
   SKELCL_CHECK(output.count() == input.count(), "pipeline output size mismatch");
   std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
+  for (const FusedStage& st : stages) rejectOutputAsExtra(st.extras, output);
   if (forceUnfused || !chainEligible(input, stages)) {
     runChainUnfused(session, input, inTypeName, stages, output);
     return false;
@@ -2030,6 +2046,7 @@ void runMapOverlap1D(Session& session, const std::string& userSource, VectorData
   SKELCL_CHECK(output.count() == input.count(), "map-overlap output size mismatch");
   SKELCL_CHECK(&output != &input,
                "map-overlap cannot run in place: the stencil reads neighbours of every element");
+  rejectOutputAsExtra(extras, output);
   withDeviceLossRecovery(session, recoveryInputs(&input, nullptr, extras), &output, [&] {
     runMapOverlap1DOnce(session, userSource, input, output, typeName, radius, padding, neutral,
                         extras);
@@ -2045,6 +2062,7 @@ void runMapOverlap2D(Session& session, const std::string& userSource, MatrixData
                "map-overlap output shape mismatch");
   SKELCL_CHECK(&output != &input,
                "map-overlap cannot run in place: the stencil reads neighbours of every element");
+  rejectOutputAsExtra(extras, output.rowVector());
   withDeviceLossRecovery(session, recoveryInputs(&input.rowVector(), nullptr, extras),
                          &output.rowVector(), [&] {
                            runMapOverlap2DOnce(session, userSource, input, output, typeName,
@@ -2130,6 +2148,7 @@ void runMapPairs(Session& session, const std::string& userSource, VectorData& le
   std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
   SKELCL_CHECK(output.rowCount() == left.count() && output.columnCount() == right.count(),
                "map-pairs output shape mismatch");
+  rejectOutputAsExtra(extras, output.rowVector());
   withDeviceLossRecovery(session, recoveryInputs(&left, &right, extras), &output.rowVector(),
                          [&] {
                            runMapPairsOnce(session, userSource, left, right, output, leftType,

@@ -46,7 +46,9 @@ struct ExtraArg {
 /// device-state lock for the duration of the call.
 /// `input2` is null for map; `input1` is null for an IndexVector input, in
 /// which case `indexCount`/`indexDist` describe the virtual input.
-/// `output` may alias an input (in-place execution via Out<>).
+/// `output` may alias an input (in-place execution via Out<>).  No entry
+/// point here accepts a vector additional argument that is its own output
+/// (UsageError).
 void runElementwise(Session& session, const std::string& userSource,
                     VectorData* input1, VectorData* input2,
                     std::size_t indexCount, const Distribution& indexDist,

@@ -201,7 +201,7 @@ std::string disassemble(const FunctionCode& fn) {
         break;
     }
     // Weight 0 marks code the rewrite pass synthesized (hoisted / tracking
-    // instructions); its cost was charged to the in-loop replacements.
+    // instructions, inlined-argument binding); its cost is charged elsewhere.
     if (insn.weight == 0) os << "  ;hoisted";
     if (insn.weight > 1) os << "  ;w=" << static_cast<int>(insn.weight);
     os << "\n";

@@ -1,5 +1,6 @@
 #include "kernelc/encode.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <unordered_map>
@@ -97,14 +98,13 @@ Effect effectOf(const Insn& insn, const std::vector<FunctionCode>& fns) {
   return e;
 }
 
-/// Forward dataflow over the (reducible, compiler-generated) CFG: the stack
-/// height at each pc is unique; maxStack is the highest transient peak.
-int computeMaxStack(const FunctionCode& fn, const std::vector<FunctionCode>& fns) {
+}  // namespace
+
+std::vector<int> stackHeights(const FunctionCode& fn, const std::vector<FunctionCode>& fns) {
   const std::size_t n = fn.code.size();
   std::vector<int> height(n, -1);
   std::vector<std::size_t> work;
-  int maxPeak = 0;
-  if (n == 0) return 0;
+  if (n == 0) return height;
   height[0] = 0;
   work.push_back(0);
   auto propagate = [&](std::size_t pc, int h) {
@@ -120,14 +120,25 @@ int computeMaxStack(const FunctionCode& fn, const std::vector<FunctionCode>& fns
     const std::size_t pc = work.back();
     work.pop_back();
     const Insn& insn = fn.code[pc];
-    const int h = height[pc];
     const Effect e = effectOf(insn, fns);
-    if (h + e.peak > maxPeak) maxPeak = h + e.peak;
-    const int after = h + e.delta;
+    const int after = height[pc] + e.delta;
     SKELCL_CHECK(after >= 0, "stack underflow in '" + fn.name + "'");
     if (e.terminal) continue;
     if (e.jumps) propagate(static_cast<std::size_t>(insn.a), after);
     if (e.falls) propagate(pc + 1, after);
+  }
+  return height;
+}
+
+namespace {
+
+/// maxStack: the highest transient peak over every reachable pc.
+int computeMaxStack(const FunctionCode& fn, const std::vector<FunctionCode>& fns) {
+  const std::vector<int> height = stackHeights(fn, fns);
+  int maxPeak = 0;
+  for (std::size_t pc = 0; pc < height.size(); ++pc) {
+    if (height[pc] < 0) continue;
+    maxPeak = std::max(maxPeak, height[pc] + effectOf(fn.code[pc], fns).peak);
   }
   return maxPeak;
 }
@@ -192,8 +203,10 @@ void packFunction(FunctionCode& fn) {
 /// instruction-by-instruction, reordering their memory accesses relative to
 /// sequential per-item execution.  Restrict it to kernels where that
 /// reordering is unobservable: no calls into other functions (whose bodies
-/// we'd have to analyze transitively), no frame memory (per-lane frames
-/// don't fit the strided arena), and no ordering-sensitive builtins.
+/// we'd have to analyze transitively; tier 2 inlines every call it can, so
+/// what remains calls a recursive or frame-carrying function), no frame
+/// memory (per-lane frames don't fit the strided arena), and no
+/// ordering-sensitive builtins.
 bool computeBatchable(const FunctionCode& fn) {
   if (!fn.isKernel || fn.frameBytes != 0) return false;
   for (const Insn& insn : fn.code) {

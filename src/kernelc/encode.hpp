@@ -16,4 +16,11 @@ namespace skelcl::kc {
 /// whole program must be compiled first.
 void finalizeFunctions(std::vector<FunctionCode>& fns);
 
+/// Operand-stack height before each instruction of `fn` (-1 where
+/// unreachable), by forward dataflow over its (reducible, compiler-generated)
+/// CFG; CallFn effects resolve against `fns`.  Throws when two paths reach an
+/// instruction at different heights, the stack underflows, or control runs
+/// off the end.
+std::vector<int> stackHeights(const FunctionCode& fn, const std::vector<FunctionCode>& fns);
+
 }  // namespace skelcl::kc

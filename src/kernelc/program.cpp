@@ -50,8 +50,10 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
   program->tier = options.tier;
   if (options.tier >= 2) {
     // Rewrite rules run on the naive IR so the peephole pass can fuse the
-    // rewritten index arithmetic into its superinstructions.
+    // rewritten index arithmetic into its superinstructions; inlining then
+    // splices the rewritten user functions into the skeleton kernels.
     for (FunctionCode& fn : program->functions) rewriteOptimize(fn);
+    inlineCalls(program->functions);
   }
   if (options.tier >= 1) {
     for (FunctionCode& fn : program->functions) peepholeOptimize(fn);

@@ -7,6 +7,7 @@
 
 #include "base/error.hpp"
 #include "kernelc/builtins.hpp"
+#include "kernelc/encode.hpp"
 
 namespace skelcl::kc {
 
@@ -186,6 +187,7 @@ struct Edit {
   Kind kind;
   std::size_t remove = 0;    ///< original instructions consumed (Replace only)
   std::vector<Insn> add;
+  bool relocate = false;     ///< branches in `add` target indices within `add`
 };
 
 void applyEdits(FunctionCode& fn, std::vector<Edit> edits, std::size_t preheaderPos,
@@ -262,7 +264,11 @@ void applyEdits(FunctionCode& fn, std::vector<Edit> edits, std::size_t preheader
     bool replaced = false;
     std::size_t removed = 0;
     while (e < edits.size() && edits[e].pos == i) {
-      for (const Insn& add : edits[e].add) out.push_back(add);
+      const auto at = static_cast<std::int32_t>(out.size());
+      for (Insn add : edits[e].add) {
+        if (edits[e].relocate && isBranch(add.op)) add.a += at;
+        out.push_back(add);
+      }
       if (edits[e].kind == Edit::Replace) {
         replaced = true;
         removed = edits[e].remove;
@@ -579,7 +585,209 @@ bool hoistLoopInvariant(FunctionCode& fn) {
   return false;
 }
 
+// ---------------------------------------------------------------------------
+// Call inlining.  A CallFn whose callee qualifies (inlinable) becomes the
+// callee's body, moved to caller slots past the caller's own:
+//     StoreSlot a(n-1) ... StoreSlot a0   bind the arguments (the last one
+//                                         is on top of the stack)
+//     PushI 0; StoreSlot s                zero each local some path reads
+//                                         before writing: the VM zeroes a
+//                                         frame's locals on every call
+//     <callee body>                       each Ret/RetVoid a Jmp past the block
+// The block's first instruction carries the CallFn's weight (a Jmp to the
+// body when there is nothing to bind or zero), each Jmp its Ret's, and the
+// binding and zeroing code retires 0, so every path, faults included,
+// retires exactly what the call did.
+//
+// Blocks never run interleaved (callee bodies contain no calls) and each
+// one re-binds or re-zeroes every slot it reads before writing, so all call
+// sites inlined into one caller in one sweep share a single slot region.
+// ---------------------------------------------------------------------------
+
+/// Caps a caller's inlined size: a chain of helpers each calling the next
+/// several times grows exponentially.  Call sites past the cap stay calls.
+constexpr std::size_t kMaxInlinedCode = std::size_t{1} << 16;
+
+/// Slots an instruction reads (at most two, into `out`).
+int readSlots(const Insn& insn, std::int32_t out[2]) {
+  switch (insn.op) {
+    case Op::LoadSlot:
+    case Op::IncSlotI:
+      out[0] = insn.a;
+      return 1;
+    case Op::LoadSlot2:
+    case Op::LoadSlotElemI32: case Op::LoadSlotElemU32: case Op::LoadSlotElemF32:
+    case Op::LoadSlotElemF64: case Op::LoadSlotElemI64:
+      out[0] = insn.a;
+      out[1] = insn.b;
+      return 2;
+    default:
+      return 0;
+  }
+}
+
+/// Move every slot operand of `insn` up by `base`.
+void shiftSlots(Insn& insn, std::int32_t base) {
+  std::int32_t read[2];
+  const int reads = readSlots(insn, read);
+  if (reads == 2) insn.b += base;
+  if (reads >= 1 || writtenSlot(insn) >= 0) insn.a += base;
+}
+
+/// Locals of `fn` that some path from entry may read before writing them
+/// (forward must-assigned dataflow; the parameters start assigned).
+std::vector<std::int32_t> localsReadBeforeWritten(const FunctionCode& fn) {
+  const std::vector<Insn>& code = fn.code;
+  const std::size_t n = code.size();
+  const auto slots = static_cast<std::size_t>(fn.numSlots);
+  std::vector<std::vector<bool>> assigned(n);  // before each pc, once reached
+  std::vector<bool> reached(n, false);
+  std::vector<std::size_t> work;
+  const auto flow = [&](std::size_t pc, const std::vector<bool>& state) {
+    if (pc >= n) return;
+    if (!reached[pc]) {
+      reached[pc] = true;
+      assigned[pc] = state;
+      work.push_back(pc);
+      return;
+    }
+    bool shrank = false;
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (assigned[pc][s] && !state[s]) {
+        assigned[pc][s] = false;
+        shrank = true;
+      }
+    }
+    if (shrank) work.push_back(pc);
+  };
+  std::vector<bool> entry(slots, false);
+  for (std::size_t p = 0; p < fn.paramTypes.size() && p < slots; ++p) entry[p] = true;
+  flow(0, entry);
+  while (!work.empty()) {
+    const std::size_t pc = work.back();
+    work.pop_back();
+    std::vector<bool> after = assigned[pc];
+    const int w = writtenSlot(code[pc]);
+    if (w >= 0) after[static_cast<std::size_t>(w)] = true;
+    const Op op = code[pc].op;
+    if (isBranch(op)) flow(static_cast<std::size_t>(code[pc].a), after);
+    if (op != Op::Jmp && op != Op::Ret && op != Op::RetVoid && op != Op::Trap) {
+      flow(pc + 1, after);
+    }
+  }
+
+  std::vector<bool> zero(slots, false);
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    if (!reached[pc]) continue;
+    std::int32_t read[2];
+    const int reads = readSlots(code[pc], read);
+    for (int r = 0; r < reads; ++r) {
+      const auto s = static_cast<std::size_t>(read[r]);
+      if (!assigned[pc][s]) zero[s] = true;
+    }
+  }
+  std::vector<std::int32_t> out;
+  for (std::size_t s = 0; s < slots; ++s) {
+    if (zero[s]) out.push_back(static_cast<std::int32_t>(s));
+  }
+  return out;
+}
+
+/// A callee may be inlined when it is not a kernel, owns no frame memory,
+/// and makes no calls — so a recursive function never inlines, and a helper
+/// qualifies once its own callees are inlined — and when each return leaves
+/// exactly its value on the operand stack (or nothing, for RetVoid), which
+/// the Jmp replacing it must hand over as the call would have.
+bool inlinable(const FunctionCode& callee, const std::vector<FunctionCode>& fns) {
+  if (callee.isKernel || callee.frameBytes != 0 || callee.code.empty()) return false;
+  for (const Insn& insn : callee.code) {
+    if (insn.op == Op::CallFn || insn.op == Op::LeaFrame || insn.op == Op::MemCopy) {
+      return false;
+    }
+  }
+  const std::vector<int> height = stackHeights(callee, fns);
+  for (std::size_t pc = 0; pc < callee.code.size(); ++pc) {
+    if (height[pc] < 0) continue;  // unreachable: its Jmp never runs
+    const Op op = callee.code[pc].op;
+    if ((op == Op::Ret && height[pc] != 1) || (op == Op::RetVoid && height[pc] != 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The block replacing `call`, with block-relative branch targets.
+std::vector<Insn> inlineBlock(const Insn& call, const FunctionCode& callee,
+                              const std::vector<std::int32_t>& zeroed, std::int32_t base) {
+  std::vector<Insn> block;
+  for (auto p = static_cast<std::int32_t>(callee.paramTypes.size()) - 1; p >= 0; --p) {
+    block.push_back(make(Op::StoreSlot, base + p, 0, 0, 0));
+  }
+  for (const std::int32_t s : zeroed) {
+    block.push_back(make(Op::PushI, 0, 0, 0, 0));
+    block.push_back(make(Op::StoreSlot, base + s, 0, 0, 0));
+  }
+  if (block.empty()) block.push_back(make(Op::Jmp, 1, 0, 0, 0));
+  block.front().weight = call.weight;
+
+  const auto body = static_cast<std::int32_t>(block.size());
+  const auto end = body + static_cast<std::int32_t>(callee.code.size());
+  for (Insn insn : callee.code) {
+    if (insn.op == Op::Ret || insn.op == Op::RetVoid) {
+      insn = make(Op::Jmp, end, 0, 0, insn.weight);
+    } else {
+      if (isBranch(insn.op)) insn.a += body;
+      shiftSlots(insn, base);
+    }
+    block.push_back(insn);
+  }
+  return block;
+}
+
 }  // namespace
+
+int inlineCalls(std::vector<FunctionCode>& fns) {
+  int inlined = 0;
+  // Inlining a call-free body adds no calls, so every sweep that inlines
+  // anything removes calls for good: sweep until no call site qualifies.
+  for (;;) {
+    std::vector<bool> ok(fns.size(), false);
+    std::vector<std::vector<std::int32_t>> zeroed(fns.size());
+    for (std::size_t f = 0; f < fns.size(); ++f) {
+      ok[f] = inlinable(fns[f], fns);
+      if (ok[f]) zeroed[f] = localsReadBeforeWritten(fns[f]);
+    }
+    int sweep = 0;
+    for (FunctionCode& fn : fns) {
+      // Qualifying callees contain no calls, so `fn` is never one of them.
+      const std::int32_t base = fn.numSlots;
+      std::int32_t region = 0;
+      std::size_t size = fn.code.size();
+      std::vector<Edit> edits;
+      for (std::size_t m = 0; m < fn.code.size(); ++m) {
+        const Insn& call = fn.code[m];
+        if (call.op != Op::CallFn || !ok[static_cast<std::size_t>(call.a)]) continue;
+        const FunctionCode& callee = fns[static_cast<std::size_t>(call.a)];
+        Edit edit;
+        edit.pos = m;
+        edit.kind = Edit::Replace;
+        edit.remove = 1;
+        edit.relocate = true;
+        edit.add = inlineBlock(call, callee, zeroed[static_cast<std::size_t>(call.a)], base);
+        if (size + edit.add.size() > kMaxInlinedCode) continue;
+        size += edit.add.size() - 1;
+        region = std::max(region, callee.numSlots);
+        edits.push_back(std::move(edit));
+      }
+      if (edits.empty()) continue;
+      sweep += static_cast<int>(edits.size());
+      fn.numSlots = base + region;
+      applyEdits(fn, std::move(edits), kNpos, kNpos, kNpos);
+    }
+    if (sweep == 0) return inlined;
+    inlined += sweep;
+  }
+}
 
 int rewriteOptimize(FunctionCode& fn) {
   int applied = 0;

@@ -19,6 +19,8 @@
 // dominance analysis and no cost-model recalibration.
 #pragma once
 
+#include <vector>
+
 #include "kernelc/bytecode.hpp"
 
 namespace skelcl::kc {
@@ -26,5 +28,15 @@ namespace skelcl::kc {
 /// Rewrite `fn.code` in place until no rule applies (bounded).  May add
 /// fresh slots (fn.numSlots grows).  Returns the number of rewrites applied.
 int rewriteOptimize(FunctionCode& fn);
+
+/// Tier-2 call inlining over a whole program, after every function's
+/// rewriteOptimize and before peephole.  Splices into its caller the body of
+/// each CallFn whose callee is not a kernel, has no frame memory, and has no
+/// calls left once its own callees are inlined (so recursion never inlines),
+/// with the same weight invariant as the rules above: the inlined block
+/// retires exactly what the call did on every path.  Skeleton kernels thereby
+/// lose their call into the user function and become batchable.  Returns the
+/// number of call sites inlined.
+int inlineCalls(std::vector<FunctionCode>& fns);
 
 }  // namespace skelcl::kc

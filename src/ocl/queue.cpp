@@ -351,8 +351,9 @@ Event CommandQueue::enqueueNDRangeKernel(Kernel& kernel, std::uint64_t globalSiz
                                          adm.timeScale);
   const Event event(span.start, span.end, system.clockEpoch());
   noteCompletion(event, /*blocking=*/false);
-  reportCommand(info(CommandInfo::Kind::Kernel, 0, globalSize, kernel.name().c_str()),
-                event);
+  CommandInfo done = info(CommandInfo::Kind::Kernel, 0, globalSize, kernel.name().c_str());
+  done.batched = useBatch && program->functions[static_cast<std::size_t>(fnIndex)].batchable;
+  reportCommand(done, event);
   return event;
 }
 

@@ -52,6 +52,9 @@ struct CommandInfo {
   std::uint64_t workItems = 0;       ///< kernel global size (0 for transfers)
   const char* kernelName = nullptr;  ///< kernel launches only
   int node = 0;                      ///< cluster node of the device (docl)
+  /// Completed kernel launches only: the work-items ran on the work-group-
+  /// batched interpreter (tier 2, batchable kernel, batching not disabled).
+  bool batched = false;
 };
 
 /// Observability hook, invoked once per enqueued command with its completion

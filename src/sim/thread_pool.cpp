@@ -1,6 +1,6 @@
 #include "sim/thread_pool.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdlib>
 #include <exception>
 
@@ -50,11 +50,15 @@ void ThreadPool::parallelFor(std::uint64_t count,
   }
 
   const std::uint64_t chunk = (count + parts - 1) / parts;
-  std::atomic<unsigned> remaining{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::condition_variable done_cv;
+  // Chunks not yet finished.  Set before any chunk is published, because a
+  // worker still draining an earlier call can start one the moment it is
+  // queued; decremented and signalled under done_mutex, because the caller
+  // destroys these locals as soon as it sees zero.
+  auto remaining = static_cast<unsigned>((count + chunk - 1) / chunk);
   std::mutex done_mutex;
+  std::condition_variable done_cv;
 
   auto run_chunk = [&](std::uint64_t begin, std::uint64_t end) {
     try {
@@ -63,28 +67,22 @@ void ThreadPool::parallelFor(std::uint64_t count,
       std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
     }
-    if (remaining.fetch_sub(1) == 1) {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      done_cv.notify_all();
-    }
+    std::lock_guard<std::mutex> lock(done_mutex);
+    if (--remaining == 0) done_cv.notify_all();
   };
 
-  std::uint64_t submitted_end = chunk;  // first chunk runs on the caller
-  unsigned queued = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::uint64_t begin = chunk; begin < count; begin += chunk) {
       const std::uint64_t end = std::min(begin + chunk, count);
-      ++queued;
       tasks_.emplace([&, begin, end] { run_chunk(begin, end); });
     }
   }
-  remaining.store(queued + 1);
   cv_.notify_all();
-  run_chunk(0, submitted_end);
+  run_chunk(0, chunk);  // the first chunk runs on the caller
 
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -1,0 +1,584 @@
+// Tests for tier-2 call inlining (inlineCalls in kernelc/rewrite.hpp,
+// docs/VM.md).  Hand-written Insn IR pins the exact inlined stream for each
+// shape — nested calls, a zero-parameter callee, an early return inside a
+// loop, a void callee, a local read before it is written — and then runs
+// the program with and without inlining on the fast interpreter, requiring
+// identical results and identical retired-instruction counts (the call's
+// weight moves onto the first instruction of the inlined block, each Ret's
+// onto the Jmp that replaces it).  Recursive and frame-carrying callees must
+// stay calls.  The last test drives every skeleton through the runtime and
+// requires each generated kernel to run on the batched interpreter.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/skelcl.hpp"
+#include "kernelc/builtins.hpp"
+#include "kernelc/disasm.hpp"
+#include "kernelc/encode.hpp"
+#include "kernelc/program.hpp"
+#include "kernelc/rewrite.hpp"
+#include "kernelc/vm.hpp"
+#include "ocl/queue.hpp"
+
+using namespace skelcl::kc;
+
+namespace {
+
+Insn ins(Op op, std::int32_t a = 0, std::int32_t b = 0, std::int64_t imm = 0,
+         int weight = 1) {
+  Insn insn;
+  insn.op = op;
+  insn.a = a;
+  insn.b = b;
+  insn.imm = imm;
+  insn.weight = static_cast<std::uint8_t>(weight);
+  return insn;
+}
+
+Insn insF(Op op, double fimm, int weight = 1) {
+  Insn insn;
+  insn.op = op;
+  insn.fimm = fimm;
+  insn.weight = static_cast<std::uint8_t>(weight);
+  return insn;
+}
+
+FunctionCode function(const char* name, TypeId ret, std::vector<TypeId> params, int slots,
+                      std::vector<Insn> code, bool kernel = false) {
+  FunctionCode fn;
+  fn.name = name;
+  fn.isKernel = kernel;
+  fn.returnType = ret;
+  fn.paramTypes = std::move(params);
+  fn.numSlots = slots;
+  fn.code = std::move(code);
+  return fn;
+}
+
+void expectCode(const FunctionCode& fn, const std::vector<Insn>& want) {
+  ASSERT_EQ(fn.code.size(), want.size()) << disassemble(fn);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Insn& g = fn.code[i];
+    const Insn& w = want[i];
+    EXPECT_EQ(opName(g.op), opName(w.op)) << "at " << i << "\n" << disassemble(fn);
+    EXPECT_EQ(g.a, w.a) << "operand a at " << i << "\n" << disassemble(fn);
+    EXPECT_EQ(g.b, w.b) << "operand b at " << i << "\n" << disassemble(fn);
+    EXPECT_EQ(g.imm, w.imm) << "imm at " << i << "\n" << disassemble(fn);
+    EXPECT_EQ(g.fimm, w.fimm) << "fimm at " << i << "\n" << disassemble(fn);
+    EXPECT_EQ(int{g.weight}, int{w.weight}) << "weight at " << i << "\n" << disassemble(fn);
+  }
+}
+
+bool hasCall(const FunctionCode& fn) {
+  return std::any_of(fn.code.begin(), fn.code.end(),
+                     [](const Insn& insn) { return insn.op == Op::CallFn; });
+}
+
+/// The same functions as two runnable programs: `plain` encoded the tier-1
+/// way (calls kept), `inlined` with inlineCalls applied before encoding.
+struct Programs {
+  CompiledProgram plain;
+  CompiledProgram inlined;
+  int applied = 0;
+};
+
+std::unique_ptr<Programs> build(std::vector<FunctionCode> fns) {
+  auto p = std::make_unique<Programs>();
+  p->plain.functions = fns;
+  finalizeFunctions(p->plain.functions);
+  p->plain.optimized = true;
+  p->inlined.functions = std::move(fns);
+  p->applied = inlineCalls(p->inlined.functions);
+  finalizeFunctions(p->inlined.functions);
+  p->inlined.optimized = true;
+  return p;
+}
+
+/// Call function `fn` on both programs: results must match, and both must
+/// retire exactly `count` instructions.  Returns the result.
+std::int64_t callBoth(const Programs& p, int fn, std::vector<Slot> args,
+                      std::uint64_t count) {
+  Vm plain(p.plain, {});
+  Vm inlined(p.inlined, {});
+  const std::int64_t want = plain.callFunction(fn, args).i;
+  EXPECT_EQ(inlined.callFunction(fn, args).i, want);
+  EXPECT_EQ(plain.instructionsExecuted(), count);
+  EXPECT_EQ(inlined.instructionsExecuted(), count);
+  return want;
+}
+
+// --- nested calls -----------------------------------------------------------
+
+TEST(KernelcInline, NestedCallsInlineInnermostFirst) {
+  // g(x) = x * 3;  f(x) = g(x) + 1;  h(x) = f(x) * 2
+  const auto p = build({
+      function("g", types::Int, {types::Int}, 1,
+               {ins(Op::LoadSlot, 0), ins(Op::PushI, 0, 0, 3), ins(Op::MulI), ins(Op::Ret),
+                ins(Op::Trap)}),
+      function("f", types::Int, {types::Int}, 1,
+               {ins(Op::LoadSlot, 0), ins(Op::CallFn, 0), ins(Op::PushI, 0, 0, 1),
+                ins(Op::AddI), ins(Op::Ret), ins(Op::Trap)}),
+      function("h", types::Int, {types::Int}, 1,
+               {ins(Op::LoadSlot, 0), ins(Op::CallFn, 1), ins(Op::PushI, 0, 0, 2),
+                ins(Op::MulI), ins(Op::Ret), ins(Op::Trap)}),
+  });
+  // g goes into f in the first sweep; f, now call-free, into h in the second.
+  EXPECT_EQ(p->applied, 2);
+  EXPECT_FALSE(hasCall(p->inlined.functions[1]));
+  const FunctionCode& h = p->inlined.functions[2];
+  EXPECT_EQ(h.numSlots, 3);  // h's x, then f's region (f's x, g's x)
+  expectCode(h, {
+      ins(Op::LoadSlot, 0),     //  0
+      ins(Op::StoreSlot, 1),    //  1: bind f's x; carries h's call weight
+      ins(Op::LoadSlot, 1),     //  2
+      ins(Op::StoreSlot, 2),    //  3: bind g's x; carries f's call weight
+      ins(Op::LoadSlot, 2),     //  4
+      ins(Op::PushI, 0, 0, 3),  //  5
+      ins(Op::MulI),            //  6
+      ins(Op::Jmp, 9),          //  7: g's ret
+      ins(Op::Trap),            //  8
+      ins(Op::PushI, 0, 0, 1),  //  9
+      ins(Op::AddI),            // 10
+      ins(Op::Jmp, 13),         // 11: f's ret
+      ins(Op::Trap),            // 12
+      ins(Op::PushI, 0, 0, 2),  // 13
+      ins(Op::MulI),            // 14
+      ins(Op::Ret),             // 15
+      ins(Op::Trap),            // 16
+  });
+  // h 2 + f 2 + g 4 + f 3 + h 3 retired on both.
+  EXPECT_EQ(callBoth(*p, 2, {Slot::fromInt(5)}, 14), 32);
+}
+
+// --- zero-parameter callee --------------------------------------------------
+
+TEST(KernelcInline, ZeroParameterCalleeChargesTheCallOnAJump) {
+  const auto p = build({
+      function("seven", types::Int, {}, 0,
+               {ins(Op::PushI, 0, 0, 7), ins(Op::Ret), ins(Op::Trap)}),
+      function("f", types::Int, {types::Int}, 1,
+               {ins(Op::LoadSlot, 0), ins(Op::CallFn, 0), ins(Op::AddI), ins(Op::Ret),
+                ins(Op::Trap)}),
+  });
+  EXPECT_EQ(p->applied, 1);
+  const FunctionCode& f = p->inlined.functions[1];
+  EXPECT_EQ(f.numSlots, 1);
+  // Nothing to bind or zero: a jump to the body carries the call's weight.
+  expectCode(f, {
+      ins(Op::LoadSlot, 0),     // 0
+      ins(Op::Jmp, 2),          // 1: was CallFn
+      ins(Op::PushI, 0, 0, 7),  // 2
+      ins(Op::Jmp, 5),          // 3: was Ret
+      ins(Op::Trap),            // 4
+      ins(Op::AddI),            // 5
+      ins(Op::Ret),             // 6
+      ins(Op::Trap),            // 7
+  });
+  EXPECT_EQ(callBoth(*p, 1, {Slot::fromInt(4)}, 6), 11);
+}
+
+// --- early return inside a loop ---------------------------------------------
+
+TEST(KernelcInline, EarlyReturnInsideLoopJumpsPastTheBlock) {
+  // firstOver(limit): for (i = 0; i < 100; i = i + 1) if (i * i > limit)
+  // return i; return -1;      f(x) = firstOver(x) + 1000
+  const auto p = build({
+      function("firstOver", types::Int, {types::Int}, 2,
+               {
+                   ins(Op::PushI, 0, 0, 0),    //  0: i = 0
+                   ins(Op::StoreSlot, 1),      //  1
+                   ins(Op::LoadSlot, 1),       //  2: head: exit unless i < 100
+                   ins(Op::PushI, 0, 0, 100),  //  3
+                   ins(Op::LtI),               //  4
+                   ins(Op::Jz, 19),            //  5
+                   ins(Op::LoadSlot, 1),       //  6: if (i * i > limit)
+                   ins(Op::LoadSlot, 1),       //  7
+                   ins(Op::MulI),              //  8
+                   ins(Op::LoadSlot, 0),       //  9
+                   ins(Op::GtI),               // 10
+                   ins(Op::Jz, 14),            // 11
+                   ins(Op::LoadSlot, 1),       // 12:   return i
+                   ins(Op::Ret),               // 13
+                   ins(Op::LoadSlot, 1),       // 14: i = i + 1
+                   ins(Op::PushI, 0, 0, 1),    // 15
+                   ins(Op::AddI),              // 16
+                   ins(Op::StoreSlot, 1),      // 17
+                   ins(Op::Jmp, 2),            // 18
+                   ins(Op::PushI, 0, 0, -1),   // 19: return -1
+                   ins(Op::Ret),               // 20
+                   ins(Op::Trap),              // 21
+               }),
+      function("f", types::Int, {types::Int}, 1,
+               {ins(Op::LoadSlot, 0), ins(Op::CallFn, 0), ins(Op::PushI, 0, 0, 1000),
+                ins(Op::AddI), ins(Op::Ret), ins(Op::Trap)}),
+  });
+  EXPECT_EQ(p->applied, 1);
+  const FunctionCode& f = p->inlined.functions[1];
+  EXPECT_EQ(f.numSlots, 3);
+  // i is written before it is read, so nothing is zeroed.  Both returns
+  // jump to the instruction after the block; the loop's own branches move
+  // with the body.
+  expectCode(f, {
+      ins(Op::LoadSlot, 0),        //  0
+      ins(Op::StoreSlot, 1),       //  1: bind limit
+      ins(Op::PushI, 0, 0, 0),     //  2
+      ins(Op::StoreSlot, 2),       //  3
+      ins(Op::LoadSlot, 2),        //  4: loop head
+      ins(Op::PushI, 0, 0, 100),   //  5
+      ins(Op::LtI),                //  6
+      ins(Op::Jz, 21),             //  7
+      ins(Op::LoadSlot, 2),        //  8
+      ins(Op::LoadSlot, 2),        //  9
+      ins(Op::MulI),               // 10
+      ins(Op::LoadSlot, 1),        // 11
+      ins(Op::GtI),                // 12
+      ins(Op::Jz, 16),             // 13
+      ins(Op::LoadSlot, 2),        // 14
+      ins(Op::Jmp, 24),            // 15: return i
+      ins(Op::LoadSlot, 2),        // 16
+      ins(Op::PushI, 0, 0, 1),     // 17
+      ins(Op::AddI),               // 18
+      ins(Op::StoreSlot, 2),       // 19
+      ins(Op::Jmp, 4),             // 20
+      ins(Op::PushI, 0, 0, -1),    // 21
+      ins(Op::Jmp, 24),            // 22: return -1
+      ins(Op::Trap),               // 23
+      ins(Op::PushI, 0, 0, 1000),  // 24
+      ins(Op::AddI),               // 25
+      ins(Op::Ret),                // 26
+      ins(Op::Trap),               // 27
+  });
+  // limit 10: 2 + 2 before the loop, 4 full iterations of 15, the
+  // returning one (12), and 3 after.
+  EXPECT_EQ(callBoth(*p, 1, {Slot::fromInt(10)}, 79), 1004);
+  // No i*i exceeds the limit: 100 iterations, the failing test (4) and
+  // `return -1` (2).
+  EXPECT_EQ(callBoth(*p, 1, {Slot::fromInt(100000)}, 1513), 999);
+}
+
+// --- void callee: the kernel becomes batchable ------------------------------
+
+int builtinId(const char* name) {
+  const auto& table = builtinTable();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    if (std::string(table[i].name) == name) return static_cast<int>(i);
+  }
+  ADD_FAILURE() << "no builtin " << name;
+  return -1;
+}
+
+TEST(KernelcInline, VoidCalleeInlinesAndTheKernelBatches) {
+  // put(p, i, v) { p[i] = v; }
+  // __kernel k(out) { int gid = get_global_id(0); put(out, gid, gid * 0.5f); }
+  const int gidFn = builtinId("get_global_id");
+  const auto p = build({
+      function("put", types::Void, {types::Int, types::Int, types::Float}, 3,
+               {ins(Op::LoadSlot, 0), ins(Op::LoadSlot, 1), ins(Op::PtrAdd, 4),
+                ins(Op::LoadSlot, 2), ins(Op::StoreF32), ins(Op::RetVoid)}),
+      function("k", types::Void, {types::Int}, 2,
+               {ins(Op::PushI, 0, 0, 0), ins(Op::CallBuiltin, gidFn, 1), ins(Op::StoreSlot, 1),
+                ins(Op::LoadSlot, 0), ins(Op::LoadSlot, 1), ins(Op::LoadSlot, 1),
+                ins(Op::I2F32), insF(Op::PushF, 0.5), ins(Op::MulF32), ins(Op::CallFn, 0),
+                ins(Op::RetVoid)},
+               /*kernel=*/true),
+  });
+  EXPECT_EQ(p->applied, 1);
+  const FunctionCode& k = p->inlined.functions[1];
+  EXPECT_EQ(k.numSlots, 5);
+  expectCode(k, {
+      ins(Op::PushI, 0, 0, 0),            //  0
+      ins(Op::CallBuiltin, gidFn, 1),     //  1
+      ins(Op::StoreSlot, 1),              //  2
+      ins(Op::LoadSlot, 0),               //  3
+      ins(Op::LoadSlot, 1),               //  4
+      ins(Op::LoadSlot, 1),               //  5
+      ins(Op::I2F32),                     //  6
+      insF(Op::PushF, 0.5),               //  7
+      ins(Op::MulF32),                    //  8
+      ins(Op::StoreSlot, 4),              //  9: bind v (the last argument first)
+      ins(Op::StoreSlot, 3, 0, 0, 0),     // 10: bind i
+      ins(Op::StoreSlot, 2, 0, 0, 0),     // 11: bind p
+      ins(Op::LoadSlot, 2),               // 12
+      ins(Op::LoadSlot, 3),               // 13
+      ins(Op::PtrAdd, 4),                 // 14
+      ins(Op::LoadSlot, 4),               // 15
+      ins(Op::StoreF32),                  // 16
+      ins(Op::Jmp, 18),                   // 17: was RetVoid
+      ins(Op::RetVoid),                   // 18
+  });
+  EXPECT_FALSE(p->plain.functions[1].batchable);
+  EXPECT_TRUE(k.batchable);
+
+  // Per item on the un-inlined program vs batched on the inlined one.
+  constexpr std::int64_t kItems = 64;
+  std::vector<float> seq(kItems, -1.0f);
+  std::vector<float> bat(kItems, -1.0f);
+  Ptr ptr;
+  ptr.region = 1;
+  const std::vector<Slot> args{Slot::fromPtr(ptr)};
+  Vm vmSeq(p->plain, {MemRegion{reinterpret_cast<std::byte*>(seq.data()),
+                                seq.size() * sizeof(float)}});
+  Vm vmBat(p->inlined, {MemRegion{reinterpret_cast<std::byte*>(bat.data()),
+                                  bat.size() * sizeof(float)}});
+  for (std::int64_t gid = 0; gid < kItems; ++gid) vmSeq.runKernel(1, args, gid, kItems);
+  vmBat.runKernelBatch(1, args, 0, kItems, kItems);
+  EXPECT_EQ(seq, bat);
+  EXPECT_EQ(seq[10], 5.0f);
+  // 9 + call 1 + put 6 + ret.void 1 per item on both.
+  EXPECT_EQ(vmSeq.instructionsExecuted(), 17u * kItems);
+  EXPECT_EQ(vmBat.instructionsExecuted(), 17u * kItems);
+}
+
+// --- a local read before it is written --------------------------------------
+
+/// The inlined block of count(n) { int c; if (n > 0) c = n; return c + 1; }
+/// at caller index `at`, with the region at slot 1.
+std::vector<Insn> countBlock(std::int32_t at) {
+  return {
+      ins(Op::StoreSlot, 1),           // bind n; carries the call weight
+      ins(Op::PushI, 0, 0, 0, 0),      // zero c: the Jz path reads it unwritten
+      ins(Op::StoreSlot, 2, 0, 0, 0),
+      ins(Op::LoadSlot, 1),
+      ins(Op::PushI, 0, 0, 0),
+      ins(Op::GtI),
+      ins(Op::Jz, at + 9),
+      ins(Op::LoadSlot, 1),
+      ins(Op::StoreSlot, 2),
+      ins(Op::LoadSlot, 2),
+      ins(Op::PushI, 0, 0, 1),
+      ins(Op::AddI),
+      ins(Op::Jmp, at + 14),           // was Ret
+      ins(Op::Trap),
+  };
+}
+
+TEST(KernelcInline, LocalReadBeforeWriteIsZeroedOnEveryEntry) {
+  // c reads 0 when n <= 0 because the VM zeroes locals on every call.
+  // f(a) = count(a) * 100 + count(-1)
+  const auto p = build({
+      function("count", types::Int, {types::Int}, 2,
+               {
+                   ins(Op::LoadSlot, 0),     //  0
+                   ins(Op::PushI, 0, 0, 0),  //  1
+                   ins(Op::GtI),             //  2
+                   ins(Op::Jz, 6),           //  3
+                   ins(Op::LoadSlot, 0),     //  4: c = n
+                   ins(Op::StoreSlot, 1),    //  5
+                   ins(Op::LoadSlot, 1),     //  6: return c + 1
+                   ins(Op::PushI, 0, 0, 1),  //  7
+                   ins(Op::AddI),            //  8
+                   ins(Op::Ret),             //  9
+                   ins(Op::Trap),            // 10
+               }),
+      function("f", types::Int, {types::Int}, 1,
+               {ins(Op::LoadSlot, 0), ins(Op::CallFn, 0), ins(Op::PushI, 0, 0, 100),
+                ins(Op::MulI), ins(Op::PushI, 0, 0, -1), ins(Op::CallFn, 0), ins(Op::AddI),
+                ins(Op::Ret), ins(Op::Trap)}),
+  });
+  EXPECT_EQ(p->applied, 2);
+  const FunctionCode& f = p->inlined.functions[1];
+  // Both call sites share one slot region; the zeroing keeps the first
+  // call's c = 5 from leaking into the second call.
+  EXPECT_EQ(f.numSlots, 3);
+  std::vector<Insn> want{ins(Op::LoadSlot, 0)};
+  for (const Insn& insn : countBlock(1)) want.push_back(insn);
+  want.push_back(ins(Op::PushI, 0, 0, 100));
+  want.push_back(ins(Op::MulI));
+  want.push_back(ins(Op::PushI, 0, 0, -1));
+  for (const Insn& insn : countBlock(18)) want.push_back(insn);
+  want.push_back(ins(Op::AddI));
+  want.push_back(ins(Op::Ret));
+  want.push_back(ins(Op::Trap));
+  expectCode(f, want);
+  // count(5) * 100 + count(-1) = 600 + 1; retired 2 + 10 + 3 + 1 + 8 + 2.
+  EXPECT_EQ(callBoth(*p, 1, {Slot::fromInt(5)}, 26), 601);
+}
+
+// --- callees that must stay calls -------------------------------------------
+
+TEST(KernelcInline, RecursiveAndFrameCalleesStayCalls) {
+  const std::string src = R"(
+    int fib(int n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }
+    int twice(int n) { return fib(n) * 2; }
+    float pair(float a, float b) { float t[2]; t[0] = a; t[1] = b; return t[0] + t[1]; }
+    __kernel void k(__global float* out) {
+      int i = get_global_id(0);
+      out[i] = pair((float)i, 1.0f);
+    }
+  )";
+  const auto tier1 = compileProgram(src, CompileOptions{1});
+  const auto tier2 = compileProgram(src, CompileOptions{2});
+  const auto& fns = tier2->functions;
+  EXPECT_TRUE(hasCall(fns[static_cast<std::size_t>(tier2->findFunction("fib"))]));
+  EXPECT_TRUE(hasCall(fns[static_cast<std::size_t>(tier2->findFunction("twice"))]));
+  const FunctionCode& k = fns[static_cast<std::size_t>(tier2->findKernel("k"))];
+  EXPECT_TRUE(hasCall(k));
+  EXPECT_FALSE(k.batchable);
+
+  Vm vm1(*tier1, {});
+  Vm vm2(*tier2, {});
+  const std::vector<Slot> args{Slot::fromInt(10)};
+  EXPECT_EQ(vm1.callFunction(tier1->findFunction("twice"), args).i, 110);
+  EXPECT_EQ(vm2.callFunction(tier2->findFunction("twice"), args).i, 110);
+  EXPECT_EQ(vm1.instructionsExecuted(), vm2.instructionsExecuted());
+}
+
+// --- whole programs from source ---------------------------------------------
+
+TEST(KernelcInline, SourceKernelMatchesTierOneBatchedAndPerItem) {
+  // Helpers calling helpers, a loop with an early return, a void helper
+  // writing through a pointer, and a local only written inside the loop.
+  const std::string src = R"(
+    float sq(float x) { return x * x; }
+    float poly(float x) { return sq(x) * 0.5f + sq(x + 1.0f); }
+    int steps(int n) {
+      int k;
+      for (int i = 0; i < 40; ++i) { if (i * 3 > n) return i; k = i; }
+      return k;
+    }
+    void put(__global float* p, int i, float v) { p[i] = v; }
+    __kernel void k(__global float* out, int n) {
+      int gid = get_global_id(0);
+      if (gid < n) put(out, gid, poly((float)gid) + (float)steps(gid * 7 % 150));
+    }
+  )";
+  const auto tier1 = compileProgram(src, CompileOptions{1});
+  const auto tier2 = compileProgram(src, CompileOptions{2});
+  const int k = tier2->findKernel("k");
+  ASSERT_GE(k, 0);
+  EXPECT_FALSE(tier1->functions[static_cast<std::size_t>(k)].batchable);
+  EXPECT_TRUE(tier2->functions[static_cast<std::size_t>(k)].batchable);
+
+  constexpr std::int64_t kItems = 300;
+  std::vector<float> ref(kItems, 0.0f), seq(kItems, 0.0f), bat(kItems, 0.0f);
+  const auto region = [](std::vector<float>& v) {
+    return std::vector<MemRegion>{
+        MemRegion{reinterpret_cast<std::byte*>(v.data()), v.size() * sizeof(float)}};
+  };
+  Ptr ptr;
+  ptr.region = 1;
+  const std::vector<Slot> args{Slot::fromPtr(ptr), Slot::fromInt(kItems - 3)};
+  Vm vmRef(*tier1, region(ref));
+  Vm vmSeq(*tier2, region(seq));
+  Vm vmBat(*tier2, region(bat));
+  for (std::int64_t gid = 0; gid < kItems; ++gid) {
+    vmRef.runKernel(k, args, gid, kItems);
+    vmSeq.runKernel(k, args, gid, kItems);
+  }
+  for (std::int64_t gid = 0; gid < kItems; gid += Vm::kBatchLanes) {
+    vmBat.runKernelBatch(k, args, gid, std::min<std::int64_t>(Vm::kBatchLanes, kItems - gid),
+                         kItems);
+  }
+  EXPECT_EQ(ref, seq);
+  EXPECT_EQ(ref, bat);
+  EXPECT_EQ(vmSeq.instructionsExecuted(), vmRef.instructionsExecuted());
+  EXPECT_EQ(vmBat.instructionsExecuted(), vmRef.instructionsExecuted());
+}
+
+// --- every skeleton template batches ----------------------------------------
+
+/// Pins the default pipeline to tier 2 with batching on for one test,
+/// whatever the `_noopt`/`_rewrite` ctest reruns put in the environment.
+class Tier2Environment {
+ public:
+  Tier2Environment() : opt_(get("SKELCL_KC_OPT")), batch_(get("SKELCL_KC_BATCH")) {
+    setenv("SKELCL_KC_OPT", "2", 1);
+    unsetenv("SKELCL_KC_BATCH");
+  }
+  ~Tier2Environment() {
+    restore("SKELCL_KC_OPT", opt_);
+    restore("SKELCL_KC_BATCH", batch_);
+  }
+  Tier2Environment(const Tier2Environment&) = delete;
+  Tier2Environment& operator=(const Tier2Environment&) = delete;
+
+ private:
+  static std::optional<std::string> get(const char* name) {
+    const char* v = std::getenv(name);
+    return v != nullptr ? std::optional<std::string>(v) : std::nullopt;
+  }
+  static void restore(const char* name, const std::optional<std::string>& v) {
+    if (v) {
+      setenv(name, v->c_str(), 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  std::optional<std::string> opt_;
+  std::optional<std::string> batch_;
+};
+
+/// kernel name -> {launches, launches on the batched interpreter}
+std::map<std::string, std::pair<int, int>> g_launches;
+
+void recordLaunch(const skelcl::ocl::CommandInfo& info, const skelcl::ocl::Event&) {
+  if (info.kind != skelcl::ocl::CommandInfo::Kind::Kernel) return;
+  auto& [launches, batched] = g_launches[info.kernelName];
+  ++launches;
+  if (info.batched) ++batched;
+}
+
+TEST(KernelcInline, EverySkeletonTemplateRunsBatched) {
+  using namespace skelcl;
+  const Tier2Environment env;
+  init(sim::SystemConfig::teslaS1070(2));
+  g_launches.clear();
+  ocl::setCommandHook(&recordLaunch);
+
+  const char* const kUnary = "float func(float x) { return x + 1.0f; }";
+  const char* const kBinary = "float func(float a, float b) { return a + b; }";
+  std::vector<float> host(600);
+  for (std::size_t i = 0; i < host.size(); ++i) host[i] = static_cast<float>(i % 9);
+  const auto prefix = [&](std::size_t n) {
+    return std::vector<float>(host.begin(), host.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  Vector<float> v(host);
+  Vector<float> w(host);
+
+  Map<float(float)> map(kUnary);
+  Zip<float(float, float)> zip(kBinary);
+  Map<int(Index)> index("int func(int i) { return 2 * i; }");
+  Reduce<float> reduce(kBinary);
+  Scan<float> scan(kBinary);
+  Pipeline<float> chain;
+  chain.map(kUnary).zip(w, kBinary);
+  MapOverlap<float(float)> stencil1(
+      "float func(__global float* in, int i) { return in[i - 1] + in[i + 1]; }", 1,
+      Padding::Neutral, 0.0f);
+  MapOverlap<float(float)> stencil2(
+      "float func(__global float* m, int i, int s) { return m[i - s] + m[i + s]; }", 1,
+      Padding::Clamp);
+  MapPairs<float(float, float)> pairs(kBinary);
+
+  (void)map(v).toStdVector();
+  (void)zip(v, w).toStdVector();
+  (void)index(IndexVector(600)).toStdVector();
+  (void)reduce(v);
+  (void)scan(v).toStdVector();
+  (void)chain(v).toStdVector();
+  (void)chain.reduce(kBinary, v);
+  (void)stencil1(v).toStdVector();
+  (void)stencil2(Matrix<float>(20, 30, host)).toStdVector();
+  (void)pairs(Vector<float>(prefix(12)), Vector<float>(prefix(7))).toStdVector();
+
+  ocl::setCommandHook(nullptr);
+  terminate();
+
+  for (const char* name :
+       {"skelcl_kernel", "skelcl_reduce", "skelcl_scan_chunks", "skelcl_scan_add",
+        "skelcl_fused", "skelcl_fused_reduce", "skelcl_overlap", "skelcl_mo_pack",
+        "skelcl_overlap2", "skelcl_pairs"}) {
+    const auto it = g_launches.find(name);
+    ASSERT_NE(it, g_launches.end()) << name << " never launched";
+    EXPECT_EQ(it->second.second, it->second.first) << name << " ran per item";
+  }
+}
+
+}  // namespace

@@ -190,6 +190,20 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, BackToBackCallsNeverLoseAChunk) {
+  // A worker still finishing one call can take the next call's first queued
+  // chunk at once.  When the chunk count was stored only after publishing,
+  // that chunk's decrement was overwritten and the caller waited forever
+  // (seen after 7k-71k calls of exactly this loop).
+  ThreadPool pool(4);
+  constexpr std::uint64_t kCalls = 200000;
+  std::atomic<std::uint64_t> items{0};
+  for (std::uint64_t call = 0; call < kCalls; ++call) {
+    pool.parallelFor(8, [&](std::uint64_t b, std::uint64_t e) { items.fetch_add(e - b); });
+  }
+  EXPECT_EQ(items.load(), 8 * kCalls);
+}
+
 TEST(ThreadPool, EmptyRangeIsANoOp) {
   ThreadPool pool(2);
   bool called = false;

@@ -3,8 +3,9 @@
 //   kcc FILE.cl            compile; print diagnostics or "ok"
 //   kcc -d FILE.cl         compile and disassemble every function
 //   kcc -p FILE.cl         dump the packed (16-byte) dispatch encoding
-//   kcc -r FILE.cl         dump the Insn IR right after the rewrite pass
-//                          (before peephole): hoisted code shows as ;hoisted
+//   kcc -r FILE.cl         dump the Insn IR right after the rewrite pass and
+//                          call inlining (before peephole): hoisted code and
+//                          argument binding show as ;hoisted
 //   kcc -O<tier> ...       compile at tier 0/1/2 instead of the default
 //   kcc -e 'EXPR' ARGS...  compile `double f(double...)`-style one-liners and
 //                          evaluate: kcc -e 'sqrt(x*x + 1.0f)' 3
@@ -111,16 +112,21 @@ int main(int argc, char** argv) {
   const std::string source = readFile(argv[argi]);
   try {
     if (postRewrite) {
-      // Compile the naive IR (tier 0) and run the rewrite pass alone, so the
-      // dump shows its effect before peephole fusion obscures the windows.
+      // Compile the naive IR (tier 0) and run the rewrite and inlining passes
+      // alone, so the dump shows their effect before peephole fusion obscures
+      // the windows.
       const auto program =
           skelcl::kc::compileProgram(source, skelcl::kc::CompileOptions{0});
-      for (skelcl::kc::FunctionCode fn : program->functions) {
-        const int applied = skelcl::kc::rewriteOptimize(fn);
-        std::printf("; %d rewrite(s)\n", applied);
-        std::fputs(skelcl::kc::disassemble(fn).c_str(), stdout);
+      std::vector<skelcl::kc::FunctionCode> fns = program->functions;
+      std::vector<int> applied;
+      for (skelcl::kc::FunctionCode& fn : fns) applied.push_back(skelcl::kc::rewriteOptimize(fn));
+      const int inlined = skelcl::kc::inlineCalls(fns);
+      for (std::size_t i = 0; i < fns.size(); ++i) {
+        std::printf("; %d rewrite(s)\n", applied[i]);
+        std::fputs(skelcl::kc::disassemble(fns[i]).c_str(), stdout);
         std::fputs("\n", stdout);
       }
+      std::printf("; %d call(s) inlined\n", inlined);
       return 0;
     }
     const auto program =
