@@ -19,11 +19,18 @@ namespace {
 // Integer binary operators vs. host semantics
 // ---------------------------------------------------------------------------
 
+// Each case struct gets a PrintTo that names it by its source spelling.
+// Without one, gtest prints the raw object bytes (pointers that move with
+// address-space randomization) into --gtest_list_tests, so every build
+// would register these cases under new ctest names.
+
 struct IntOpCase {
   const char* op;
   std::int32_t (*eval)(std::int32_t, std::int32_t);
   bool avoidZeroRhs;
 };
+
+void PrintTo(const IntOpCase& c, std::ostream* os) { *os << c.op; }
 
 std::int32_t hAdd(std::int32_t a, std::int32_t b) {
   return static_cast<std::int32_t>(static_cast<std::int64_t>(a) + b);
@@ -94,6 +101,8 @@ struct UintOpCase {
   bool avoidZeroRhs;
 };
 
+void PrintTo(const UintOpCase& c, std::ostream* os) { *os << c.op; }
+
 std::uint32_t uDiv(std::uint32_t a, std::uint32_t b) { return a / b; }
 std::uint32_t uRem(std::uint32_t a, std::uint32_t b) { return a % b; }
 std::uint32_t uShr(std::uint32_t a, std::uint32_t b) { return a >> (b & 31u); }
@@ -141,6 +150,8 @@ struct FloatOpCase {
   float (*eval)(float, float);
 };
 
+void PrintTo(const FloatOpCase& c, std::ostream* os) { *os << c.op; }
+
 float fAdd(float a, float b) { return a + b; }
 float fSub(float a, float b) { return a - b; }
 float fMul(float a, float b) { return a * b; }
@@ -185,6 +196,8 @@ struct MathCase {
   double lo;
   double hi;
 };
+
+void PrintTo(const MathCase& c, std::ostream* os) { *os << c.name; }
 
 class MathBuiltin : public ::testing::TestWithParam<MathCase> {};
 
