@@ -123,6 +123,32 @@ class MGraph {
   std::vector<Node> nodes_;
 };
 
+namespace {
+
+/// Mirror of skeleton_exec.cpp's NodeRun: one cluster node's run of
+/// consecutive entries in a per-device plan; the run's first device leads.
+struct NodeRun {
+  int node = 0;
+  int leader = 0;
+  std::size_t first = 0;
+  std::size_t count = 0;
+};
+
+template <typename Entry, typename DeviceOf>
+std::vector<NodeRun> nodeRuns(const std::vector<int>& nodeOf, const std::vector<Entry>& plan,
+                              DeviceOf deviceOf) {
+  std::vector<NodeRun> runs;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const int device = deviceOf(plan[i]);
+    const int node = nodeOf[static_cast<std::size_t>(device)];
+    if (runs.empty() || runs.back().node != node) runs.push_back(NodeRun{node, device, i, 0});
+    ++runs.back().count;
+  }
+  return runs;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Model: construction, runtime + fault-injector mirrors
 // ---------------------------------------------------------------------------
@@ -1262,22 +1288,18 @@ void Model::matStencil(const std::string& fn, int radius, bool clampPad, std::ui
   std::copy(mout.host.begin(), mout.host.end(), dst.host.begin());
 }
 
-std::uint32_t Model::reduceOnce(const std::string& fn, MVec& input,
-                                std::vector<MExtra>& extras) {
+std::uint32_t Model::reduceOnce(MVec& input, std::vector<MStage>& stages,
+                                const std::string& fn, std::vector<MExtra>& extras) {
   SKELCL_CHECK(input.n > 0, "reduce of an empty vector");
 
-  defaultDistribution(input, Distribution::block());
-  ensureOnDevices(input);
-  prepareExtras(extras);
+  materializeChainInputs(input, stages);
 
   std::vector<PartRange> ranges = plannedPartition(input);
   if (input.requested.kind() == Distribution::Kind::Copy) ranges.resize(1);
 
-  std::int64_t ci = 0;
+  std::int64_t ci = 0;  // the scalar extra, if any (pipeReduce admits no others)
   double cf = 0.0;
   for (const MExtra& e : extras) {
-    SKELCL_CHECK(e.kind == MExtra::Kind::Scalar,
-                 "reduce supports only scalar additional arguments");
     ci = e.ci;
     cf = e.cf;
   }
@@ -1311,14 +1333,14 @@ std::uint32_t Model::reduceOnce(const std::string& fn, MVec& input,
     const int dev = p.device;
     p.kernelNode = g.add(
         dev, /*cls=*/1, [this, &extras, dev] { bindExtrasCheck(extras, dev); },
-        [this, fn, &input, pp, ci, cf, dev] {
+        [this, fn, &input, &stages, pp, ci, cf, dev] {
           MPart* in = input.partOn(dev);
           for (std::size_t w = 0; w < pp->numPartials; ++w) {
             const std::size_t begin = w * pp->chunk;
             const std::size_t end = std::min(begin + pp->chunk, pp->range.size);
-            std::uint32_t acc = in->data[begin];
+            std::uint32_t acc = chainEval(stages, in->data[begin], dev, begin);
             for (std::size_t i = begin + 1; i < end; ++i) {
-              acc = eval(fn, acc, in->data[i], ci, cf);
+              acc = eval(fn, acc, chainEval(stages, in->data[i], dev, i), ci, cf);
             }
             pp->partials[w] = acc;
           }
@@ -1331,29 +1353,18 @@ std::uint32_t Model::reduceOnce(const std::string& fn, MVec& input,
   // of the pass-1 partials), and one value per node reaches the host fold.
   // Command devices, classes, order and dependencies all match runReduceOnce.
   struct NodeGroup {
-    int node = 0;
-    std::size_t firstPending = 0;
-    std::size_t memberCount = 0;
+    NodeRun run;
     std::size_t totalPartials = 0;
     std::size_t combineChunk = 0;
     std::size_t combineWidth = 0;
-    int leader = 0;
     std::vector<std::uint32_t> nodeBuf;
     std::vector<std::uint32_t> nodeScratch;
     std::uint32_t nodeResult = 0;
   };
   std::vector<NodeGroup> groups;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const int node = node_of_[static_cast<std::size_t>(pending[i].device)];
-    if (groups.empty() || groups.back().node != node) {
-      NodeGroup ng;
-      ng.node = node;
-      ng.firstPending = i;
-      ng.leader = pending[i].device;
-      groups.push_back(std::move(ng));
-    }
-    groups.back().memberCount++;
-    groups.back().totalPartials += pending[i].numPartials;
+  for (const NodeRun& run :
+       nodeRuns(node_of_, pending, [](const Pending& p) { return p.device; })) {
+    groups.emplace_back().run = run;
   }
   const bool tree = multiNode() && groups.size() > 1;
 
@@ -1362,31 +1373,34 @@ std::uint32_t Model::reduceOnce(const std::string& fn, MVec& input,
   if (tree) {
     gathered.assign(groups.size(), 0);
     for (NodeGroup& ng : groups) {
-      const auto cores = static_cast<std::size_t>(cores_[static_cast<std::size_t>(ng.leader)]);
+      for (std::size_t m = ng.run.first; m < ng.run.first + ng.run.count; ++m) {
+        ng.totalPartials += pending[m].numPartials;
+      }
+      const auto cores =
+          static_cast<std::size_t>(cores_[static_cast<std::size_t>(ng.run.leader)]);
       ng.combineWidth = std::min(cores, ng.totalPartials);
       ng.combineChunk = (ng.totalPartials + ng.combineWidth - 1) / ng.combineWidth;
       ng.combineWidth = (ng.totalPartials + ng.combineChunk - 1) / ng.combineChunk;
-      allocCheck(ng.leader);  // nodeBuf
-      allocCheck(ng.leader);  // nodeScratch
-      allocCheck(ng.leader);  // nodeResult
+      allocCheck(ng.run.leader);  // nodeBuf
+      allocCheck(ng.run.leader);  // nodeScratch
+      allocCheck(ng.run.leader);  // nodeResult
       ng.nodeBuf.assign(ng.totalPartials, 0);
       ng.nodeScratch.assign(ng.combineWidth, 0);
     }
-    std::size_t groupIdx = 0;
-    for (NodeGroup& ng : groups) {
-      NodeGroup* gp = &ng;
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      NodeGroup* gp = &groups[k];
+      const int leader = gp->run.leader;
       std::vector<MGraph::NodeId> copies;
       std::size_t dstOff = 0;
-      for (std::size_t m = ng.firstPending; m < ng.firstPending + ng.memberCount; ++m) {
+      for (std::size_t m = gp->run.first; m < gp->run.first + gp->run.count; ++m) {
         Pending* pp = &pending[m];
         const std::size_t at = dstOff;
-        copies.push_back(g.add(ng.leader, /*cls=*/0, nullptr, [pp, gp, at] {
+        copies.push_back(g.add(leader, /*cls=*/0, nullptr, [pp, gp, at] {
           std::copy(pp->partials.begin(), pp->partials.end(),
                     gp->nodeBuf.begin() + static_cast<std::ptrdiff_t>(at));
         }, {pp->kernelNode}));
         dstOff += pp->numPartials;
       }
-      const int leader = ng.leader;
       const MGraph::NodeId combine1 = g.add(
           leader, /*cls=*/1, [this, &extras, leader] { bindExtrasCheck(extras, leader); },
           [this, fn, gp, ci, cf] {
@@ -1412,9 +1426,8 @@ std::uint32_t Model::reduceOnce(const std::string& fn, MVec& input,
             gp->nodeResult = nacc;
           },
           {combine1});
-      const std::size_t at = groupIdx++;
       gatherNodes.push_back(g.add(leader, /*cls=*/0, nullptr,
-                                  [gp, &gathered, at] { gathered[at] = gp->nodeResult; },
+                                  [gp, &gathered, k] { gathered[k] = gp->nodeResult; },
                                   {combine}));
     }
   } else {
@@ -1447,12 +1460,8 @@ std::uint32_t Model::reduceOnce(const std::string& fn, MVec& input,
 }
 
 std::uint32_t Model::reduce(const std::string& fn, MVec& input, std::vector<MExtra> extras) {
-  std::vector<MVec*> inputs{&input, nullptr};
-  for (const MExtra& e : extras) {
-    if (e.kind == MExtra::Kind::VectorRef) inputs.push_back(e.vec);
-  }
-  return withRecovery(std::move(inputs), nullptr,
-                      [&] { return reduceOnce(fn, input, extras); });
+  std::vector<MStage> none;
+  return pipeReduce(input, none, fn, std::move(extras), /*forceUnfused=*/false, nullptr);
 }
 
 void Model::scanOnce(const std::string& fn, MVec& input, MVec& output) {
@@ -1522,33 +1531,23 @@ void Model::scanOnce(const std::string& fn, MVec& input, MVec& output) {
   // out by per-member copies.  Command devices/classes/order match
   // runScanOnce.
   struct ScanNode {
-    int node = 0;
-    std::size_t firstDev = 0;
-    std::size_t devCount = 0;
-    int leader = 0;
+    NodeRun run;
     std::vector<std::uint32_t> nodeSums, nodeOffsets;
   };
   std::vector<ScanNode> scanNodes;
-  for (std::size_t i = 0; i < devs.size(); ++i) {
-    const int node = node_of_[static_cast<std::size_t>(devs[i].range.device)];
-    if (scanNodes.empty() || scanNodes.back().node != node) {
-      ScanNode sn;
-      sn.node = node;
-      sn.firstDev = i;
-      sn.leader = devs[i].range.device;
-      scanNodes.push_back(std::move(sn));
-    }
-    scanNodes.back().devCount++;
+  for (const NodeRun& run :
+       nodeRuns(node_of_, devs, [](const DeviceScan& d) { return d.range.device; })) {
+    scanNodes.emplace_back().run = run;
   }
   const bool tree = multiNode() && scanNodes.size() > 1;
   if (tree) {
     for (ScanNode& sn : scanNodes) {
       std::size_t totalChunks = 0;
-      for (std::size_t m = sn.firstDev; m < sn.firstDev + sn.devCount; ++m) {
+      for (std::size_t m = sn.run.first; m < sn.run.first + sn.run.count; ++m) {
         totalChunks += devs[m].numChunks;
       }
-      allocCheck(sn.leader);  // nodeSums
-      allocCheck(sn.leader);  // nodeOffsets
+      allocCheck(sn.run.leader);  // nodeSums
+      allocCheck(sn.run.leader);  // nodeOffsets
       sn.nodeSums.assign(totalChunks, 0);
       sn.nodeOffsets.assign(totalChunks, 0);
     }
@@ -1560,20 +1559,20 @@ void Model::scanOnce(const std::string& fn, MVec& input, MVec& output) {
       ScanNode* sp = &sn;
       std::vector<MGraph::NodeId> copies;
       std::size_t dstOff = 0;
-      for (std::size_t m = sn.firstDev; m < sn.firstDev + sn.devCount; ++m) {
+      for (std::size_t m = sn.run.first; m < sn.run.first + sn.run.count; ++m) {
         DeviceScan* dd = &devs[m];
         const std::size_t at = dstOff;
-        copies.push_back(g.add(sn.leader, /*cls=*/0, nullptr, [dd, sp, at] {
+        copies.push_back(g.add(sn.run.leader, /*cls=*/0, nullptr, [dd, sp, at] {
           std::copy(dd->devSums.begin(), dd->devSums.end(),
                     sp->nodeSums.begin() + static_cast<std::ptrdiff_t>(at));
         }, {dd->step1}));
         dstOff += dd->numChunks;
       }
-      sumReads.push_back(g.add(sn.leader, /*cls=*/0, nullptr,
+      sumReads.push_back(g.add(sn.run.leader, /*cls=*/0, nullptr,
                                [sp, &devs] {
                                  std::size_t off = 0;
-                                 for (std::size_t m = sp->firstDev;
-                                      m < sp->firstDev + sp->devCount; ++m) {
+                                 for (std::size_t m = sp->run.first;
+                                      m < sp->run.first + sp->run.count; ++m) {
                                    DeviceScan& d = devs[m];
                                    std::copy(sp->nodeSums.begin() +
                                                  static_cast<std::ptrdiff_t>(off),
@@ -1648,11 +1647,11 @@ void Model::scanOnce(const std::string& fn, MVec& input, MVec& output) {
   if (tree) {
     for (ScanNode& sn : scanNodes) {
       ScanNode* sp = &sn;
-      const MGraph::NodeId up = g.add(sn.leader, /*cls=*/0, nullptr,
+      const MGraph::NodeId up = g.add(sn.run.leader, /*cls=*/0, nullptr,
                                       [sp, &devs] {
                                         std::size_t off = 0;
-                                        for (std::size_t m = sp->firstDev;
-                                             m < sp->firstDev + sp->devCount; ++m) {
+                                        for (std::size_t m = sp->run.first;
+                                             m < sp->run.first + sp->run.count; ++m) {
                                           DeviceScan& d = devs[m];
                                           std::copy(d.hostOffsets.begin(),
                                                     d.hostOffsets.end(),
@@ -1663,7 +1662,7 @@ void Model::scanOnce(const std::string& fn, MVec& input, MVec& output) {
                                       },
                                       {offsetsNode});
       std::size_t srcOff = 0;
-      for (std::size_t m = sn.firstDev; m < sn.firstDev + sn.devCount; ++m) {
+      for (std::size_t m = sn.run.first; m < sn.run.first + sn.run.count; ++m) {
         DeviceScan* dd = &devs[m];
         const int dev = dd->range.device;
         const std::size_t at = srcOff;
@@ -1822,119 +1821,23 @@ bool Model::pipe(MVec& input, std::vector<MStage>& stages, MVec& output,
   return true;
 }
 
-std::uint32_t Model::fusedReduceOnce(MVec& input, std::vector<MStage>& stages,
-                                     const std::string& reduceFn,
-                                     std::vector<MExtra>& reduceExtras) {
-  SKELCL_CHECK(input.n > 0, "reduce of an empty vector");
-
-  materializeChainInputs(input, stages);
-  prepareExtras(reduceExtras);
-
-  std::vector<PartRange> ranges = plannedPartition(input);
-  if (input.requested.kind() == Distribution::Kind::Copy) ranges.resize(1);
-
-  std::int64_t rci = 0;
-  double rcf = 0.0;
-  for (const MExtra& e : reduceExtras) {
-    SKELCL_CHECK(e.kind == MExtra::Kind::Scalar,
-                 "reduce supports only scalar additional arguments");
-    rci = e.ci;
-    rcf = e.cf;
-  }
-
-  struct Pending {
-    int device = 0;
-    std::size_t chunk = 0;
-    std::size_t numPartials = 0;
-    PartRange range;
-    std::vector<std::uint32_t> partials;
-    MGraph::NodeId kernelNode = 0;
-  };
-  std::vector<Pending> pending;
-  for (const PartRange& r : ranges) {
-    if (r.size == 0) continue;
-    const auto cores = static_cast<std::size_t>(cores_[static_cast<std::size_t>(r.device)]);
-    Pending p;
-    p.device = r.device;
-    p.chunk = (r.size + 4 * cores - 1) / (4 * cores);
-    p.numPartials = (r.size + p.chunk - 1) / p.chunk;
-    p.range = r;
-    allocCheck(r.device);
-    p.partials.assign(p.numPartials, 0);
-    pending.push_back(std::move(p));
-  }
-  SKELCL_CHECK(!pending.empty(), "reduce produced no device work");
-
-  MGraph g(*this);
-  for (Pending& p : pending) {
-    Pending* pp = &p;
-    const int dev = p.device;
-    p.kernelNode = g.add(
-        dev, /*cls=*/1, [this, &reduceExtras, dev] { bindExtrasCheck(reduceExtras, dev); },
-        [this, reduceFn, &input, &stages, pp, rci, rcf, dev] {
-          MPart* in = input.partOn(dev);
-          for (std::size_t w = 0; w < pp->numPartials; ++w) {
-            const std::size_t begin = w * pp->chunk;
-            const std::size_t end = std::min(begin + pp->chunk, pp->range.size);
-            std::uint32_t acc = chainEval(stages, in->data[begin], dev, begin);
-            for (std::size_t i = begin + 1; i < end; ++i) {
-              acc = eval(reduceFn, acc, chainEval(stages, in->data[i], dev, i), rci, rcf);
-            }
-            pp->partials[w] = acc;
-          }
-        });
-  }
-
-  std::vector<std::uint32_t> gathered;
-  std::size_t total = 0;
-  for (const Pending& p : pending) total += p.numPartials;
-  gathered.assign(total, 0);
-  std::vector<MGraph::NodeId> gatherNodes;
-  std::size_t off = 0;
-  for (Pending& p : pending) {
-    Pending* pp = &p;
-    const std::size_t at = off;
-    gatherNodes.push_back(g.add(p.device, /*cls=*/0, nullptr, [pp, &gathered, at] {
-      std::copy(pp->partials.begin(), pp->partials.end(),
-                gathered.begin() + static_cast<std::ptrdiff_t>(at));
-    }, {p.kernelNode}));
-    off += p.numPartials;
-  }
-
-  std::uint32_t acc = 0;
-  g.addHost(
-      [this, reduceFn, &gathered, &acc, rci, rcf] {
-        acc = gathered[0];
-        for (std::size_t i = 1; i < gathered.size(); ++i) {
-          acc = eval(reduceFn, acc, gathered[i], rci, rcf);
-        }
-      },
-      gatherNodes);
-  g.run();
-  return acc;
-}
-
 std::uint32_t Model::pipeReduce(MVec& input, std::vector<MStage>& stages,
                                 const std::string& reduceFn,
                                 std::vector<MExtra> reduceExtras, bool forceUnfused,
                                 bool* ranFused) {
-  if (stages.empty()) {
-    if (ranFused != nullptr) *ranFused = false;
-    return reduce(reduceFn, input, std::move(reduceExtras));
+  for (const MExtra& e : reduceExtras) {
+    SKELCL_CHECK(e.kind == MExtra::Kind::Scalar,
+                 "reduce supports only scalar additional arguments");
   }
-  const bool fused = !forceUnfused && chainEligible(input, stages);
+  const bool fused = !stages.empty() && !forceUnfused && chainEligible(input, stages);
   if (ranFused != nullptr) *ranFused = fused;
-  if (!fused) {
+  if (!stages.empty() && !fused) {
     MVec temp(input.n);
     chainUnfused(input, stages, temp);
     return reduce(reduceFn, temp, std::move(reduceExtras));
   }
-  std::vector<MVec*> inputs = chainRecoveryInputs(input, stages);
-  for (const MExtra& e : reduceExtras) {
-    if (e.kind == MExtra::Kind::VectorRef) inputs.push_back(e.vec);
-  }
-  return withRecovery(std::move(inputs), nullptr,
-                      [&] { return fusedReduceOnce(input, stages, reduceFn, reduceExtras); });
+  return withRecovery(chainRecoveryInputs(input, stages), nullptr,
+                      [&] { return reduceOnce(input, stages, reduceFn, reduceExtras); });
 }
 
 }  // namespace skelcl::check

@@ -193,7 +193,10 @@ class Model {
                        std::vector<MExtra>& extras);
   void runElementwise(const std::string& fn, MVec* in1, MVec* in2, MVec& output,
                       std::vector<MExtra>& extras);
-  std::uint32_t reduceOnce(const std::string& fn, MVec& input, std::vector<MExtra>& extras);
+  /// Mirror of runReduceOnce: reduce over the elements a (possibly empty)
+  /// fused chain produces.
+  std::uint32_t reduceOnce(MVec& input, std::vector<MStage>& stages, const std::string& fn,
+                           std::vector<MExtra>& extras);
   void scanOnce(const std::string& fn, MVec& input, MVec& output);
   bool chainEligible(MVec& input, const std::vector<MStage>& stages) const;
   Distribution materializeChainInputs(MVec& input, std::vector<MStage>& stages);
@@ -204,9 +207,6 @@ class Model {
                           std::size_t j);
   void fusedChainOnce(MVec& input, std::vector<MStage>& stages, MVec& output);
   void chainUnfused(MVec& input, std::vector<MStage>& stages, MVec& output);
-  std::uint32_t fusedReduceOnce(MVec& input, std::vector<MStage>& stages,
-                                const std::string& reduceFn,
-                                std::vector<MExtra>& reduceExtras);
   // map-overlap mirror (skeleton_exec.cpp's runMapOverlap{1D,2D}Once command
   // order).  The matrix variants mirror MatrixData's row vector: n counts
   // rows, each part/host word run is `cols` wide.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "base/strings.hpp"
@@ -28,6 +29,29 @@ bool treeCollectivesEnabled(const Session& sess) {
   if (!sess.multiNode()) return false;
   const char* env = std::getenv("SKELCL_TREE_COLLECTIVES");
   return env == nullptr || std::strcmp(env, "0") != 0;
+}
+
+/// One cluster node's run of consecutive entries in a per-device plan
+/// (partitions list devices node by node).  The two-level collectives elect
+/// the run's first device as the node's leader.
+struct NodeRun {
+  int node = 0;
+  int leader = 0;
+  std::size_t first = 0;  ///< index of the run's first plan entry
+  std::size_t count = 0;  ///< plan entries in the run
+};
+
+template <typename Entry, typename DeviceOf>
+std::vector<NodeRun> nodeRuns(const std::vector<int>& nodeOf, const std::vector<Entry>& plan,
+                              DeviceOf deviceOf) {
+  std::vector<NodeRun> runs;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const int device = deviceOf(plan[i]);
+    const int node = nodeOf[static_cast<std::size_t>(device)];
+    if (runs.empty() || runs.back().node != node) runs.push_back(NodeRun{node, device, i, 0});
+    ++runs.back().count;
+  }
+  return runs;
 }
 
 /// lastWrite of `vector`'s part on `device`, appended to `deps` when valid —
@@ -421,280 +445,6 @@ void runElementwise(Session& session, const std::string& userSource,
 }
 
 // ---------------------------------------------------------------------------
-// Reduce (paper III-C, three steps)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-kc::Slot runReduceOnce(Session& sess, const std::string& userSource, VectorData& input,
-                       const std::string& typeName, std::vector<ExtraArg>& extras) {
-  SKELCL_CHECK(input.count() > 0, "reduce of an empty vector");
-
-  input.defaultDistribution(Distribution::block());
-  input.ensureOnDevices(sess);
-  prepareExtras(sess, extras);
-
-  std::string source = gatherTypedefs(extras);
-  source += userSource;
-  source +=
-      "\n__kernel void skelcl_reduce(__global " + typeName + "* skelcl_in, __global " +
-      typeName + "* skelcl_partials, int skelcl_n, int skelcl_chunk" + extraParams(extras) +
-      ") {\n"
-      "  int skelcl_w = get_global_id(0);\n"
-      "  int skelcl_begin = skelcl_w * skelcl_chunk;\n"
-      "  int skelcl_end = min(skelcl_begin + skelcl_chunk, skelcl_n);\n"
-      "  " + typeName + " skelcl_acc = skelcl_in[skelcl_begin];\n"
-      "  for (int skelcl_i = skelcl_begin + 1; skelcl_i < skelcl_end; ++skelcl_i)\n"
-      "    skelcl_acc = func(skelcl_acc, skelcl_in[skelcl_i]" + extraNames(extras) + ");\n"
-      "  skelcl_partials[skelcl_w] = skelcl_acc;\n}\n";
-
-  auto program = sess.programForSource(source);
-  ocl::Kernel kernel(*program, "skelcl_reduce");
-
-  std::vector<PartRange> ranges = input.plannedPartition(sess);
-  if (input.distribution().kind() == Distribution::Kind::Copy) {
-    // Every device holds the full data; reducing each copy would multiply
-    // the result.  Reduce the first copy only.
-    ranges.resize(1);
-  }
-
-  // Step 1: device-local reductions to small intermediate vectors (Section V
-  // explains why a single value per GPU would be wasteful).  All step-1
-  // kernels are recorded before any gather, so they overlap across devices.
-  struct Pending {
-    int device = 0;
-    std::size_t numPartials = 0;
-    std::size_t chunk = 0;
-    std::size_t gatherOffset = 0;  ///< byte offset into `gathered`
-    std::unique_ptr<ocl::Buffer> partials;
-    ExecGraph::NodeId kernelNode = 0;
-  };
-  std::vector<Pending> pending;
-  std::size_t gatheredBytes = 0;
-  for (const PartRange& r : ranges) {
-    if (r.size == 0) continue;
-    const auto cores = static_cast<std::size_t>(sess.device(r.device).spec().cores);
-    Pending p;
-    p.device = r.device;
-    p.chunk = (r.size + 4 * cores - 1) / (4 * cores);
-    p.numPartials = (r.size + p.chunk - 1) / p.chunk;
-    p.partials = std::make_unique<ocl::Buffer>(sess.context(), sess.device(r.device),
-                                               p.numPartials * input.elemSize());
-    p.gatherOffset = gatheredBytes;
-    gatheredBytes += p.numPartials * input.elemSize();
-    pending.push_back(std::move(p));
-  }
-  SKELCL_CHECK(!pending.empty(), "reduce produced no device work");
-
-  ExecGraph g(sess);
-  auto rangeOf = [&ranges](int device) -> const PartRange& {
-    for (const PartRange& r : ranges) {
-      if (r.device == device) return r;
-    }
-    throw UsageError("reduce: no part range for device");
-  };
-  for (Pending& p : pending) {
-    p.kernelNode = g.add(
-        StageKind::Kernel, p.device, "reduce step1 dev" + std::to_string(p.device),
-        [&, &p = p](std::span<const ocl::Event> deps) {
-          const PartRange& r = rangeOf(p.device);
-          kernel.setArg(0, *input.partOn(p.device)->buffer);
-          kernel.setArg(1, *p.partials);
-          kernel.setArg(2, static_cast<std::int32_t>(r.size));
-          kernel.setArg(3, static_cast<std::int32_t>(p.chunk));
-          bindExtras(sess, kernel, 4, extras, p.device);
-          return sess.queue(p.device).enqueueNDRangeKernel(kernel, p.numPartials, 0, deps);
-        },
-        {}, inputDeps(p.device, &input, nullptr, extras));
-  }
-
-  // Step 2: gather the intermediate results on the CPU.
-  //
-  // Flat path: one non-blocking read per device, dependent on that device's
-  // step-1 kernel, overlapping across PCIe links instead of serializing on
-  // the host.  On a cluster every one of those reads crosses the network, so
-  // the client NIC serializes deviceCount downloads.
-  //
-  // Tree path (multi-node): combine node-locally first.  Each node elects a
-  // leader (its first pending device), the members' partials are copied to a
-  // buffer on the leader over the node-internal PCIe links, the leader folds
-  // them with the same generated skelcl_reduce kernel in two passes (a wide
-  // chunked pass, then one work-item folding the pass-1 partials — a serial
-  // single-work-item fold of thousands of partials would dominate the tree
-  // critical path), and only ONE value per node crosses the network.  The
-  // host then folds the node values in node order — the same regrouping an
-  // associative operator allows.
-  const std::size_t elemSize = input.elemSize();
-  struct NodeGroup {
-    int node = 0;
-    std::size_t firstPending = 0;    ///< index into `pending`
-    std::size_t memberCount = 0;
-    std::size_t totalPartials = 0;
-    std::size_t combineChunk = 0;    ///< pass-1 elements per work-item
-    std::size_t combineWidth = 0;    ///< pass-1 work-items
-    int leader = 0;                  ///< first pending device of the node
-    std::size_t gatherOffset = 0;    ///< byte offset into `gathered`
-    std::unique_ptr<ocl::Buffer> nodeBuf;     ///< concatenated member partials
-    std::unique_ptr<ocl::Buffer> nodeScratch; ///< pass-1 partials on the leader
-    std::unique_ptr<ocl::Buffer> nodeResult;  ///< one combined element
-  };
-  std::vector<NodeGroup> groups;
-  {
-    const std::vector<int>& nodeOf = sess.deviceNodes();
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const int node = nodeOf[(std::size_t)pending[i].device];
-      if (groups.empty() || groups.back().node != node) {
-        NodeGroup ng;
-        ng.node = node;
-        ng.firstPending = i;
-        ng.leader = pending[i].device;
-        ng.gatherOffset = groups.size() * elemSize;
-        groups.push_back(std::move(ng));
-      }
-      groups.back().memberCount++;
-      groups.back().totalPartials += pending[i].numPartials;
-    }
-  }
-  const bool tree = treeCollectivesEnabled(sess) && groups.size() > 1;
-
-  std::vector<std::byte> gathered(tree ? groups.size() * elemSize : gatheredBytes);
-  std::vector<ExecGraph::NodeId> gatherNodes;
-  if (tree) {
-    for (NodeGroup& ng : groups) {
-      const auto cores = static_cast<std::size_t>(sess.device(ng.leader).spec().cores);
-      ng.combineWidth = std::min(cores, ng.totalPartials);
-      ng.combineChunk = (ng.totalPartials + ng.combineWidth - 1) / ng.combineWidth;
-      ng.combineWidth = (ng.totalPartials + ng.combineChunk - 1) / ng.combineChunk;
-      ng.nodeBuf = std::make_unique<ocl::Buffer>(sess.context(), sess.device(ng.leader),
-                                                 ng.totalPartials * elemSize);
-      ng.nodeScratch = std::make_unique<ocl::Buffer>(sess.context(), sess.device(ng.leader),
-                                                     ng.combineWidth * elemSize);
-      ng.nodeResult =
-          std::make_unique<ocl::Buffer>(sess.context(), sess.device(ng.leader), elemSize);
-    }
-    for (NodeGroup& ng : groups) {
-      // Node-local combine: member partials -> leader (PCIe only, no NIC).
-      std::vector<ExecGraph::NodeId> copies;
-      std::size_t dstOffset = 0;
-      for (std::size_t m = ng.firstPending; m < ng.firstPending + ng.memberCount; ++m) {
-        Pending& p = pending[m];
-        const std::size_t bytes = p.numPartials * elemSize;
-        copies.push_back(g.add(
-            StageKind::Copy, ng.leader,
-            "reduce node" + std::to_string(ng.node) + " gather dev" +
-                std::to_string(p.device),
-            [&, &p = p, &ng = ng, dstOffset](std::span<const ocl::Event> deps) {
-              return sess.queue(ng.leader).enqueueCopyBuffer(
-                  *p.partials, *ng.nodeBuf, 0, dstOffset, p.numPartials * elemSize, deps);
-            },
-            {p.kernelNode}));
-        dstOffset += bytes;
-      }
-      const ExecGraph::NodeId combine1 = g.add(
-          StageKind::Kernel, ng.leader,
-          "reduce node" + std::to_string(ng.node) + " combine1",
-          [&, &ng = ng](std::span<const ocl::Event> deps) {
-            // Wide pass: each work-item folds a contiguous chunk of the
-            // node's partials (global device order preserved within chunks).
-            kernel.setArg(0, *ng.nodeBuf);
-            kernel.setArg(1, *ng.nodeScratch);
-            kernel.setArg(2, static_cast<std::int32_t>(ng.totalPartials));
-            kernel.setArg(3, static_cast<std::int32_t>(ng.combineChunk));
-            bindExtras(sess, kernel, 4, extras, ng.leader);
-            return sess.queue(ng.leader).enqueueNDRangeKernel(kernel, ng.combineWidth, 0,
-                                                              deps);
-          },
-          copies);
-      const ExecGraph::NodeId combine = g.add(
-          StageKind::Kernel, ng.leader,
-          "reduce node" + std::to_string(ng.node) + " combine2",
-          [&, &ng = ng](std::span<const ocl::Event> deps) {
-            // Serial pass: one work-item folds the pass-1 partials in order,
-            // so the node result is a left fold of chunked left folds — the
-            // grouping any associative operator allows.
-            kernel.setArg(0, *ng.nodeScratch);
-            kernel.setArg(1, *ng.nodeResult);
-            kernel.setArg(2, static_cast<std::int32_t>(ng.combineWidth));
-            kernel.setArg(3, static_cast<std::int32_t>(ng.combineWidth));
-            bindExtras(sess, kernel, 4, extras, ng.leader);
-            return sess.queue(ng.leader).enqueueNDRangeKernel(kernel, 1, 0, deps);
-          },
-          {combine1});
-      gatherNodes.push_back(g.add(
-          StageKind::Download, ng.leader,
-          "reduce node" + std::to_string(ng.node) + " download",
-          [&, &ng = ng](std::span<const ocl::Event> deps) {
-            return sess.queue(ng.leader).enqueueReadBuffer(
-                *ng.nodeResult, 0, elemSize, gathered.data() + ng.gatherOffset,
-                /*blocking=*/false, deps);
-          },
-          {combine}));
-    }
-  } else {
-    for (Pending& p : pending) {
-      gatherNodes.push_back(g.add(
-          StageKind::Download, p.device, "reduce gather dev" + std::to_string(p.device),
-          [&, &p = p](std::span<const ocl::Event> deps) {
-            return sess.queue(p.device).enqueueReadBuffer(
-                *p.partials, 0, p.numPartials * input.elemSize(),
-                gathered.data() + p.gatherOffset, /*blocking=*/false, deps);
-          },
-          {p.kernelNode}));
-    }
-  }
-
-  // Step 3: the CPU folds the intermediate results (order preserved, so a
-  // non-commutative but associative operator is fine, paper II-A).  The host
-  // stage is the single sync point of the whole plan.
-  const auto hostProgram = sess.hostProgram(userSource);
-  const int fn = hostProgram->findFunction("func");
-  kc::Slot acc{};
-  g.add(StageKind::Host, -1, "reduce host fold",
-        [&](std::span<const ocl::Event> deps) {
-          auto& system = sess.system();
-          system.advanceHost(ExecGraph::latestEnd(system, deps));
-          kc::Vm vm(*hostProgram, {});
-          const std::size_t total = gathered.size() / input.elemSize();
-          acc = slotFromBytes(input.elemKind(), gathered.data());
-          for (std::size_t i = 1; i < total; ++i) {
-            const kc::Slot x =
-                slotFromBytes(input.elemKind(), gathered.data() + i * input.elemSize());
-            // Extra arguments are device-scoped; the host fold applies the
-            // bare binary operator (scalars are re-bound if present).
-            if (extras.empty()) {
-              acc = vm.callFunction(fn, std::array<kc::Slot, 2>{acc, x});
-            } else {
-              std::vector<kc::Slot> args = {acc, x};
-              for (const ExtraArg& e : extras) {
-                SKELCL_CHECK(e.kind == ExtraArg::Kind::Scalar,
-                             "reduce supports only scalar additional arguments");
-                args.push_back(e.scalarIsFloat ? kc::Slot::fromFloat(e.scalarF)
-                                               : kc::Slot::fromInt(e.scalarI));
-              }
-              acc = vm.callFunction(fn, args);
-            }
-          }
-          const auto span = system.reserveHostCompute(gathered.size(), vm.instructionsExecuted());
-          return ocl::Event(span.start, span.end, system.clockEpoch());
-        },
-        gatherNodes);
-  g.run();
-  return acc;
-}
-
-}  // namespace
-
-kc::Slot runReduce(Session& session, const std::string& userSource, VectorData& input,
-                   const std::string& typeName, std::vector<ExtraArg>& extras) {
-  std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
-  return withDeviceLossRecovery(session, recoveryInputs(&input, nullptr, extras), nullptr,
-                                [&] {
-                                  return runReduceOnce(session, userSource, input, typeName,
-                                                       extras);
-                                });
-}
-
-// ---------------------------------------------------------------------------
 // Scan (paper III-C, Figure 2)
 // ---------------------------------------------------------------------------
 
@@ -813,39 +563,28 @@ void runScanOnce(Session& sess, const std::string& userSource, VectorData& input
   // writes the same per-device arrays in the same order either way, so the
   // scan result is bit-identical to the flat shape for every operator.
   struct ScanNode {
-    int node = 0;
-    std::size_t firstDev = 0;     ///< index into `devs`
-    std::size_t devCount = 0;
-    std::size_t totalChunks = 0;
-    int leader = 0;
+    NodeRun run;
     std::unique_ptr<ocl::Buffer> nodeSums;     ///< concatenated member sums
     std::unique_ptr<ocl::Buffer> nodeOffsets;  ///< concatenated member offsets
     std::vector<std::byte> staging;            ///< host copy of the concatenation
   };
   std::vector<ScanNode> scanNodes;
-  {
-    const std::vector<int>& nodeOf = sess.deviceNodes();
-    for (std::size_t i = 0; i < devs.size(); ++i) {
-      const int node = nodeOf[(std::size_t)devs[i].range.device];
-      if (scanNodes.empty() || scanNodes.back().node != node) {
-        ScanNode sn;
-        sn.node = node;
-        sn.firstDev = i;
-        sn.leader = devs[i].range.device;
-        scanNodes.push_back(std::move(sn));
-      }
-      scanNodes.back().devCount++;
-      scanNodes.back().totalChunks += devs[i].numChunks;
-    }
+  for (const NodeRun& run : nodeRuns(sess.deviceNodes(), devs,
+                                     [](const DeviceScan& d) { return d.range.device; })) {
+    scanNodes.emplace_back().run = run;
   }
   const bool tree = treeCollectivesEnabled(sess) && scanNodes.size() > 1;
   if (tree) {
     for (ScanNode& sn : scanNodes) {
-      sn.nodeSums = std::make_unique<ocl::Buffer>(sess.context(), sess.device(sn.leader),
-                                                  sn.totalChunks * elem);
+      std::size_t totalChunks = 0;
+      for (std::size_t m = sn.run.first; m < sn.run.first + sn.run.count; ++m) {
+        totalChunks += devs[m].numChunks;
+      }
+      sn.nodeSums = std::make_unique<ocl::Buffer>(sess.context(), sess.device(sn.run.leader),
+                                                  totalChunks * elem);
       sn.nodeOffsets = std::make_unique<ocl::Buffer>(
-          sess.context(), sess.device(sn.leader), sn.totalChunks * elem);
-      sn.staging.resize(sn.totalChunks * elem);
+          sess.context(), sess.device(sn.run.leader), totalChunks * elem);
+      sn.staging.resize(totalChunks * elem);
     }
   }
 
@@ -856,30 +595,30 @@ void runScanOnce(Session& sess, const std::string& userSource, VectorData& input
     for (ScanNode& sn : scanNodes) {
       std::vector<ExecGraph::NodeId> copies;
       std::size_t dstOffset = 0;
-      for (std::size_t m = sn.firstDev; m < sn.firstDev + sn.devCount; ++m) {
+      for (std::size_t m = sn.run.first; m < sn.run.first + sn.run.count; ++m) {
         DeviceScan& d = devs[m];
         copies.push_back(g.add(
-            StageKind::Copy, sn.leader,
-            "scan node" + std::to_string(sn.node) + " sums dev" +
+            StageKind::Copy, sn.run.leader,
+            "scan node" + std::to_string(sn.run.node) + " sums dev" +
                 std::to_string(d.range.device),
             [&, &d = d, &sn = sn, dstOffset](std::span<const ocl::Event> deps) {
-              return sess.queue(sn.leader).enqueueCopyBuffer(
+              return sess.queue(sn.run.leader).enqueueCopyBuffer(
                   *d.sums, *sn.nodeSums, 0, dstOffset, d.hostSums.size(), deps);
             },
             {d.step1}));
         dstOffset += d.hostSums.size();
       }
       sumReads.push_back(g.add(
-          StageKind::Download, sn.leader,
-          "scan node" + std::to_string(sn.node) + " sums download",
+          StageKind::Download, sn.run.leader,
+          "scan node" + std::to_string(sn.run.node) + " sums download",
           [&, &sn = sn](std::span<const ocl::Event> deps) {
-            const ocl::Event ev = sess.queue(sn.leader).enqueueReadBuffer(
+            const ocl::Event ev = sess.queue(sn.run.leader).enqueueReadBuffer(
                 *sn.nodeSums, 0, sn.staging.size(), sn.staging.data(),
                 /*blocking=*/false, deps);
             // Split the concatenation back into the per-device arrays the
             // host offsets stage reads (data effects are eager).
             std::size_t off = 0;
-            for (std::size_t m = sn.firstDev; m < sn.firstDev + sn.devCount; ++m) {
+            for (std::size_t m = sn.run.first; m < sn.run.first + sn.run.count; ++m) {
               std::memcpy(devs[m].hostSums.data(), sn.staging.data() + off,
                           devs[m].hostSums.size());
               off += devs[m].hostSums.size();
@@ -968,27 +707,27 @@ void runScanOnce(Session& sess, const std::string& userSource, VectorData& input
   if (tree) {
     for (ScanNode& sn : scanNodes) {
       const ExecGraph::NodeId up = g.add(
-          StageKind::Upload, sn.leader,
-          "scan node" + std::to_string(sn.node) + " offsets upload",
+          StageKind::Upload, sn.run.leader,
+          "scan node" + std::to_string(sn.run.node) + " offsets upload",
           [&, &sn = sn](std::span<const ocl::Event> deps) {
             std::size_t off = 0;
-            for (std::size_t m = sn.firstDev; m < sn.firstDev + sn.devCount; ++m) {
+            for (std::size_t m = sn.run.first; m < sn.run.first + sn.run.count; ++m) {
               std::memcpy(sn.staging.data() + off, devs[m].hostOffsets.data(),
                           devs[m].hostOffsets.size());
               off += devs[m].hostOffsets.size();
             }
-            return sess.queue(sn.leader).enqueueWriteBuffer(
+            return sess.queue(sn.run.leader).enqueueWriteBuffer(
                 *sn.nodeOffsets, 0, sn.staging.size(), sn.staging.data(),
                 /*blocking=*/false, deps);
           },
           {offsetsNode});
       std::size_t srcOffset = 0;
-      for (std::size_t m = sn.firstDev; m < sn.firstDev + sn.devCount; ++m) {
+      for (std::size_t m = sn.run.first; m < sn.run.first + sn.run.count; ++m) {
         DeviceScan& d = devs[m];
         const int dev = d.range.device;
         const ExecGraph::NodeId scatter = g.add(
             StageKind::Copy, dev,
-            "scan node" + std::to_string(sn.node) + " offsets dev" + std::to_string(dev),
+            "scan node" + std::to_string(sn.run.node) + " offsets dev" + std::to_string(dev),
             [&, &d = d, &sn = sn, dev, srcOffset](std::span<const ocl::Event> deps) {
               return sess.queue(dev).enqueueCopyBuffer(*sn.nodeOffsets, *d.offsets,
                                                        srcOffset, 0, d.hostOffsets.size(),
@@ -1057,7 +796,7 @@ void runScan(Session& session, const std::string& userSource, VectorData& input,
 }
 
 // ---------------------------------------------------------------------------
-// Fused map/zip chains (and chain + reduce)
+// Fused map/zip chains
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -1111,9 +850,10 @@ std::vector<std::string> declaredFunctions(Session& sess, const std::string& use
 }
 
 /// The whole chain as one nested call expression evaluated at element `idx`:
-/// skelcl_s1_func(skelcl_s0_func(skelcl_in1[idx], ...), skelcl_zin1[idx], ...)
+/// skelcl_s1_func(skelcl_s0_func(skelcl_in[idx], ...), skelcl_zin1[idx], ...).
+/// With no stages this is the plain element load `skelcl_in[idx]`.
 std::string chainExprAt(const std::vector<FusedStage>& stages, const std::string& idx) {
-  std::string expr = "skelcl_in1[" + idx + "]";
+  std::string expr = "skelcl_in[" + idx + "]";
   for (std::size_t s = 0; s < stages.size(); ++s) {
     const FusedStage& st = stages[s];
     std::string call = stagePrefix(s) + "func(" + expr;
@@ -1127,11 +867,58 @@ std::string chainExprAt(const std::vector<FusedStage>& stages, const std::string
   return expr;
 }
 
-/// Merged struct typedefs (deduplicated across stages, conflicting
-/// definitions rejected) followed by every stage's user source renamed apart.
+/// "__global TIn* skelcl_in, __global TZ* skelcl_zinS, ...": the chain's
+/// input buffers, which lead every chain kernel's parameter list.
+std::string chainInputParams(const std::string& inTypeName,
+                             const std::vector<FusedStage>& stages) {
+  std::string out = "__global " + inTypeName + "* skelcl_in";
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    if (stages[s].zipInput != nullptr) {
+      out += ", __global " + stages[s].zipTypeName + "* skelcl_zin" + std::to_string(s);
+    }
+  }
+  return out;
+}
+
+/// Every stage's extras, each stage with its own prefix ("skelcl_s0_a0", ...).
+std::string chainExtraParams(const std::vector<FusedStage>& stages) {
+  std::string out;
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    out += extraParams(stages[s].extras, stagePrefix(s) + "a");
+  }
+  return out;
+}
+
+/// Bind the buffers of chainInputParams on `device`; returns the next index.
+std::size_t bindChainInputs(ocl::Kernel& kernel, VectorData& input,
+                            const std::vector<FusedStage>& stages, int device) {
+  std::size_t arg = 0;
+  kernel.setArg(arg++, *input.partOn(device)->buffer);
+  for (const FusedStage& st : stages) {
+    if (st.zipInput != nullptr) kernel.setArg(arg++, *st.zipInput->partOn(device)->buffer);
+  }
+  return arg;
+}
+
+/// Bind the extras of chainExtraParams from `arg` on; returns the next index.
+std::size_t bindChainExtras(Session& sess, ocl::Kernel& kernel, std::size_t arg,
+                            const std::vector<FusedStage>& stages, int device) {
+  for (const FusedStage& st : stages) {
+    bindExtras(sess, kernel, arg, st.extras, device);
+    arg += st.extras.size();
+  }
+  return arg;
+}
+
+/// Merged struct typedefs of every stage's extras followed by `extras`
+/// (deduplicated, conflicting definitions rejected), then every stage's user
+/// source renamed apart.
 std::string fusedSourcePrelude(Session& sess, const std::vector<FusedStage>& stages,
-                               const std::vector<ExtraArg>& allExtras) {
-  std::string source = gatherTypedefs(allExtras);
+                               const std::vector<ExtraArg>& extras = {}) {
+  std::vector<ExtraArg> all;
+  for (const FusedStage& st : stages) all.insert(all.end(), st.extras.begin(), st.extras.end());
+  all.insert(all.end(), extras.begin(), extras.end());
+  std::string source = gatherTypedefs(all);
   for (std::size_t s = 0; s < stages.size(); ++s) {
     source += renameFunctions(stages[s].userSource,
                               declaredFunctions(sess, stages[s].userSource, stages[s].extras),
@@ -1139,18 +926,6 @@ std::string fusedSourcePrelude(Session& sess, const std::vector<FusedStage>& sta
     source += "\n";
   }
   return source;
-}
-
-std::vector<ExtraArg> mergedExtras(const std::vector<FusedStage>& stages,
-                                   const std::vector<ExtraArg>* reduceExtras = nullptr) {
-  std::vector<ExtraArg> all;
-  for (const FusedStage& st : stages) {
-    all.insert(all.end(), st.extras.begin(), st.extras.end());
-  }
-  if (reduceExtras != nullptr) {
-    all.insert(all.end(), reduceExtras->begin(), reduceExtras->end());
-  }
-  return all;
 }
 
 /// Producer events of every chain input on `device`.
@@ -1238,23 +1013,15 @@ void runFusedChainOnce(Session& sess, VectorData& input, const std::string& inTy
   output.setDistribution(dist);
   if (!inPlace) output.ensureOnDevicesNoUpload(sess);
 
-  std::string source = fusedSourcePrelude(sess, stages, mergedExtras(stages));
-  source += "__kernel void skelcl_fused(__global " + inTypeName + "* skelcl_in1";
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    if (stages[s].zipInput != nullptr) {
-      source += ", __global " + stages[s].zipTypeName + "* skelcl_zin" + std::to_string(s);
-    }
-  }
-  source += ", __global " + stages.back().outTypeName +
-            "* skelcl_out, int skelcl_n, int skelcl_base";
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    source += extraParams(stages[s].extras, stagePrefix(s) + "a");
-  }
-  source +=
-      ") {\n"
-      "  int skelcl_i = get_global_id(0);\n"
-      "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = " +
-      chainExprAt(stages, "skelcl_i") + ";\n}\n";
+  const std::string source = fusedSourcePrelude(sess, stages) + "__kernel void skelcl_fused(" +
+                             chainInputParams(inTypeName, stages) + ", __global " +
+                             stages.back().outTypeName +
+                             "* skelcl_out, int skelcl_n, int skelcl_base" +
+                             chainExtraParams(stages) +
+                             ") {\n"
+                             "  int skelcl_i = get_global_id(0);\n"
+                             "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = " +
+                             chainExprAt(stages, "skelcl_i") + ";\n}\n";
 
   auto program = sess.programForSource(source);
   ocl::Kernel kernel(*program, "skelcl_fused");
@@ -1269,20 +1036,11 @@ void runFusedChainOnce(Session& sess, VectorData& input, const std::string& inTy
         r.device,
         g.add(StageKind::Fused, r.device, label + " dev" + std::to_string(r.device),
               [&, r](std::span<const ocl::Event> deps) {
-                std::size_t arg = 0;
-                kernel.setArg(arg++, *input.partOn(r.device)->buffer);
-                for (const FusedStage& st : stages) {
-                  if (st.zipInput != nullptr) {
-                    kernel.setArg(arg++, *st.zipInput->partOn(r.device)->buffer);
-                  }
-                }
+                std::size_t arg = bindChainInputs(kernel, input, stages, r.device);
                 kernel.setArg(arg++, *output.partOn(r.device)->buffer);
                 kernel.setArg(arg++, static_cast<std::int32_t>(r.size));
                 kernel.setArg(arg++, static_cast<std::int32_t>(r.offset));
-                for (const FusedStage& st : stages) {
-                  bindExtras(sess, kernel, arg, st.extras, r.device);
-                  arg += st.extras.size();
-                }
+                bindChainExtras(sess, kernel, arg, stages, r.device);
                 return sess.queue(r.device).enqueueNDRangeKernel(kernel, r.size, 0, deps);
               },
               {}, chainDeps(r.device, input, stages)));
@@ -1353,64 +1111,68 @@ bool runFusedChain(Session& session, VectorData& input, const std::string& inTyp
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// Reduce (paper III-C, three steps), optionally over a fused map/zip chain
+// ---------------------------------------------------------------------------
+
 namespace {
 
-/// Fused chain + reduce: the chain expression is inlined directly into the
-/// chunked device-local reduction (step 1); gather and host fold are the
-/// same three-step plan as the plain reduce skeleton.
-kc::Slot runFusedReduceOnce(Session& sess, VectorData& input, const std::string& inTypeName,
-                            std::vector<FusedStage>& stages,
-                            const std::string& reduceSource,
-                            std::vector<ExtraArg>& reduceExtras) {
+const char* reduceKernelName(const std::vector<FusedStage>& stages) {
+  return stages.empty() ? "skelcl_reduce" : "skelcl_fused_reduce";
+}
+
+/// The step-1 kernel: each work-item folds a contiguous chunk of elements
+/// with the reduce operator `func`.  Element i is the chain evaluated at i —
+/// the chain result never materializes — or, with no stages, `skelcl_in[i]`.
+std::string reduceKernelSource(Session& sess, const std::string& inTypeName,
+                               const std::vector<FusedStage>& stages,
+                               const std::string& typeName, const std::string& reduceSource,
+                               const std::vector<ExtraArg>& extras) {
+  return fusedSourcePrelude(sess, stages, extras) + reduceSource + "\n__kernel void " +
+         reduceKernelName(stages) + "(" + chainInputParams(inTypeName, stages) +
+         ", __global " + typeName + "* skelcl_partials, int skelcl_n, int skelcl_chunk" +
+         chainExtraParams(stages) + extraParams(extras) +
+         ") {\n"
+         "  int skelcl_w = get_global_id(0);\n"
+         "  int skelcl_begin = skelcl_w * skelcl_chunk;\n"
+         "  int skelcl_end = min(skelcl_begin + skelcl_chunk, skelcl_n);\n"
+         "  " + typeName + " skelcl_acc = " + chainExprAt(stages, "skelcl_begin") + ";\n"
+         "  for (int skelcl_i = skelcl_begin + 1; skelcl_i < skelcl_end; ++skelcl_i)\n"
+         "    skelcl_acc = func(skelcl_acc, " + chainExprAt(stages, "skelcl_i") +
+         extraNames(extras) + ");\n"
+         "  skelcl_partials[skelcl_w] = skelcl_acc;\n}\n";
+}
+
+kc::Slot runReduceOnce(Session& sess, VectorData& input, const std::string& inTypeName,
+                       std::vector<FusedStage>& stages, const std::string& reduceSource,
+                       std::vector<ExtraArg>& extras) {
   SKELCL_CHECK(input.count() > 0, "reduce of an empty vector");
 
-  const Distribution dist = materializeChainInputs(sess, input, stages);
-  (void)dist;
-  prepareExtras(sess, reduceExtras);
-
-  const std::string typeName = stages.back().outTypeName;
-  const ElemKind outKind = stages.back().outElemKind;
-  const std::size_t outElem = stages.back().outElemSize;
-
-  std::string source = fusedSourcePrelude(sess, stages, mergedExtras(stages, &reduceExtras));
-  source += renameFunctions(reduceSource, declaredFunctions(sess, reduceSource, reduceExtras),
-                            "skelcl_r_");
-  source += "\n__kernel void skelcl_fused_reduce(__global " + inTypeName + "* skelcl_in1";
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    if (stages[s].zipInput != nullptr) {
-      source += ", __global " + stages[s].zipTypeName + "* skelcl_zin" + std::to_string(s);
-    }
-  }
-  source += ", __global " + typeName + "* skelcl_partials, int skelcl_n, int skelcl_chunk";
-  for (std::size_t s = 0; s < stages.size(); ++s) {
-    source += extraParams(stages[s].extras, stagePrefix(s) + "a");
-  }
-  source += extraParams(reduceExtras, "skelcl_r_a");
-  source +=
-      ") {\n"
-      "  int skelcl_w = get_global_id(0);\n"
-      "  int skelcl_begin = skelcl_w * skelcl_chunk;\n"
-      "  int skelcl_end = min(skelcl_begin + skelcl_chunk, skelcl_n);\n"
-      "  " + typeName + " skelcl_acc = " + chainExprAt(stages, "skelcl_begin") + ";\n"
-      "  for (int skelcl_i = skelcl_begin + 1; skelcl_i < skelcl_end; ++skelcl_i)\n"
-      "    skelcl_acc = skelcl_r_func(skelcl_acc, " + chainExprAt(stages, "skelcl_i") +
-      extraNames(reduceExtras, "skelcl_r_a") + ");\n"
-      "  skelcl_partials[skelcl_w] = skelcl_acc;\n}\n";
-
-  auto program = sess.programForSource(source);
-  ocl::Kernel kernel(*program, "skelcl_fused_reduce");
+  materializeChainInputs(sess, input, stages);
 
   std::vector<PartRange> ranges = input.plannedPartition(sess);
   if (input.distribution().kind() == Distribution::Kind::Copy) {
-    // Every device holds the full data; reduce the first copy only.
+    // Every device holds the full data; reducing each copy would multiply
+    // the result.  Reduce the first copy only.
     ranges.resize(1);
   }
 
+  const std::string typeName = stages.empty() ? inTypeName : stages.back().outTypeName;
+  const ElemKind kind = stages.empty() ? input.elemKind() : stages.back().outElemKind;
+  const std::size_t elemSize = stages.empty() ? input.elemSize() : stages.back().outElemSize;
+
+  auto program = sess.programForSource(
+      reduceKernelSource(sess, inTypeName, stages, typeName, reduceSource, extras));
+  ocl::Kernel kernel(*program, reduceKernelName(stages));
+
+  // Step 1: device-local reductions to small intermediate vectors (Section V
+  // explains why a single value per GPU would be wasteful).  All step-1
+  // kernels are recorded before any gather, so they overlap across devices.
   struct Pending {
     int device = 0;
     std::size_t numPartials = 0;
     std::size_t chunk = 0;
-    std::size_t gatherOffset = 0;
+    std::size_t gatherOffset = 0;  ///< byte offset into `gathered`
     std::unique_ptr<ocl::Buffer> partials;
     ExecGraph::NodeId kernelNode = 0;
   };
@@ -1424,9 +1186,9 @@ kc::Slot runFusedReduceOnce(Session& sess, VectorData& input, const std::string&
     p.chunk = (r.size + 4 * cores - 1) / (4 * cores);
     p.numPartials = (r.size + p.chunk - 1) / p.chunk;
     p.partials = std::make_unique<ocl::Buffer>(sess.context(), sess.device(r.device),
-                                               p.numPartials * outElem);
+                                               p.numPartials * elemSize);
     p.gatherOffset = gatheredBytes;
-    gatheredBytes += p.numPartials * outElem;
+    gatheredBytes += p.numPartials * elemSize;
     pending.push_back(std::move(p));
   }
   SKELCL_CHECK(!pending.empty(), "reduce produced no device work");
@@ -1438,73 +1200,173 @@ kc::Slot runFusedReduceOnce(Session& sess, VectorData& input, const std::string&
     }
     throw UsageError("reduce: no part range for device");
   };
+  const std::string step1Label =
+      stages.empty() ? "reduce step1" : "fused x" + std::to_string(stages.size()) + " reduce";
   for (Pending& p : pending) {
-    std::vector<ocl::Event> deps = chainDeps(p.device, input, stages);
-    for (const ExtraArg& e : reduceExtras) {
-      if (e.kind == ExtraArg::Kind::VectorRef) addPartDep(deps, e.vector, p.device);
-    }
     p.kernelNode = g.add(
-        StageKind::Fused, p.device,
-        "fused x" + std::to_string(stages.size()) + " reduce dev" + std::to_string(p.device),
-        [&, &p = p](std::span<const ocl::Event> d) {
+        stages.empty() ? StageKind::Kernel : StageKind::Fused, p.device,
+        step1Label + " dev" + std::to_string(p.device),
+        [&, &p = p](std::span<const ocl::Event> deps) {
           const PartRange& r = rangeOf(p.device);
-          std::size_t arg = 0;
-          kernel.setArg(arg++, *input.partOn(p.device)->buffer);
-          for (const FusedStage& st : stages) {
-            if (st.zipInput != nullptr) {
-              kernel.setArg(arg++, *st.zipInput->partOn(p.device)->buffer);
-            }
-          }
+          std::size_t arg = bindChainInputs(kernel, input, stages, p.device);
           kernel.setArg(arg++, *p.partials);
           kernel.setArg(arg++, static_cast<std::int32_t>(r.size));
           kernel.setArg(arg++, static_cast<std::int32_t>(p.chunk));
-          for (const FusedStage& st : stages) {
-            bindExtras(sess, kernel, arg, st.extras, p.device);
-            arg += st.extras.size();
-          }
-          bindExtras(sess, kernel, arg, reduceExtras, p.device);
-          return sess.queue(p.device).enqueueNDRangeKernel(kernel, p.numPartials, 0, d);
+          arg = bindChainExtras(sess, kernel, arg, stages, p.device);
+          bindExtras(sess, kernel, arg, extras, p.device);
+          return sess.queue(p.device).enqueueNDRangeKernel(kernel, p.numPartials, 0, deps);
         },
-        {}, std::move(deps));
+        {}, chainDeps(p.device, input, stages));
   }
 
-  std::vector<std::byte> gathered(gatheredBytes);
+  // Step 2: gather the intermediate results on the CPU.
+  //
+  // Flat path: one non-blocking read per device, dependent on that device's
+  // step-1 kernel, overlapping across PCIe links instead of serializing on
+  // the host.  On a cluster every one of those reads crosses the network, so
+  // the client NIC serializes deviceCount downloads.
+  //
+  // Tree path (multi-node): combine node-locally first.  The members'
+  // partials are copied to a buffer on the node's leader over the
+  // node-internal PCIe links, the leader folds them with the zero-stage
+  // skelcl_reduce kernel of the operator in two passes (a wide chunked pass,
+  // then one work-item folding the pass-1 partials — a serial
+  // single-work-item fold of thousands of partials would dominate the tree
+  // critical path), and only ONE value per node crosses the network.  The
+  // host then folds the node values in node order — the same regrouping an
+  // associative operator allows, and the same one whether or not a chain
+  // produced the elements.
+  struct NodeGroup {
+    NodeRun run;
+    std::size_t totalPartials = 0;
+    std::size_t combineChunk = 0;             ///< pass-1 elements per work-item
+    std::size_t combineWidth = 0;             ///< pass-1 work-items
+    std::unique_ptr<ocl::Buffer> nodeBuf;     ///< concatenated member partials
+    std::unique_ptr<ocl::Buffer> nodeScratch; ///< pass-1 partials on the leader
+    std::unique_ptr<ocl::Buffer> nodeResult;  ///< one combined element
+  };
+  std::vector<NodeGroup> groups;
+  for (const NodeRun& run :
+       nodeRuns(sess.deviceNodes(), pending, [](const Pending& p) { return p.device; })) {
+    groups.emplace_back().run = run;
+  }
+  const bool tree = treeCollectivesEnabled(sess) && groups.size() > 1;
+
+  std::vector<std::byte> gathered(tree ? groups.size() * elemSize : gatheredBytes);
   std::vector<ExecGraph::NodeId> gatherNodes;
-  for (Pending& p : pending) {
-    gatherNodes.push_back(g.add(
-        StageKind::Download, p.device, "reduce gather dev" + std::to_string(p.device),
-        [&, &p = p](std::span<const ocl::Event> deps) {
-          return sess.queue(p.device).enqueueReadBuffer(
-              *p.partials, 0, p.numPartials * outElem,
-              gathered.data() + p.gatherOffset, /*blocking=*/false, deps);
-        },
-        {p.kernelNode}));
+  std::shared_ptr<ocl::Program> combineProgram;
+  std::optional<ocl::Kernel> combineKernel;
+  if (tree) {
+    combineProgram = sess.programForSource(
+        reduceKernelSource(sess, typeName, {}, typeName, reduceSource, extras));
+    combineKernel.emplace(*combineProgram, reduceKernelName({}));
+    for (NodeGroup& ng : groups) {
+      const int leader = ng.run.leader;
+      for (std::size_t m = ng.run.first; m < ng.run.first + ng.run.count; ++m) {
+        ng.totalPartials += pending[m].numPartials;
+      }
+      const auto cores = static_cast<std::size_t>(sess.device(leader).spec().cores);
+      ng.combineWidth = std::min(cores, ng.totalPartials);
+      ng.combineChunk = (ng.totalPartials + ng.combineWidth - 1) / ng.combineWidth;
+      ng.combineWidth = (ng.totalPartials + ng.combineChunk - 1) / ng.combineChunk;
+      ng.nodeBuf = std::make_unique<ocl::Buffer>(sess.context(), sess.device(leader),
+                                                 ng.totalPartials * elemSize);
+      ng.nodeScratch = std::make_unique<ocl::Buffer>(sess.context(), sess.device(leader),
+                                                     ng.combineWidth * elemSize);
+      ng.nodeResult =
+          std::make_unique<ocl::Buffer>(sess.context(), sess.device(leader), elemSize);
+    }
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      NodeGroup& ng = groups[k];
+      const int leader = ng.run.leader;
+      const std::string nodeLabel = "reduce node" + std::to_string(ng.run.node);
+      // Node-local combine: member partials -> leader (PCIe only, no NIC).
+      std::vector<ExecGraph::NodeId> copies;
+      std::size_t dstOffset = 0;
+      for (std::size_t m = ng.run.first; m < ng.run.first + ng.run.count; ++m) {
+        Pending& p = pending[m];
+        copies.push_back(g.add(
+            StageKind::Copy, leader, nodeLabel + " gather dev" + std::to_string(p.device),
+            [&, &p = p, &ng = ng, leader, dstOffset](std::span<const ocl::Event> deps) {
+              return sess.queue(leader).enqueueCopyBuffer(
+                  *p.partials, *ng.nodeBuf, 0, dstOffset, p.numPartials * elemSize, deps);
+            },
+            {p.kernelNode}));
+        dstOffset += p.numPartials * elemSize;
+      }
+      const ExecGraph::NodeId combine1 = g.add(
+          StageKind::Kernel, leader, nodeLabel + " combine1",
+          [&, &ng = ng, leader](std::span<const ocl::Event> deps) {
+            // Wide pass: each work-item folds a contiguous chunk of the
+            // node's partials (global device order preserved within chunks).
+            combineKernel->setArg(0, *ng.nodeBuf);
+            combineKernel->setArg(1, *ng.nodeScratch);
+            combineKernel->setArg(2, static_cast<std::int32_t>(ng.totalPartials));
+            combineKernel->setArg(3, static_cast<std::int32_t>(ng.combineChunk));
+            bindExtras(sess, *combineKernel, 4, extras, leader);
+            return sess.queue(leader).enqueueNDRangeKernel(*combineKernel, ng.combineWidth, 0,
+                                                           deps);
+          },
+          copies);
+      const ExecGraph::NodeId combine = g.add(
+          StageKind::Kernel, leader, nodeLabel + " combine2",
+          [&, &ng = ng, leader](std::span<const ocl::Event> deps) {
+            // Serial pass: one work-item folds the pass-1 partials in order,
+            // so the node result is a left fold of chunked left folds — the
+            // grouping any associative operator allows.
+            combineKernel->setArg(0, *ng.nodeScratch);
+            combineKernel->setArg(1, *ng.nodeResult);
+            combineKernel->setArg(2, static_cast<std::int32_t>(ng.combineWidth));
+            combineKernel->setArg(3, static_cast<std::int32_t>(ng.combineWidth));
+            bindExtras(sess, *combineKernel, 4, extras, leader);
+            return sess.queue(leader).enqueueNDRangeKernel(*combineKernel, 1, 0, deps);
+          },
+          {combine1});
+      gatherNodes.push_back(g.add(
+          StageKind::Download, leader, nodeLabel + " download",
+          [&, &ng = ng, leader, k](std::span<const ocl::Event> deps) {
+            return sess.queue(leader).enqueueReadBuffer(*ng.nodeResult, 0, elemSize,
+                                                        gathered.data() + k * elemSize,
+                                                        /*blocking=*/false, deps);
+          },
+          {combine}));
+    }
+  } else {
+    for (Pending& p : pending) {
+      gatherNodes.push_back(g.add(
+          StageKind::Download, p.device, "reduce gather dev" + std::to_string(p.device),
+          [&, &p = p](std::span<const ocl::Event> deps) {
+            return sess.queue(p.device).enqueueReadBuffer(
+                *p.partials, 0, p.numPartials * elemSize, gathered.data() + p.gatherOffset,
+                /*blocking=*/false, deps);
+          },
+          {p.kernelNode}));
+    }
   }
 
-  const auto hostProgram = sess.hostProgram(gatherTypedefs(reduceExtras) + reduceSource);
+  // Step 3: the CPU folds the intermediate results (order preserved, so a
+  // non-commutative but associative operator is fine, paper II-A).  The host
+  // stage is the single sync point of the whole plan.  It re-binds the
+  // scalar extras (runFusedReduce admits no others).
+  const auto hostProgram = sess.hostProgram(reduceSource);
   const int fn = hostProgram->findFunction("func");
+  std::vector<kc::Slot> foldArgs(2);
+  for (const ExtraArg& e : extras) {
+    foldArgs.push_back(e.scalarIsFloat ? kc::Slot::fromFloat(e.scalarF)
+                                       : kc::Slot::fromInt(e.scalarI));
+  }
   kc::Slot acc{};
   g.add(StageKind::Host, -1, "reduce host fold",
         [&](std::span<const ocl::Event> deps) {
           auto& system = sess.system();
           system.advanceHost(ExecGraph::latestEnd(system, deps));
           kc::Vm vm(*hostProgram, {});
-          const std::size_t total = gathered.size() / outElem;
-          acc = slotFromBytes(outKind, gathered.data());
+          const std::size_t total = gathered.size() / elemSize;
+          acc = slotFromBytes(kind, gathered.data());
           for (std::size_t i = 1; i < total; ++i) {
-            const kc::Slot x = slotFromBytes(outKind, gathered.data() + i * outElem);
-            if (reduceExtras.empty()) {
-              acc = vm.callFunction(fn, std::array<kc::Slot, 2>{acc, x});
-            } else {
-              std::vector<kc::Slot> args = {acc, x};
-              for (const ExtraArg& e : reduceExtras) {
-                SKELCL_CHECK(e.kind == ExtraArg::Kind::Scalar,
-                             "reduce supports only scalar additional arguments");
-                args.push_back(e.scalarIsFloat ? kc::Slot::fromFloat(e.scalarF)
-                                               : kc::Slot::fromInt(e.scalarI));
-              }
-              acc = vm.callFunction(fn, args);
-            }
+            foldArgs[0] = acc;
+            foldArgs[1] = slotFromBytes(kind, gathered.data() + i * elemSize);
+            acc = vm.callFunction(fn, foldArgs);
           }
           const auto span = system.reserveHostCompute(gathered.size(), vm.instructionsExecuted());
           return ocl::Event(span.start, span.end, system.clockEpoch());
@@ -1516,30 +1378,35 @@ kc::Slot runFusedReduceOnce(Session& sess, VectorData& input, const std::string&
 
 }  // namespace
 
+kc::Slot runReduce(Session& session, const std::string& userSource, VectorData& input,
+                   const std::string& typeName, std::vector<ExtraArg>& extras) {
+  std::vector<FusedStage> none;
+  return runFusedReduce(session, input, typeName, none, userSource, extras,
+                        /*forceUnfused=*/false);
+}
+
 kc::Slot runFusedReduce(Session& session, VectorData& input, const std::string& inTypeName,
                         std::vector<FusedStage>& stages,
                         const std::string& reduceSource,
                         std::vector<ExtraArg>& reduceExtras,
                         bool forceUnfused, bool* ranFused) {
-  std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
-  if (stages.empty()) {
-    // No chain to fuse; the plain reduce already launches a single kernel.
-    if (ranFused != nullptr) *ranFused = false;
-    return runReduce(session, reduceSource, input, inTypeName, reduceExtras);
+  // The host fold applies the bare operator with the scalars re-bound, so
+  // only scalar extras are allowed — rejected before anything runs, whatever
+  // the element count and whether or not the chain fuses.
+  for (const ExtraArg& e : reduceExtras) {
+    SKELCL_CHECK(e.kind == ExtraArg::Kind::Scalar,
+                 "reduce supports only scalar additional arguments");
   }
-  const bool fused = !forceUnfused && chainEligible(input, stages);
+  std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
+  const bool fused = !stages.empty() && !forceUnfused && chainEligible(input, stages);
   if (ranFused != nullptr) *ranFused = fused;
-  if (!fused) {
+  if (!stages.empty() && !fused) {
     VectorData temp(input.count(), stages.back().outElemSize, stages.back().outElemKind);
     runChainUnfused(session, input, inTypeName, stages, temp);
     return runReduce(session, reduceSource, temp, stages.back().outTypeName, reduceExtras);
   }
-  std::vector<VectorData*> inputs = chainRecoveryInputs(input, stages);
-  for (const ExtraArg& e : reduceExtras) {
-    if (e.kind == ExtraArg::Kind::VectorRef) inputs.push_back(e.vector);
-  }
-  return withDeviceLossRecovery(session, std::move(inputs), nullptr, [&] {
-    return runFusedReduceOnce(session, input, inTypeName, stages, reduceSource, reduceExtras);
+  return withDeviceLossRecovery(session, chainRecoveryInputs(input, stages), nullptr, [&] {
+    return runReduceOnce(session, input, inTypeName, stages, reduceSource, reduceExtras);
   });
 }
 

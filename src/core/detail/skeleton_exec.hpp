@@ -58,7 +58,9 @@ void runElementwise(Session& session, const std::string& userSource,
                     std::vector<ExtraArg>& extras);
 
 /// Reduce (paper III-C): device-local reductions into small partial vectors,
-/// gather on the host, final host-side fold.  Returns the result slot.
+/// gather on the host (two-level on a cluster), final host-side fold.
+/// Returns the result slot.  The zero-stage case of runFusedReduce.  Only
+/// scalar additional arguments are allowed (UsageError before any launch).
 kc::Slot runReduce(Session& session, const std::string& userSource, VectorData& input,
                    const std::string& typeName, std::vector<ExtraArg>& extras);
 
@@ -96,8 +98,9 @@ bool runFusedChain(Session& session, VectorData& input, const std::string& inTyp
 
 /// Execute a map/zip chain and immediately reduce the result without
 /// materializing it: the chain expression is inlined into the device-local
-/// reduction kernel.  `stages` may be empty (a plain reduce).  `ranFused`
-/// (optional) reports whether the fused path ran.
+/// reduction kernel; gather and host fold are runReduce's.  `stages` may be
+/// empty (a plain reduce).  `ranFused` (optional) reports whether the fused
+/// path ran.
 kc::Slot runFusedReduce(Session& session, VectorData& input, const std::string& inTypeName,
                         std::vector<FusedStage>& stages,
                         const std::string& reduceSource,

@@ -40,17 +40,7 @@ sim::SystemConfig flatten(const DistributedConfig& config) {
   return flat;
 }
 
-void applyNetworkModel(sim::System& system, const DistributedConfig& config) {
-  for (int d = 0; d < system.deviceCount(); ++d) {
-    system.setDeviceExtraLatency(d, config.network.latency_us * 1e-6,
-                                 config.network.bandwidth_gbs);
-  }
-}
-
 void initSkelCL(const DistributedConfig& config) {
-  // flatten() carries the network topology (per-node NICs) into the system
-  // config, so the legacy flat applyNetworkModel() pass is no longer needed —
-  // calling both would charge the network twice.
   init(flatten(config));
   auto& system = detail::currentSession().system();
   sim::FaultPlan plan = networkFaultPlan(config);

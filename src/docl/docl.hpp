@@ -50,11 +50,6 @@ struct DistributedConfig {
 /// (docs/CLUSTER.md).
 sim::SystemConfig flatten(const DistributedConfig& config);
 
-/// Legacy flat network model: charge every device the same client<->server
-/// cost via setDeviceExtraLatency.  Superseded by the NIC topology flatten()
-/// now embeds — do not combine the two on one system (double charge).
-void applyNetworkModel(sim::System& system, const DistributedConfig& config);
-
 /// Convenience: initialize the SkelCL runtime over the distributed system.
 /// SkelCL code then runs unchanged — the paper's drop-in-replacement claim.
 void initSkelCL(const DistributedConfig& config);

@@ -12,7 +12,7 @@ System::System(SystemConfig config) : config_(std::move(config)) {
                  "device references a link the system does not have");
     SKELCL_CHECK(dev.nic_link < static_cast<int>(config_.nics.size()),
                  "device references a NIC the system does not have");
-    device_state_.push_back(std::make_unique<DeviceState>());
+    compute_.push_back(std::make_unique<Timeline>());
   }
   for (std::size_t i = 0; i < config_.links.size(); ++i) {
     links_.push_back(std::make_unique<Timeline>());
@@ -35,17 +35,13 @@ Timeline& System::linkOf(int device) {
 
 double System::linkDuration(int device, std::uint64_t bytes) const {
   const DeviceSpec& spec = this->device(device);
-  const DeviceState& state = *device_state_[static_cast<std::size_t>(device)];
-  double bandwidth_gbs = spec.pcie_link < 0
-                             ? config_.host_mem_bandwidth_gbs
-                             : config_.links[static_cast<std::size_t>(spec.pcie_link)].bandwidth_gbs;
-  double latency_s = spec.pcie_link < 0
-                         ? 0.5e-6
-                         : config_.links[static_cast<std::size_t>(spec.pcie_link)].latency_us * 1e-6;
-  if (state.extra_bandwidth_gbs > 0.0) {
-    bandwidth_gbs = std::min(bandwidth_gbs, state.extra_bandwidth_gbs);
-  }
-  latency_s += state.extra_latency_s;
+  const double bandwidth_gbs =
+      spec.pcie_link < 0 ? config_.host_mem_bandwidth_gbs
+                         : config_.links[static_cast<std::size_t>(spec.pcie_link)].bandwidth_gbs;
+  const double latency_s =
+      spec.pcie_link < 0
+          ? 0.5e-6
+          : config_.links[static_cast<std::size_t>(spec.pcie_link)].latency_us * 1e-6;
   return latency_s + static_cast<double>(bytes) / (bandwidth_gbs * 1e9);
 }
 
@@ -108,7 +104,6 @@ Timeline::Span System::reserveKernel(int device, std::uint64_t instructions,
                                      double launchOverheadSec, double earliest,
                                      double scale) {
   const DeviceSpec& spec = this->device(device);
-  const DeviceState& state = *device_state_[static_cast<std::size_t>(device)];
   const int lanes = static_cast<int>(
       std::min<std::uint64_t>(workItems == 0 ? 1 : workItems,
                               static_cast<std::uint64_t>(spec.cores)));
@@ -117,15 +112,14 @@ Timeline::Span System::reserveKernel(int device, std::uint64_t instructions,
   // launch message crossing to the server) without occupying the NICs: a
   // launch request is a few bytes, not a bulk transfer.
   const double network_latency_s =
-      state.extra_latency_s +
-      (spec.nic_link >= 0
-           ? config_.nics[static_cast<std::size_t>(spec.nic_link)].latency_us * 1e-6
-           : 0.0);
+      spec.nic_link >= 0
+          ? config_.nics[static_cast<std::size_t>(spec.nic_link)].latency_us * 1e-6
+          : 0.0;
   const double duration = (launchOverheadSec + network_latency_s +
                            static_cast<double>(instructions) / rate) *
                           scale;
   const Timeline::Span span =
-      device_state_[static_cast<std::size_t>(device)]->compute.reserve(earliest, duration);
+      compute_[static_cast<std::size_t>(device)]->reserve(earliest, duration);
   stats_.kernel_launches += 1;
   stats_.instructions_executed += instructions;
   return span;
@@ -135,7 +129,7 @@ Timeline::Span System::reserveStall(int device, CommandClass cls, double seconds
                                     double earliest) {
   Timeline& resource =
       cls == CommandClass::Kernel
-          ? device_state_[static_cast<std::size_t>(device)]->compute
+          ? *compute_[static_cast<std::size_t>(device)]
           : linkOf(device);
   return resource.reserve(earliest, seconds);
 }
@@ -150,17 +144,10 @@ Timeline::Span System::reserveHostCompute(std::uint64_t bytesTouched, std::uint6
   return span;
 }
 
-void System::setDeviceExtraLatency(int device, double latencySec, double bandwidthGbs) {
-  SKELCL_CHECK(device >= 0 && device < deviceCount(), "device index out of range");
-  auto& state = *device_state_[static_cast<std::size_t>(device)];
-  state.extra_latency_s = latencySec;
-  state.extra_bandwidth_gbs = bandwidthGbs;
-}
-
 void System::advanceHost(double t) { host_now_ = std::max(host_now_, t); }
 
 void System::resetClock() {
-  for (auto& state : device_state_) state->compute.reset();
+  for (auto& compute : compute_) compute->reset();
   for (auto& link : links_) link->reset();
   for (auto& nic : nics_) nic->reset();
   client_nic_.reset();

@@ -99,10 +99,6 @@ class System {
   /// the host clock: host work is always program-ordered.
   Timeline::Span reserveHostCompute(std::uint64_t bytesTouched, std::uint64_t flops);
 
-  /// Extra latency applied to every command aimed at `device` (used by the
-  /// dOpenCL layer to model the client->server network hop).
-  void setDeviceExtraLatency(int device, double latencySec, double bandwidthGbs);
-
   /// Program-order host clock.
   double hostNow() const { return host_now_; }
   /// Move the host clock forward to `t` (blocking waits); never backwards.
@@ -126,19 +122,13 @@ class System {
   const FaultInjector& faults() const { return faults_; }
 
  private:
-  struct DeviceState {
-    Timeline compute;
-    double extra_latency_s = 0.0;      ///< network hop (dOpenCL)
-    double extra_bandwidth_gbs = 0.0;  ///< 0 = no extra bandwidth bound
-  };
-
   double transferDuration(int device, std::uint64_t bytes) const;
   double linkDuration(int device, std::uint64_t bytes) const;
   double nicDuration(int device, std::uint64_t bytes) const;
   Timeline& linkOf(int device);
 
   SystemConfig config_;
-  std::vector<std::unique_ptr<DeviceState>> device_state_;
+  std::vector<std::unique_ptr<Timeline>> compute_;  ///< per-device kernel timeline
   std::vector<std::unique_ptr<Timeline>> links_;
   std::vector<std::unique_ptr<Timeline>> nics_;  ///< per-server-node NICs
   Timeline client_nic_;   ///< the client machine's single NIC: every remote

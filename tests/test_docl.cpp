@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "core/detail/runtime.hpp"
+#include "core/detail/trace.hpp"
 #include "core/distribution.hpp"
 #include "core/skelcl.hpp"
 #include "docl/docl.hpp"
@@ -90,25 +91,12 @@ TEST(Docl, NetworkHopMakesRemoteExecutionSlower) {
 TEST(Docl, BandwidthBoundTransfersAtNetworkRate) {
   DistributedConfig cfg;
   cfg.servers.push_back(sim::SystemConfig::teslaS1070(1));
-  init(flatten(cfg));  // flatten embeds the NIC topology; no applyNetworkModel
+  init(flatten(cfg));  // flatten embeds the NIC topology
   auto& system = detail::Runtime::instance().system();
   const auto span = system.reserveTransfer(0, 117'000'000, 0.0);  // 117 MB
   // ~1 s through the GbE NIC, plus the server-local PCIe leg (~23 ms).
   EXPECT_NEAR(span.duration(), 1.0, 0.05);
   EXPECT_GT(span.duration(), 1.0);
-  terminate();
-}
-
-TEST(Docl, LegacyNetworkModelStillChargesNonTopologySystems) {
-  // applyNetworkModel remains available for hand-built (non-flattened)
-  // systems that carry no NIC topology of their own.
-  DistributedConfig cfg;
-  cfg.servers.push_back(sim::SystemConfig::teslaS1070(1));
-  init(sim::SystemConfig::teslaS1070(1));  // plain local system, no NICs
-  applyNetworkModel(detail::Runtime::instance().system(), cfg);
-  auto& system = detail::Runtime::instance().system();
-  const auto span = system.reserveTransfer(0, 117'000'000, 0.0);  // 117 MB
-  EXPECT_NEAR(span.duration(), 1.0, 0.05);  // ~1 s at GbE rate
   terminate();
 }
 
@@ -165,32 +153,54 @@ TEST(Docl, NodeAwareBlockPartitionSpansSurvivingDevicesOfDeadNode) {
 TEST(Docl, TreeReduceBitIdenticalToFlatGather) {
   // The two-level tree regroups the fold (chunked device folds, node-local
   // combine, host fold of node values); on exactly-representable values the
-  // result must match the flat gather bit for bit.
+  // result must match the flat gather bit for bit.  A fused Pipeline reduce
+  // shares the gather, so it takes the tree too: one download per node.
+  struct Result {
+    float reduce = 0.0f;
+    float pipeline = 0.0f;
+    int pipelineDownloads = 0;
+  };
   auto run = [](bool tree) {
     ::setenv("SKELCL_TREE_COLLECTIVES", tree ? "1" : "0", 1);
     DistributedConfig cfg;
     for (int s = 0; s < 4; ++s) cfg.servers.push_back(sim::SystemConfig::teslaS1070(2));
     initSkelCL(cfg);
-    float result = 0.0f;
+    Result r;
     {
-      Reduce<float> sum("float func(float a, float b) { return a + b; }");
+      const char* const add = "float func(float a, float b) { return a + b; }";
+      Reduce<float> sum(add);
       Vector<float> v(8192);
       // Multiples of 0.25 summing far below 2^24: float addition is exact.
       for (std::size_t i = 0; i < v.size(); ++i) {
         v[i] = 0.25f * static_cast<float>(i % 7);
       }
-      result = sum(v);
+      r.reduce = sum(v);
+      Pipeline<float> twice;
+      twice.map("float func(float x) { return 2.0f * x; }");
+      trace::enable();
+      trace::clear();
+      r.pipeline = twice.reduce(add, v);
+      for (const trace::Record& rec : trace::snapshot()) {
+        if (rec.kind == trace::Record::Kind::Download) ++r.pipelineDownloads;
+      }
+      trace::disable();
+      EXPECT_TRUE(twice.lastRunFused());
     }
     terminate();
     ::unsetenv("SKELCL_TREE_COLLECTIVES");
-    return result;
+    return r;
   };
-  const float flat = run(false);
-  const float tree = run(true);
-  EXPECT_EQ(std::memcmp(&flat, &tree, sizeof(float)), 0)
-      << "flat " << flat << " vs tree " << tree;
+  const Result flat = run(false);
+  const Result tree = run(true);
+  EXPECT_EQ(std::memcmp(&flat.reduce, &tree.reduce, sizeof(float)), 0)
+      << "flat " << flat.reduce << " vs tree " << tree.reduce;
+  EXPECT_EQ(std::memcmp(&flat.pipeline, &tree.pipeline, sizeof(float)), 0)
+      << "flat " << flat.pipeline << " vs tree " << tree.pipeline;
   // 1170 full 0..6 cycles (sum 5.25 each) plus the leftover {0, 1} pair.
-  EXPECT_FLOAT_EQ(flat, 1170.0f * 5.25f + 0.25f);
+  EXPECT_FLOAT_EQ(flat.reduce, 1170.0f * 5.25f + 0.25f);
+  EXPECT_FLOAT_EQ(flat.pipeline, 2.0f * flat.reduce);
+  EXPECT_EQ(flat.pipelineDownloads, 8);  // one per device
+  EXPECT_EQ(tree.pipelineDownloads, 4);  // one per node
 }
 
 TEST(Docl, EmptyVectorRunsThroughClusterSkeleton) {

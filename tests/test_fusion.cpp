@@ -10,6 +10,7 @@
 
 #include "core/detail/trace.hpp"
 #include "core/skelcl.hpp"
+#include "docl/docl.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/rng.hpp"
 
@@ -39,15 +40,29 @@ void expectBitIdentical(const Vector<float>& a, const Vector<float>& b) {
 
 // --- fused vs unfused, parameterized over device count ----------------------
 
+// The parameter is the device count; kCluster devices run as a 4-node x
+// 2-GPU docl cluster (node-aware partitions, tree collectives).
+constexpr int kCluster = 8;
+
 class FusionP : public ::testing::TestWithParam<int> {
  protected:
-  void SetUp() override { init(sim::SystemConfig::teslaS1070(GetParam())); }
+  void SetUp() override {
+    if (GetParam() == kCluster) {
+      docl::DistributedConfig cfg;
+      for (int s = 0; s < 4; ++s) cfg.servers.push_back(sim::SystemConfig::teslaS1070(2));
+      docl::initSkelCL(cfg);
+    } else {
+      init(sim::SystemConfig::teslaS1070(GetParam()));
+    }
+  }
   void TearDown() override { terminate(); }
 };
 
-INSTANTIATE_TEST_SUITE_P(Devices, FusionP, ::testing::Values(1, 2, 4),
+INSTANTIATE_TEST_SUITE_P(Devices, FusionP, ::testing::Values(1, 2, 4, kCluster),
                          [](const auto& info) {
-                           return "gpus" + std::to_string(info.param);
+                           return info.param == kCluster
+                                      ? std::string("cluster4x2")
+                                      : "gpus" + std::to_string(info.param);
                          });
 
 TEST_P(FusionP, MapMapMatchesUnfusedOnBlock) {

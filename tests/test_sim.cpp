@@ -154,15 +154,6 @@ TEST(System, PeerTransferUsesBothLinks) {
   EXPECT_NEAR(span.duration(), 2 * one.duration(), 1e-6);
 }
 
-TEST(System, ExtraLatencyModelsNetworkHop) {
-  System sys(SystemConfig::teslaS1070(1));
-  const auto local = sys.reserveTransfer(0, 1 << 10, 0.0);
-  sys.resetClock();
-  sys.setDeviceExtraLatency(0, 120e-6, 0.117);  // dOpenCL: GbE
-  const auto remote = sys.reserveTransfer(0, 1 << 10, 0.0);
-  EXPECT_GT(remote.duration(), local.duration() + 100e-6);
-}
-
 TEST(System, StatsAccumulateAndReset) {
   System sys(SystemConfig::teslaS1070(1));
   sys.reserveTransfer(0, 1024, 0.0);

@@ -180,6 +180,26 @@ TEST_F(SkeletonTest, AdditionalVectorWithoutDistributionThrows) {
   EXPECT_THROW(gather(idx, table), UsageError);
 }
 
+TEST_F(SkeletonTest, ReduceRejectsVectorExtraBeforeLaunching) {
+  // The host fold applies the bare operator, so reduce takes scalar extras
+  // only.  The check must not depend on how many partials reach the fold
+  // (one at n = 1), and nothing may launch first — not even the map of a
+  // chain that runs unfused.
+  const char* const op = "float func(float a, float b, __global float* t) { return a + b; }";
+  Vector<float> table({1.0f, 2.0f});
+  table.setDistribution(Distribution::copy());
+  for (const std::size_t n : {1u, 2u, 1000u}) {
+    Vector<float> v(n);
+    Reduce<float> reduce(op);
+    EXPECT_THROW(reduce(v, table), UsageError) << n;
+    Pipeline<float> p;
+    p.map("float func(float x) { return x * 2.0f; }");
+    EXPECT_THROW(p.reduce(op, v, table), UsageError) << n;
+    EXPECT_THROW(p.forceUnfused().reduce(op, v, table), UsageError) << n;
+  }
+  EXPECT_EQ(simStats().kernel_launches, 0u);
+}
+
 TEST_F(SkeletonTest, SizesTokenDeliversPartSizes) {
   // Every work item reports its device's part size of the data vector.
   Map<int(Index)> partSize("int func(int i, int localSize) { return localSize; }");
