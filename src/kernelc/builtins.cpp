@@ -138,6 +138,29 @@ Slot bAtomicAddF(BuiltinCtx& ctx, const Slot* args) {
   }
 }
 
+}  // namespace
+
+void applyAtomic(AtomicOp op, std::byte* addr, std::uint32_t a, std::uint32_t b) {
+  std::uint32_t cur;
+  std::memcpy(&cur, addr, 4);
+  const auto si = [](std::uint32_t v) { return static_cast<std::int32_t>(v); };
+  switch (op) {
+    case AtomicOp::AddI: cur += a; break;
+    case AtomicOp::SubI: cur -= a; break;
+    case AtomicOp::IncI: cur += 1; break;
+    case AtomicOp::MinI: if (si(a) < si(cur)) cur = a; break;
+    case AtomicOp::MaxI: if (si(a) > si(cur)) cur = a; break;
+    case AtomicOp::CmpXchgI: if (cur == a) cur = b; break;
+    case AtomicOp::AddF:
+      cur = std::bit_cast<std::uint32_t>(std::bit_cast<float>(cur) + std::bit_cast<float>(a));
+      break;
+    case AtomicOp::None: return;
+  }
+  std::memcpy(addr, &cur, 4);
+}
+
+namespace {
+
 std::vector<BuiltinDef> makeTable() {
   using P = std::vector<BType>;
   std::vector<BuiltinDef> t;
@@ -198,14 +221,19 @@ std::vector<BuiltinDef> makeTable() {
   t.push_back({"as_float", BType::Float, P{BType::Int}, bAsFloat});
 
   // atomics
-  t.push_back({"atomic_add", BType::Int, P{BType::PtrInt, BType::Int}, bAtomicAddI});
-  t.push_back({"atomic_sub", BType::Int, P{BType::PtrInt, BType::Int}, bAtomicSubI});
-  t.push_back({"atomic_inc", BType::Int, P{BType::PtrInt}, bAtomicIncI});
-  t.push_back({"atomic_min", BType::Int, P{BType::PtrInt, BType::Int}, bAtomicMinI});
-  t.push_back({"atomic_max", BType::Int, P{BType::PtrInt, BType::Int}, bAtomicMaxI});
+  t.push_back({"atomic_add", BType::Int, P{BType::PtrInt, BType::Int}, bAtomicAddI,
+               AtomicOp::AddI});
+  t.push_back({"atomic_sub", BType::Int, P{BType::PtrInt, BType::Int}, bAtomicSubI,
+               AtomicOp::SubI});
+  t.push_back({"atomic_inc", BType::Int, P{BType::PtrInt}, bAtomicIncI, AtomicOp::IncI});
+  t.push_back({"atomic_min", BType::Int, P{BType::PtrInt, BType::Int}, bAtomicMinI,
+               AtomicOp::MinI});
+  t.push_back({"atomic_max", BType::Int, P{BType::PtrInt, BType::Int}, bAtomicMaxI,
+               AtomicOp::MaxI});
   t.push_back({"atomic_cmpxchg", BType::Int, P{BType::PtrInt, BType::Int, BType::Int},
-               bAtomicCmpXchgI});
-  t.push_back({"atomic_add_f", BType::Float, P{BType::PtrFloat, BType::Float}, bAtomicAddF});
+               bAtomicCmpXchgI, AtomicOp::CmpXchgI});
+  t.push_back({"atomic_add_f", BType::Float, P{BType::PtrFloat, BType::Float}, bAtomicAddF,
+               AtomicOp::AddF});
 
   return t;
 }

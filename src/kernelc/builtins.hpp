@@ -4,6 +4,7 @@
 // documented in docs/KERNEL_LANGUAGE.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,12 +32,22 @@ class BuiltinCtx {
 
 using BuiltinFn = Slot (*)(BuiltinCtx&, const Slot* args);
 
+/// The read-modify-write an atomic builtin performs on its 32-bit target.
+enum class AtomicOp : std::uint8_t { None, AddI, SubI, IncI, MinI, MaxI, CmpXchgI, AddF };
+
 struct BuiltinDef {
   const char* name;
   BType ret;
   std::vector<BType> params;
   BuiltinFn fn;
+  AtomicOp atomic = AtomicOp::None;  ///< None for every non-atomic builtin
 };
+
+/// Apply `op` to the 32-bit word at `addr` with the builtin's arguments `a`
+/// (value, or compare value for CmpXchgI) and `b` (CmpXchgI's new value), as
+/// raw 32-bit patterns; plain (non-atomic) memory access, bit-identical to
+/// what the atomic builtin stores.  For deferred atomics (Vm::runKernelBatch).
+void applyAtomic(AtomicOp op, std::byte* addr, std::uint32_t a, std::uint32_t b);
 
 /// The process-wide builtin table; a builtin id is an index into this table.
 const std::vector<BuiltinDef>& builtinTable();

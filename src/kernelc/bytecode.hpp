@@ -103,6 +103,11 @@ enum class Op : std::uint8_t {
   CmpJz,           // b = comparison Op, a = target; pop rhs, pop lhs, branch if false
   CmpJnz,          // b = comparison Op, a = target; branch if true
 
+  // Emitted by the rewrite pass's struct scalar replacement: stands in for
+  // the MemCopy of a whole-struct copy whose destination became slots.
+  StoreSlotChecked,  // a = slot, b = bytes; pop ptr, fault exactly as a read
+                     // of b bytes at it would, slot[a] = ptr
+
   // Packed-only constant-pool pushes (produced by the encoder, not the
   // peephole pass): k indexes the function's constant pool.
   PushCI,          // push pool[k] as int64
@@ -144,6 +149,24 @@ struct PackedInsn {
 };
 static_assert(sizeof(PackedInsn) == 16, "dispatch encoding must stay 16 bytes");
 
+/// Why a kernel launch does not run on the work-group-batched interpreter
+/// (docs/VM.md).  The encoder decides the kernel-level reasons
+/// (FunctionCode::batchFallback); the OpenCL layer adds the launch-level ones.
+enum class BatchFallback : std::uint8_t {
+  None,                 ///< batched
+  NotTier2,             ///< compiled below tier 2
+  Disabled,             ///< SKELCL_KC_BATCH=0
+  FrameMemory,          ///< local arrays, addressed locals or structs kept in memory
+  Call,                 ///< a call the inliner could not remove
+  Barrier,              ///< barrier()
+  AtomicResultUsed,     ///< an atomic builtin's result is read
+  AtomicTargetAliased,  ///< an atomic's buffer is also read/written, or unprovable
+  SingleItem,           ///< a launch of one work-item
+};
+
+/// Short human-readable name ("frame memory", "call", ...; "" for None).
+const char* batchFallbackName(BatchFallback reason);
+
 /// One compiled function, ready for execution.
 struct FunctionCode {
   std::string name;
@@ -160,9 +183,19 @@ struct FunctionCode {
   std::vector<std::uint64_t> pool;  ///< constant pool referenced by `packed`
   /// True when the kernel can run on the work-group-batched interpreter
   /// (Vm::runKernelBatch): no calls into other functions, no frame memory,
-  /// and no builtins whose cross-item ordering is observable (atomics,
-  /// barrier).  Computed by the encoder.
+  /// no barrier, and every atomic builtin deferrable (`atomicArgs`).
+  /// Computed by the encoder, with the reason when false.
   bool batchable = false;
+  BatchFallback batchFallback = BatchFallback::None;
+  /// Batchable kernels only: the kernel parameters whose buffers atomic
+  /// builtins target.  The batched interpreter logs those atomics and
+  /// applies them in work-item order; that is unobservable because their
+  /// results are dropped and no load or store goes through these
+  /// parameters.  A launch must still check that no other argument aliases
+  /// one of these buffers.
+  std::vector<int> atomicArgs;
+  /// The function, or a function it calls, uses an atomic builtin.
+  bool usesAtomics = false;
 };
 
 }  // namespace skelcl::kc

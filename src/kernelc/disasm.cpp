@@ -130,8 +130,24 @@ const char* opName(Op op) {
     case Op::LoadSlot2: return "load.slot2";
     case Op::CmpJz: return "cmp.jz";
     case Op::CmpJnz: return "cmp.jnz";
+    case Op::StoreSlotChecked: return "store.slot.checked";
     case Op::PushCI: return "push.ci";
     case Op::PushCF: return "push.cf";
+  }
+  return "?";
+}
+
+const char* batchFallbackName(BatchFallback reason) {
+  switch (reason) {
+    case BatchFallback::None: return "";
+    case BatchFallback::NotTier2: return "not tier 2";
+    case BatchFallback::Disabled: return "SKELCL_KC_BATCH=0";
+    case BatchFallback::FrameMemory: return "frame memory";
+    case BatchFallback::Call: return "call";
+    case BatchFallback::Barrier: return "barrier";
+    case BatchFallback::AtomicResultUsed: return "atomic result used";
+    case BatchFallback::AtomicTargetAliased: return "atomic target aliased";
+    case BatchFallback::SingleItem: return "single item";
   }
   return "?";
 }
@@ -192,6 +208,9 @@ std::string disassemble(const FunctionCode& fn) {
         break;
       case Op::LoadSlot2:
         os << " s" << insn.a << " s" << insn.b;
+        break;
+      case Op::StoreSlotChecked:
+        os << " s" << insn.a << " bytes=" << insn.b;
         break;
       case Op::CmpJz:
       case Op::CmpJnz:
@@ -274,6 +293,9 @@ std::string disassemblePacked(const FunctionCode& fn) {
         break;
       case Op::LoadSlot2:
         os << " s" << insn.a << " s" << insn.b;
+        break;
+      case Op::StoreSlotChecked:
+        os << " s" << insn.a << " bytes=" << insn.b;
         break;
       case Op::CmpJz:
       case Op::CmpJnz:

@@ -31,7 +31,7 @@ Effect effectOf(const Insn& insn, const std::vector<FunctionCode>& fns) {
     case Op::LoadSlotElemI32: case Op::LoadSlotElemU32: case Op::LoadSlotElemF32:
     case Op::LoadSlotElemF64: case Op::LoadSlotElemI64:
       e.delta = 1; e.peak = 1; return e;
-    case Op::StoreSlot: case Op::Drop:
+    case Op::StoreSlot: case Op::StoreSlotChecked: case Op::Drop:
       e.delta = -1; return e;
     case Op::LoadI32: case Op::LoadU32: case Op::LoadF32: case Op::LoadF64:
     case Op::LoadI64:
@@ -199,34 +199,269 @@ void packFunction(FunctionCode& fn) {
   }
 }
 
+bool isAtomic(const Insn& insn) {
+  return insn.op == Op::CallBuiltin &&
+         builtinTable().at(static_cast<std::size_t>(insn.a)).atomic != AtomicOp::None;
+}
+
+// Which kernel parameter a slot or operand-stack value derives from, for the
+// atomic deferral proof below: a parameter index, or one of these.
+constexpr std::int16_t kNoParam = -1;   ///< derived from no parameter (numbers, constants)
+constexpr std::int16_t kAnyParam = -2;  ///< unknown: loaded from memory, or paths disagree
+
+/// Origin effect of one instruction on `slots` and the operand stack `stk`.
+/// `access(origin)` sees the pointer of every load and store, `atomic(origin)`
+/// the target of every atomic builtin.
+template <class Access, class Atomic>
+void originStep(const Insn& insn, const std::vector<FunctionCode>& fns,
+                std::vector<std::int16_t>& slots, std::vector<std::int16_t>& stk,
+                Access&& access, Atomic&& atomic) {
+  const auto pop = [&] {
+    const std::int16_t v = stk.back();
+    stk.pop_back();
+    return v;
+  };
+  const auto slot = [&](std::int32_t s) -> std::int16_t& {
+    return slots[static_cast<std::size_t>(s)];
+  };
+  switch (insn.op) {
+    case Op::PushI: case Op::PushF: case Op::PushCI: case Op::PushCF:
+      stk.push_back(kNoParam);
+      return;
+    case Op::LoadSlot:
+      stk.push_back(slot(insn.a));
+      return;
+    case Op::LoadSlot2:
+      stk.push_back(slot(insn.a));
+      stk.push_back(slot(insn.b));
+      return;
+    case Op::StoreSlot:
+      slot(insn.a) = pop();
+      return;
+    case Op::StoreSlotChecked: {
+      const std::int16_t p = pop();
+      access(p);
+      slot(insn.a) = p;
+      return;
+    }
+    case Op::IncSlotI:
+      slot(insn.a) = kNoParam;
+      return;
+    case Op::LeaFrame:
+      stk.push_back(kAnyParam);
+      return;
+    case Op::LoadI32: case Op::LoadU32: case Op::LoadF32: case Op::LoadF64: case Op::LoadI64:
+      access(pop());
+      stk.push_back(kAnyParam);
+      return;
+    case Op::LoadElemI32: case Op::LoadElemU32: case Op::LoadElemF32:
+    case Op::LoadElemF64: case Op::LoadElemI64:
+      pop();
+      access(pop());
+      stk.push_back(kAnyParam);
+      return;
+    case Op::LoadSlotElemI32: case Op::LoadSlotElemU32: case Op::LoadSlotElemF32:
+    case Op::LoadSlotElemF64: case Op::LoadSlotElemI64:
+      access(slot(insn.a));
+      stk.push_back(kAnyParam);
+      return;
+    case Op::StoreI32: case Op::StoreI64: case Op::StoreF32: case Op::StoreF64:
+      pop();
+      access(pop());
+      return;
+    case Op::TeeStoreI32: case Op::TeeStoreI64: case Op::TeeStoreF32: case Op::TeeStoreF64: {
+      const std::int16_t v = pop();
+      access(pop());
+      slot(insn.a) = v;
+      return;
+    }
+    case Op::MemCopy:
+      access(pop());
+      access(pop());
+      return;
+    case Op::PtrAdd:
+      pop();  // the index; the pointer below keeps its origin
+      return;
+    case Op::PtrAddImm: case Op::Jmp: case Op::RetVoid: case Op::Trap:
+      return;
+    case Op::Dup:
+      stk.push_back(stk.back());
+      return;
+    case Op::Drop: case Op::Jz: case Op::Jnz: case Op::Ret:
+      pop();
+      return;
+    case Op::CmpJz: case Op::CmpJnz:
+      pop();
+      pop();
+      return;
+    case Op::CallFn: {
+      const FunctionCode& callee = fns.at(static_cast<std::size_t>(insn.a));
+      for (std::size_t i = 0; i < callee.paramTypes.size(); ++i) access(pop());
+      if (callee.returnType != types::Void) stk.push_back(kAnyParam);
+      return;
+    }
+    case Op::CallBuiltin: {
+      const BuiltinDef& def = builtinTable().at(static_cast<std::size_t>(insn.a));
+      if (def.atomic != AtomicOp::None) atomic(stk[stk.size() - static_cast<std::size_t>(insn.b)]);
+      for (std::int32_t i = 0; i < insn.b; ++i) pop();
+      if (def.ret != BType::Void) stk.push_back(kNoParam);
+      return;
+    }
+    default: {
+      // Arithmetic, comparisons and conversions: every operand is consumed
+      // and the one result is a number.
+      const int pops = 1 - effectOf(insn, fns).delta;
+      for (int i = 0; i < pops; ++i) pop();
+      stk.push_back(kNoParam);
+      return;
+    }
+  }
+}
+
+/// Prove that deferring the atomics of a call- and frame-free kernel to the
+/// end of its batch is unobservable: forward dataflow over the origins of
+/// every slot and operand-stack value (parameters start as themselves,
+/// other slots as numbers; paths that disagree give kAnyParam).  Every
+/// atomic must target one parameter, and every load and store must go
+/// through a parameter no atomic targets.  Fills `targets` on success.
+bool proveAtomicsDeferrable(const FunctionCode& fn, const std::vector<FunctionCode>& fns,
+                            std::vector<int>& targets) {
+  const std::size_t n = fn.code.size();
+  const auto numSlots = static_cast<std::size_t>(fn.numSlots);
+  std::vector<std::vector<std::int16_t>> in(n);  // slots, then the stack
+  std::vector<bool> reached(n, false);
+  std::vector<std::size_t> work;
+  const auto flow = [&](std::size_t pc, const std::vector<std::int16_t>& state) {
+    if (pc >= n) return;
+    std::vector<std::int16_t>& cur = in[pc];
+    if (!reached[pc]) {
+      reached[pc] = true;
+      cur = state;
+      work.push_back(pc);
+      return;
+    }
+    bool changed = false;
+    for (std::size_t i = 0; i < cur.size(); ++i) {
+      if (cur[i] != state[i] && cur[i] != kAnyParam) {
+        cur[i] = kAnyParam;
+        changed = true;
+      }
+    }
+    if (changed) work.push_back(pc);
+  };
+  std::vector<std::int16_t> entry(numSlots, kNoParam);
+  for (std::size_t p = 0; p < fn.paramTypes.size() && p < numSlots; ++p) {
+    entry[p] = static_cast<std::int16_t>(p);
+  }
+  flow(0, entry);
+  const auto ignore = [](std::int16_t) {};
+  const auto successors = [&](std::size_t pc, auto&& each) {
+    const Insn& insn = fn.code[pc];
+    const Effect e = effectOf(insn, fns);
+    if (e.terminal) return;
+    if (e.jumps) each(static_cast<std::size_t>(insn.a));
+    if (e.falls) each(pc + 1);
+  };
+  std::vector<std::int16_t> slots;
+  std::vector<std::int16_t> stk;
+  const auto step = [&](std::size_t pc, auto&& access, auto&& atomic) {
+    const std::vector<std::int16_t>& state = in[pc];
+    slots.assign(state.begin(), state.begin() + static_cast<std::ptrdiff_t>(numSlots));
+    stk.assign(state.begin() + static_cast<std::ptrdiff_t>(numSlots), state.end());
+    originStep(fn.code[pc], fns, slots, stk, access, atomic);
+    slots.insert(slots.end(), stk.begin(), stk.end());
+  };
+  while (!work.empty()) {
+    const std::size_t pc = work.back();
+    work.pop_back();
+    step(pc, ignore, ignore);
+    const std::vector<std::int16_t> out = slots;
+    successors(pc, [&](std::size_t next) { flow(next, out); });
+  }
+
+  bool ok = true;
+  std::vector<std::int16_t> accessed;
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    if (!reached[pc]) continue;
+    step(pc, [&](std::int16_t o) { accessed.push_back(o); },
+         [&](std::int16_t o) {
+           if (o < 0) {
+             ok = false;
+           } else if (std::find(targets.begin(), targets.end(), o) == targets.end()) {
+             targets.push_back(o);
+           }
+         });
+  }
+  for (const std::int16_t o : accessed) {
+    if (o < 0 || std::find(targets.begin(), targets.end(), o) != targets.end()) ok = false;
+  }
+  std::sort(targets.begin(), targets.end());
+  return ok;
+}
+
 /// Work-group-batched execution interleaves the work-items of a group
 /// instruction-by-instruction, reordering their memory accesses relative to
 /// sequential per-item execution.  Restrict it to kernels where that
 /// reordering is unobservable: no calls into other functions (whose bodies
 /// we'd have to analyze transitively; tier 2 inlines every call it can, so
 /// what remains calls a recursive or frame-carrying function), no frame
-/// memory (per-lane frames don't fit the strided arena), and no
-/// ordering-sensitive builtins.
-bool computeBatchable(const FunctionCode& fn) {
-  if (!fn.isKernel || fn.frameBytes != 0) return false;
-  for (const Insn& insn : fn.code) {
+/// memory (per-lane frames don't fit the strided arena), no barrier, and
+/// atomics only where deferring them is provably unobservable: the result
+/// is dropped and proveAtomicsDeferrable holds.
+void computeBatchInfo(FunctionCode& fn, const std::vector<FunctionCode>& fns) {
+  fn.batchable = false;
+  fn.batchFallback = BatchFallback::None;
+  fn.atomicArgs.clear();
+  if (!fn.isKernel) return;
+  const auto fail = [&](BatchFallback reason) { fn.batchFallback = reason; };
+  bool frame = fn.frameBytes != 0;
+  bool call = false;
+  bool barrier = false;
+  bool resultUsed = false;
+  bool atomics = false;
+  const std::vector<bool> target = [&] {
+    std::vector<bool> t(fn.code.size() + 1, false);
+    for (const Insn& insn : fn.code) {
+      const Effect e = effectOf(insn, fns);
+      if (e.jumps) t[static_cast<std::size_t>(insn.a)] = true;
+    }
+    return t;
+  }();
+  for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+    const Insn& insn = fn.code[pc];
     switch (insn.op) {
-      case Op::CallFn:
       case Op::LeaFrame:
       case Op::MemCopy:
-      case Op::Ret:
-        return false;
-      case Op::CallBuiltin: {
-        const BuiltinDef& def = builtinTable().at(static_cast<std::size_t>(insn.a));
-        if (std::strcmp(def.name, "barrier") == 0) return false;
-        if (std::strncmp(def.name, "atomic_", 7) == 0) return false;
+        frame = true;
         break;
-      }
+      case Op::CallFn:
+      case Op::Ret:
+        call = true;
+        break;
+      case Op::CallBuiltin:
+        if (std::strcmp(builtinTable().at(static_cast<std::size_t>(insn.a)).name,
+                        "barrier") == 0) {
+          barrier = true;
+        } else if (isAtomic(insn)) {
+          atomics = true;
+          if (pc + 1 >= fn.code.size() || fn.code[pc + 1].op != Op::Drop || target[pc + 1]) {
+            resultUsed = true;
+          }
+        }
+        break;
       default:
         break;
     }
   }
-  return true;
+  if (frame) return fail(BatchFallback::FrameMemory);
+  if (call) return fail(BatchFallback::Call);
+  if (barrier) return fail(BatchFallback::Barrier);
+  if (resultUsed) return fail(BatchFallback::AtomicResultUsed);
+  if (atomics && !proveAtomicsDeferrable(fn, fns, fn.atomicArgs)) {
+    fn.atomicArgs.clear();
+    return fail(BatchFallback::AtomicTargetAliased);
+  }
+  fn.batchable = true;
 }
 
 }  // namespace
@@ -235,7 +470,27 @@ void finalizeFunctions(std::vector<FunctionCode>& fns) {
   for (FunctionCode& fn : fns) {
     fn.maxStack = computeMaxStack(fn, fns);
     packFunction(fn);
-    fn.batchable = computeBatchable(fn);
+    computeBatchInfo(fn, fns);
+  }
+}
+
+void markAtomicUsers(std::vector<FunctionCode>& fns) {
+  for (FunctionCode& fn : fns) {
+    fn.usesAtomics = std::any_of(fn.code.begin(), fn.code.end(), isAtomic);
+  }
+  // usesAtomics holds for every caller of a function that uses atomics.
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (FunctionCode& fn : fns) {
+      if (fn.usesAtomics) continue;
+      for (const Insn& insn : fn.code) {
+        if (insn.op == Op::CallFn && fns.at(static_cast<std::size_t>(insn.a)).usesAtomics) {
+          fn.usesAtomics = true;
+          changed = true;
+          break;
+        }
+      }
+    }
   }
 }
 

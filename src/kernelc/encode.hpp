@@ -16,6 +16,11 @@ namespace skelcl::kc {
 /// whole program must be compiled first.
 void finalizeFunctions(std::vector<FunctionCode>& fns);
 
+/// Set FunctionCode::usesAtomics on every function that uses an atomic
+/// builtin or calls one that does (any tier; the OpenCL layer runs such
+/// kernels in work-item order when they are not batched).
+void markAtomicUsers(std::vector<FunctionCode>& fns);
+
 /// Operand-stack height before each instruction of `fn` (-1 where
 /// unreachable), by forward dataflow over its (reducible, compiler-generated)
 /// CFG; CallFn effects resolve against `fns`.  Throws when two paths reach an

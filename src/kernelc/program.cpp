@@ -45,6 +45,7 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
 
   auto program = std::make_shared<CompiledProgram>();
   program->functions = compiler.run();
+  markAtomicUsers(program->functions);
   program->complexity = complexity;
   program->source = source;
   program->tier = options.tier;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "base/error.hpp"
@@ -43,6 +44,7 @@ Insn make(Op op, std::int32_t a, std::int32_t b, std::int64_t imm, std::uint8_t 
 int writtenSlot(const Insn& insn) {
   switch (insn.op) {
     case Op::StoreSlot:
+    case Op::StoreSlotChecked:
     case Op::IncSlotI:
     case Op::TeeStoreI32:
     case Op::TeeStoreI64:
@@ -586,6 +588,205 @@ bool hoistLoopInvariant(FunctionCode& fn) {
 }
 
 // ---------------------------------------------------------------------------
+// R0: struct scalar replacement.  A struct local that is only ever copied in
+// whole and read field by field,
+//     LeaFrame o; <src>; MemCopy sz               (Event e = events[i];)
+//     LeaFrame o; [PushI k; PtrAdd 1;] Load<T>     (e.x1, e.y1, ...)
+// moves from frame memory to one slot per field read.  The copy becomes
+//     <src>; StoreSlotChecked base, sz; per field: LoadSlot base;
+//     [PushI k; PtrAdd 1;] Load<T>; StoreSlot field
+// where <src> keeps its instructions (the first one also carries LeaFrame's
+// weight), StoreSlotChecked carries MemCopy's and faults exactly where the
+// copy would (same work-item, same message), and the field loads retire 0.
+// Each read becomes LoadSlot field with its window's summed weight.  Slots
+// start zeroed like frame memory, so a read before the first copy still
+// sees 0.  A function left without frame accesses drops its frame, which
+// makes it inlinable (and its kernel batchable).
+// ---------------------------------------------------------------------------
+
+std::uint32_t loadBytes(Op load) {
+  return load == Op::LoadF64 || load == Op::LoadI64 ? 8 : 4;
+}
+
+/// Stack effect of a straight-line naive instruction; false for control
+/// flow and calls into other functions.
+bool straightLineEffect(const Insn& insn, int& pops, int& pushes) {
+  if (pureOp(insn, pops, pushes)) return true;
+  switch (insn.op) {
+    case Op::LeaFrame:
+      pops = 0;
+      pushes = 1;
+      return true;
+    case Op::LoadI32: case Op::LoadU32: case Op::LoadF32: case Op::LoadF64: case Op::LoadI64:
+      pops = 1;
+      pushes = 1;
+      return true;
+    case Op::StoreSlot: case Op::Drop:
+      pops = 1;
+      pushes = 0;
+      return true;
+    case Op::StoreI32: case Op::StoreI64: case Op::StoreF32: case Op::StoreF64:
+    case Op::MemCopy:
+      pops = 2;
+      pushes = 0;
+      return true;
+    case Op::IncSlotI:
+      pops = 0;
+      pushes = 0;
+      return true;
+    case Op::CallBuiltin: {
+      const BuiltinDef& def = builtinTable().at(static_cast<std::size_t>(insn.a));
+      pops = insn.b;
+      pushes = def.ret == BType::Void ? 0 : 1;
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+/// If the LeaFrame at `p` is the destination of a whole copy — a
+/// straight-line, branch-target-free window computing the source pointer
+/// and then MemCopy — set `q` to the MemCopy.  The window may not address
+/// frame memory itself.
+bool copyDestination(const std::vector<Insn>& code, const std::vector<bool>& target,
+                     std::size_t p, std::size_t& q) {
+  int depth = 0;  // values above the LeaFrame's pointer
+  for (std::size_t j = p + 1; j < code.size(); ++j) {
+    if (target[j] || code[j].op == Op::LeaFrame) return false;
+    if (code[j].op == Op::MemCopy) {
+      q = j;
+      return depth == 1;
+    }
+    int pops = 0;
+    int pushes = 0;
+    if (!straightLineEffect(code[j], pops, pushes) || pops > depth) return false;
+    depth += pushes - pops;
+  }
+  return false;
+}
+
+bool scalarReplaceStructs(FunctionCode& fn) {
+  if (fn.frameBytes == 0) return false;
+  const std::vector<Insn>& code = fn.code;
+  const std::size_t n = code.size();
+  const std::vector<bool> target = branchTargets(code);
+
+  struct Window {
+    std::size_t pos;  ///< the LeaFrame
+    std::size_t end;  ///< one past the window
+  };
+  struct Object {
+    std::vector<Window> copies;
+    std::vector<Window> reads;
+    std::map<std::int64_t, Op> fields;  ///< byte offset -> load
+    std::uint32_t bytes = 0;
+    bool ok = true;
+  };
+  std::map<std::int32_t, Object> objects;  // by frame offset
+  for (std::size_t p = 0; p < n; ++p) {
+    if (code[p].op != Op::LeaFrame) continue;
+    Object& obj = objects[code[p].a];
+    std::int64_t field = -1;
+    std::size_t len = 0;
+    if (p + 1 < n && isTypedLoad(code[p + 1].op) && !target[p + 1]) {
+      field = 0;
+      len = 2;
+    } else if (p + 3 < n && code[p + 1].op == Op::PushI && code[p + 2].op == Op::PtrAdd &&
+               code[p + 2].a == 1 && isTypedLoad(code[p + 3].op) && !target[p + 1] &&
+               !target[p + 2] && !target[p + 3] && code[p + 1].imm >= 0 &&
+               fitsI32(code[p + 1].imm)) {
+      field = code[p + 1].imm;
+      len = 4;
+    }
+    if (field >= 0) {
+      const Op load = code[p + len - 1].op;
+      const auto [it, fresh] = obj.fields.emplace(field, load);
+      int w = 0;
+      for (std::size_t j = p; j < p + len; ++j) w += code[j].weight;
+      if ((!fresh && it->second != load) || w > 255) obj.ok = false;
+      obj.reads.push_back({p, p + len});
+      continue;
+    }
+    std::size_t q = 0;
+    if (copyDestination(code, target, p, q) &&
+        (obj.bytes == 0 || obj.bytes == static_cast<std::uint32_t>(code[q].a)) &&
+        code[p].weight + code[p + 1].weight <= 255) {
+      obj.bytes = static_cast<std::uint32_t>(code[q].a);
+      obj.copies.push_back({p, q + 1});
+      continue;
+    }
+    obj.ok = false;  // the address escapes: keep the object in memory
+  }
+
+  // Fields must lie inside the copied bytes without overlapping, and no
+  // other frame object may start inside this one.
+  for (auto& [offset, obj] : objects) {
+    if (obj.copies.empty()) obj.ok = false;
+    std::int64_t covered = 0;
+    for (const auto& [field, load] : obj.fields) {
+      if (field < covered) obj.ok = false;
+      covered = field + loadBytes(load);
+    }
+    if (covered > obj.bytes) obj.ok = false;
+    for (const auto& [other, unused] : objects) {
+      if (other > offset && other < offset + static_cast<std::int64_t>(obj.bytes)) {
+        obj.ok = false;
+      }
+    }
+  }
+
+  std::vector<Edit> edits;
+  for (auto& [offset, obj] : objects) {
+    if (!obj.ok) continue;
+    const std::int32_t base = fn.numSlots++;
+    std::map<std::int64_t, std::int32_t> slotOf;
+    for (const auto& [field, load] : obj.fields) slotOf[field] = fn.numSlots++;
+    for (const Window& c : obj.copies) {
+      Edit rep;
+      rep.pos = c.pos;
+      rep.kind = Edit::Replace;
+      rep.remove = c.end - c.pos;
+      rep.add.assign(code.begin() + static_cast<std::ptrdiff_t>(c.pos + 1),
+                     code.begin() + static_cast<std::ptrdiff_t>(c.end - 1));
+      rep.add.front().weight = static_cast<std::uint8_t>(rep.add.front().weight +
+                                                         code[c.pos].weight);
+      rep.add.push_back(make(Op::StoreSlotChecked, base, static_cast<std::int32_t>(obj.bytes),
+                             0, code[c.end - 1].weight));
+      for (const auto& [field, load] : obj.fields) {
+        rep.add.push_back(make(Op::LoadSlot, base, 0, 0, 0));
+        if (field != 0) {
+          rep.add.push_back(make(Op::PushI, 0, 0, field, 0));
+          rep.add.push_back(make(Op::PtrAdd, 1, 0, 0, 0));
+        }
+        rep.add.push_back(make(load, 0, 0, 0, 0));
+        rep.add.push_back(make(Op::StoreSlot, slotOf[field], 0, 0, 0));
+      }
+      edits.push_back(std::move(rep));
+    }
+    for (const Window& r : obj.reads) {
+      int w = 0;
+      for (std::size_t j = r.pos; j < r.end; ++j) w += code[j].weight;
+      const std::int64_t field = r.end - r.pos == 2 ? 0 : code[r.pos + 1].imm;
+      Edit rep;
+      rep.pos = r.pos;
+      rep.kind = Edit::Replace;
+      rep.remove = r.end - r.pos;
+      rep.add.push_back(make(Op::LoadSlot, slotOf[field], 0, 0, static_cast<std::uint8_t>(w)));
+      edits.push_back(std::move(rep));
+    }
+  }
+  if (edits.empty()) return false;
+  applyEdits(fn, std::move(edits), kNpos, kNpos, kNpos);
+  if (std::none_of(fn.code.begin(), fn.code.end(), [](const Insn& insn) {
+        return insn.op == Op::LeaFrame || insn.op == Op::MemCopy;
+      })) {
+    fn.frameBytes = 0;
+  }
+  return true;
+}
+
+// ---------------------------------------------------------------------------
 // Call inlining.  A CallFn whose callee qualifies (inlinable) becomes the
 // callee's body, moved to caller slots past the caller's own:
 //     StoreSlot a(n-1) ... StoreSlot a0   bind the arguments (the last one
@@ -794,6 +995,7 @@ int rewriteOptimize(FunctionCode& fn) {
   // One transformation per iteration (each is a full rebuild); every rule
   // strictly shrinks its remaining opportunities, the cap is a backstop.
   while (applied < 64) {
+    if (scalarReplaceStructs(fn)) { ++applied; continue; }
     if (fusePointerBias(fn)) { ++applied; continue; }
     if (strengthReduce(fn)) { ++applied; continue; }
     if (hoistLoopInvariant(fn)) { ++applied; continue; }

@@ -1,7 +1,10 @@
 // Rewrite pass: rule-based transforms over the naive Insn IR, run before the
 // peephole pass at optimization tier 2 (docs/VM.md).
 //
-// Three rules, in the spirit of Lift's "patterns and rewrite rules":
+// Four rules, in the spirit of Lift's "patterns and rewrite rules":
+//   R0  struct scalar replacement — a struct local only copied whole and
+//       read by field becomes one slot per field read, so its function
+//       loses its frame (and can inline and batch).
 //   R1  loop-invariant hoisting   — pure, never-faulting windows whose slots
 //       are not written in the innermost loop move to a preheader.
 //   R2  strength reduction        — slot*constant multiplies inside a loop

@@ -30,6 +30,10 @@ Vm::Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions)
     : program_(program) {
   regions_.push_back(MemRegion{});  // region 0: null
   for (const auto& r : globalRegions) regions_.push_back(r);
+}
+
+void Vm::allocateItemArenas() {
+  if (!frameArena_.empty()) return;
   frameArena_.resize(kFrameArenaBytes);
   if (program_.optimized) {
     stackBuf_.resize(kMaxStack);
@@ -37,6 +41,13 @@ Vm::Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions)
     sp_ = stackBuf_.data();
   } else {
     stack_.reserve(1024);
+  }
+}
+
+void applyDeferredAtomics(std::span<const DeferredAtomic> log,
+                          std::span<const MemRegion> globalRegions) {
+  for (const DeferredAtomic& d : log) {
+    applyAtomic(d.op, globalRegions[d.region - 1u].data + d.offset, d.a, d.b);
   }
 }
 
@@ -67,6 +78,7 @@ void Vm::runKernel(int functionIndex, std::span<const Slot> args, std::int64_t g
   const auto& fn = program_.functions.at(static_cast<std::size_t>(functionIndex));
   SKELCL_CHECK(fn.isKernel, "runKernel on a non-kernel function");
   SKELCL_CHECK(args.size() == fn.paramTypes.size(), "kernel argument count mismatch");
+  allocateItemArenas();
   globalId_ = globalId;
   globalSize_ = globalSize;
   frameTop_ = 0;
@@ -93,6 +105,7 @@ Slot Vm::callFunction(int functionIndex, std::span<const Slot> args) {
   const auto& fn = program_.functions.at(static_cast<std::size_t>(functionIndex));
   SKELCL_CHECK(!fn.isKernel, "callFunction on a kernel");
   SKELCL_CHECK(args.size() == fn.paramTypes.size(), "function argument count mismatch");
+  allocateItemArenas();
   globalId_ = 0;
   globalSize_ = 1;
   frameTop_ = 0;
@@ -381,6 +394,13 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
         sp[1] = slots[insn.b];
         sp += 2;
         break;
+
+      case Op::StoreSlotChecked: {
+        const Slot p = *--sp;
+        resolve(p.p, static_cast<std::uint32_t>(insn.b));
+        slots[insn.a] = p;
+        break;
+      }
 
       case Op::CmpJz: {
         const Slot b = *--sp;
@@ -888,6 +908,12 @@ void Vm::executeRef(int functionIndex, std::span<const Slot> args, bool expectRe
         p.offset = static_cast<std::uint32_t>(
             static_cast<std::int64_t>(p.offset) + index * insn.a);
         push(Slot::fromPtr(p));
+        break;
+      }
+      case Op::StoreSlotChecked: {
+        const Slot p = pop();
+        resolve(p.p, static_cast<std::uint32_t>(insn.b));
+        slots[static_cast<std::size_t>(insn.a)] = p;
         break;
       }
 

@@ -35,6 +35,24 @@ struct MemRegion {
   std::uint64_t size = 0;
 };
 
+/// An atomic builtin whose application a batched work-item deferred
+/// (Vm::runKernelBatch, FunctionCode::atomicArgs): the target word and the
+/// builtin's 32-bit arguments (applyAtomic).  16 bytes, as a batch of OSEM's
+/// scatter logs some seventy per work-item.
+struct DeferredAtomic {
+  std::uint32_t offset;  ///< byte offset in the target region
+  std::uint16_t region;  ///< region id; 1 is the first global region
+  AtomicOp op;
+  std::uint8_t lane;     ///< work-item within its batch, the ordering key
+  std::uint32_t a;
+  std::uint32_t b;
+};
+static_assert(sizeof(DeferredAtomic) == 16, "the deferred-atomic log stays compact");
+
+/// Apply `log` in order; region id r addresses `globalRegions[r - 1]`.
+void applyDeferredAtomics(std::span<const DeferredAtomic> log,
+                          std::span<const MemRegion> globalRegions);
+
 /// A compiled program (functions + the type table their bytecode references).
 struct CompiledProgram {
   std::vector<FunctionCode> functions;
@@ -72,18 +90,30 @@ class Vm final : public BuiltinCtx {
   /// kernel in work-group-batched mode: the dispatch loop is inverted so one
   /// opcode decode is amortized over every live work-item ("lane"), operating
   /// on a lane-strided slot arena.  Divergent control flow splits the group
-  /// into lane subsets; there is no reconvergence, but straight-line and
-  /// uniformly-looping bodies stay dense.  Falls back to per-item runKernel
-  /// when the function is not batchable (FunctionCode::batchable) or the
-  /// program is not optimized.  Outputs and retired-instruction counts are
-  /// bit-identical to `count` sequential runKernel calls; only the order in
-  /// which work-items touch memory changes (which batchability guarantees is
-  /// unobservable).  `count` is capped at kBatchLanes per call.
+  /// into lane subsets, the lowest-pc subset runs first, and subsets that
+  /// reach the same pc merge again (docs/VM.md).  Falls back to per-item
+  /// runKernel when the function is not batchable (FunctionCode::batchable)
+  /// or the program is not optimized.  Outputs and retired-instruction
+  /// counts are bit-identical to `count` sequential runKernel calls; only
+  /// the order in which work-items touch memory changes (which batchability
+  /// guarantees is unobservable).  Atomics are logged per lane and applied
+  /// in work-item order when the batch ends, unless keepAtomicLog(true).
+  /// `count` is capped at kBatchLanes per call.
   void runKernelBatch(int functionIndex, std::span<const Slot> args, std::int64_t gidBase,
                       std::int64_t count, std::int64_t globalSize);
 
+  /// Keep the deferred atomics of later runKernelBatch calls instead of
+  /// applying them, in work-item order, for takeAtomicLog(): a launch split
+  /// across host threads applies each chunk's log in chunk order.
+  void keepAtomicLog(bool keep) { keepAtomicLog_ = keep; }
+  std::vector<DeferredAtomic> takeAtomicLog() { return std::move(atomicLog_); }
+
   /// Maximum lanes per runKernelBatch call (one simulated work-group).
   static constexpr std::int64_t kBatchLanes = 256;
+  /// Kernels with more columns than this (slots plus operand-stack depth)
+  /// split divergent groups by lane lists and merge them again; at or below
+  /// it, moving the columns costs less than indexed access (docs/VM.md).
+  static constexpr int kLaneListColumns = 32;
 
   /// Call a (non-kernel) function, e.g. for host-side folding in the reduce
   /// skeleton.  Returns its value.
@@ -107,8 +137,15 @@ class Vm final : public BuiltinCtx {
   void execute(int functionIndex, std::span<const Slot> args, bool expectResult);
   void executeRef(int functionIndex, std::span<const Slot> args, bool expectResult);
   void executeFast(int functionIndex, std::span<const Slot> args, bool expectResult);
+  template <bool kLaneLists>
   void executeBatch(int functionIndex, std::span<const Slot> args, std::int64_t gidBase,
                     std::int64_t count);
+  void finishBatchAtomics(std::int32_t lanes);
+  /// Lane-list storage: kBatchLanes + 1 slots of kBatchLanes lanes.
+  std::int32_t* laneListPool();
+  /// Per-item arenas are allocated on first per-item use: a Vm that only
+  /// runs batches never touches them.
+  void allocateItemArenas();
 
   [[noreturn]] void fault(const std::string& message) const;
 
@@ -134,6 +171,13 @@ class Vm final : public BuiltinCtx {
   // stack depth d of lane l at batchStack_[d*n + l] (n = lanes this batch).
   std::vector<Slot> batchSlots_;
   std::vector<Slot> batchStack_;
+  std::unique_ptr<std::int32_t[]> laneLists_;  // allocated uninitialized on first use
+  // deferred atomics: this batch's, in execution order, then (when kept)
+  // everything since the last takeAtomicLog, in work-item order
+  std::vector<DeferredAtomic> batchAtomics_;
+  std::vector<std::uint32_t> atomicOrder_;
+  std::vector<DeferredAtomic> atomicLog_;
+  bool keepAtomicLog_ = false;
 
   std::int64_t globalId_ = 0;
   std::int64_t globalSize_ = 1;

@@ -3,7 +3,7 @@
 // group through the operation before moving to the next instruction, over
 // lane-strided slot/stack arenas.  Straight-line and uniformly-looping
 // bodies run as tight, auto-vectorizable inner loops; divergent branches
-// split the group into lane subsets (no reconvergence).
+// split the group into lane subsets, and subsets reconverge.
 //
 // Two representation choices make the inner loops vectorize:
 //
@@ -15,22 +15,36 @@
 //    well-defined; -ffp-contract=off keeps float results bit-identical to
 //    the scalar tiers.
 //
-//  * Lane compaction.  Every group owns a contiguous lane range
-//    [off, off+cnt) of the arenas at all times.  A divergent branch
-//    physically partitions the group's segment of every live column (all
-//    slots plus the stack below the branch) so stay-lanes keep the front
-//    and taken-lanes become a contiguous pending group behind them.  Work-
-//    item identity moves with the lane in laneGid, so get_global_id and
-//    fault messages stay exact.  The payoff: no sparse index indirection
-//    ever — every per-op loop is a unit-stride loop the compiler can
-//    vectorize, even deep into divergence.
+//  * Dense groups.  A group whose lanes are a contiguous physical range
+//    [laneOff, laneOff+cnt) runs unit-stride loops with no index
+//    indirection.
+//
+// Divergence and reconvergence.  The scheduler always runs the group with
+// the lowest pc; a divergent branch makes two groups (fall-through and
+// taken) and parks the higher one.  How a split is represented depends on
+// the kernel's column count (slots plus stack depth):
+//
+//  * Compaction (few columns).  A divergent branch physically partitions
+//    the group's segment of every live column (all slots plus the stack
+//    below the branch) so stay-lanes keep the front and taken-lanes become
+//    a contiguous group behind them; work-item identity moves with the lane
+//    in laneGid.  Every group stays dense.  Groups never merge: merging two
+//    segments would re-partition them at the next divergent branch.
+//
+//  * Lane lists (many columns, Vm::kLaneListColumns).  No data moves: a
+//    group is a list of physical lanes, a split divides the list, and
+//    groups that reach the same pc merge by concatenating their lists, so
+//    a divergent loop body — OSEM's Siddon march — reconverges every
+//    iteration instead of decaying to one lane per dispatch.  A group
+//    holding the whole batch runs dense.  A merged group keeps one retired
+//    count; laneBase holds each lane's offset from it, so the instruction
+//    budget stays per work-item.
 //
 // Invariants relied on:
 //  - The encoder's computeMaxStack proves the operand-stack height at each
-//    pc is unique, so one `sp` per group is exact.  Stack columns below a
-//    split are live in both child groups; the partition permutes them with
-//    the same mask, so each logical lane keeps its values.  Sibling groups
-//    occupy disjoint segments and never interfere.
+//    pc is unique, so one `sp` per group is exact, and groups that meet at a
+//    pc have the same height.  Each lane's stack values live in its own
+//    column position, which compaction permutes with the same mask.
 //  - Retired counts: `instructions_` advances by weight x live-lane-count per
 //    instruction, which equals the sum over lanes of the sequential count —
 //    bit-identical accounting on every control path.
@@ -38,11 +52,17 @@
 //    cross-item ordering is observable, so interleaving lanes is safe.  It
 //    also excludes frame memory and calls, so regions_ is immutable for the
 //    whole batch and the bounds-check fast path below may cache it.
+//    Atomics are the exception batchability allows: their results are
+//    dropped and no load or store reaches their buffers, so each lane logs
+//    them (bounds-checked on the spot) and finishBatchAtomics applies the
+//    log in work-item order, as sequential execution would.
 //
 // Divergence and faults: when several work-items of one batch would fault,
-// the reporting lane may differ from sequential execution (groups run in
-// LIFO order); the fault itself and all data written before it are the same
-// class of partial state sequential execution leaves behind.
+// the reporting lane may differ from sequential execution; the fault itself
+// and all data written before it are the same class of partial state
+// sequential execution leaves behind.
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -66,6 +86,14 @@ inline const std::int64_t* iCol(const Slot* c) {
 inline double* fCol(Slot* c) { return reinterpret_cast<double*>(c); }
 inline std::uint64_t* rawCol(Slot* c) { return reinterpret_cast<std::uint64_t*>(c); }
 
+static_assert(Vm::kBatchLanes <= 256, "DeferredAtomic::lane holds a lane in one byte");
+
+/// A deferred atomic's argument as the builtin would see it: 32-bit words.
+std::uint32_t atomicWord(AtomicOp op, const Slot& v) {
+  return op == AtomicOp::AddF ? std::bit_cast<std::uint32_t>(static_cast<float>(v.f))
+                              : static_cast<std::uint32_t>(v.i);
+}
+
 }  // namespace
 
 void Vm::runKernelBatch(int functionIndex, std::span<const Slot> args, std::int64_t gidBase,
@@ -73,18 +101,55 @@ void Vm::runKernelBatch(int functionIndex, std::span<const Slot> args, std::int6
   const auto& fn = program_.functions.at(static_cast<std::size_t>(functionIndex));
   SKELCL_CHECK(fn.isKernel, "runKernelBatch on a non-kernel function");
   SKELCL_CHECK(count >= 1 && count <= kBatchLanes, "batch lane count out of range");
-  if (!program_.optimized || !fn.batchable || count == 1) {
+  // A single lane runs per item, except when its atomics must join the log.
+  if (!program_.optimized || !fn.batchable || (count == 1 && fn.atomicArgs.empty())) {
     for (std::int64_t l = 0; l < count; ++l) {
       runKernel(functionIndex, args, gidBase + l, globalSize);
     }
     return;
   }
   SKELCL_CHECK(args.size() == fn.paramTypes.size(), "kernel argument count mismatch");
+  SKELCL_CHECK(fn.atomicArgs.empty() || regions_.size() <= 0x10000,
+               "too many buffer arguments for deferred atomics");
   globalSize_ = globalSize;
   frameTop_ = 0;
-  executeBatch(functionIndex, args, gidBase, count);
+  if (fn.numSlots + fn.maxStack > kLaneListColumns) {
+    executeBatch<true>(functionIndex, args, gidBase, count);
+  } else {
+    executeBatch<false>(functionIndex, args, gidBase, count);
+  }
 }
 
+std::int32_t* Vm::laneListPool() {
+  if (!laneLists_) {
+    laneLists_.reset(new std::int32_t[static_cast<std::size_t>((kBatchLanes + 1) * kBatchLanes)]);
+  }
+  return laneLists_.get();
+}
+
+void Vm::finishBatchAtomics(std::int32_t lanes) {
+  if (batchAtomics_.empty()) return;
+  // Counting sort by lane: work-item order, each lane's atomics in the
+  // order its program issued them.
+  std::uint32_t next[kBatchLanes + 1] = {};
+  for (const DeferredAtomic& d : batchAtomics_) ++next[d.lane + 1];
+  for (std::int32_t l = 0; l < lanes; ++l) next[l + 1] += next[l];
+  atomicOrder_.resize(batchAtomics_.size());
+  for (std::uint32_t i = 0; i < batchAtomics_.size(); ++i) {
+    atomicOrder_[next[batchAtomics_[i].lane]++] = i;
+  }
+  for (const std::uint32_t i : atomicOrder_) {
+    const DeferredAtomic& d = batchAtomics_[i];
+    if (keepAtomicLog_) {
+      atomicLog_.push_back(d);
+    } else {
+      applyAtomic(d.op, regions_[d.region].data + d.offset, d.a, d.b);
+    }
+  }
+  batchAtomics_.clear();
+}
+
+template <bool kLaneLists>
 void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_t gidBase,
                       std::int64_t count) {
   const auto& fn = program_.functions[static_cast<std::size_t>(functionIndex)];
@@ -103,8 +168,9 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     Slot* col = batchSlots_.data() + s * static_cast<std::size_t>(n);
     for (std::int32_t l = 0; l < n; ++l) col[l] = args[s];
   }
-  // Work-item id of each physical lane; permuted alongside the columns on
-  // divergent splits, so lane -> gid stays exact under compaction.
+  batchAtomics_.clear();
+  // Work-item id of each physical lane; compaction permutes it alongside
+  // the columns, so lane -> gid stays exact.
   std::int64_t laneGid[kBatchLanes];
   for (std::int32_t l = 0; l < n; ++l) laneGid[l] = gidBase + l;
 
@@ -127,101 +193,231 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     return nullptr;
   };
 
-  /// A lane subset executing one control-flow path, owning the contiguous
-  /// arena segment [off, off+cnt).  `retired` is the per-lane retired count
-  /// along this path, inherited on splits — the sequential per-item budget.
+  /// A lane subset executing one control-flow path: the physical lanes
+  /// [off, off+cnt) (compaction), or the `cnt` lanes listed in lane-list
+  /// slot `off` (lane lists).  `retired` is the per-lane retired count along
+  /// this path, inherited on splits; lane lists add laneBase[l] per lane,
+  /// and `maxBase` bounds it over the group's lanes.
   struct Group {
     std::int32_t ip;
     std::int32_t sp;
     std::int32_t off;
     std::int32_t cnt;
     std::uint64_t retired;
+    std::int64_t maxBase;
   };
-  Group pending[kBatchLanes];  // live groups partition n lanes, so < n splits
+  Group pending[kBatchLanes];  // live groups partition n lanes, so < n parked
   std::int32_t nPending = 0;
   unsigned char mask[kBatchLanes];     // divergence: takes-the-branch per lane
   std::uint64_t scratch[kBatchLanes];  // divergence: taken-lane staging
+  // Lane lists: one slot of kBatchLanes entries per live group, recycled
+  // through freeSlots; laneBase is each lane's retired-count offset.
+  std::int32_t* const listPool = kLaneLists ? laneListPool() : nullptr;
+  std::int16_t freeSlots[kBatchLanes + 1];
+  std::int32_t nFree = 0;
+  std::int64_t laneBase[kBatchLanes];
+  if constexpr (kLaneLists) {
+    for (std::int32_t slot = static_cast<std::int32_t>(kBatchLanes); slot >= 1; --slot) {
+      freeSlots[nFree++] = static_cast<std::int16_t>(slot);
+    }
+    std::fill(laneBase, laneBase + n, std::int64_t{0});
+  }
 
-  // Current group.
-  std::int32_t laneOff = 0;
-  std::int32_t laneCount = n;
+  // Current group.  It is dense when its lanes are the physical range
+  // [laneOff, laneOff+cnt): always under compaction, and for the whole
+  // batch under lane lists; lane loops are then unit-stride.
+  std::int32_t off = 0;
+  std::int32_t cnt = n;
   std::int32_t ip = 0;
   std::int32_t sp = 0;
   std::uint64_t retired = 0;
+  std::int64_t maxBase = 0;
+  std::int32_t laneOff = 0;
+  bool dense = true;
+  std::int32_t* lanes = listPool;
+  // Lowest pc of a parked group (lane lists): reaching it means merging.
+  std::int32_t minPendingIp = std::numeric_limits<std::int32_t>::max();
 
   const PackedInsn* const codeBase = fn.packed.data();
   const std::uint64_t* const pool = fn.pool.data();
 
-  // Column base of the current group's segment: unit-stride over [0, cnt).
-  const auto slotCol = [&](std::int32_t s) {
-    return slotBase + static_cast<std::size_t>(s) * static_cast<std::size_t>(n) + laneOff;
+  const auto slotAt = [&](std::int32_t s) {
+    return slotBase + static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
   };
-  const auto stackCol = [&](std::int32_t d) {
-    return stackBase + static_cast<std::size_t>(d) * static_cast<std::size_t>(n) + laneOff;
+  const auto stackAt = [&](std::int32_t d) {
+    return stackBase + static_cast<std::size_t>(d) * static_cast<std::size_t>(n);
+  };
+  const auto listOf = [&](std::int32_t slot) {
+    return listPool + static_cast<std::size_t>(slot) * static_cast<std::size_t>(kBatchLanes);
   };
 
-  const auto checkBudget = [&](std::uint64_t pathRetired) {
-    if (pathRetired > kMaxInstructionsPerItem) {
-      globalId_ = laneGid[laneOff];
-      fault("instruction budget exceeded (infinite loop?)");
+  const auto enter = [&](const Group& g) {
+    ip = g.ip;
+    sp = g.sp;
+    off = g.off;
+    cnt = g.cnt;
+    retired = g.retired;
+    maxBase = g.maxBase;
+    if constexpr (kLaneLists) {
+      lanes = listOf(off);
+      dense = cnt == n;
+    } else {
+      laneOff = off;
+    }
+  };
+  const auto park = [&](const Group& g) { pending[nPending++] = g; };
+  /// Enter the parked group with the lowest pc.
+  const auto enterLowest = [&] {
+    std::int32_t best = 0;
+    for (std::int32_t j = 1; j < nPending; ++j) {
+      if (pending[j].ip < pending[best].ip) best = j;
+    }
+    const Group g = pending[best];
+    pending[best] = pending[--nPending];
+    enter(g);
+  };
+  /// Lane lists: merge every parked group at the current pc into the
+  /// current group (lane sets are disjoint, so the lists concatenate), then
+  /// refresh minPendingIp.  The merged group keeps the current `retired`;
+  /// a joining lane's laneBase absorbs the difference.
+  const auto mergeAtIp = [&] {
+    for (std::int32_t j = 0; j < nPending;) {
+      if (pending[j].ip != ip) {
+        ++j;
+        continue;
+      }
+      const Group b = pending[j];
+      pending[j] = pending[--nPending];
+      const std::int32_t* joining = listOf(b.off);
+      const std::int64_t delta =
+          static_cast<std::int64_t>(b.retired) - static_cast<std::int64_t>(retired);
+      if (delta != 0) {
+        for (std::int32_t i = 0; i < b.cnt; ++i) laneBase[joining[i]] += delta;
+      }
+      maxBase = std::max(maxBase, b.maxBase + delta);
+      std::copy(joining, joining + b.cnt, lanes + cnt);
+      freeSlots[nFree++] = static_cast<std::int16_t>(b.off);
+      cnt += b.cnt;
+      dense = cnt == n;
+    }
+    minPendingIp = std::numeric_limits<std::int32_t>::max();
+    for (std::int32_t j = 0; j < nPending; ++j) minPendingIp = std::min(minPendingIp, pending[j].ip);
+  };
+
+  // The sequential per-item budget, checked on back-edges and builtin calls
+  // as the per-item interpreter does.  The cold path finds the exact lane:
+  // maxBase may overestimate after a split.
+  const auto budgetFault = [&] {
+    std::int64_t exact = std::numeric_limits<std::int64_t>::min();
+    for (std::int32_t i = 0; i < cnt; ++i) {
+      const std::int32_t l = dense ? laneOff + i : lanes[i];
+      std::int64_t base = 0;
+      if constexpr (kLaneLists) base = laneBase[l];
+      if (base + static_cast<std::int64_t>(retired) >
+          static_cast<std::int64_t>(kMaxInstructionsPerItem)) {
+        globalId_ = laneGid[l];
+        fault("instruction budget exceeded (infinite loop?)");
+      }
+      exact = std::max(exact, base);
+    }
+    maxBase = exact;
+  };
+  const auto checkBudget = [&] {
+    if (static_cast<std::int64_t>(retired) + maxBase >
+        static_cast<std::int64_t>(kMaxInstructionsPerItem)) {
+      budgetFault();
     }
   };
 
+// Run BODY for every lane `l` of the current group (`li` is its position in
+// the group): unit-stride when the group is dense, through the lane list
+// otherwise.
+#define KC_LANES(...)                                    \
+  do {                                                   \
+    if (!kLaneLists || dense) {                          \
+      for (std::int32_t li = 0; li < cnt; ++li) {        \
+        const std::int32_t l = laneOff + li;             \
+        (void)li;                                        \
+        __VA_ARGS__                                      \
+      }                                                  \
+    } else {                                             \
+      for (std::int32_t li = 0; li < cnt; ++li) {        \
+        const std::int32_t l = lanes[li];                \
+        (void)li;                                        \
+        __VA_ARGS__                                      \
+      }                                                  \
+    }                                                    \
+  } while (0)
+
   for (;;) {
+    if constexpr (kLaneLists) {
+      // Reached a parked group's pc (merge), or passed it (run it first).
+      if (ip >= minPendingIp) {
+        if (ip > minPendingIp) {
+          park(Group{ip, sp, off, cnt, retired, maxBase});
+          enterLowest();
+        }
+        mergeAtIp();
+      }
+    }
     const PackedInsn insn = codeBase[ip];
     ++ip;
     retired += insn.weight;
     instructions_ += static_cast<std::uint64_t>(insn.weight) *
-                     static_cast<std::uint64_t>(laneCount);
-    const std::int32_t cnt = laneCount;
+                     static_cast<std::uint64_t>(cnt);
 
     switch (insn.op) {
       case Op::PushI: {
         const std::int64_t v = insn.a;
-        std::int64_t* col = iCol(stackCol(sp));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = v;
+        std::int64_t* col = iCol(stackAt(sp));
+        KC_LANES(col[l] = v;);
         ++sp;
         break;
       }
       case Op::PushCI: {
         const std::int64_t v = static_cast<std::int64_t>(pool[insn.k]);
-        std::int64_t* col = iCol(stackCol(sp));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = v;
+        std::int64_t* col = iCol(stackAt(sp));
+        KC_LANES(col[l] = v;);
         ++sp;
         break;
       }
       case Op::PushCF: {
         double v;
         std::memcpy(&v, &pool[insn.k], sizeof v);
-        double* col = fCol(stackCol(sp));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = v;
+        double* col = fCol(stackAt(sp));
+        KC_LANES(col[l] = v;);
         ++sp;
         break;
       }
 
       case Op::LoadSlot: {
-        const std::uint64_t* src = rawCol(slotCol(insn.a));
-        std::uint64_t* col = rawCol(stackCol(sp));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = src[l];
+        const std::uint64_t* src = rawCol(slotAt(insn.a));
+        std::uint64_t* col = rawCol(stackAt(sp));
+        KC_LANES(col[l] = src[l];);
         ++sp;
         break;
       }
       case Op::StoreSlot: {
         --sp;
-        const std::uint64_t* col = rawCol(stackCol(sp));
-        std::uint64_t* dst = rawCol(slotCol(insn.a));
-        for (std::int32_t l = 0; l < cnt; ++l) dst[l] = col[l];
+        const std::uint64_t* col = rawCol(stackAt(sp));
+        std::uint64_t* dst = rawCol(slotAt(insn.a));
+        KC_LANES(dst[l] = col[l];);
+        break;
+      }
+      case Op::StoreSlotChecked: {
+        --sp;
+        const Slot* col = stackAt(sp);
+        Slot* dst = slotAt(insn.a);
+        const auto bytes = static_cast<std::uint32_t>(insn.b);
+        KC_LANES(resolveLane(col[l].p, bytes, laneGid[l]); dst[l] = col[l];);
         break;
       }
       case Op::LoadSlot2: {
-        const std::uint64_t* sa = rawCol(slotCol(insn.a));
-        const std::uint64_t* sb = rawCol(slotCol(insn.b));
-        std::uint64_t* ca = rawCol(stackCol(sp));
-        std::uint64_t* cb = rawCol(stackCol(sp + 1));
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          ca[l] = sa[l];
-          cb[l] = sb[l];
-        }
+        const std::uint64_t* sa = rawCol(slotAt(insn.a));
+        const std::uint64_t* sb = rawCol(slotAt(insn.b));
+        std::uint64_t* ca = rawCol(stackAt(sp));
+        std::uint64_t* cb = rawCol(stackAt(sp + 1));
+        KC_LANES(ca[l] = sa[l]; cb[l] = sb[l];);
         sp += 2;
         break;
       }
@@ -229,48 +425,33 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 // Loads keep Slot-typed pointer columns (the bounds check is inherently
 // branchy); results are written through the typed view so downstream
 // arithmetic sees clean columns.
-#define KC_LOAD(OPNAME, CTYPE, BYTES, VIEW)                                       \
-  case Op::Load##OPNAME: {                                                        \
-    Slot* col = stackCol(sp - 1);                                                 \
-    auto* out = VIEW(col);                                                        \
-    const std::int64_t* gids = laneGid + laneOff;                                 \
-    for (std::int32_t l = 0; l < cnt; ++l) {                                      \
-      const std::byte* addr = resolveLane(col[l].p, BYTES, gids[l]);              \
-      CTYPE v;                                                                    \
-      std::memcpy(&v, addr, BYTES);                                               \
-      out[l] = v;                                                                 \
-    }                                                                             \
-    break;                                                                        \
-  }                                                                               \
-  case Op::LoadElem##OPNAME: {                                                    \
-    const std::int64_t* idx = iCol(stackCol(sp - 1));                             \
-    Slot* col = stackCol(sp - 2);                                                 \
-    auto* out = VIEW(col);                                                        \
-    const std::int64_t* gids = laneGid + laneOff;                                 \
-    for (std::int32_t l = 0; l < cnt; ++l) {                                      \
-      const std::byte* addr =                                                     \
-          resolveLane(ptrPlus(col[l].p, idx[l], insn.a), BYTES, gids[l]);         \
-      CTYPE v;                                                                    \
-      std::memcpy(&v, addr, BYTES);                                               \
-      out[l] = v;                                                                 \
-    }                                                                             \
-    --sp;                                                                         \
-    break;                                                                        \
-  }                                                                               \
-  case Op::LoadSlotElem##OPNAME: {                                                \
-    const Slot* ptr = slotCol(insn.a);                                            \
-    const std::int64_t* idx = iCol(slotCol(insn.b));                              \
-    auto* out = VIEW(stackCol(sp));                                               \
-    const std::int64_t* gids = laneGid + laneOff;                                 \
-    for (std::int32_t l = 0; l < cnt; ++l) {                                      \
-      const std::byte* addr =                                                     \
-          resolveLane(ptrPlus(ptr[l].p, idx[l], insn.c), BYTES, gids[l]);         \
-      CTYPE v;                                                                    \
-      std::memcpy(&v, addr, BYTES);                                               \
-      out[l] = v;                                                                 \
-    }                                                                             \
-    ++sp;                                                                         \
-    break;                                                                        \
+#define KC_LOAD(OPNAME, CTYPE, BYTES, VIEW)                                        \
+  case Op::Load##OPNAME: {                                                         \
+    Slot* col = stackAt(sp - 1);                                                   \
+    auto* out = VIEW(col);                                                         \
+    KC_LANES(const std::byte* addr = resolveLane(col[l].p, BYTES, laneGid[l]);     \
+             CTYPE v; std::memcpy(&v, addr, BYTES); out[l] = v;);                  \
+    break;                                                                         \
+  }                                                                                \
+  case Op::LoadElem##OPNAME: {                                                     \
+    const std::int64_t* idx = iCol(stackAt(sp - 1));                               \
+    Slot* col = stackAt(sp - 2);                                                   \
+    auto* out = VIEW(col);                                                         \
+    KC_LANES(const std::byte* addr =                                               \
+                 resolveLane(ptrPlus(col[l].p, idx[l], insn.a), BYTES, laneGid[l]); \
+             CTYPE v; std::memcpy(&v, addr, BYTES); out[l] = v;);                  \
+    --sp;                                                                          \
+    break;                                                                         \
+  }                                                                                \
+  case Op::LoadSlotElem##OPNAME: {                                                 \
+    const Slot* ptr = slotAt(insn.a);                                              \
+    const std::int64_t* idx = iCol(slotAt(insn.b));                                \
+    auto* out = VIEW(stackAt(sp));                                                 \
+    KC_LANES(const std::byte* addr =                                               \
+                 resolveLane(ptrPlus(ptr[l].p, idx[l], insn.c), BYTES, laneGid[l]); \
+             CTYPE v; std::memcpy(&v, addr, BYTES); out[l] = v;);                  \
+    ++sp;                                                                          \
+    break;                                                                         \
   }
       KC_LOAD(I32, std::int32_t, 4, iCol)
       KC_LOAD(U32, std::uint32_t, 4, iCol)
@@ -279,33 +460,24 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       KC_LOAD(I64, std::int64_t, 8, iCol)
 #undef KC_LOAD
 
-#define KC_STORE(OPNAME, CTYPE, LOADV, BYTES)                                 \
-  case Op::Store##OPNAME: {                                                   \
-    const Slot* val = stackCol(sp - 1);                                       \
-    const Slot* ptr = stackCol(sp - 2);                                       \
-    const std::int64_t* gids = laneGid + laneOff;                             \
-    for (std::int32_t l = 0; l < cnt; ++l) {                                  \
-      std::byte* addr = resolveLane(ptr[l].p, BYTES, gids[l]);                \
-      const CTYPE v = LOADV;                                                  \
-      std::memcpy(addr, &v, BYTES);                                           \
-    }                                                                         \
-    sp -= 2;                                                                  \
-    break;                                                                    \
-  }                                                                           \
-  case Op::TeeStore##OPNAME: {                                                \
-    const Slot* val = stackCol(sp - 1);                                       \
-    const Slot* ptr = stackCol(sp - 2);                                       \
-    std::uint64_t* tee = rawCol(slotCol(insn.a));                             \
-    const std::uint64_t* raw = rawCol(stackCol(sp - 1));                      \
-    const std::int64_t* gids = laneGid + laneOff;                             \
-    for (std::int32_t l = 0; l < cnt; ++l) {                                  \
-      std::byte* addr = resolveLane(ptr[l].p, BYTES, gids[l]);                \
-      const CTYPE v = LOADV;                                                  \
-      std::memcpy(addr, &v, BYTES);                                           \
-      tee[l] = raw[l];                                                        \
-    }                                                                         \
-    sp -= 2;                                                                  \
-    break;                                                                    \
+#define KC_STORE(OPNAME, CTYPE, LOADV, BYTES)                                      \
+  case Op::Store##OPNAME: {                                                        \
+    const Slot* val = stackAt(sp - 1);                                             \
+    const Slot* ptr = stackAt(sp - 2);                                             \
+    KC_LANES(std::byte* addr = resolveLane(ptr[l].p, BYTES, laneGid[l]);           \
+             const CTYPE v = LOADV; std::memcpy(addr, &v, BYTES););                \
+    sp -= 2;                                                                       \
+    break;                                                                         \
+  }                                                                                \
+  case Op::TeeStore##OPNAME: {                                                     \
+    const Slot* val = stackAt(sp - 1);                                             \
+    const Slot* ptr = stackAt(sp - 2);                                             \
+    std::uint64_t* tee = rawCol(slotAt(insn.a));                                   \
+    const std::uint64_t* raw = rawCol(stackAt(sp - 1));                            \
+    KC_LANES(std::byte* addr = resolveLane(ptr[l].p, BYTES, laneGid[l]);           \
+             const CTYPE v = LOADV; std::memcpy(addr, &v, BYTES); tee[l] = raw[l];); \
+    sp -= 2;                                                                       \
+    break;                                                                         \
   }
       KC_STORE(I32, std::int32_t, static_cast<std::int32_t>(val[l].i), 4)
       KC_STORE(I64, std::int64_t, val[l].i, 8)
@@ -314,41 +486,32 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 #undef KC_STORE
 
       case Op::PtrAdd: {
-        const std::int64_t* idx = iCol(stackCol(sp - 1));
-        Slot* col = stackCol(sp - 2);
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          col[l] = Slot::fromPtr(ptrPlus(col[l].p, idx[l], insn.a));
-        }
+        const std::int64_t* idx = iCol(stackAt(sp - 1));
+        Slot* col = stackAt(sp - 2);
+        KC_LANES(col[l] = Slot::fromPtr(ptrPlus(col[l].p, idx[l], insn.a)););
         --sp;
         break;
       }
       case Op::PtrAddImm: {
-        Slot* col = stackCol(sp - 1);
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          col[l] = Slot::fromPtr(ptrPlus(col[l].p, insn.b, insn.a));
-        }
+        Slot* col = stackAt(sp - 1);
+        KC_LANES(col[l] = Slot::fromPtr(ptrPlus(col[l].p, insn.b, insn.a)););
         break;
       }
       case Op::IncSlotI: {
-        std::int64_t* col = iCol(slotCol(insn.a));
+        std::int64_t* col = iCol(slotAt(insn.a));
         const std::int64_t d = insn.b;
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          col[l] = static_cast<std::int32_t>(col[l] + d);
-        }
+        KC_LANES(col[l] = static_cast<std::int32_t>(col[l] + d););
         break;
       }
 
 #define KC_BIN_I(OPNAME, EXPR)                                    \
   case Op::OPNAME: {                                              \
-    const std::int64_t* bcol = iCol(stackCol(sp - 1));            \
-    std::int64_t* acol = iCol(stackCol(sp - 2));                  \
-    for (std::int32_t l = 0; l < cnt; ++l) {                      \
-      const std::int64_t a = acol[l];                             \
-      const std::int64_t b = bcol[l];                             \
-      (void)a;                                                    \
-      (void)b;                                                    \
-      acol[l] = static_cast<std::int32_t>(EXPR);                  \
-    }                                                             \
+    const std::int64_t* bcol = iCol(stackAt(sp - 1));             \
+    std::int64_t* acol = iCol(stackAt(sp - 2));                   \
+    KC_LANES(const std::int64_t a = acol[l];                      \
+             const std::int64_t b = bcol[l];                      \
+             (void)a; (void)b;                                    \
+             acol[l] = static_cast<std::int32_t>(EXPR););         \
     --sp;                                                         \
     break;                                                        \
   }
@@ -366,19 +529,16 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 
 #define KC_DIVREM(OPNAME, CAST, CHECKED, MSG)                     \
   case Op::OPNAME: {                                              \
-    const std::int64_t* bcol = iCol(stackCol(sp - 1));            \
-    std::int64_t* acol = iCol(stackCol(sp - 2));                  \
-    const std::int64_t* gids = laneGid + laneOff;                 \
-    for (std::int32_t l = 0; l < cnt; ++l) {                      \
-      const auto a = static_cast<CAST>(acol[l]);                  \
-      const auto b = static_cast<CAST>(bcol[l]);                  \
-      (void)a;                                                    \
-      if (b == 0) {                                               \
-        globalId_ = gids[l];                                      \
-        fault(MSG);                                               \
-      }                                                           \
-      acol[l] = CHECKED;                                          \
-    }                                                             \
+    const std::int64_t* bcol = iCol(stackAt(sp - 1));             \
+    std::int64_t* acol = iCol(stackAt(sp - 2));                   \
+    KC_LANES(const auto a = static_cast<CAST>(acol[l]);           \
+             const auto b = static_cast<CAST>(bcol[l]);           \
+             (void)a;                                             \
+             if (b == 0) {                                        \
+               globalId_ = laneGid[l];                            \
+               fault(MSG);                                        \
+             }                                                    \
+             acol[l] = CHECKED;);                                 \
     --sp;                                                         \
     break;                                                        \
   }
@@ -397,63 +557,56 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 #undef KC_DIVREM
 
       case Op::DivL: {
-        const std::int64_t* bcol = iCol(stackCol(sp - 1));
-        std::int64_t* acol = iCol(stackCol(sp - 2));
-        const std::int64_t* gids = laneGid + laneOff;
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          const std::int64_t a = acol[l];
-          const std::int64_t b = bcol[l];
-          if (b == 0) {
-            globalId_ = gids[l];
-            fault("integer division by zero");
-          }
-          if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
-            acol[l] = a;  // wrap, matching 2's-complement overflow
-          } else {
-            acol[l] = a / b;
-          }
-        }
+        const std::int64_t* bcol = iCol(stackAt(sp - 1));
+        std::int64_t* acol = iCol(stackAt(sp - 2));
+        KC_LANES(
+            const std::int64_t a = acol[l];
+            const std::int64_t b = bcol[l];
+            if (b == 0) {
+              globalId_ = laneGid[l];
+              fault("integer division by zero");
+            }
+            if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
+              acol[l] = a;  // wrap, matching 2's-complement overflow
+            } else {
+              acol[l] = a / b;
+            });
         --sp;
         break;
       }
       case Op::RemL: {
-        const std::int64_t* bcol = iCol(stackCol(sp - 1));
-        std::int64_t* acol = iCol(stackCol(sp - 2));
-        const std::int64_t* gids = laneGid + laneOff;
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          const std::int64_t b = bcol[l];
-          if (b == 0) {
-            globalId_ = gids[l];
-            fault("integer remainder by zero");
-          }
-          acol[l] = b == -1 ? std::int64_t{0} : acol[l] % b;
-        }
+        const std::int64_t* bcol = iCol(stackAt(sp - 1));
+        std::int64_t* acol = iCol(stackAt(sp - 2));
+        KC_LANES(
+            const std::int64_t b = bcol[l];
+            if (b == 0) {
+              globalId_ = laneGid[l];
+              fault("integer remainder by zero");
+            }
+            acol[l] = b == -1 ? std::int64_t{0} : acol[l] % b;);
         --sp;
         break;
       }
 
       case Op::NegI: {
-        std::int64_t* col = iCol(stackCol(sp - 1));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = static_cast<std::int32_t>(-col[l]);
+        std::int64_t* col = iCol(stackAt(sp - 1));
+        KC_LANES(col[l] = static_cast<std::int32_t>(-col[l]););
         break;
       }
       case Op::NotI: {
-        std::int64_t* col = iCol(stackCol(sp - 1));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = static_cast<std::int32_t>(~col[l]);
+        std::int64_t* col = iCol(stackAt(sp - 1));
+        KC_LANES(col[l] = static_cast<std::int32_t>(~col[l]););
         break;
       }
 
 #define KC_BIN_L(OPNAME, EXPR)                                    \
   case Op::OPNAME: {                                              \
-    const std::int64_t* bcol = iCol(stackCol(sp - 1));            \
-    std::int64_t* acol = iCol(stackCol(sp - 2));                  \
-    for (std::int32_t l = 0; l < cnt; ++l) {                      \
-      const std::int64_t a = acol[l];                             \
-      const std::int64_t b = bcol[l];                             \
-      (void)a;                                                    \
-      (void)b;                                                    \
-      acol[l] = static_cast<std::int64_t>(EXPR);                  \
-    }                                                             \
+    const std::int64_t* bcol = iCol(stackAt(sp - 1));             \
+    std::int64_t* acol = iCol(stackAt(sp - 2));                   \
+    KC_LANES(const std::int64_t a = acol[l];                      \
+             const std::int64_t b = bcol[l];                      \
+             (void)a; (void)b;                                    \
+             acol[l] = static_cast<std::int64_t>(EXPR););         \
     --sp;                                                         \
     break;                                                        \
   }
@@ -469,28 +622,24 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 #undef KC_BIN_L
 
       case Op::NegL: {
-        std::int64_t* col = iCol(stackCol(sp - 1));
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          col[l] = static_cast<std::int64_t>(-static_cast<std::uint64_t>(col[l]));
-        }
+        std::int64_t* col = iCol(stackAt(sp - 1));
+        KC_LANES(col[l] = static_cast<std::int64_t>(-static_cast<std::uint64_t>(col[l])););
         break;
       }
       case Op::NotL: {
-        std::int64_t* col = iCol(stackCol(sp - 1));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = ~col[l];
+        std::int64_t* col = iCol(stackAt(sp - 1));
+        KC_LANES(col[l] = ~col[l];);
         break;
       }
 
-#define KC_BIN_F32(OPNAME, OPERATOR)                                          \
-  case Op::OPNAME: {                                                          \
-    const double* bcol = fCol(stackCol(sp - 1));                              \
-    double* acol = fCol(stackCol(sp - 2));                                    \
-    for (std::int32_t l = 0; l < cnt; ++l) {                                  \
-      acol[l] = static_cast<float>(static_cast<float>(acol[l])                \
-                                       OPERATOR static_cast<float>(bcol[l])); \
-    }                                                                         \
-    --sp;                                                                     \
-    break;                                                                    \
+#define KC_BIN_F32(OPNAME, OPERATOR)                                        \
+  case Op::OPNAME: {                                                        \
+    const double* bcol = fCol(stackAt(sp - 1));                             \
+    double* acol = fCol(stackAt(sp - 2));                                   \
+    KC_LANES(acol[l] = static_cast<float>(static_cast<float>(acol[l])       \
+                                              OPERATOR static_cast<float>(bcol[l]));); \
+    --sp;                                                                   \
+    break;                                                                  \
   }
       KC_BIN_F32(AddF32, +)
       KC_BIN_F32(SubF32, -)
@@ -498,13 +647,13 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       KC_BIN_F32(DivF32, /)
 #undef KC_BIN_F32
 
-#define KC_BIN_F64(OPNAME, OPERATOR)                                           \
-  case Op::OPNAME: {                                                           \
-    const double* bcol = fCol(stackCol(sp - 1));                               \
-    double* acol = fCol(stackCol(sp - 2));                                     \
-    for (std::int32_t l = 0; l < cnt; ++l) acol[l] = acol[l] OPERATOR bcol[l]; \
-    --sp;                                                                      \
-    break;                                                                     \
+#define KC_BIN_F64(OPNAME, OPERATOR)                        \
+  case Op::OPNAME: {                                        \
+    const double* bcol = fCol(stackAt(sp - 1));             \
+    double* acol = fCol(stackAt(sp - 2));                   \
+    KC_LANES(acol[l] = acol[l] OPERATOR bcol[l];);          \
+    --sp;                                                   \
+    break;                                                  \
   }
       KC_BIN_F64(AddF64, +)
       KC_BIN_F64(SubF64, -)
@@ -513,28 +662,26 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 #undef KC_BIN_F64
 
       case Op::NegF32: {
-        double* col = fCol(stackCol(sp - 1));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = -static_cast<float>(col[l]);
+        double* col = fCol(stackAt(sp - 1));
+        KC_LANES(col[l] = -static_cast<float>(col[l]););
         break;
       }
       case Op::NegF64: {
-        double* col = fCol(stackCol(sp - 1));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = -col[l];
+        double* col = fCol(stackAt(sp - 1));
+        KC_LANES(col[l] = -col[l];);
         break;
       }
 
-#define KC_CMP(OPNAME, TYPE, VIEW, OPERATOR)                                  \
-  case Op::OPNAME: {                                                          \
-    const auto* bcol = VIEW(static_cast<Slot*>(stackCol(sp - 1)));            \
-    const auto* asrc = VIEW(static_cast<Slot*>(stackCol(sp - 2)));            \
-    std::int64_t* adst = iCol(stackCol(sp - 2));                              \
-    for (std::int32_t l = 0; l < cnt; ++l) {                                  \
-      const auto a = static_cast<TYPE>(asrc[l]);                              \
-      const auto b = static_cast<TYPE>(bcol[l]);                              \
-      adst[l] = (a OPERATOR b) ? 1 : 0;                                       \
-    }                                                                         \
-    --sp;                                                                     \
-    break;                                                                    \
+#define KC_CMP(OPNAME, TYPE, VIEW, OPERATOR)                          \
+  case Op::OPNAME: {                                                  \
+    const auto* bcol = VIEW(static_cast<Slot*>(stackAt(sp - 1)));     \
+    const auto* asrc = VIEW(static_cast<Slot*>(stackAt(sp - 2)));     \
+    std::int64_t* adst = iCol(stackAt(sp - 2));                       \
+    KC_LANES(const auto a = static_cast<TYPE>(asrc[l]);               \
+             const auto b = static_cast<TYPE>(bcol[l]);               \
+             adst[l] = (a OPERATOR b) ? 1 : 0;);                      \
+    --sp;                                                             \
+    break;                                                            \
   }
       KC_CMP(EqI, std::int64_t, iCol, ==)
       KC_CMP(NeI, std::int64_t, iCol, !=)
@@ -561,36 +708,34 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       // Ptr is {int32 region, uint32 offset} with no padding, so pointer
       // equality is 8-byte raw equality.
       case Op::EqP: {
-        const std::uint64_t* bcol = rawCol(stackCol(sp - 1));
-        const std::uint64_t* asrc = rawCol(stackCol(sp - 2));
-        std::int64_t* adst = iCol(stackCol(sp - 2));
-        for (std::int32_t l = 0; l < cnt; ++l) adst[l] = asrc[l] == bcol[l] ? 1 : 0;
+        const std::uint64_t* bcol = rawCol(stackAt(sp - 1));
+        const std::uint64_t* asrc = rawCol(stackAt(sp - 2));
+        std::int64_t* adst = iCol(stackAt(sp - 2));
+        KC_LANES(adst[l] = asrc[l] == bcol[l] ? 1 : 0;);
         --sp;
         break;
       }
       case Op::NeP: {
-        const std::uint64_t* bcol = rawCol(stackCol(sp - 1));
-        const std::uint64_t* asrc = rawCol(stackCol(sp - 2));
-        std::int64_t* adst = iCol(stackCol(sp - 2));
-        for (std::int32_t l = 0; l < cnt; ++l) adst[l] = asrc[l] != bcol[l] ? 1 : 0;
+        const std::uint64_t* bcol = rawCol(stackAt(sp - 1));
+        const std::uint64_t* asrc = rawCol(stackAt(sp - 2));
+        std::int64_t* adst = iCol(stackAt(sp - 2));
+        KC_LANES(adst[l] = asrc[l] != bcol[l] ? 1 : 0;);
         --sp;
         break;
       }
       case Op::LNot: {
-        std::int64_t* col = iCol(stackCol(sp - 1));
-        for (std::int32_t l = 0; l < cnt; ++l) col[l] = col[l] == 0 ? 1 : 0;
+        std::int64_t* col = iCol(stackAt(sp - 1));
+        KC_LANES(col[l] = col[l] == 0 ? 1 : 0;);
         break;
       }
 
 #define KC_CONV(OPNAME, SRCVIEW, DSTVIEW, EXPR)  \
   case Op::OPNAME: {                             \
-    Slot* c = stackCol(sp - 1);                  \
+    Slot* c = stackAt(sp - 1);                   \
     const auto* src = SRCVIEW(c);                \
     auto* dst = DSTVIEW(c);                      \
-    for (std::int32_t l = 0; l < cnt; ++l) {     \
-      const auto v = src[l];                     \
-      dst[l] = EXPR;                             \
-    }                                            \
+    KC_LANES(const auto v = src[l];              \
+             dst[l] = EXPR;);                    \
     break;                                       \
   }
       KC_CONV(I2F32, iCol, fCol, static_cast<float>(v))
@@ -614,7 +759,7 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 #undef KC_CONV
 
       case Op::Jmp:
-        if (insn.a < ip) checkBudget(retired);
+        if (insn.a < ip) checkBudget();
         ip = insn.a;
         break;
 
@@ -627,92 +772,136 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         sp -= fused ? 2 : 1;
         std::int32_t nTaken = 0;
         if (fused) {
-          const Slot* acol = stackCol(sp);
-          const Slot* bcol = stackCol(sp + 1);
+          const Slot* acol = stackAt(sp);
+          const Slot* bcol = stackAt(sp + 1);
           const Op cmp = static_cast<Op>(insn.c);
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            mask[l] = cmpHolds(cmp, acol[l], bcol[l]) == jumpOnTrue ? 1 : 0;
-            nTaken += mask[l];
-          }
+          KC_LANES(mask[li] = cmpHolds(cmp, acol[l], bcol[l]) == jumpOnTrue ? 1 : 0;
+                   nTaken += mask[li];);
         } else {
-          const std::int64_t* acol = iCol(stackCol(sp));
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            mask[l] = ((acol[l] != 0) == jumpOnTrue) ? 1 : 0;
-            nTaken += mask[l];
-          }
+          const std::int64_t* acol = iCol(stackAt(sp));
+          KC_LANES(mask[li] = ((acol[l] != 0) == jumpOnTrue) ? 1 : 0;
+                   nTaken += mask[li];);
         }
         if (nTaken == 0) break;  // whole group falls through
         if (nTaken == cnt) {
-          if (insn.a < ip) checkBudget(retired);
+          if (insn.a < ip) checkBudget();
           ip = insn.a;
           break;
         }
-        // Divergence: physically partition the group's segment of every
-        // live column — stay lanes keep the front (order preserved), taken
-        // lanes compact behind them and branch off as a pending group.
-        // Both children stay contiguous, so every later loop remains
-        // unit-stride.  LIFO scheduling; no reconvergence.
+        // Divergence.  Lane lists split the lane set; compaction moves the
+        // data: stay lanes keep the front of the group's segment of every
+        // live column (order preserved), taken lanes follow.
         const std::int32_t stayCnt = cnt - nTaken;
-        const auto partitionSeg = [&](std::uint64_t* seg) {
+        Group stay{ip, sp, off, stayCnt, retired, maxBase};
+        Group taken{insn.a, sp, off + stayCnt, nTaken, retired, maxBase};
+        if constexpr (kLaneLists) {
+          // Branch-free: stay lanes compact in place, taken lanes fill a
+          // fresh slot.
+          taken.off = freeSlots[--nFree];
+          std::int32_t* takenList = listOf(taken.off);
           std::int32_t w = 0;
           std::int32_t t = 0;
-          for (std::int32_t l = 0; l < cnt; ++l) {
-            const std::uint64_t v = seg[l];
-            if (mask[l]) {
-              scratch[t++] = v;
-            } else {
-              seg[w++] = v;
-            }
+          for (std::int32_t i = 0; i < cnt; ++i) {
+            const std::int32_t l = dense ? laneOff + i : lanes[i];
+            lanes[w] = l;
+            takenList[t] = l;
+            w += 1 - mask[i];
+            t += mask[i];
           }
-          std::memcpy(seg + w, scratch, static_cast<std::size_t>(t) * sizeof(std::uint64_t));
-        };
-        for (std::size_t s = 0; s < numSlots; ++s) {
-          partitionSeg(rawCol(slotBase + s * static_cast<std::size_t>(n) + laneOff));
+        } else {
+          // Branch-free: both destinations are written, one cursor advances.
+          const auto partitionSeg = [&](std::uint64_t* seg) {
+            std::int32_t w = 0;
+            std::int32_t t = 0;
+            for (std::int32_t l = 0; l < cnt; ++l) {
+              const std::uint64_t v = seg[l];
+              seg[w] = v;
+              scratch[t] = v;
+              w += 1 - mask[l];
+              t += mask[l];
+            }
+            std::memcpy(seg + w, scratch, static_cast<std::size_t>(t) * sizeof(std::uint64_t));
+          };
+          for (std::size_t s = 0; s < numSlots; ++s) {
+            partitionSeg(rawCol(slotBase + s * static_cast<std::size_t>(n) + laneOff));
+          }
+          for (std::int32_t d = 0; d < sp; ++d) {
+            partitionSeg(rawCol(stackAt(d) + laneOff));
+          }
+          partitionSeg(reinterpret_cast<std::uint64_t*>(laneGid + laneOff));
         }
-        for (std::int32_t d = 0; d < sp; ++d) {
-          partitionSeg(rawCol(stackCol(d)));
+        // Run the lower pc next; park the other half.
+        const bool backward = insn.a < ip;
+        park(backward ? stay : taken);
+        enter(backward ? taken : stay);
+        if (backward) checkBudget();
+        if constexpr (kLaneLists) {
+          minPendingIp = std::min(minPendingIp, pending[nPending - 1].ip);
         }
-        partitionSeg(reinterpret_cast<std::uint64_t*>(laneGid + laneOff));
-        if (insn.a < ip && retired > kMaxInstructionsPerItem) {
-          globalId_ = laneGid[laneOff + stayCnt];
-          fault("instruction budget exceeded (infinite loop?)");
-        }
-        pending[nPending++] = Group{insn.a, sp, laneOff + stayCnt, nTaken, retired};
-        laneCount = stayCnt;
         break;
       }
 
       case Op::CallBuiltin: {
-        checkBudget(retired);
+        checkBudget();
         const BuiltinDef& def = builtinTable()[static_cast<std::size_t>(insn.a)];
         const std::int32_t argc = insn.b;
         sp -= argc;
         // Fast path for the ubiquitous get_global_id(dim).
         if (argc == 1 && std::strcmp(def.name, "get_global_id") == 0) {
-          std::int64_t* col = iCol(stackCol(sp));
-          const std::int64_t* gids = laneGid + laneOff;
-          for (std::int32_t l = 0; l < cnt; ++l) col[l] = col[l] == 0 ? gids[l] : 0;
+          std::int64_t* col = iCol(stackAt(sp));
+          KC_LANES(col[l] = col[l] == 0 ? laneGid[l] : 0;);
+          ++sp;
+          break;
+        }
+        if (def.atomic != AtomicOp::None) {
+          // Deferred (FunctionCode::atomicArgs): checked now, on the right
+          // work-item; applied by finishBatchAtomics.  The result is
+          // dropped by the next instruction.
+          const Slot* ptr = stackAt(sp);
+          const Slot* va = argc > 1 ? stackAt(sp + 1) : ptr;
+          const Slot* vb = argc > 2 ? stackAt(sp + 2) : ptr;
+          KC_LANES(const Ptr p = ptr[l].p;
+                   resolveLane(p, 4, laneGid[l]);
+                   batchAtomics_.push_back(DeferredAtomic{
+                       p.offset, static_cast<std::uint16_t>(p.region), def.atomic,
+                       static_cast<std::uint8_t>(laneGid[l] - gidBase),
+                       atomicWord(def.atomic, va[l]), atomicWord(def.atomic, vb[l])}););
+          std::int64_t* res = iCol(stackAt(sp));
+          KC_LANES(res[l] = 0;);
           ++sp;
           break;
         }
         SKELCL_CHECK(argc <= 8, "builtin arity exceeds batch marshalling buffer");
+        const Slot* argCol[8];
+        for (std::int32_t a2 = 0; a2 < argc; ++a2) argCol[a2] = stackAt(sp + a2);
         Slot argv[8];
-        Slot* res = stackCol(sp);
-        const std::int64_t* gids = laneGid + laneOff;
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          globalId_ = gids[l];  // geometry builtins read it via BuiltinCtx
-          for (std::int32_t a2 = 0; a2 < argc; ++a2) argv[a2] = stackCol(sp + a2)[l];
-          const Slot r = def.fn(*this, argv);
-          if (def.ret != BType::Void) res[l] = r;
+        Slot* res = stackAt(sp);
+        const BuiltinFn call = def.fn;
+        // Geometry builtins read globalId_ through BuiltinCtx.
+        switch (def.ret == BType::Void ? 0 : argc) {
+          case 1:
+            KC_LANES(globalId_ = laneGid[l]; argv[0] = argCol[0][l];
+                     res[l] = call(*this, argv););
+            break;
+          case 2:
+            KC_LANES(globalId_ = laneGid[l]; argv[0] = argCol[0][l]; argv[1] = argCol[1][l];
+                     res[l] = call(*this, argv););
+            break;
+          default:
+            KC_LANES(globalId_ = laneGid[l];
+                     for (std::int32_t a2 = 0; a2 < argc; ++a2) argv[a2] = argCol[a2][l];
+                     const Slot r = call(*this, argv);
+                     if (def.ret != BType::Void) res[l] = r;);
+            break;
         }
         if (def.ret != BType::Void) ++sp;
         break;
       }
 
       case Op::Dup: {
-        const std::uint64_t* src = rawCol(stackCol(sp - 1));
-        std::uint64_t* dst = rawCol(stackCol(sp));
-        for (std::int32_t l = 0; l < cnt; ++l) dst[l] = src[l];
+        const std::uint64_t* src = rawCol(stackAt(sp - 1));
+        std::uint64_t* dst = rawCol(stackAt(sp));
+        KC_LANES(dst[l] = src[l];);
         ++sp;
         break;
       }
@@ -721,22 +910,20 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         break;
 
       case Op::RetVoid: {
-        // This group's lanes are done; resume the most recently split group.
+        // This group's lanes are done; continue with the lowest-pc group.
         if (nPending == 0) {
+          finishBatchAtomics(n);
           currentFunction_ = savedFunction;
           return;
         }
-        const Group g = pending[--nPending];
-        laneOff = g.off;
-        laneCount = g.cnt;
-        ip = g.ip;
-        sp = g.sp;
-        retired = g.retired;
+        if constexpr (kLaneLists) freeSlots[nFree++] = static_cast<std::int16_t>(off);
+        enterLowest();
+        if constexpr (kLaneLists) mergeAtIp();
         break;
       }
 
       case Op::Trap:
-        globalId_ = laneGid[laneOff];
+        globalId_ = laneGid[dense ? laneOff : lanes[0]];
         fault("non-void function reached the end without returning a value");
         break;
 
@@ -747,10 +934,11 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       case Op::CallFn:
       case Op::Ret:
       default:
-        globalId_ = laneGid[laneOff];
+        globalId_ = laneGid[dense ? laneOff : lanes[0]];
         fault("non-batchable instruction in batched execution");
     }
   }
+#undef KC_LANES
 }
 
 }  // namespace skelcl::kc

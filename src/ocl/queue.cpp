@@ -300,23 +300,57 @@ Event CommandQueue::enqueueNDRangeKernel(Kernel& kernel, std::uint64_t globalSiz
   // Execute all work items for real, counting VM instructions.
   const auto program = kernel.program().compiled();
   const int fnIndex = kernel.functionIndex();
+  const kc::FunctionCode& fn = program->functions[static_cast<std::size_t>(fnIndex)];
   std::atomic<std::uint64_t> instructions{0};
   std::exception_ptr firstError;
   std::mutex errorMutex;
 
   // Work-group-batched execution (tier 2): amortize instruction dispatch over
-  // up to kBatchLanes consecutive work-items per runKernelBatch call.
-  // runKernelBatch itself falls back to per-item execution when the kernel is
-  // not batchable; SKELCL_KC_BATCH=0 forces the sequential loop for
-  // debugging/benchmarking.
+  // up to kBatchLanes consecutive work-items per runKernelBatch call, unless
+  // the kernel is not batchable, the launch is a single item, a buffer that
+  // atomics target is also bound to another argument (the kernel's proof
+  // that nothing else reads it covers its own parameters only), or
+  // SKELCL_KC_BATCH=0 forces the sequential loop.
   const char* batchEnv = std::getenv("SKELCL_KC_BATCH");
-  const bool useBatch = program->tier >= 2 &&
-                        (batchEnv == nullptr || std::strcmp(batchEnv, "0") != 0);
+  const auto atomicTargetAliased = [&] {
+    for (const int t : fn.atomicArgs) {
+      if (fnArgs[static_cast<std::size_t>(t)].kind != KernelArg::Kind::BufferArg) return true;
+      const Buffer& target = *fnArgs[static_cast<std::size_t>(t)].buffer;
+      for (std::size_t i = 0; i < fnArgs.size(); ++i) {
+        const KernelArg& arg = fnArgs[i];
+        if (static_cast<int>(i) == t || arg.kind != KernelArg::Kind::BufferArg) continue;
+        if (arg.buffer->data() < target.data() + target.size() &&
+            target.data() < arg.buffer->data() + arg.buffer->size()) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  kc::BatchFallback fallback = kc::BatchFallback::None;
+  if (program->tier < 2) {
+    fallback = kc::BatchFallback::NotTier2;
+  } else if (batchEnv != nullptr && std::strcmp(batchEnv, "0") == 0) {
+    fallback = kc::BatchFallback::Disabled;
+  } else if (!fn.batchable) {
+    fallback = fn.batchFallback;
+  } else if (globalSize == 1) {
+    fallback = kc::BatchFallback::SingleItem;
+  } else if (atomicTargetAliased()) {
+    fallback = kc::BatchFallback::AtomicTargetAliased;
+  }
+  const bool useBatch = fallback == kc::BatchFallback::None;
 
-  sim::ThreadPool::global().parallelFor(globalSize, [&](std::uint64_t begin, std::uint64_t end) {
+  // Float atomics must sum in work-item order whatever the thread count.
+  // Batched, each chunk logs its atomics: the first chunk applies them as it
+  // goes, the others hand their logs back to be applied in chunk order.
+  // Per item, a kernel with atomics runs as one chunk.
+  std::vector<std::pair<std::uint64_t, std::vector<kc::DeferredAtomic>>> chunkLogs;
+  const auto runChunk = [&](std::uint64_t begin, std::uint64_t end) {
     kc::Vm vm(*program, regions);
     try {
       if (useBatch) {
+        vm.keepAtomicLog(begin != 0);
         for (std::uint64_t gid = begin; gid < end;) {
           const auto lanes = std::min<std::uint64_t>(
               end - gid, static_cast<std::uint64_t>(kc::Vm::kBatchLanes));
@@ -338,8 +372,20 @@ Event CommandQueue::enqueueNDRangeKernel(Kernel& kernel, std::uint64_t globalSiz
       if (!firstError) firstError = std::current_exception();
     }
     instructions.fetch_add(vm.instructionsExecuted());
-  });
+    if (begin != 0 && !fn.atomicArgs.empty()) {
+      std::lock_guard<std::mutex> lock(errorMutex);
+      chunkLogs.emplace_back(begin, vm.takeAtomicLog());
+    }
+  };
+  if (fn.usesAtomics && !useBatch) {
+    runChunk(0, globalSize);
+  } else {
+    sim::ThreadPool::global().parallelFor(globalSize, runChunk);
+  }
   if (firstError) std::rethrow_exception(firstError);
+  std::sort(chunkLogs.begin(), chunkLogs.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (const auto& [begin, log] : chunkLogs) kc::applyDeferredAtomics(log, regions);
 
   // Account simulated time.
   auto& system = context_->platform().system();
@@ -352,7 +398,8 @@ Event CommandQueue::enqueueNDRangeKernel(Kernel& kernel, std::uint64_t globalSiz
   const Event event(span.start, span.end, system.clockEpoch());
   noteCompletion(event, /*blocking=*/false);
   CommandInfo done = info(CommandInfo::Kind::Kernel, 0, globalSize, kernel.name().c_str());
-  done.batched = useBatch && program->functions[static_cast<std::size_t>(fnIndex)].batchable;
+  done.batched = useBatch;
+  done.fallback = fallback;
   reportCommand(done, event);
   return event;
 }

@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "kernelc/bytecode.hpp"
 #include "ocl/program.hpp"
 
 namespace skelcl::ocl {
@@ -53,8 +54,10 @@ struct CommandInfo {
   const char* kernelName = nullptr;  ///< kernel launches only
   int node = 0;                      ///< cluster node of the device (docl)
   /// Completed kernel launches only: the work-items ran on the work-group-
-  /// batched interpreter (tier 2, batchable kernel, batching not disabled).
+  /// batched interpreter (tier 2, batchable kernel, batching not disabled),
+  /// or else why not.
   bool batched = false;
+  kc::BatchFallback fallback = kc::BatchFallback::None;
 };
 
 /// Observability hook, invoked once per enqueued command with its completion

@@ -6,8 +6,9 @@
 // identical results and identical retired-instruction counts (the call's
 // weight moves onto the first instruction of the inlined block, each Ret's
 // onto the Jmp that replaces it).  Recursive and frame-carrying callees must
-// stay calls.  The last test drives every skeleton through the runtime and
-// requires each generated kernel to run on the batched interpreter.
+// stay calls.  The last test drives every skeleton through the runtime —
+// OSEM's step-1 map included — and requires each generated kernel to run on
+// the batched interpreter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,8 @@
 #include "kernelc/rewrite.hpp"
 #include "kernelc/vm.hpp"
 #include "ocl/queue.hpp"
+#include "osem/osem.hpp"
+#include "osem/osem_kernels.hpp"
 
 using namespace skelcl::kc;
 
@@ -567,6 +570,29 @@ TEST(KernelcInline, EverySkeletonTemplateRunsBatched) {
   (void)stencil1(v).toStdVector();
   (void)stencil2(Matrix<float>(20, 30, host)).toStdVector();
   (void)pairs(Vector<float>(prefix(12)), Vector<float>(prefix(7))).toStdVector();
+
+  // OSEM's step 1 (Listing 3): a struct element copied whole and read by
+  // field, two marches inlined, and the scatter's atomics deferred.
+  osem::registerOsemKernelTypes();
+  osem::OsemConfig cfg;
+  cfg.volume.nx = cfg.volume.ny = cfg.volume.nz = 8;
+  cfg.eventsPerSubset = 300;
+  cfg.numSubsets = 1;
+  const osem::OsemData data = osem::OsemData::generate(cfg);
+  const osem::VolumeSpec& vol = data.volume();
+  Map<int(Index)> step1(osem::step1UserFunctionSource());
+  Vector<osem::Event> events(data.events);
+  IndexVector indices(data.subsetSize());
+  events.setDistribution(Distribution::block());
+  indices.setDistribution(Distribution::block());
+  Vector<float> image(vol.voxels());
+  std::fill(image.begin(), image.end(), 1.0f);
+  image.setDistribution(Distribution::copy());
+  Vector<float> error(vol.voxels());
+  error.setDistribution(Distribution::copy(kBinary));
+  (void)step1(indices, events, events.offsets(), events.sizes(), image, error, vol.nx, vol.ny,
+              vol.nz, vol.voxel)
+      .toStdVector();
 
   ocl::setCommandHook(nullptr);
   terminate();

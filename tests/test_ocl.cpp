@@ -2,7 +2,10 @@
 // kernels, queues, events, and the time model they drive.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "kernelc/diagnostics.hpp"
@@ -357,6 +360,127 @@ TEST(OclQueue, KernelFaultPropagates) {
   Buffer buf(ctx, platform.device(0), 64);
   kernel.setArg(0, buf);
   EXPECT_THROW(queue.enqueueNDRangeKernel(kernel, 1), kc::VmError);
+}
+
+// --- why a launch did not batch ------------------------------------------------
+
+CommandInfo g_lastKernel;
+
+void recordKernel(const CommandInfo& info, const Event&) {
+  if (info.kind == CommandInfo::Kind::Kernel) g_lastKernel = info;
+}
+
+/// Sets one environment variable for a scope, restoring it afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// Launch `kernel(a, b)` over `items` work-items and return what the
+/// command hook saw.  `aliased` binds buffer `a` to both arguments.
+CommandInfo launch(const std::string& source, std::uint64_t items, bool aliased = false) {
+  Platform platform(s1070(1));
+  Context ctx(platform.devices());
+  CommandQueue queue(ctx, platform.device(0));
+  Program program(ctx, source);
+  program.build();
+  Kernel kernel(program, "k");
+  Buffer a(ctx, platform.device(0), 64 * sizeof(float));
+  Buffer b(ctx, platform.device(0), 64 * sizeof(float));
+  const std::vector<float> zeros(64, 0.0f);
+  queue.enqueueWriteBuffer(a, 0, a.size(), zeros.data(), true);
+  queue.enqueueWriteBuffer(b, 0, b.size(), zeros.data(), true);
+  kernel.setArg(0, a);
+  kernel.setArg(1, aliased ? a : b);
+  g_lastKernel = CommandInfo{};
+  setCommandHook(&recordKernel);
+  queue.enqueueNDRangeKernel(kernel, items);
+  setCommandHook(nullptr);
+  return g_lastKernel;
+}
+
+TEST(OclQueue, KernelLaunchReportsWhyItDidNotBatch) {
+  const ScopedEnv opt("SKELCL_KC_OPT", "2");
+  const ScopedEnv batch("SKELCL_KC_BATCH", nullptr);
+  const std::string plain =
+      "__kernel void k(__global float* a, __global float* b) {"
+      "  int i = get_global_id(0); b[i] = a[i] + 1.0f; }";
+  const std::string scatter =
+      "__kernel void k(__global float* a, __global float* b) {"
+      "  int i = get_global_id(0); atomic_add_f(a + i % 4, b[i]); }";
+  struct Case {
+    const char* name;
+    std::string source;
+    std::uint64_t items;
+    bool aliased;
+    kc::BatchFallback want;
+  };
+  const std::vector<Case> cases = {
+      {"batched", plain, 64, false, kc::BatchFallback::None},
+      {"deferred atomics", scatter, 64, false, kc::BatchFallback::None},
+      {"frame memory",
+       "__kernel void k(__global float* a, __global float* b) {"
+       "  int i = get_global_id(0); float t[2]; t[i % 2] = a[i]; b[i] = t[0]; }",
+       64, false, kc::BatchFallback::FrameMemory},
+      {"call",
+       "int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }"
+       "__kernel void k(__global float* a, __global float* b) {"
+       "  int i = get_global_id(0); b[i] = (float)fact(i % 5); }",
+       64, false, kc::BatchFallback::Call},
+      {"barrier",
+       "__kernel void k(__global float* a, __global float* b) {"
+       "  int i = get_global_id(0); barrier(0); b[i] = a[i]; }",
+       64, false, kc::BatchFallback::Barrier},
+      {"atomic result used",
+       "__kernel void k(__global float* a, __global float* b) {"
+       "  int i = get_global_id(0); b[i] = atomic_add_f(a, 1.0f); }",
+       64, false, kc::BatchFallback::AtomicResultUsed},
+      {"atomic target read by the kernel",
+       "__kernel void k(__global float* a, __global float* b) {"
+       "  int i = get_global_id(0); atomic_add_f(a + 1, a[0] + b[i]); }",
+       64, false, kc::BatchFallback::AtomicTargetAliased},
+      {"atomic target bound to another argument", scatter, 64, true,
+       kc::BatchFallback::AtomicTargetAliased},
+      {"single item", plain, 1, false, kc::BatchFallback::SingleItem},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const CommandInfo info = launch(c.source, c.items, c.aliased);
+    EXPECT_EQ(info.batched, c.want == kc::BatchFallback::None);
+    EXPECT_EQ(kc::batchFallbackName(info.fallback), std::string(kc::batchFallbackName(c.want)));
+  }
+  {
+    const ScopedEnv off("SKELCL_KC_BATCH", "0");
+    const CommandInfo info = launch(plain, 64);
+    EXPECT_FALSE(info.batched);
+    EXPECT_EQ(info.fallback, kc::BatchFallback::Disabled);
+  }
+  {
+    const ScopedEnv tier1("SKELCL_KC_OPT", "1");
+    const CommandInfo info = launch(plain, 64);
+    EXPECT_FALSE(info.batched);
+    EXPECT_EQ(info.fallback, kc::BatchFallback::NotTier2);
+  }
 }
 
 }  // namespace

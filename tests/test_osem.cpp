@@ -1,11 +1,21 @@
 // Tests for the OSEM application study: Siddon traversal properties, the
 // synthetic scanner, reconstruction convergence, and the equivalence of the
-// SkelCL / OpenCL / CUDA implementations with the sequential reference.
+// SkelCL / OpenCL / CUDA implementations with the sequential reference —
+// including that their step-1 kernels run batched and that their images do
+// not depend on the VM tier, batching or the host thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <map>
+#include <optional>
+#include <string>
 
+#include "kernelc/bytecode.hpp"
+#include "ocl/queue.hpp"
 #include "osem/osem.hpp"
 #include "osem/siddon.hpp"
 #include "sim/rng.hpp"
@@ -304,6 +314,124 @@ TEST_F(OsemImpls, MultiGpuIsFasterThanSingleGpuOnComputeBoundSizes) {
   const auto one = runOsemSkelCL(big, 1);
   const auto four = runOsemSkelCL(big, 4);
   EXPECT_LT(four.secondsPerSubset, 0.7 * one.secondsPerSubset);
+}
+
+// --- batching and determinism of the step-1 scatter ------------------------
+
+/// kernel name -> {launches, batched launches, a fallback reason seen}
+std::map<std::string, std::pair<int, int>> g_launches;
+std::map<std::string, std::string> g_reasons;
+
+void recordLaunch(const skelcl::ocl::CommandInfo& info, const skelcl::ocl::Event&) {
+  if (info.kind != skelcl::ocl::CommandInfo::Kind::Kernel) return;
+  auto& [launches, batched] = g_launches[info.kernelName];
+  ++launches;
+  if (info.batched) {
+    ++batched;
+  } else {
+    g_reasons[info.kernelName] = skelcl::kc::batchFallbackName(info.fallback);
+  }
+}
+
+/// Sets one environment variable for a scope, restoring it afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST_F(OsemImpls, EveryStepOneLaunchRunsBatched) {
+  // SkelCL's map (skelcl_kernel, also its step-2 zip) and the raw OpenCL and
+  // CUDA osem_step1: the struct copy becomes slots and the scatter's
+  // atomics are deferred, so none of them falls back to per-item.
+  const ScopedEnv opt("SKELCL_KC_OPT", "2");
+  const ScopedEnv batch("SKELCL_KC_BATCH", nullptr);
+  g_launches.clear();
+  g_reasons.clear();
+  skelcl::ocl::setCommandHook(&recordLaunch);
+  (void)runOsemSkelCL(data(), 4);
+  (void)runOsemOcl(data(), 4);
+  (void)runOsemCuda(data(), 4);
+  skelcl::ocl::setCommandHook(nullptr);
+  for (const char* name : {"skelcl_kernel", "osem_step1", "osem_step2"}) {
+    const auto it = g_launches.find(name);
+    ASSERT_NE(it, g_launches.end()) << name << " never launched";
+    EXPECT_EQ(it->second.second, it->second.first)
+        << name << " ran per item: " << g_reasons[name];
+  }
+}
+
+/// FNV-1a over the image's bytes.
+std::string imageHash(const std::vector<float>& image) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(image.data());
+  for (std::size_t i = 0; i < image.size() * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ull;
+  }
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx", static_cast<unsigned long long>(h));
+  return text;
+}
+
+std::string hashLine(const OsemData& data) {
+  return "osem-image-hash skelcl=" + imageHash(runOsemSkelCL(data, 4).image) +
+         " ocl=" + imageHash(runOsemOcl(data, 4).image) +
+         " cuda=" + imageHash(runOsemCuda(data, 4).image);
+}
+
+TEST(OsemImageHash, PrintsTheFourGpuImagesOfEveryImplementation) {
+  // Read by ImageBitIdenticalAcrossTiersBatchingAndThreads from a child
+  // process with its own environment.
+  const OsemData data = OsemData::generate(testConfig());
+  std::printf("%s\n", hashLine(data).c_str());
+}
+
+TEST_F(OsemImpls, ImageBitIdenticalAcrossTiersBatchingAndThreads) {
+  // The thread pool is sized once per process, so every configuration runs
+  // in a child; the float atomics of step 1 must sum in work-item order in
+  // all of them.
+  const std::string self = std::filesystem::read_symlink("/proc/self/exe").string();
+  const std::string want = hashLine(data());
+  for (const char* threads : {"1", "4"}) {
+    for (const char* config : {"SKELCL_KC_OPT=0", "SKELCL_KC_OPT=1", "SKELCL_KC_OPT=2",
+                               "SKELCL_KC_OPT=2 SKELCL_KC_BATCH=0"}) {
+      const std::string env = std::string("SKELCL_THREADS=") + threads + " " + config;
+      SCOPED_TRACE(env);
+      const std::string cmd = "env -u SKELCL_KC_OPT -u SKELCL_KC_BATCH " + env + " '" + self +
+                              "' --gtest_filter=OsemImageHash.* 2>&1";
+      FILE* child = popen(cmd.c_str(), "r");
+      ASSERT_NE(child, nullptr);
+      std::string got;
+      char line[512];
+      while (std::fgets(line, sizeof line, child) != nullptr) {
+        if (std::strncmp(line, "osem-image-hash", 15) == 0) {
+          got = line;
+          got.pop_back();  // newline
+        }
+      }
+      EXPECT_EQ(pclose(child), 0);
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // kcc — kernel-language compiler driver (developer tool).
 //
-//   kcc FILE.cl            compile; print diagnostics or "ok"
+//   kcc FILE.cl            compile; print diagnostics or "ok" and whether
+//                          each kernel batches (or why not)
 //   kcc -d FILE.cl         compile and disassemble every function
 //   kcc -p FILE.cl         dump the packed (16-byte) dispatch encoding
 //   kcc -r FILE.cl         dump the Insn IR right after the rewrite pass and
@@ -143,6 +144,21 @@ int main(int argc, char** argv) {
     } else {
       std::printf("ok: %zu function(s), %llu tokens\n", program->functions.size(),
                   static_cast<unsigned long long>(program->complexity));
+      // How each kernel would launch (docs/VM.md): the launch itself can
+      // still fall back (SKELCL_KC_BATCH=0, one work-item, aliased buffers).
+      for (const auto& fn : program->functions) {
+        if (!fn.isKernel) continue;
+        if (program->tier < 2) {
+          std::printf("kernel %s: per item (%s)\n", fn.name.c_str(),
+                      skelcl::kc::batchFallbackName(skelcl::kc::BatchFallback::NotTier2));
+        } else if (fn.batchable) {
+          std::printf("kernel %s: batched%s\n", fn.name.c_str(),
+                      fn.atomicArgs.empty() ? "" : " (atomics deferred)");
+        } else {
+          std::printf("kernel %s: per item (%s)\n", fn.name.c_str(),
+                      skelcl::kc::batchFallbackName(fn.batchFallback));
+        }
+      }
     }
     return 0;
   } catch (const skelcl::kc::CompileError& e) {
