@@ -86,9 +86,10 @@ const char* const kBlurSrc = R"(
 // templates, no additional arguments) for perfbench's cluster_mix: its
 // 64-step map, its reduce, and its 2D Jacobi MapOverlap, whose program also
 // carries the pack kernel (the stencil kernel is the one timed).  Every one
-// calls the user function `func`, so none batches unless tier 2 inlines it.
-const char* const kHeavyFunc =
-    "float func(float x) { float s = x;"
+// calls the user function, so none batches unless tier 2 inlines it.  The
+// map is a one-stage chain, whose functions carry the stage-0 prefix.
+const char* const kHeavyStage =
+    "float skelcl_s0_func(float x) { float s = x;"
     " for (int i = 0; i < 64; ++i) s = s * 0.5f + 1.0f; return s; }";
 const char* const kAddFunc = "float func(float a, float b) { return a + b; }";
 const char* const kJacobiFunc =
@@ -97,11 +98,12 @@ const char* const kJacobiFunc =
     "}";
 
 const std::string kSkelMapSrc =
-    std::string(kHeavyFunc) +
-    "\n__kernel void skelcl_kernel(__global float* skelcl_in1, __global float* skelcl_out, "
+    std::string(kHeavyStage) +
+    "\n__kernel void skelcl_fused(__global float* skelcl_in, __global float* skelcl_out, "
     "int skelcl_n, int skelcl_base) {\n"
     "  int skelcl_i = get_global_id(0);\n"
-    "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = func(skelcl_in1[skelcl_i]);\n}\n";
+    "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = skelcl_s0_func(skelcl_in[skelcl_i]);\n"
+    "}\n";
 
 const std::string kSkelReduceSrc =
     std::string(kAddFunc) +
@@ -152,21 +154,29 @@ const std::string kSkelJacobiSrc =
     "(skelcl_row + skelcl_r) * skelcl_stride + skelcl_col + skelcl_r, skelcl_stride);\n"
     "  }\n}\n";
 
-// OSEM's step 1 as SkelCL generates it for Listing 3's Map<int(Index)>:
-// the Event typedef, the user function (struct copy, forward-projection
-// march, atomic back-projection march) and the index-map kernel with its
-// nine additional arguments (skeleton_exec.cpp, runElementwiseOnce).
+// OSEM's step 1 as SkelCL generates it for Listing 3's Map<int(Index)>, a
+// one-stage chain over the index range: the Event typedef, the user function
+// (struct copy, forward-projection march, atomic back-projection march) with
+// its two functions renamed for stage 0, and the chain kernel with its nine
+// additional arguments (skeleton_exec.cpp, runChainOnce).
 std::string skelOsemStep1Src() {
   using namespace skelcl::osem;
-  return eventTypedefSource() + "\n" + step1UserFunctionSource() +
-         "\n__kernel void skelcl_kernel(__global int* skelcl_out, int skelcl_n, "
-         "int skelcl_base, __global Event* skelcl_a0, int skelcl_a1, int skelcl_a2, "
-         "__global float* skelcl_a3, __global float* skelcl_a4, int skelcl_a5, "
-         "int skelcl_a6, int skelcl_a7, float skelcl_a8) {\n"
+  std::string user = step1UserFunctionSource();
+  for (const std::string name : {"osem_march(", "func("}) {
+    for (std::size_t at = user.find(name); at != std::string::npos;
+         at = user.find(name, at + std::strlen("skelcl_s0_") + name.size())) {
+      user.insert(at, "skelcl_s0_");
+    }
+  }
+  return eventTypedefSource() + "\n" + user +
+         "\n__kernel void skelcl_fused(__global int* skelcl_out, int skelcl_n, "
+         "int skelcl_base, __global Event* skelcl_s0_a0, int skelcl_s0_a1, int skelcl_s0_a2, "
+         "__global float* skelcl_s0_a3, __global float* skelcl_s0_a4, int skelcl_s0_a5, "
+         "int skelcl_s0_a6, int skelcl_s0_a7, float skelcl_s0_a8) {\n"
          "  int skelcl_i = get_global_id(0);\n"
-         "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = func(skelcl_base + skelcl_i, "
-         "skelcl_a0, skelcl_a1, skelcl_a2, skelcl_a3, skelcl_a4, skelcl_a5, skelcl_a6, "
-         "skelcl_a7, skelcl_a8);\n}\n";
+         "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = skelcl_s0_func(skelcl_base + "
+         "skelcl_i, skelcl_s0_a0, skelcl_s0_a1, skelcl_s0_a2, skelcl_s0_a3, skelcl_s0_a4, "
+         "skelcl_s0_a5, skelcl_s0_a6, skelcl_s0_a7, skelcl_s0_a8);\n}\n";
 }
 
 struct RunResult {
@@ -359,7 +369,7 @@ int main(int argc, char** argv) {
   const std::int64_t rows = smoke ? 8 : 2048;
   const std::int64_t cols = smoke ? 32 : 512;
   const std::int64_t stride = cols + 2;
-  const Workload skelMap{"skelcl-map", kSkelMapSrc, "skelcl_kernel", mapItems,
+  const Workload skelMap{"skelcl-map", kSkelMapSrc, "skelcl_fused", mapItems,
                          {floats(mapItems, 0), zeros(floatBytes(mapItems)), integer(mapItems),
                           integer(0)}};
   const Workload skelReduce{"skelcl-reduce", kSkelReduceSrc, "skelcl_reduce", partials,
@@ -393,7 +403,7 @@ int main(int argc, char** argv) {
     const float one = 1.0f;
     std::memcpy(ones.buffer.data() + v * 4, &one, 4);
   }
-  const Workload skelOsem{"skelcl-osem1", skelOsemStep1Src(), "skelcl_kernel", events,
+  const Workload skelOsem{"skelcl-osem1", skelOsemStep1Src(), "skelcl_fused", events,
                           {zeros(events * 4), integer(events), integer(0), eventBytes,
                            integer(0), integer(events), ones, zeros(floatBytes(voxels)),
                            integer(vol.nx), integer(vol.ny), integer(vol.nz),

@@ -106,7 +106,8 @@ struct DistSpec {
   std::string fn;               ///< CopyCombine: catalog function id
 };
 
-/// One pipeline stage.  Scalar presence is implied by the function's shape.
+/// One pipeline stage.  Its extra argument is implied by the function's
+/// shape: a scalar (ci/cf), or the vector or sizes token of `extraVec`.
 struct StageSpec {
   bool isZip = false;
   int zipVec = -1;  ///< pool slot of the zip right-hand side
@@ -114,6 +115,7 @@ struct StageSpec {
   std::int64_t ci = 0;
   double cf = 0.0;
   bool hasScalar = false;
+  int extraVec = -1;  ///< UnaryVec / UnarySizes extra-argument slot (-1 none)
 };
 
 struct Op {

@@ -88,7 +88,6 @@ Program generate(std::uint64_t seed, int numOps) {
   const ElemType t = cfg.elem;
 
   const auto mapFns = fnsFor(t, &FnInfo::mapUse);
-  const auto mapStageFns = filterShapes(mapFns, FnShape::Unary, FnShape::UnaryScalar);
   const auto unaryFns = filterShapes(mapFns, FnShape::Unary, FnShape::Unary);
   const auto zipFns = fnsFor(t, &FnInfo::zipUse);
   const auto zipStageFns = filterShapes(zipFns, FnShape::Binary, FnShape::BinaryScalar);
@@ -140,6 +139,19 @@ Program generate(std::uint64_t seed, int numOps) {
     }
     return d;
   };
+  // An extra-argument vector needs a distribution before the skeleton
+  // touches it; leave it unset sometimes to exercise the UsageError.
+  auto extraVecSlot = [&] {
+    const int s = slot();
+    if (rng.chance(85)) {
+      Op sd;
+      sd.kind = OpKind::SetDist;
+      sd.a = s;
+      sd.dist.kind = rng.chance(70) ? DistKind::Copy : DistKind::Block;
+      p.ops.push_back(std::move(sd));
+    }
+    return s;
+  };
   auto makeStages = [&](Op& op) {
     const int count = rng.range(1, 3);
     for (int i = 0; i < count; ++i) {
@@ -149,7 +161,9 @@ Program generate(std::uint64_t seed, int numOps) {
         st.zipVec = slot();
         st.fn = pick(rng, zipStageFns);
       } else {
-        st.fn = pick(rng, mapStageFns);
+        st.fn = pick(rng, mapFns);
+        const FnShape sh = fnInfo(st.fn)->shape;
+        if (sh == FnShape::UnaryVec || sh == FnShape::UnarySizes) st.extraVec = extraVecSlot();
       }
       if (fnInfo(st.fn)->shape == FnShape::UnaryScalar ||
           fnInfo(st.fn)->shape == FnShape::BinaryScalar) {
@@ -203,18 +217,7 @@ Program generate(std::uint64_t seed, int numOps) {
       op.fn = pick(rng, mapFns);
       fillScalar(op, op.fn);
       const FnShape sh = fnInfo(op.fn)->shape;
-      if (sh == FnShape::UnaryVec || sh == FnShape::UnarySizes) {
-        op.extraVec = slot();
-        // An extra-argument vector needs a distribution before the skeleton
-        // touches it; leave it unset sometimes to exercise the UsageError.
-        if (rng.chance(85)) {
-          Op sd;
-          sd.kind = OpKind::SetDist;
-          sd.a = op.extraVec;
-          sd.dist.kind = rng.chance(70) ? DistKind::Copy : DistKind::Block;
-          p.ops.push_back(std::move(sd));
-        }
-      }
+      if (sh == FnShape::UnaryVec || sh == FnShape::UnarySizes) op.extraVec = extraVecSlot();
     } else if (roll < 53) {  // zip
       op.kind = OpKind::Zip;
       op.a = slot();

@@ -640,6 +640,10 @@ void Model::bindExtrasCheck(const std::vector<MExtra>& extras, int device) {
   }
 }
 
+void Model::bindStageExtrasCheck(std::span<const MStage> stages, int device) {
+  for (const MStage& st : stages) bindExtrasCheck(st.extras, device);
+}
+
 template <typename Body>
 auto Model::withRecovery(std::vector<MVec*> inputs, MVec* resetOutput, Body&& body)
     -> decltype(body()) {
@@ -670,109 +674,10 @@ auto Model::withRecovery(std::vector<MVec*> inputs, MVec* resetOutput, Body&& bo
   }
 }
 
-void Model::elementwiseOnce(const std::string& fn, MVec* in1, MVec* in2, MVec& output,
-                            std::vector<MExtra>& extras) {
-  const std::size_t n = in1->n;
-
-  Distribution dist;
-  if (in2 != nullptr) {
-    SKELCL_CHECK(in2->n == n, "zip inputs must have the same size");
-    const Distribution& d1 = in1->requested;
-    const Distribution& d2 = in2->requested;
-    if (d1.isSet() && d2.isSet()) {
-      dist = (d1 == d2) ? d1 : Distribution::block();
-    } else if (d1.isSet()) {
-      dist = d1;
-    } else if (d2.isSet()) {
-      dist = d2;
-    } else {
-      dist = Distribution::block();
-    }
-    setDistribution(*in1, dist);
-    setDistribution(*in2, dist);
-  } else {
-    defaultDistribution(*in1, Distribution::block());
-    dist = in1->requested;
-  }
-
-  const bool inPlace = (&output == in1) || (&output == in2);
-  ensureOnDevices(*in1);
-  if (in2 != nullptr) ensureOnDevices(*in2);
-  setDistribution(output, dist);
-  if (!inPlace) ensureOnDevicesNoUpload(output);
-  prepareExtras(extras);
-
-  const FnInfo* info = fnInfo(fn);
-  SKELCL_CHECK(info != nullptr, "model: unknown function id");
-  const FnShape shape = info->shape;
-
-  const auto ranges = partitionFor(dist, n);
-  MGraph g(*this);
-  bool launched = false;
-  for (const PartRange& r : ranges) {
-    if (r.size == 0) continue;
-    launched = true;
-    const int dev = r.device;
-    g.add(
-        dev, /*cls=*/1, [this, &extras, dev] { bindExtrasCheck(extras, dev); },
-        [this, fn, in1, in2, &output, &extras, shape, dev, r] {
-          MPart* p1 = in1->partOn(dev);
-          MPart* p2 = in2 != nullptr ? in2->partOn(dev) : nullptr;
-          MPart* po = output.partOn(dev);
-          for (std::size_t j = 0; j < r.size; ++j) {
-            const std::uint32_t a = p1->data[j];
-            std::uint32_t b = 0;
-            std::int64_t ci = 0;
-            double cf = 0.0;
-            switch (shape) {
-              case FnShape::Unary:
-                break;
-              case FnShape::UnaryScalar:
-              case FnShape::BinaryScalar:
-                ci = extras[0].ci;
-                cf = extras[0].cf;
-                break;
-              case FnShape::UnaryVec:
-                b = extras[0].vec->partOn(dev)->data[0];
-                break;
-              case FnShape::UnarySizes:
-                ci = static_cast<std::int32_t>(partSizeOn(*extras[0].vec, dev));
-                break;
-              case FnShape::Binary:
-                break;
-              case FnShape::Stencil1:
-              case FnShape::Stencil2:
-                throw UsageError("model: stencil function used elementwise");
-            }
-            if (p2 != nullptr) b = p2->data[j];
-            po->data[j] = eval(fn, a, b, ci, cf);
-          }
-        });
-  }
-  g.run();
-  if (launched) markDevicesModified(output);
-}
-
-void Model::runElementwise(const std::string& fn, MVec* in1, MVec* in2, MVec& output,
-                           std::vector<MExtra>& extras) {
-  // skeleton_exec.cpp's rejectOutputAsExtra: before anything is touched.
-  for (const MExtra& e : extras) {
-    if (e.kind == MExtra::Kind::VectorRef && e.vec == &output) {
-      throw UsageError("model: output vector passed as an additional argument");
-    }
-  }
-  const bool inPlace = (&output == in1) || (&output == in2);
-  std::vector<MVec*> inputs{in1, in2};
-  for (const MExtra& e : extras) {
-    if (e.kind == MExtra::Kind::VectorRef) inputs.push_back(e.vec);
-  }
-  withRecovery(std::move(inputs), inPlace ? nullptr : &output,
-               [&] { elementwiseOnce(fn, in1, in2, output, extras); });
-}
-
 void Model::map(const std::string& fn, MVec& input, MVec& output,
                 std::vector<MExtra> extras) {
-  runElementwise(fn, &input, nullptr, output, extras);
+  MStage stage{fn, nullptr, std::move(extras)};
+  runChain(input, {&stage, 1}, output);
 }
 
 void Model::serviceMap(const std::string& fn, MVec& src, MVec& dst) {
@@ -802,7 +707,8 @@ void Model::serviceMap(const std::string& fn, MVec& src, MVec& dst) {
 
 void Model::zip(const std::string& fn, MVec& left, MVec& right, MVec& output,
                 std::vector<MExtra> extras) {
-  runElementwise(fn, &left, &right, output, extras);
+  MStage stage{fn, &right, std::move(extras)};
+  runChain(left, {&stage, 1}, output);
 }
 
 // ---------------------------------------------------------------------------
@@ -1293,6 +1199,7 @@ std::uint32_t Model::reduceOnce(MVec& input, std::vector<MStage>& stages,
   SKELCL_CHECK(input.n > 0, "reduce of an empty vector");
 
   materializeChainInputs(input, stages);
+  for (MStage& st : stages) prepareExtras(st.extras);
 
   std::vector<PartRange> ranges = plannedPartition(input);
   if (input.requested.kind() == Distribution::Kind::Copy) ranges.resize(1);
@@ -1332,7 +1239,11 @@ std::uint32_t Model::reduceOnce(MVec& input, std::vector<MStage>& stages,
     Pending* pp = &p;
     const int dev = p.device;
     p.kernelNode = g.add(
-        dev, /*cls=*/1, [this, &extras, dev] { bindExtrasCheck(extras, dev); },
+        dev, /*cls=*/1,
+        [this, &stages, &extras, dev] {
+          bindStageExtrasCheck(stages, dev);
+          bindExtrasCheck(extras, dev);
+        },
         [this, fn, &input, &stages, pp, ci, cf, dev] {
           MPart* in = input.partOn(dev);
           for (std::size_t w = 0; w < pp->numPartials; ++w) {
@@ -1698,8 +1609,24 @@ void Model::scan(const std::string& fn, MVec& input, MVec& output) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused chains
+// Element-wise chains (map, zip and pipelines)
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Mirror of skeleton_exec.cpp's rejectOutputAsExtra: before anything is
+/// touched.
+void rejectOutputAsExtra(std::span<const MStage> stages, const MVec& output) {
+  for (const MStage& st : stages) {
+    for (const MExtra& e : st.extras) {
+      if (e.kind == MExtra::Kind::VectorRef && e.vec == &output) {
+        throw UsageError("model: output vector passed as an additional argument");
+      }
+    }
+  }
+}
+
+}  // namespace
 
 bool Model::chainEligible(MVec& input, const std::vector<MStage>& stages) const {
   const Distribution dist =
@@ -1713,26 +1640,38 @@ bool Model::chainEligible(MVec& input, const std::vector<MStage>& stages) const 
   return true;
 }
 
-Distribution Model::materializeChainInputs(MVec& input, std::vector<MStage>& stages) {
-  defaultDistribution(input, Distribution::block());
-  const Distribution dist = input.requested;
+Distribution Model::materializeChainInputs(MVec& input, std::span<MStage> stages) {
+  for (const MStage& st : stages) {
+    SKELCL_CHECK(st.zipVec == nullptr || st.zipVec->n == input.n,
+                 "zip inputs must have the same size");
+  }
+  MVec* zip0 = stages.empty() ? nullptr : stages.front().zipVec;
+  Distribution dist;
+  if (zip0 == nullptr) {
+    defaultDistribution(input, Distribution::block());
+    dist = input.requested;
+  } else {
+    // Zip's rule: both set and different -> both block.
+    const Distribution& d1 = input.requested;
+    const Distribution& d2 = zip0->requested;
+    dist = d1.isSet() ? d1 : d2;
+    if (!dist.isSet() || (d1.isSet() && d2.isSet() && !(d1 == d2))) {
+      dist = Distribution::block();
+    }
+    setDistribution(input, dist);
+  }
+  for (MStage& st : stages) {
+    if (st.zipVec != nullptr && st.zipVec != &input) setDistribution(*st.zipVec, dist);
+  }
   ensureOnDevices(input);
   for (MStage& st : stages) {
-    if (st.zipVec != nullptr) {
-      SKELCL_CHECK(st.zipVec->n == input.n, "zip inputs must have the same size");
-      if (st.zipVec != &input) {
-        setDistribution(*st.zipVec, dist);
-        ensureOnDevices(*st.zipVec);
-      }
-    }
-    // stage extras are scalar-only in the skelcheck grammar: prepareExtras
-    // would be a no-op here
+    if (st.zipVec != nullptr && st.zipVec != &input) ensureOnDevices(*st.zipVec);
   }
   return dist;
 }
 
 bool Model::chainWritesInput(const MVec& output, const MVec& input,
-                             const std::vector<MStage>& stages) const {
+                             std::span<const MStage> stages) const {
   if (&output == &input) return true;
   for (const MStage& st : stages) {
     if (st.zipVec == &output) return true;
@@ -1741,28 +1680,54 @@ bool Model::chainWritesInput(const MVec& output, const MVec& input,
 }
 
 std::vector<MVec*> Model::chainRecoveryInputs(MVec& input,
-                                              const std::vector<MStage>& stages) const {
+                                              std::span<const MStage> stages) const {
   std::vector<MVec*> inputs{&input};
   for (const MStage& st : stages) {
     if (st.zipVec != nullptr) inputs.push_back(st.zipVec);
+    for (const MExtra& e : st.extras) {
+      if (e.kind == MExtra::Kind::VectorRef) inputs.push_back(e.vec);
+    }
   }
   return inputs;
 }
 
-std::uint32_t Model::chainEval(const std::vector<MStage>& stages, std::uint32_t v,
-                               int device, std::size_t j) {
+std::uint32_t Model::chainEval(std::span<const MStage> stages, std::uint32_t v, int device,
+                               std::size_t j) {
   for (const MStage& st : stages) {
-    const std::uint32_t b = st.zipVec != nullptr ? st.zipVec->partOn(device)->data[j] : 0;
-    v = eval(st.fn, v, b, st.ci, st.cf);
+    const FnInfo* info = fnInfo(st.fn);
+    SKELCL_CHECK(info != nullptr, "model: unknown function id");
+    std::uint32_t b = st.zipVec != nullptr ? st.zipVec->partOn(device)->data[j] : 0;
+    std::int64_t ci = 0;
+    double cf = 0.0;
+    switch (info->shape) {
+      case FnShape::Unary:
+      case FnShape::Binary:
+        break;
+      case FnShape::UnaryScalar:
+      case FnShape::BinaryScalar:
+        ci = st.extras[0].ci;
+        cf = st.extras[0].cf;
+        break;
+      case FnShape::UnaryVec:
+        b = st.extras[0].vec->partOn(device)->data[0];
+        break;
+      case FnShape::UnarySizes:
+        ci = static_cast<std::int32_t>(partSizeOn(*st.extras[0].vec, device));
+        break;
+      case FnShape::Stencil1:
+      case FnShape::Stencil2:
+        throw UsageError("model: stencil function used elementwise");
+    }
+    v = eval(st.fn, v, b, ci, cf);
   }
   return v;
 }
 
-void Model::fusedChainOnce(MVec& input, std::vector<MStage>& stages, MVec& output) {
+void Model::chainOnce(MVec& input, std::span<MStage> stages, MVec& output) {
   const Distribution dist = materializeChainInputs(input, stages);
-  const bool inPlace = chainWritesInput(output, input, stages);
   setDistribution(output, dist);
-  if (!inPlace) ensureOnDevicesNoUpload(output);
+  if (!chainWritesInput(output, input, stages)) ensureOnDevicesNoUpload(output);
+  for (MStage& st : stages) prepareExtras(st.extras);
 
   const auto ranges = partitionFor(dist, input.n);
   MGraph g(*this);
@@ -1771,38 +1736,37 @@ void Model::fusedChainOnce(MVec& input, std::vector<MStage>& stages, MVec& outpu
     if (r.size == 0) continue;
     launched = true;
     const int dev = r.device;
-    g.add(dev, /*cls=*/1, nullptr, [this, &input, &stages, &output, dev, r] {
-      MPart* in = input.partOn(dev);
-      MPart* out = output.partOn(dev);
-      for (std::size_t j = 0; j < r.size; ++j) {
-        out->data[j] = chainEval(stages, in->data[j], dev, j);
-      }
-    });
+    g.add(
+        dev, /*cls=*/1, [this, stages, dev] { bindStageExtrasCheck(stages, dev); },
+        [this, &input, stages, &output, dev, r] {
+          MPart* in = input.partOn(dev);
+          MPart* out = output.partOn(dev);
+          for (std::size_t j = 0; j < r.size; ++j) {
+            out->data[j] = chainEval(stages, in->data[j], dev, j);
+          }
+        });
   }
   g.run();
   if (launched) markDevicesModified(output);
+}
+
+void Model::runChain(MVec& input, std::span<MStage> stages, MVec& output) {
+  rejectOutputAsExtra(stages, output);
+  withRecovery(chainRecoveryInputs(input, stages),
+               chainWritesInput(output, input, stages) ? nullptr : &output,
+               [&] { chainOnce(input, stages, output); });
 }
 
 void Model::chainUnfused(MVec& input, std::vector<MStage>& stages, MVec& output) {
   MVec* cur = &input;
   std::vector<std::unique_ptr<MVec>> temps;
   for (std::size_t s = 0; s < stages.size(); ++s) {
-    MStage& st = stages[s];
-    const bool last = s + 1 == stages.size();
     MVec* dst = &output;
-    if (!last) {
+    if (s + 1 < stages.size()) {
       temps.push_back(std::make_unique<MVec>(input.n));
       dst = temps.back().get();
     }
-    std::vector<MExtra> extras;
-    if (st.hasScalar) {
-      MExtra e;
-      e.kind = MExtra::Kind::Scalar;
-      e.ci = st.ci;
-      e.cf = st.cf;
-      extras.push_back(e);
-    }
-    runElementwise(st.fn, cur, st.zipVec, *dst, extras);
+    runChain(*cur, {&stages[s], 1}, *dst);
     cur = dst;
   }
 }
@@ -1811,13 +1775,12 @@ bool Model::pipe(MVec& input, std::vector<MStage>& stages, MVec& output,
                  bool forceUnfused) {
   SKELCL_CHECK(!stages.empty(), "skeleton pipeline has no stages");
   SKELCL_CHECK(output.n == input.n, "pipeline output size mismatch");
+  rejectOutputAsExtra(stages, output);
   if (forceUnfused || !chainEligible(input, stages)) {
     chainUnfused(input, stages, output);
     return false;
   }
-  const bool inPlace = chainWritesInput(output, input, stages);
-  withRecovery(chainRecoveryInputs(input, stages), inPlace ? nullptr : &output,
-               [&] { fusedChainOnce(input, stages, output); });
+  runChain(input, stages, output);
   return true;
 }
 

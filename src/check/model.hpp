@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,13 +77,12 @@ struct MExtra {
   MVec* vec = nullptr;
 };
 
-/// One pipeline stage on the model side.
+/// One stage of an element-wise chain on the model side (map and zip are
+/// one-stage chains, pipelines longer ones).
 struct MStage {
   std::string fn;
   MVec* zipVec = nullptr;  ///< null for map stages
-  bool hasScalar = false;
-  std::int64_t ci = 0;
-  double cf = 0.0;
+  std::vector<MExtra> extras;
 };
 
 /// Build the real Distribution described by a DistSpec (combine functions are
@@ -188,24 +188,23 @@ class Model {
                      std::int64_t ci, double cf) const;
   void prepareExtras(std::vector<MExtra>& extras);
   void bindExtrasCheck(const std::vector<MExtra>& extras, int device);
-  std::uint32_t extraElem(const MExtra& e, int device);
-  void elementwiseOnce(const std::string& fn, MVec* in1, MVec* in2, MVec& output,
-                       std::vector<MExtra>& extras);
-  void runElementwise(const std::string& fn, MVec* in1, MVec* in2, MVec& output,
-                      std::vector<MExtra>& extras);
+  void bindStageExtrasCheck(std::span<const MStage> stages, int device);
   /// Mirror of runReduceOnce: reduce over the elements a (possibly empty)
   /// fused chain produces.
   std::uint32_t reduceOnce(MVec& input, std::vector<MStage>& stages, const std::string& fn,
                            std::vector<MExtra>& extras);
   void scanOnce(const std::string& fn, MVec& input, MVec& output);
   bool chainEligible(MVec& input, const std::vector<MStage>& stages) const;
-  Distribution materializeChainInputs(MVec& input, std::vector<MStage>& stages);
+  Distribution materializeChainInputs(MVec& input, std::span<MStage> stages);
   bool chainWritesInput(const MVec& output, const MVec& input,
-                        const std::vector<MStage>& stages) const;
-  std::vector<MVec*> chainRecoveryInputs(MVec& input, const std::vector<MStage>& stages) const;
-  std::uint32_t chainEval(const std::vector<MStage>& stages, std::uint32_t v, int device,
+                        std::span<const MStage> stages) const;
+  std::vector<MVec*> chainRecoveryInputs(MVec& input, std::span<const MStage> stages) const;
+  std::uint32_t chainEval(std::span<const MStage> stages, std::uint32_t v, int device,
                           std::size_t j);
-  void fusedChainOnce(MVec& input, std::vector<MStage>& stages, MVec& output);
+  void chainOnce(MVec& input, std::span<MStage> stages, MVec& output);
+  /// Mirror of runChain, the one element-wise engine: map and zip are its
+  /// one-stage case, a fused pipeline runs all its stages through it.
+  void runChain(MVec& input, std::span<MStage> stages, MVec& output);
   void chainUnfused(MVec& input, std::vector<MStage>& stages, MVec& output);
   // map-overlap mirror (skeleton_exec.cpp's runMapOverlap{1D,2D}Once command
   // order).  The matrix variants mirror MatrixData's row vector: n counts

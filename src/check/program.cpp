@@ -49,6 +49,7 @@ std::string distToken(const DistSpec& d) {
 std::string stageToken(const StageSpec& st) {
   std::string s = st.isZip ? "z:" + std::to_string(st.zipVec) + ":" + st.fn : "m:" + st.fn;
   if (st.hasScalar) s += ":i" + std::to_string(st.ci) + ":f" + fmtD(st.cf);
+  if (st.extraVec >= 0) s += ":e" + std::to_string(st.extraVec);
   return s;
 }
 
@@ -150,6 +151,8 @@ StageSpec parseStage(const std::string& v, int line) {
     } else if (parts[i][0] == 'f') {
       st.cf = toD(parts[i].substr(1), line);
       st.hasScalar = true;
+    } else if (parts[i][0] == 'e') {
+      st.extraVec = static_cast<int>(toI(parts[i].substr(1), line));
     } else {
       bad(line, "unknown stage field '" + parts[i] + "'");
     }

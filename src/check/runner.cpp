@@ -140,15 +140,14 @@ void sanitize(Program& p) {
                 !shapeIn(st.fn, FnShape::Binary, FnShape::BinaryScalar)) {
               st.fn = "add";
             }
-          } else {
-            // The model evaluates map stages with at most a scalar extra, so
-            // UnaryVec/UnarySizes stay out of pipelines.
-            if (!fnValid(st.fn, t, &FnInfo::mapUse) ||
-                !shapeIn(st.fn, FnShape::Unary, FnShape::UnaryScalar)) {
-              st.fn = "neg";
-            }
+          } else if (!fnValid(st.fn, t, &FnInfo::mapUse)) {
+            st.fn = "neg";
           }
           st.hasScalar = shapeHasScalar(st.fn);
+          // Only vector and sizes extras name a slot.
+          st.extraVec = shapeIn(st.fn, FnShape::UnaryVec, FnShape::UnarySizes)
+                            ? wrapIndex(st.extraVec, pool)
+                            : -1;
         }
         if (op.kind == OpKind::PipeReduce) {
           if (!fnValid(op.fn, t, &FnInfo::redUse) ||
@@ -500,23 +499,38 @@ class Driver {
     }
   }
 
+  /// Call `f` with the additional arguments a catalog function of `fn`'s
+  /// shape takes: its scalar, or the vector or sizes token of `extraVec`.
+  template <typename F>
+  void withExtras(const std::string& fn, std::int64_t ci, double cf, int extraVec,
+                  SysPool& pool, F&& f) {
+    switch (fnInfo(fn)->shape) {
+      case FnShape::UnaryScalar:
+      case FnShape::BinaryScalar:
+        f(scalarValue(ci, cf));
+        break;
+      case FnShape::UnaryVec:
+        f(pool[extraVec]);
+        break;
+      case FnShape::UnarySizes:
+        f(pool[extraVec].sizes());
+        break;
+      default:
+        f();
+        break;
+    }
+  }
+
   void buildStages(Pipeline<T>& p, const Op& op, SysPool& pool) {
     for (const StageSpec& st : op.stages) {
       const std::string src = fnSource(st.fn, elem_);
-      const bool scalar = shapeHasScalar(st.fn);
-      if (st.isZip) {
-        if (scalar) {
-          p.zip(pool[st.zipVec], src, scalarValue(st.ci, st.cf));
+      withExtras(st.fn, st.ci, st.cf, st.extraVec, pool, [&](const auto&... extras) {
+        if (st.isZip) {
+          p.zip(pool[st.zipVec], src, extras...);
         } else {
-          p.zip(pool[st.zipVec], src);
+          p.map(src, extras...);
         }
-      } else {
-        if (scalar) {
-          p.map(src, scalarValue(st.ci, st.cf));
-        } else {
-          p.map(src);
-        }
-      }
+      });
     }
   }
 
@@ -541,39 +555,21 @@ class Driver {
         break;
       case OpKind::Map: {
         Map<T(T)> skel(fnSource(op.fn, elem_));
-        switch (fnInfo(op.fn)->shape) {
-          case FnShape::Unary:
-            applyElementwise(skel, op, pool);
-            break;
-          case FnShape::UnaryScalar:
-            applyElementwise(skel, op, pool, scalarValue(op.ci, op.cf));
-            break;
-          case FnShape::UnaryVec:
-            applyElementwise(skel, op, pool, pool[op.extraVec]);
-            break;
-          case FnShape::UnarySizes:
-            applyElementwise(skel, op, pool, pool[op.extraVec].sizes());
-            break;
-          default:
-            break;  // sanitized away
-        }
+        withExtras(op.fn, op.ci, op.cf, op.extraVec, pool, [&](const auto&... extras) {
+          applyElementwise(skel, op, pool, extras...);
+        });
         break;
       }
       case OpKind::Zip: {
         Zip<T(T, T)> skel(fnSource(op.fn, elem_));
-        if (fnInfo(op.fn)->shape == FnShape::BinaryScalar) {
-          applyZip(skel, op, pool, scalarValue(op.ci, op.cf));
-        } else {
-          applyZip(skel, op, pool);
-        }
+        withExtras(op.fn, op.ci, op.cf, op.extraVec, pool,
+                   [&](const auto&... extras) { applyZip(skel, op, pool, extras...); });
         break;
       }
       case OpKind::Reduce: {
         Reduce<T(T)> skel(fnSource(op.fn, elem_));
-        const T r = fnInfo(op.fn)->shape == FnShape::BinaryScalar
-                        ? skel(pool[op.a], scalarValue(op.ci, op.cf))
-                        : skel(pool[op.a]);
-        bits = toBits(r);
+        withExtras(op.fn, op.ci, op.cf, op.extraVec, pool,
+                   [&](const auto&... extras) { bits = toBits(skel(pool[op.a], extras...)); });
         break;
       }
       case OpKind::Scan: {
@@ -602,10 +598,9 @@ class Driver {
         buildStages(p, op, pool);
         p.forceUnfused(op.unfused);
         const std::string src = fnSource(op.fn, elem_);
-        const T r = fnInfo(op.fn)->shape == FnShape::BinaryScalar
-                        ? p.reduce(src, pool[op.a], scalarValue(op.ci, op.cf))
-                        : p.reduce(src, pool[op.a]);
-        bits = toBits(r);
+        withExtras(op.fn, op.ci, op.cf, op.extraVec, pool, [&](const auto&... extras) {
+          bits = toBits(p.reduce(src, pool[op.a], extras...));
+        });
         fused = p.lastRunFused();
         break;
       }
@@ -720,43 +715,39 @@ class Driver {
 
   // --- model side -----------------------------------------------------------
 
-  std::vector<MExtra> modelExtras(const Op& op, ModPool& mpool) const {
-    std::vector<MExtra> extras;
+  /// Model side of withExtras.
+  std::vector<MExtra> modelExtras(const std::string& fn, std::int64_t ci, double cf,
+                                  int extraVec, ModPool& mpool) const {
     MExtra e;
-    switch (fnInfo(op.fn)->shape) {
+    switch (fnInfo(fn)->shape) {
       case FnShape::UnaryScalar:
       case FnShape::BinaryScalar:
         e.kind = MExtra::Kind::Scalar;
-        e.ci = normCi(op.ci);
-        e.cf = op.cf;
-        extras.push_back(e);
-        break;
+        e.ci = normCi(ci);
+        e.cf = cf;
+        return {e};
       case FnShape::UnaryVec:
         e.kind = MExtra::Kind::VectorRef;
-        e.vec = mpool[op.extraVec].get();
-        extras.push_back(e);
-        break;
+        e.vec = mpool[extraVec].get();
+        return {e};
       case FnShape::UnarySizes:
         e.kind = MExtra::Kind::Sizes;
-        e.vec = mpool[op.extraVec].get();
-        extras.push_back(e);
-        break;
+        e.vec = mpool[extraVec].get();
+        return {e};
       default:
-        break;
+        return {};
     }
-    return extras;
+  }
+
+  std::vector<MExtra> modelExtras(const Op& op, ModPool& mpool) const {
+    return modelExtras(op.fn, op.ci, op.cf, op.extraVec, mpool);
   }
 
   std::vector<MStage> modelStages(const Op& op, ModPool& mpool) const {
     std::vector<MStage> stages;
     for (const StageSpec& st : op.stages) {
-      MStage ms;
-      ms.fn = st.fn;
-      ms.zipVec = st.isZip ? mpool[st.zipVec].get() : nullptr;
-      ms.hasScalar = shapeHasScalar(st.fn);
-      ms.ci = normCi(st.ci);
-      ms.cf = st.cf;
-      stages.push_back(std::move(ms));
+      stages.push_back(MStage{st.fn, st.isZip ? mpool[st.zipVec].get() : nullptr,
+                              modelExtras(st.fn, st.ci, st.cf, st.extraVec, mpool)});
     }
     return stages;
   }

@@ -1,7 +1,6 @@
 #include "core/detail/skeleton_exec.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -11,6 +10,9 @@
 #include "base/strings.hpp"
 #include "core/detail/exec_graph.hpp"
 #include "core/detail/session.hpp"
+#include "kernelc/diagnostics.hpp"
+#include "kernelc/lexer.hpp"
+#include "kernelc/preprocessor.hpp"
 #include "kernelc/vm.hpp"
 
 namespace skelcl::detail {
@@ -301,147 +303,6 @@ void slotToBytes(ElemKind kind, kc::Slot value, std::byte* dst) {
       break;
   }
   throw UsageError("scalar element type required");
-}
-
-// ---------------------------------------------------------------------------
-// Map / Zip
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void runElementwiseOnce(Session& sess, const std::string& userSource,
-                        VectorData* input1, VectorData* input2,
-                        std::size_t indexCount, const Distribution& indexDist,
-                        VectorData& output,
-                        const std::string& inType1, const std::string& inType2,
-                        const std::string& outType, std::vector<ExtraArg>& extras) {
-  const std::size_t n = input1 != nullptr ? input1->count() : indexCount;
-
-  // --- distribution resolution (paper III-C) -------------------------------
-  Distribution dist;
-  if (input1 != nullptr && input2 != nullptr) {
-    SKELCL_CHECK(input2->count() == n, "zip inputs must have the same size");
-    const Distribution& d1 = input1->distribution();
-    const Distribution& d2 = input2->distribution();
-    if (d1.isSet() && d2.isSet()) {
-      // Must match (same kind, same device for single); otherwise SkelCL
-      // changes both inputs to block distribution.
-      dist = (d1 == d2) ? d1 : Distribution::block();
-    } else if (d1.isSet()) {
-      dist = d1;
-    } else if (d2.isSet()) {
-      dist = d2;
-    } else {
-      dist = Distribution::block();  // default for unset inputs
-    }
-    input1->setDistribution(dist);
-    input2->setDistribution(dist);
-  } else if (input1 != nullptr) {
-    input1->defaultDistribution(Distribution::block());
-    dist = input1->distribution();
-  } else {
-    dist = indexDist.isSet() ? indexDist : Distribution::block();
-  }
-
-  // --- materialize inputs / output -----------------------------------------
-  const bool inPlace = (&output == input1) || (&output == input2);
-  if (input1 != nullptr) input1->ensureOnDevices(sess);
-  if (input2 != nullptr) input2->ensureOnDevices(sess);
-  output.setDistribution(dist);
-  if (!inPlace) output.ensureOnDevicesNoUpload(sess);
-  prepareExtras(sess, extras);
-
-  // --- generate, compile (cached), run --------------------------------------
-  const bool indexInput = input1 == nullptr;
-  std::string source = gatherTypedefs(extras);
-  source += userSource;
-  source += "\n";
-  if (input2 != nullptr) {
-    source += "__kernel void skelcl_kernel(__global " + inType1 + "* skelcl_in1, __global " +
-              inType2 + "* skelcl_in2, __global " + outType +
-              "* skelcl_out, int skelcl_n, int skelcl_base" + extraParams(extras) +
-              ") {\n"
-              "  int skelcl_i = get_global_id(0);\n"
-              "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = "
-              "func(skelcl_in1[skelcl_i], skelcl_in2[skelcl_i]" +
-              extraNames(extras) + ");\n}\n";
-  } else if (!indexInput) {
-    source += "__kernel void skelcl_kernel(__global " + inType1 + "* skelcl_in1, __global " +
-              outType + "* skelcl_out, int skelcl_n, int skelcl_base" + extraParams(extras) +
-              ") {\n"
-              "  int skelcl_i = get_global_id(0);\n"
-              "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = func(skelcl_in1[skelcl_i]" +
-              extraNames(extras) + ");\n}\n";
-  } else {
-    source += "__kernel void skelcl_kernel(__global " + outType +
-              "* skelcl_out, int skelcl_n, int skelcl_base" + extraParams(extras) +
-              ") {\n"
-              "  int skelcl_i = get_global_id(0);\n"
-              "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = "
-              "func(skelcl_base + skelcl_i" +
-              extraNames(extras) + ");\n}\n";
-  }
-
-  auto program = sess.programForSource(source);
-  ocl::Kernel kernel(*program, "skelcl_kernel");
-
-  // One kernel stage per device, recorded breadth-first on the command
-  // graph: argument binding happens at issue time, dependencies are the
-  // producer events of the inputs, and nothing blocks the host.  (In the
-  // in-place case `output` aliases an input, so output.partOn is the right
-  // part either way.)
-  const char* stageName = input2 != nullptr ? "zip" : "map";
-  const auto ranges = sess.partition(dist, n);
-  ExecGraph g(sess);
-  std::vector<std::pair<int, ExecGraph::NodeId>> launches;
-  for (const PartRange& r : ranges) {
-    if (r.size == 0) continue;
-    launches.emplace_back(
-        r.device,
-        g.add(StageKind::Kernel, r.device,
-              stageName + (" dev" + std::to_string(r.device)),
-              [&, r](std::span<const ocl::Event> deps) {
-                std::size_t arg = 0;
-                if (input1 != nullptr) {
-                  kernel.setArg(arg++, *input1->partOn(r.device)->buffer);
-                }
-                if (input2 != nullptr) {
-                  kernel.setArg(arg++, *input2->partOn(r.device)->buffer);
-                }
-                kernel.setArg(arg++, *output.partOn(r.device)->buffer);
-                kernel.setArg(arg++, static_cast<std::int32_t>(r.size));
-                kernel.setArg(arg++, static_cast<std::int32_t>(r.offset));
-                bindExtras(sess, kernel, arg, extras, r.device);
-                return sess.queue(r.device).enqueueNDRangeKernel(kernel, r.size, 0, deps);
-              },
-              {}, inputDeps(r.device, input1, input2, extras)));
-  }
-  g.run();
-  if (!launches.empty()) {
-    for (const auto& [device, node] : launches) {
-      output.recordDeviceWrite(device, g.event(node));
-    }
-    output.markDevicesModified();
-  }
-}
-
-}  // namespace
-
-void runElementwise(Session& session, const std::string& userSource,
-                    VectorData* input1, VectorData* input2,
-                    std::size_t indexCount, const Distribution& indexDist,
-                    VectorData& output,
-                    const std::string& inType1, const std::string& inType2,
-                    const std::string& outType, std::vector<ExtraArg>& extras) {
-  std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
-  rejectOutputAsExtra(extras, output);
-  const bool inPlace = (&output == input1) || (&output == input2);
-  withDeviceLossRecovery(session, recoveryInputs(input1, input2, extras),
-                         inPlace ? nullptr : &output, [&] {
-                           runElementwiseOnce(session, userSource, input1, input2, indexCount,
-                                              indexDist, output, inType1, inType2, outType,
-                                              extras);
-                         });
 }
 
 // ---------------------------------------------------------------------------
@@ -796,64 +657,77 @@ void runScan(Session& session, const std::string& userSource, VectorData& input,
 }
 
 // ---------------------------------------------------------------------------
-// Fused map/zip chains
+// Map / Zip / Pipeline: one element-wise chain engine
 // ---------------------------------------------------------------------------
 
 namespace {
 
-bool identChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-/// Rename every whole-word occurrence of `names` in `source` to prefix+name.
-/// Keeps the user functions of different fused stages apart in the single
-/// merged translation unit (each stage defines its own `func`, and possibly
-/// helpers with colliding names).
-std::string renameFunctions(const std::string& source,
-                            const std::vector<std::string>& names,
-                            const std::string& prefix) {
-  std::string out = source;
-  for (const std::string& name : names) {
-    std::string next;
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t hit = out.find(name, pos);
-      if (hit == std::string::npos) {
-        next.append(out, pos, std::string::npos);
-        break;
-      }
-      next.append(out, pos, hit - pos);
-      const bool wordStart = hit == 0 || !identChar(out[hit - 1]);
-      const bool wordEnd =
-          hit + name.size() >= out.size() || !identChar(out[hit + name.size()]);
-      if (wordStart && wordEnd) next += prefix;
-      next += name;
-      pos = hit + name.size();
-    }
-    out = std::move(next);
-  }
-  return out;
-}
-
 std::string stagePrefix(std::size_t s) { return "skelcl_s" + std::to_string(s) + "_"; }
 
-/// Function names declared by a user source (its extra-argument typedefs are
-/// prepended so sources referencing those structs compile standalone).  Goes
-/// through the host-program cache, so each distinct source compiles once.
-std::vector<std::string> declaredFunctions(Session& sess, const std::string& userSource,
-                                           const std::vector<ExtraArg>& extras) {
-  const auto program = sess.hostProgram(gatherTypedefs(extras) + userSource);
-  std::vector<std::string> names;
-  names.reserve(program->functions.size());
-  for (const auto& fn : program->functions) names.push_back(fn.name);
-  return names;
+/// `source` preprocessed, with the functions it defines renamed to
+/// prefix+name.  Keeps the user functions of different stages apart in the
+/// single merged translation unit (each stage defines its own `func`, and
+/// possibly helpers with colliding names).  A definition or prototype is an
+/// identifier followed by `(` outside any braces; a use is the same name
+/// followed by `(` and not preceded by `.` or `->`.  Struct members,
+/// variables and parameters that share a function's name are never followed
+/// by `(`, so they keep theirs.  Macros expand first: `#define APPLY helper`
+/// ... `APPLY(x)` reaches the renamed helper, and one stage's macros cannot
+/// leak into the next.  A source that fails to preprocess or lex raises the
+/// ocl::BuildError its program build would.
+std::string renameFunctions(const std::string& source, const std::string& prefix) {
+  std::string text;
+  std::vector<kc::Token> tokens;
+  try {
+    text = kc::preprocess(source);
+    tokens = kc::Lexer(text).run();
+  } catch (const kc::CompileError& e) {
+    throw ocl::BuildError(e.what(), e.what());
+  }
+  // tokens ends with Eof, so tokens[t + 1] exists for every t checked here
+  const auto isCall = [&](std::size_t t) {
+    return tokens[t].kind == kc::Tok::Identifier && tokens[t + 1].kind == kc::Tok::LParen;
+  };
+  std::vector<std::string> defined;
+  int depth = 0;
+  for (std::size_t t = 0; t + 1 < tokens.size(); ++t) {
+    if (tokens[t].kind == kc::Tok::LBrace) ++depth;
+    if (tokens[t].kind == kc::Tok::RBrace) --depth;
+    if (depth == 0 && isCall(t)) defined.push_back(tokens[t].text);
+  }
+  std::vector<std::size_t> lineStart{0};
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\n') lineStart.push_back(i + 1);
+  }
+  std::string out;
+  std::size_t copied = 0;
+  for (std::size_t t = 0; t + 1 < tokens.size(); ++t) {
+    const bool member =
+        t > 0 && (tokens[t - 1].kind == kc::Tok::Dot || tokens[t - 1].kind == kc::Tok::Arrow);
+    if (member || !isCall(t) ||
+        std::find(defined.begin(), defined.end(), tokens[t].text) == defined.end()) {
+      continue;
+    }
+    const kc::SourceLoc loc = tokens[t].loc;
+    const std::size_t at = lineStart[static_cast<std::size_t>(loc.line - 1)] +
+                           static_cast<std::size_t>(loc.column - 1);
+    out.append(text, copied, at - copied);
+    out += prefix;
+    copied = at;
+  }
+  out.append(text, copied);
+  return out;
 }
 
 /// The whole chain as one nested call expression evaluated at element `idx`:
 /// skelcl_s1_func(skelcl_s0_func(skelcl_in[idx], ...), skelcl_zin1[idx], ...).
-/// With no stages this is the plain element load `skelcl_in[idx]`.
-std::string chainExprAt(const std::vector<FusedStage>& stages, const std::string& idx) {
-  std::string expr = "skelcl_in[" + idx + "]";
+/// The innermost operand is the input element (`skelcl_base + idx`, the
+/// global index, for an index input); with no stages it is the whole
+/// expression.
+std::string chainExprAt(const ChainInput& input, std::span<const FusedStage> stages,
+                        const std::string& idx) {
+  std::string expr =
+      input.vector != nullptr ? "skelcl_in[" + idx + "]" : "skelcl_base + " + idx;
   for (std::size_t s = 0; s < stages.size(); ++s) {
     const FusedStage& st = stages[s];
     std::string call = stagePrefix(s) + "func(" + expr;
@@ -867,21 +741,22 @@ std::string chainExprAt(const std::vector<FusedStage>& stages, const std::string
   return expr;
 }
 
-/// "__global TIn* skelcl_in, __global TZ* skelcl_zinS, ...": the chain's
-/// input buffers, which lead every chain kernel's parameter list.
-std::string chainInputParams(const std::string& inTypeName,
-                             const std::vector<FusedStage>& stages) {
-  std::string out = "__global " + inTypeName + "* skelcl_in";
+/// "__global TIn* skelcl_in, __global TZ* skelcl_zinS, ": the chain's input
+/// buffers (an index input has none), which lead every chain kernel's
+/// parameter list.
+std::string chainInputParams(const ChainInput& input, std::span<const FusedStage> stages) {
+  std::string out;
+  if (input.vector != nullptr) out = "__global " + input.typeName + "* skelcl_in, ";
   for (std::size_t s = 0; s < stages.size(); ++s) {
     if (stages[s].zipInput != nullptr) {
-      out += ", __global " + stages[s].zipTypeName + "* skelcl_zin" + std::to_string(s);
+      out += "__global " + stages[s].zipTypeName + "* skelcl_zin" + std::to_string(s) + ", ";
     }
   }
   return out;
 }
 
 /// Every stage's extras, each stage with its own prefix ("skelcl_s0_a0", ...).
-std::string chainExtraParams(const std::vector<FusedStage>& stages) {
+std::string chainExtraParams(std::span<const FusedStage> stages) {
   std::string out;
   for (std::size_t s = 0; s < stages.size(); ++s) {
     out += extraParams(stages[s].extras, stagePrefix(s) + "a");
@@ -890,10 +765,10 @@ std::string chainExtraParams(const std::vector<FusedStage>& stages) {
 }
 
 /// Bind the buffers of chainInputParams on `device`; returns the next index.
-std::size_t bindChainInputs(ocl::Kernel& kernel, VectorData& input,
-                            const std::vector<FusedStage>& stages, int device) {
+std::size_t bindChainInputs(ocl::Kernel& kernel, const ChainInput& input,
+                            std::span<const FusedStage> stages, int device) {
   std::size_t arg = 0;
-  kernel.setArg(arg++, *input.partOn(device)->buffer);
+  if (input.vector != nullptr) kernel.setArg(arg++, *input.vector->partOn(device)->buffer);
   for (const FusedStage& st : stages) {
     if (st.zipInput != nullptr) kernel.setArg(arg++, *st.zipInput->partOn(device)->buffer);
   }
@@ -902,7 +777,7 @@ std::size_t bindChainInputs(ocl::Kernel& kernel, VectorData& input,
 
 /// Bind the extras of chainExtraParams from `arg` on; returns the next index.
 std::size_t bindChainExtras(Session& sess, ocl::Kernel& kernel, std::size_t arg,
-                            const std::vector<FusedStage>& stages, int device) {
+                            std::span<const FusedStage> stages, int device) {
   for (const FusedStage& st : stages) {
     bindExtras(sess, kernel, arg, st.extras, device);
     arg += st.extras.size();
@@ -913,26 +788,24 @@ std::size_t bindChainExtras(Session& sess, ocl::Kernel& kernel, std::size_t arg,
 /// Merged struct typedefs of every stage's extras followed by `extras`
 /// (deduplicated, conflicting definitions rejected), then every stage's user
 /// source renamed apart.
-std::string fusedSourcePrelude(Session& sess, const std::vector<FusedStage>& stages,
+std::string fusedSourcePrelude(std::span<const FusedStage> stages,
                                const std::vector<ExtraArg>& extras = {}) {
   std::vector<ExtraArg> all;
   for (const FusedStage& st : stages) all.insert(all.end(), st.extras.begin(), st.extras.end());
   all.insert(all.end(), extras.begin(), extras.end());
   std::string source = gatherTypedefs(all);
   for (std::size_t s = 0; s < stages.size(); ++s) {
-    source += renameFunctions(stages[s].userSource,
-                              declaredFunctions(sess, stages[s].userSource, stages[s].extras),
-                              stagePrefix(s));
+    source += renameFunctions(stages[s].userSource, stagePrefix(s));
     source += "\n";
   }
   return source;
 }
 
 /// Producer events of every chain input on `device`.
-std::vector<ocl::Event> chainDeps(int device, VectorData& input,
-                                  const std::vector<FusedStage>& stages) {
+std::vector<ocl::Event> chainDeps(int device, const ChainInput& input,
+                                  std::span<const FusedStage> stages) {
   std::vector<ocl::Event> deps;
-  addPartDep(deps, &input, device);
+  addPartDep(deps, input.vector, device);
   for (const FusedStage& st : stages) {
     addPartDep(deps, st.zipInput, device);
     for (const ExtraArg& e : st.extras) {
@@ -942,9 +815,9 @@ std::vector<ocl::Event> chainDeps(int device, VectorData& input,
   return deps;
 }
 
-std::vector<VectorData*> chainRecoveryInputs(VectorData& input,
-                                             const std::vector<FusedStage>& stages) {
-  std::vector<VectorData*> inputs{&input};
+std::vector<VectorData*> chainRecoveryInputs(const ChainInput& input,
+                                             std::span<const FusedStage> stages) {
+  std::vector<VectorData*> inputs{input.vector};
   for (const FusedStage& st : stages) {
     if (st.zipInput != nullptr) inputs.push_back(st.zipInput);
     for (const ExtraArg& e : st.extras) {
@@ -971,70 +844,97 @@ bool chainEligible(VectorData& input, const std::vector<FusedStage>& stages) {
   return true;
 }
 
-/// Resolve the chain distribution, propagate it to every vector involved,
-/// and materialize device parts.  Only called on eligible chains, where the
-/// chain distribution applies to all zip inputs.
-Distribution materializeChainInputs(Session& sess, VectorData& input,
-                                    std::vector<FusedStage>& stages) {
-  input.defaultDistribution(Distribution::block());
-  const Distribution dist = input.distribution();
-  input.ensureOnDevices(sess);
-  for (FusedStage& st : stages) {
-    if (st.zipInput != nullptr) {
-      SKELCL_CHECK(st.zipInput->count() == input.count(),
-                   "zip inputs must have the same size");
-      if (st.zipInput != &input) {
-        st.zipInput->setDistribution(dist);
-        st.zipInput->ensureOnDevices(sess);
-      }
+/// Check the zip sizes before anything is touched, resolve the chain's
+/// distribution (paper III-C), give it to every chain input and materialize
+/// them.  An index input keeps its own distribution.  A vector input follows
+/// Zip's rule against stage 0's zip input: a distribution set on one side
+/// carries over, two set ones that differ become block for both, and block
+/// is the default.  Every later zip input takes the chain's distribution
+/// (only unset or matching ones are eligible).
+Distribution materializeChainInputs(Session& sess, const ChainInput& input,
+                                    std::span<FusedStage> stages) {
+  for (const FusedStage& st : stages) {
+    SKELCL_CHECK(st.zipInput == nullptr || st.zipInput->count() == input.count(),
+                 "zip inputs must have the same size");
+  }
+  VectorData* in = input.vector;
+  VectorData* zip0 = stages.empty() ? nullptr : stages.front().zipInput;
+  Distribution dist;
+  if (in == nullptr) {
+    dist = input.indexDist.isSet() ? input.indexDist : Distribution::block();
+  } else if (zip0 == nullptr) {
+    in->defaultDistribution(Distribution::block());
+    dist = in->distribution();
+  } else {
+    const Distribution& d1 = in->distribution();
+    const Distribution& d2 = zip0->distribution();
+    dist = d1.isSet() ? d1 : d2;
+    if (!dist.isSet() || (d1.isSet() && d2.isSet() && !(d1 == d2))) {
+      dist = Distribution::block();
     }
-    prepareExtras(sess, st.extras);
+    in->setDistribution(dist);
+  }
+  for (FusedStage& st : stages) {
+    if (st.zipInput != nullptr && st.zipInput != in) st.zipInput->setDistribution(dist);
+  }
+  if (in != nullptr) in->ensureOnDevices(sess);
+  for (FusedStage& st : stages) {
+    if (st.zipInput != nullptr && st.zipInput != in) st.zipInput->ensureOnDevices(sess);
   }
   return dist;
 }
 
-bool chainWritesInput(const VectorData& output, const VectorData& input,
-                      const std::vector<FusedStage>& stages) {
-  if (&output == &input) return true;
+bool chainWritesInput(const VectorData& output, const ChainInput& input,
+                      std::span<const FusedStage> stages) {
+  if (&output == input.vector) return true;
   for (const FusedStage& st : stages) {
     if (st.zipInput == &output) return true;
   }
   return false;
 }
 
-/// The fused execution: ONE generated kernel per device evaluates the whole
-/// chain element-wise — no intermediate vectors exist anywhere.
-void runFusedChainOnce(Session& sess, VectorData& input, const std::string& inTypeName,
-                       std::vector<FusedStage>& stages, VectorData& output) {
-  const std::size_t n = input.count();
+/// ONE generated kernel per device evaluates the whole chain element-wise —
+/// no intermediate vectors exist anywhere.  The output is allocated before
+/// the extras are prepared.
+void runChainOnce(Session& sess, const ChainInput& input, std::span<FusedStage> stages,
+                  VectorData& output) {
   const Distribution dist = materializeChainInputs(sess, input, stages);
-
-  const bool inPlace = chainWritesInput(output, input, stages);
   output.setDistribution(dist);
-  if (!inPlace) output.ensureOnDevicesNoUpload(sess);
+  if (!chainWritesInput(output, input, stages)) output.ensureOnDevicesNoUpload(sess);
+  for (FusedStage& st : stages) prepareExtras(sess, st.extras);
 
-  const std::string source = fusedSourcePrelude(sess, stages) + "__kernel void skelcl_fused(" +
-                             chainInputParams(inTypeName, stages) + ", __global " +
+  const std::string source = fusedSourcePrelude(stages) + "__kernel void skelcl_fused(" +
+                             chainInputParams(input, stages) + "__global " +
                              stages.back().outTypeName +
                              "* skelcl_out, int skelcl_n, int skelcl_base" +
                              chainExtraParams(stages) +
                              ") {\n"
                              "  int skelcl_i = get_global_id(0);\n"
                              "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = " +
-                             chainExprAt(stages, "skelcl_i") + ";\n}\n";
+                             chainExprAt(input, stages, "skelcl_i") + ";\n}\n";
 
   auto program = sess.programForSource(source);
   ocl::Kernel kernel(*program, "skelcl_fused");
 
-  const auto ranges = sess.partition(dist, n);
+  // One kernel stage per device, recorded breadth-first on the command
+  // graph: argument binding happens at issue time, dependencies are the
+  // producer events of the inputs, and nothing blocks the host.  (In the
+  // in-place case `output` aliases an input, so output.partOn is the right
+  // part either way.)  A one-stage chain traces as the map or zip kernel it
+  // is; a longer one as a single fused record per device.
+  const bool fused = stages.size() > 1;
+  const std::string label = fused ? "fused x" + std::to_string(stages.size())
+                            : stages.front().zipInput != nullptr ? "zip"
+                                                                 : "map";
+  const auto ranges = sess.partition(dist, input.count());
   ExecGraph g(sess);
   std::vector<std::pair<int, ExecGraph::NodeId>> launches;
-  const std::string label = "fused x" + std::to_string(stages.size());
   for (const PartRange& r : ranges) {
     if (r.size == 0) continue;
     launches.emplace_back(
         r.device,
-        g.add(StageKind::Fused, r.device, label + " dev" + std::to_string(r.device),
+        g.add(fused ? StageKind::Fused : StageKind::Kernel, r.device,
+              label + " dev" + std::to_string(r.device),
               [&, r](std::span<const ocl::Event> deps) {
                 std::size_t arg = bindChainInputs(kernel, input, stages, r.device);
                 kernel.setArg(arg++, *output.partOn(r.device)->buffer);
@@ -1054,8 +954,8 @@ void runFusedChainOnce(Session& sess, VectorData& input, const std::string& inTy
   }
 }
 
-/// The unfused fallback: every stage through the ordinary element-wise
-/// engine, intermediates in heap temporaries — or in the observe sinks whose
+/// The unfused fallback: every stage as its own one-stage chain,
+/// intermediates in heap temporaries — or in the observe sinks whose
 /// presence made the chain ineligible in the first place.
 void runChainUnfused(Session& sess, VectorData& input, const std::string& inTypeName,
                      std::vector<FusedStage>& stages, VectorData& output) {
@@ -1080,8 +980,7 @@ void runChainUnfused(Session& sess, VectorData& input, const std::string& inType
         dst = temps.back().get();
       }
     }
-    runElementwise(sess, st.userSource, cur, st.zipInput, 0, Distribution{}, *dst, curType,
-                   st.zipTypeName, st.outTypeName, st.extras);
+    runChain(sess, ChainInput{cur, curType}, std::span<FusedStage>(&st, 1), *dst);
     if (last && st.observeSink != nullptr && st.observeSink != &output) {
       const std::byte* bytes = dst->hostRead(&sess);
       std::memcpy(st.observeSink->hostWrite(&sess), bytes, n * st.outElemSize);
@@ -1092,6 +991,15 @@ void runChainUnfused(Session& sess, VectorData& input, const std::string& inType
 }
 
 }  // namespace
+
+void runChain(Session& session, const ChainInput& input, std::span<FusedStage> stages,
+              VectorData& output) {
+  std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
+  for (const FusedStage& st : stages) rejectOutputAsExtra(st.extras, output);
+  withDeviceLossRecovery(session, chainRecoveryInputs(input, stages),
+                         chainWritesInput(output, input, stages) ? nullptr : &output,
+                         [&] { runChainOnce(session, input, stages, output); });
+}
 
 bool runFusedChain(Session& session, VectorData& input, const std::string& inTypeName,
                    std::vector<FusedStage>& stages, VectorData& output,
@@ -1104,10 +1012,7 @@ bool runFusedChain(Session& session, VectorData& input, const std::string& inTyp
     runChainUnfused(session, input, inTypeName, stages, output);
     return false;
   }
-  const bool inPlace = chainWritesInput(output, input, stages);
-  withDeviceLossRecovery(session, chainRecoveryInputs(input, stages),
-                         inPlace ? nullptr : &output,
-                         [&] { runFusedChainOnce(session, input, inTypeName, stages, output); });
+  runChain(session, ChainInput{&input, inTypeName}, stages, output);
   return true;
 }
 
@@ -1117,38 +1022,38 @@ bool runFusedChain(Session& session, VectorData& input, const std::string& inTyp
 
 namespace {
 
-const char* reduceKernelName(const std::vector<FusedStage>& stages) {
+const char* reduceKernelName(std::span<const FusedStage> stages) {
   return stages.empty() ? "skelcl_reduce" : "skelcl_fused_reduce";
 }
 
 /// The step-1 kernel: each work-item folds a contiguous chunk of elements
 /// with the reduce operator `func`.  Element i is the chain evaluated at i —
 /// the chain result never materializes — or, with no stages, `skelcl_in[i]`.
-std::string reduceKernelSource(Session& sess, const std::string& inTypeName,
-                               const std::vector<FusedStage>& stages,
+std::string reduceKernelSource(const ChainInput& input, std::span<const FusedStage> stages,
                                const std::string& typeName, const std::string& reduceSource,
                                const std::vector<ExtraArg>& extras) {
-  return fusedSourcePrelude(sess, stages, extras) + reduceSource + "\n__kernel void " +
-         reduceKernelName(stages) + "(" + chainInputParams(inTypeName, stages) +
-         ", __global " + typeName + "* skelcl_partials, int skelcl_n, int skelcl_chunk" +
+  return fusedSourcePrelude(stages, extras) + reduceSource + "\n__kernel void " +
+         reduceKernelName(stages) + "(" + chainInputParams(input, stages) + "__global " +
+         typeName + "* skelcl_partials, int skelcl_n, int skelcl_chunk" +
          chainExtraParams(stages) + extraParams(extras) +
          ") {\n"
          "  int skelcl_w = get_global_id(0);\n"
          "  int skelcl_begin = skelcl_w * skelcl_chunk;\n"
          "  int skelcl_end = min(skelcl_begin + skelcl_chunk, skelcl_n);\n"
-         "  " + typeName + " skelcl_acc = " + chainExprAt(stages, "skelcl_begin") + ";\n"
+         "  " + typeName + " skelcl_acc = " + chainExprAt(input, stages, "skelcl_begin") + ";\n"
          "  for (int skelcl_i = skelcl_begin + 1; skelcl_i < skelcl_end; ++skelcl_i)\n"
-         "    skelcl_acc = func(skelcl_acc, " + chainExprAt(stages, "skelcl_i") +
+         "    skelcl_acc = func(skelcl_acc, " + chainExprAt(input, stages, "skelcl_i") +
          extraNames(extras) + ");\n"
          "  skelcl_partials[skelcl_w] = skelcl_acc;\n}\n";
 }
 
-kc::Slot runReduceOnce(Session& sess, VectorData& input, const std::string& inTypeName,
-                       std::vector<FusedStage>& stages, const std::string& reduceSource,
-                       std::vector<ExtraArg>& extras) {
+kc::Slot runReduceOnce(Session& sess, const ChainInput& chain, std::vector<FusedStage>& stages,
+                       const std::string& reduceSource, std::vector<ExtraArg>& extras) {
+  VectorData& input = *chain.vector;
   SKELCL_CHECK(input.count() > 0, "reduce of an empty vector");
 
-  materializeChainInputs(sess, input, stages);
+  materializeChainInputs(sess, chain, stages);
+  for (FusedStage& st : stages) prepareExtras(sess, st.extras);
 
   std::vector<PartRange> ranges = input.plannedPartition(sess);
   if (input.distribution().kind() == Distribution::Kind::Copy) {
@@ -1157,12 +1062,12 @@ kc::Slot runReduceOnce(Session& sess, VectorData& input, const std::string& inTy
     ranges.resize(1);
   }
 
-  const std::string typeName = stages.empty() ? inTypeName : stages.back().outTypeName;
+  const std::string typeName = stages.empty() ? chain.typeName : stages.back().outTypeName;
   const ElemKind kind = stages.empty() ? input.elemKind() : stages.back().outElemKind;
   const std::size_t elemSize = stages.empty() ? input.elemSize() : stages.back().outElemSize;
 
   auto program = sess.programForSource(
-      reduceKernelSource(sess, inTypeName, stages, typeName, reduceSource, extras));
+      reduceKernelSource(chain, stages, typeName, reduceSource, extras));
   ocl::Kernel kernel(*program, reduceKernelName(stages));
 
   // Step 1: device-local reductions to small intermediate vectors (Section V
@@ -1208,7 +1113,7 @@ kc::Slot runReduceOnce(Session& sess, VectorData& input, const std::string& inTy
         step1Label + " dev" + std::to_string(p.device),
         [&, &p = p](std::span<const ocl::Event> deps) {
           const PartRange& r = rangeOf(p.device);
-          std::size_t arg = bindChainInputs(kernel, input, stages, p.device);
+          std::size_t arg = bindChainInputs(kernel, chain, stages, p.device);
           kernel.setArg(arg++, *p.partials);
           kernel.setArg(arg++, static_cast<std::int32_t>(r.size));
           kernel.setArg(arg++, static_cast<std::int32_t>(p.chunk));
@@ -1216,7 +1121,7 @@ kc::Slot runReduceOnce(Session& sess, VectorData& input, const std::string& inTy
           bindExtras(sess, kernel, arg, extras, p.device);
           return sess.queue(p.device).enqueueNDRangeKernel(kernel, p.numPartials, 0, deps);
         },
-        {}, chainDeps(p.device, input, stages));
+        {}, chainDeps(p.device, chain, stages));
   }
 
   // Step 2: gather the intermediate results on the CPU.
@@ -1257,8 +1162,10 @@ kc::Slot runReduceOnce(Session& sess, VectorData& input, const std::string& inTy
   std::shared_ptr<ocl::Program> combineProgram;
   std::optional<ocl::Kernel> combineKernel;
   if (tree) {
-    combineProgram = sess.programForSource(
-        reduceKernelSource(sess, typeName, {}, typeName, reduceSource, extras));
+    // The node combine folds a buffer of partials: a zero-stage reduce over
+    // `typeName` elements.
+    combineProgram = sess.programForSource(reduceKernelSource(
+        ChainInput{chain.vector, typeName}, {}, typeName, reduceSource, extras));
     combineKernel.emplace(*combineProgram, reduceKernelName({}));
     for (NodeGroup& ng : groups) {
       const int leader = ng.run.leader;
@@ -1405,8 +1312,9 @@ kc::Slot runFusedReduce(Session& session, VectorData& input, const std::string& 
     runChainUnfused(session, input, inTypeName, stages, temp);
     return runReduce(session, reduceSource, temp, stages.back().outTypeName, reduceExtras);
   }
-  return withDeviceLossRecovery(session, chainRecoveryInputs(input, stages), nullptr, [&] {
-    return runReduceOnce(session, input, inTypeName, stages, reduceSource, reduceExtras);
+  const ChainInput chain{&input, inTypeName};
+  return withDeviceLossRecovery(session, chainRecoveryInputs(chain, stages), nullptr, [&] {
+    return runReduceOnce(session, chain, stages, reduceSource, reduceExtras);
   });
 }
 

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detail/matrix_data.hpp"
@@ -40,36 +42,7 @@ struct ExtraArg {
   std::string typeDefinition;  ///< struct typedef to prepend ("" for builtins)
 };
 
-/// Element-wise skeletons (map & zip share one engine).  All run* entry
-/// points execute on behalf of `session` (whose weights drive partitioning,
-/// and whose fair-share/VRAM accounts are charged) and hold the shared
-/// device-state lock for the duration of the call.
-/// `input2` is null for map; `input1` is null for an IndexVector input, in
-/// which case `indexCount`/`indexDist` describe the virtual input.
-/// `output` may alias an input (in-place execution via Out<>).  No entry
-/// point here accepts a vector additional argument that is its own output
-/// (UsageError).
-void runElementwise(Session& session, const std::string& userSource,
-                    VectorData* input1, VectorData* input2,
-                    std::size_t indexCount, const Distribution& indexDist,
-                    VectorData& output,
-                    const std::string& inType1, const std::string& inType2,
-                    const std::string& outType,
-                    std::vector<ExtraArg>& extras);
-
-/// Reduce (paper III-C): device-local reductions into small partial vectors,
-/// gather on the host (two-level on a cluster), final host-side fold.
-/// Returns the result slot.  The zero-stage case of runFusedReduce.  Only
-/// scalar additional arguments are allowed (UsageError before any launch).
-kc::Slot runReduce(Session& session, const std::string& userSource, VectorData& input,
-                   const std::string& typeName, std::vector<ExtraArg>& extras);
-
-/// Scan (paper III-C, Figure 2): device-local scans, download of block sums,
-/// implicit offset-combining maps on every device but the first.
-void runScan(Session& session, const std::string& userSource, VectorData& input,
-             VectorData& output, const std::string& typeName);
-
-/// One stage of a fused map/zip skeleton chain.  The first stage consumes the
+/// One stage of a map/zip skeleton chain.  The first stage consumes the
 /// chain input; every later stage consumes the previous stage's value.  A zip
 /// stage additionally reads `zipInput` at the same element index.
 struct FusedStage {
@@ -86,15 +59,57 @@ struct FusedStage {
                                       ///< must materialize for the host)
 };
 
-/// Execute a map/zip chain over `input` into `output`.  When the chain is
-/// eligible — no observed intermediates, every zip input's distribution
-/// unset or equal to the chain's — all stages run as ONE generated kernel
-/// per device with no intermediate vectors; otherwise each stage runs
-/// through runElementwise with heap temporaries.  Returns true when the
-/// fused path ran.
+/// What a chain's first stage reads at element i: `vector`[i] or, when
+/// `vector` is null, i itself (Map<T(Index)> over an IndexVector of
+/// `indexCount` elements distributed as `indexDist`; no buffer is read).
+struct ChainInput {
+  ChainInput(VectorData* input, std::string elemType)
+      : vector(input), typeName(std::move(elemType)) {}
+  ChainInput(std::size_t count, Distribution dist)
+      : indexCount(count), indexDist(std::move(dist)) {}
+
+  VectorData* vector = nullptr;
+  std::string typeName;  ///< kernel type of `vector`'s elements
+  std::size_t indexCount = 0;
+  Distribution indexDist;
+
+  std::size_t count() const { return vector != nullptr ? vector->count() : indexCount; }
+};
+
+/// The element-wise engine: ONE generated kernel per device evaluates every
+/// stage back to back into `output`, with no intermediate vectors.  Map, Zip
+/// and Map<T(Index)> are its one-stage case.  Zip's distribution rule holds
+/// between the input and stage 0's zip input (both set and different: both
+/// become block); every later zip input takes the chain's distribution, so a
+/// longer chain must be eligible (runFusedChain checks).  All run* entry
+/// points execute on behalf of `session` (whose weights drive partitioning,
+/// and whose fair-share/VRAM accounts are charged) and hold the shared
+/// device-state lock for the duration of the call.  `output` may alias an
+/// input (in-place execution via Out<>).  No entry point here accepts a
+/// vector additional argument that is its own output (UsageError).
+void runChain(Session& session, const ChainInput& input, std::span<FusedStage> stages,
+              VectorData& output);
+
+/// Execute a Pipeline's map/zip chain over `input` into `output`.  When the
+/// chain is eligible — no observed intermediates, every zip input's
+/// distribution unset or equal to the chain's — it runs as one runChain;
+/// otherwise each stage runs as its own one-stage chain with heap
+/// temporaries.  Returns true when the fused path ran.
 bool runFusedChain(Session& session, VectorData& input, const std::string& inTypeName,
                    std::vector<FusedStage>& stages, VectorData& output,
                    bool forceUnfused);
+
+/// Reduce (paper III-C): device-local reductions into small partial vectors,
+/// gather on the host (two-level on a cluster), final host-side fold.
+/// Returns the result slot.  The zero-stage case of runFusedReduce.  Only
+/// scalar additional arguments are allowed (UsageError before any launch).
+kc::Slot runReduce(Session& session, const std::string& userSource, VectorData& input,
+                   const std::string& typeName, std::vector<ExtraArg>& extras);
+
+/// Scan (paper III-C, Figure 2): device-local scans, download of block sums,
+/// implicit offset-combining maps on every device but the first.
+void runScan(Session& session, const std::string& userSource, VectorData& input,
+             VectorData& output, const std::string& typeName);
 
 /// Execute a map/zip chain and immediately reduce the result without
 /// materializing it: the chain expression is inlined into the device-local

@@ -499,11 +499,8 @@ void Service::runMapBatch(detail::Session&, std::vector<std::shared_ptr<Job>>& b
   std::size_t total = 0;
   for (const auto& job : batch) total += job->input.size();
   Vector<float> input(total);
-  float* in = input.begin();
-  for (const auto& job : batch) {
-    std::memcpy(in, job->input.data(), job->input.size() * sizeof(float));
-    in += job->input.size();
-  }
+  float* in = input.begin();  // null for an all-empty batch
+  for (const auto& job : batch) in = std::copy(job->input.begin(), job->input.end(), in);
   Map<float(float)> map(batch.front()->source);
   Vector<float> output = map(input);
   const float* out = output.hostData();

@@ -86,6 +86,28 @@ std::vector<ExtraArg> packExtras(const Extras&... extras) {
   return out;
 }
 
+/// A map stage `Tout func(x, extras...)` of an element-wise chain.
+template <typename Tout, typename... Extras>
+FusedStage makeStage(std::string userSource, const Extras&... extras) {
+  FusedStage st;
+  st.userSource = std::move(userSource);
+  st.outTypeName = kernelTypeName<Tout>();
+  st.outElemSize = sizeof(Tout);
+  st.outElemKind = elemKindOf<Tout>();
+  st.extras = packExtras(extras...);
+  return st;
+}
+
+/// A zip stage `Tout func(x, right[i], extras...)` of an element-wise chain.
+template <typename Tout, typename Tr, typename... Extras>
+FusedStage makeZipStage(const Vector<Tr>& right, std::string userSource,
+                        const Extras&... extras) {
+  FusedStage st = makeStage<Tout>(std::move(userSource), extras...);
+  st.zipInput = &right.impl();
+  st.zipTypeName = kernelTypeName<Tr>();
+  return st;
+}
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -121,10 +143,9 @@ class Map<Tout(Tin)> {
  private:
   template <typename... Extras>
   void run(Vector<Tout>& output, const Vector<Tin>& input, const Extras&... extras) {
-    auto packed = detail::packExtras(extras...);
-    detail::runElementwise(detail::Session::current(), source_, &input.impl(), nullptr, 0,
-                           Distribution{}, output.impl(), kernelTypeName<Tin>(), "",
-                           kernelTypeName<Tout>(), packed);
+    detail::FusedStage stage = detail::makeStage<Tout>(source_, extras...);
+    detail::runChain(detail::Session::current(), {&input.impl(), kernelTypeName<Tin>()},
+                     {&stage, 1}, output.impl());
   }
 
   std::string source_;
@@ -141,10 +162,9 @@ class Map<Tout(Index)> {
   template <typename... Extras>
   Vector<Tout> operator()(const IndexVector& input, const Extras&... extras) {
     Vector<Tout> output(input.size());
-    auto packed = detail::packExtras(extras...);
-    detail::runElementwise(detail::Session::current(), source_, nullptr, nullptr, input.size(),
-                           input.distribution(), output.impl(), "", "",
-                           kernelTypeName<Tout>(), packed);
+    detail::FusedStage stage = detail::makeStage<Tout>(source_, extras...);
+    detail::runChain(detail::Session::current(), {input.size(), input.distribution()},
+                     {&stage, 1}, output.impl());
     return output;
   }
 
@@ -195,10 +215,9 @@ class Zip<Tout(Tl, Tr)> {
   template <typename... Extras>
   void run(Vector<Tout>& output, const Vector<Tl>& left, const Vector<Tr>& right,
            const Extras&... extras) {
-    auto packed = detail::packExtras(extras...);
-    detail::runElementwise(detail::Session::current(), source_, &left.impl(), &right.impl(), 0,
-                           Distribution{}, output.impl(), kernelTypeName<Tl>(),
-                           kernelTypeName<Tr>(), kernelTypeName<Tout>(), packed);
+    detail::FusedStage stage = detail::makeZipStage<Tout>(right, source_, extras...);
+    detail::runChain(detail::Session::current(), {&left.impl(), kernelTypeName<Tl>()},
+                     {&stage, 1}, output.impl());
   }
 
   std::string source_;
@@ -471,13 +490,7 @@ class Pipeline {
   /// Append a map stage: `T func(T x, extras...)`.
   template <typename... Extras>
   Pipeline& map(std::string userSource, const Extras&... extras) {
-    detail::FusedStage st;
-    st.userSource = std::move(userSource);
-    st.outTypeName = kernelTypeName<T>();
-    st.outElemSize = sizeof(T);
-    st.outElemKind = detail::elemKindOf<T>();
-    st.extras = detail::packExtras(extras...);
-    stages_.push_back(std::move(st));
+    stages_.push_back(detail::makeStage<T>(std::move(userSource), extras...));
     return *this;
   }
 
@@ -485,15 +498,7 @@ class Pipeline {
   /// `T func(T chainValue, T rightValue, extras...)`.
   template <typename... Extras>
   Pipeline& zip(const Vector<T>& right, std::string userSource, const Extras&... extras) {
-    detail::FusedStage st;
-    st.userSource = std::move(userSource);
-    st.zipInput = &right.impl();
-    st.zipTypeName = kernelTypeName<T>();
-    st.outTypeName = kernelTypeName<T>();
-    st.outElemSize = sizeof(T);
-    st.outElemKind = detail::elemKindOf<T>();
-    st.extras = detail::packExtras(extras...);
-    stages_.push_back(std::move(st));
+    stages_.push_back(detail::makeZipStage<T>(right, std::move(userSource), extras...));
     retained_.push_back(right);  // keep the zip input's data alive
     return *this;
   }

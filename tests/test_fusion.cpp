@@ -284,6 +284,52 @@ TEST(FusionTrace, UnfusedFallbackLaunchesPerStageKernels) {
   terminate();
 }
 
+/// Two GPUs, torn down even when a test body throws.
+class TwoGpus : public ::testing::Test {
+ protected:
+  void SetUp() override { init(sim::SystemConfig::teslaS1070(2)); }
+  void TearDown() override { terminate(); }
+};
+
+using OneStageTrace = TwoGpus;
+
+TEST_F(OneStageTrace, MapZipIndexMapAndPipelineTraceAsPlainKernels) {
+  // Map, Zip and index Map are one-stage chains, and so is a one-stage
+  // Pipeline: each launch traces as a plain kernel record named after the
+  // skeleton, never as a fused one.
+  Vector<float> in = randomVector(1000, 89);
+  Vector<float> ys = randomVector(1000, 97);
+  const auto kernelNames = [](const auto& call) {
+    trace::clear();
+    trace::enable();
+    call();
+    trace::disable();
+    std::vector<std::string> names;
+    for (const auto& r : trace::snapshot()) {
+      EXPECT_NE(r.kind, trace::Record::Kind::Fused) << r.name;
+      if (r.kind == trace::Record::Kind::Kernel) names.push_back(r.name);
+    }
+    return names;
+  };
+  const std::vector<std::string> maps = {"map dev0", "map dev1"};
+  const std::vector<std::string> zips = {"zip dev0", "zip dev1"};
+
+  Map<float> map(kSquare);
+  EXPECT_EQ(kernelNames([&] { (void)map(in); }), maps);
+  Zip<float> zip(kAdd2);
+  EXPECT_EQ(kernelNames([&] { (void)zip(in, ys); }), zips);
+  Map<float(Index)> index("float func(int i) { return (float)i; }");
+  EXPECT_EQ(kernelNames([&] { (void)index(IndexVector(1000)); }), maps);
+  Pipeline<float> mapChain;
+  mapChain.map(kSquare);
+  EXPECT_EQ(kernelNames([&] { (void)mapChain(in); }), maps);
+  EXPECT_TRUE(mapChain.lastRunFused());
+  Pipeline<float> zipChain;
+  zipChain.zip(ys, kAdd2);
+  EXPECT_EQ(kernelNames([&] { (void)zipChain(in); }), zips);
+  trace::clear();
+}
+
 // --- scheduler cost model ----------------------------------------------------
 
 TEST(FusionSched, PipelineCostSumsStageCosts) {
@@ -478,6 +524,86 @@ TEST(TypedefRegression, SharedTypedefAcrossFusedStagesEmittedOnce) {
     EXPECT_FLOAT_EQ(out[i], in[i] + 1.5f + 2.5f) << i;
   }
   terminate();
+}
+
+// --- regression: stage renaming touches only the stage's functions ----------
+
+struct Scaled {
+  float scale = 0.0f;
+};
+
+void registerScaledOnce() {
+  static const bool done = [] {
+    registerKernelType<Scaled>("Scaled", "typedef struct { float scale; } Scaled;");
+    return true;
+  }();
+  (void)done;
+}
+
+using RenameRegression = TwoGpus;
+
+TEST_F(RenameRegression, MembersAndMacrosSurviveStageRenaming) {
+  registerScaledOnce();
+  Vector<Scaled> params(1);
+  Scaled s0;
+  s0.scale = 0.75f;
+  params[0] = s0;
+  params.setDistribution(Distribution::copy());
+  Vector<float> in = randomVector(300, 101);
+
+  // A helper named like a field of a registered struct extra.
+  const char* const kRegistered =
+      "float scale(float x) { return 2.0f * x; }\n"
+      "float func(float x, __global Scaled* p) { return scale(x) + p[0].scale; }";
+  Map<float> map(kRegistered);
+  Vector<float> mapped = map(in, params);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_FLOAT_EQ(mapped[i], 2.0f * in[i] + 0.75f) << i;
+  }
+  Pipeline<float> chain;
+  chain.map(kRegistered, params);
+  expectBitIdentical(chain(in), mapped);
+  Reduce<float> sum(kAdd2);
+  EXPECT_EQ(chain.reduce(kAdd2, in), sum(mapped));
+
+  // A struct the stage declares itself with a field named like a helper,
+  // and a macro that expands to the helper's name.
+  Map<float> local(
+      "typedef struct { float scale; } Local;\n"
+      "#define APPLY scale\n"
+      "float scale(float x) { return 2.0f * x; }\n"
+      "float func(float x) { Local l; l.scale = 0.75f; return APPLY(x) + l.scale; }");
+  expectBitIdentical(local(in), mapped);
+}
+
+// --- regression: a stage that fails to compile is a BuildError ---------------
+
+using BuildErrorRegression = TwoGpus;
+
+TEST_F(BuildErrorRegression, BrokenStageRaisesBuildErrorOnEveryPath) {
+  Vector<float> in = randomVector(64, 103);
+  Vector<float> ys = randomVector(64, 107);
+  for (const char* broken : {"float func(float x) { return x +; }",
+                             "float notfunc(float x) { return x; }"}) {
+    const std::string binary =
+        std::string(broken).replace(std::string(broken).find("float x"), 7,
+                                    "float x, float y");
+    SCOPED_TRACE(broken);
+    Map<float> map(broken);
+    EXPECT_THROW(map(in), ocl::BuildError);
+    Zip<float> zip(binary);
+    EXPECT_THROW(zip(in, ys), ocl::BuildError);
+    for (const bool unfused : {false, true}) {
+      Pipeline<float> mapChain;
+      mapChain.map(kSquare).map(broken).forceUnfused(unfused);
+      EXPECT_THROW(mapChain(in), ocl::BuildError);
+      EXPECT_THROW(mapChain.reduce(kAdd2, in), ocl::BuildError);
+      Pipeline<float> zipChain;
+      zipChain.zip(ys, binary).forceUnfused(unfused);
+      EXPECT_THROW(zipChain(in), ocl::BuildError);
+      EXPECT_THROW(zipChain.reduce(kAdd2, in), ocl::BuildError);
+    }
+  }
 }
 
 }  // namespace

@@ -598,9 +598,9 @@ TEST(KernelcInline, EverySkeletonTemplateRunsBatched) {
   terminate();
 
   for (const char* name :
-       {"skelcl_kernel", "skelcl_reduce", "skelcl_scan_chunks", "skelcl_scan_add",
-        "skelcl_fused", "skelcl_fused_reduce", "skelcl_overlap", "skelcl_mo_pack",
-        "skelcl_overlap2", "skelcl_pairs"}) {
+       {"skelcl_fused", "skelcl_reduce", "skelcl_scan_chunks", "skelcl_scan_add",
+        "skelcl_fused_reduce", "skelcl_overlap", "skelcl_mo_pack", "skelcl_overlap2",
+        "skelcl_pairs"}) {
     const auto it = g_launches.find(name);
     ASSERT_NE(it, g_launches.end()) << name << " never launched";
     EXPECT_EQ(it->second.second, it->second.first) << name << " ran per item";

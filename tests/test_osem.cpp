@@ -360,7 +360,7 @@ class ScopedEnv {
 };
 
 TEST_F(OsemImpls, EveryStepOneLaunchRunsBatched) {
-  // SkelCL's map (skelcl_kernel, also its step-2 zip) and the raw OpenCL and
+  // SkelCL's map (skelcl_fused, also its step-2 zip) and the raw OpenCL and
   // CUDA osem_step1: the struct copy becomes slots and the scatter's
   // atomics are deferred, so none of them falls back to per-item.
   const ScopedEnv opt("SKELCL_KC_OPT", "2");
@@ -372,7 +372,7 @@ TEST_F(OsemImpls, EveryStepOneLaunchRunsBatched) {
   (void)runOsemOcl(data(), 4);
   (void)runOsemCuda(data(), 4);
   skelcl::ocl::setCommandHook(nullptr);
-  for (const char* name : {"skelcl_kernel", "osem_step1", "osem_step2"}) {
+  for (const char* name : {"skelcl_fused", "osem_step1", "osem_step2"}) {
     const auto it = g_launches.find(name);
     ASSERT_NE(it, g_launches.end()) << name << " never launched";
     EXPECT_EQ(it->second.second, it->second.first)

@@ -309,6 +309,17 @@ TEST(ServiceLifecycle, WaitTwiceRethrowsTheSameError) {
   EXPECT_THROW(doomed.output(), QuotaError);
 }
 
+TEST(ServiceLifecycle, EmptyMapJobCompletesWithEmptyOutput) {
+  // An all-empty batch concatenates into a vector with no host buffer; the
+  // copy into it must not touch a null pointer (UBSan job).
+  RuntimeGuard rt(sim::SystemConfig::teslaS1070(2));
+  Service service;
+  auto s = service.createSession({"tenant", 1.0, 0});
+  auto h = service.submitMap(s, kMapSrc, {});
+  EXPECT_NO_THROW(h.wait());
+  EXPECT_TRUE(h.output().empty());
+}
+
 // --- cancellation ------------------------------------------------------------
 
 TEST(ServiceCancel, CancelBeforeIssueCompletesWithCancelledError) {

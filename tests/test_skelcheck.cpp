@@ -135,6 +135,37 @@ TEST(SkelcheckReplay, EmptyVectorsFlowThroughEverySkeleton) {
   EXPECT_TRUE(res.ok) << res.message;
 }
 
+TEST(SkelcheckReplay, PipeStagesTakeVectorAndSizesExtras) {
+  // Pipeline stages with vector (`addv`) and sizes (`adds`) extras, fused,
+  // unfused and under a fused reduce; an extra with no distribution and an
+  // extra that is the in-place output (UsageError on both sides); and a
+  // device kill mid-chain, whose recovery must restore the vector extras.
+  const char* repro =
+      "skelcheck v1\n"
+      "config devices=4 elem=i32 n=64 kcopt=2 seed=0 pool=5\n"
+      "fill a=0 base=3 step=2\n"
+      "fill a=1 base=-5 step=1\n"
+      "fill a=2 base=7 step=-1\n"
+      "setdist a=2 dist=copy\n"
+      "setdist a=3 dist=block\n"
+      "pipe a=0 dst=1 inplace=0 unfused=0 st=m:addv:e2 st=m:adds:e3 st=z:0:add\n"
+      "probe a=1\n"
+      "pipe a=0 dst=1 inplace=0 unfused=1 st=m:adds:e3 st=m:addv:e2\n"
+      "probe a=1\n"
+      "pipereduce a=1 fn=add unfused=0 st=m:addv:e2 st=m:adds:e1\n"
+      "pipe a=0 dst=1 inplace=0 unfused=0 st=m:addv:e4\n"
+      "pipe a=1 dst=1 inplace=1 unfused=0 st=m:neg st=m:addv:e1\n"
+      "fault kill=2 after=3\n"
+      "pipe a=0 dst=4 inplace=0 unfused=0 st=m:adds:e2 st=m:addv:e2\n"
+      "probe a=4\n"
+      "probe a=2\n";
+  const Program parsed = parse(repro);
+  EXPECT_EQ(serialize(parse(serialize(parsed))), serialize(parsed));
+  EXPECT_NE(serialize(parsed).find("st=m:addv:e2"), std::string::npos);
+  const RunResult res = runProgram(parsed);
+  EXPECT_TRUE(res.ok) << res.message;
+}
+
 TEST(SkelcheckSmoke, FixedSeedsNoDivergence) {
   // A slice of the CI smoke gate (`skelcheck --smoke` runs 64 seeds); enough
   // here to cover 1/2/4 devices, both element types and both VM pipelines,
