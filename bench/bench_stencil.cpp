@@ -1,11 +1,12 @@
-// Stencil scaling on multi-GPU matrices (docs/MATRIX.md): a 3x3 Gaussian
-// blur and iterated Jacobi sweeps over an NxN float Matrix, distributed as
-// row blocks with halo exchange between neighbouring devices.
+// Stencil scaling on multi-GPU vectors and matrices (docs/MATRIX.md): 1D
+// stencils over a float Vector, a 3x3 Gaussian blur and iterated Jacobi
+// sweeps over an NxN float Matrix, distributed as blocks with halo exchange
+// between neighbouring devices.
 //
 // Three questions, answered in one run:
 //   scaling     -- simulated seconds for 1/2/4 GPUs; near-linear because the
-//                  halo traffic (2 rows per internal boundary per sweep) is
-//                  tiny next to the per-device compute
+//                  halo traffic (2 * radius rows or elements per internal
+//                  boundary per sweep) is tiny next to the per-device compute
 //   halo cost   -- the trace collector counts every kind-"halo" record, so
 //                  the exchange volume is printed next to the timings
 //   recovery    -- device 2 of 4 is killed a few commands into a Jacobi run;
@@ -41,13 +42,27 @@ constexpr const char* kJacobi =
     "  return 0.25f * (m[i - s] + m[i - 1] + m[i + 1] + m[i + s]);"
     "}";
 
-std::vector<float> initValues(std::size_t n) {
-  std::vector<float> v(n * n);
+// 1D stencils: a radius-1 smoothing (run with both paddings) and a radius-3
+// box filter.
+constexpr const char* kSmooth3 =
+    "float func(__global float* v, int i) {"
+    "  return 0.25f * v[i - 1] + 0.5f * v[i] + 0.25f * v[i + 1];"
+    "}";
+constexpr const char* kBox7 =
+    "float func(__global float* v, int i) {"
+    "  return (v[i - 3] + v[i - 2] + v[i - 1] + v[i] + v[i + 1] + v[i + 2] + v[i + 3])"
+    "         / 7.0f;"
+    "}";
+
+std::vector<float> pseudoRandom(std::size_t count) {
+  std::vector<float> v(count);
   for (std::size_t i = 0; i < v.size(); ++i) {
     v[i] = static_cast<float>((i * 2654435761u) % 1000) / 500.0f - 1.0f;
   }
   return v;
 }
+
+std::vector<float> initValues(std::size_t n) { return pseudoRandom(n * n); }
 
 struct StencilRun {
   double seconds = 0.0;
@@ -63,6 +78,33 @@ void countHalos(StencilRun& run) {
       run.haloBytes += r.bytes;
     }
   }
+}
+
+/// `calls` ping-pong applications of a 1D stencil over a vector of `length`
+/// floats already resident on the devices.
+StencilRun timed1D(int gpus, std::size_t length, const char* source, std::size_t radius,
+                   Padding padding, int calls) {
+  StencilRun run;
+  init(sim::SystemConfig::teslaS1070(gpus));
+  {
+    MapOverlap<float(float)> stencil(source, radius, padding, 0.0f);
+    Vector<float> a(pseudoRandom(length));
+    Vector<float> b(length);
+    stencil(out(b), a);  // warm-up: compile + upload (a is read-only, so unchanged)
+    finish();
+    trace::clear();
+    resetSimClock();
+    for (int c = 0; c < calls; ++c) {
+      stencil(out(b), a);
+      std::swap(a, b);
+    }
+    finish();
+    run.seconds = simTimeSeconds();
+    countHalos(run);
+    run.result.assign(a.hostData(), a.hostData() + length);
+  }
+  terminate();
+  return run;
 }
 
 /// One blur application over an NxN matrix already resident on the devices.
@@ -168,6 +210,7 @@ int main(int argc, char** argv) {
   trace::enableFromEnv();  // SKELCL_TRACE=out.json exports the last init cycle
   trace::enable();         // halo accounting needs records even without it
   std::size_t n = 512;
+  std::size_t length = std::size_t{1} << 20;
   int iters = 10;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
@@ -176,6 +219,7 @@ int main(int argc, char** argv) {
       // exchange per internal boundary per sweep and a mid-run device kill.
       smoke = true;
       n = 96;
+      length = std::size_t{1} << 14;
       iters = 4;
     } else if (i + 1 < argc && std::strcmp(argv[i], "--size") == 0) {
       n = static_cast<std::size_t>(std::atoll(argv[++i]));
@@ -229,6 +273,35 @@ int main(int argc, char** argv) {
     if (gpus == 4 && !smoke && jac1.seconds / r.seconds < 2.5) {
       std::printf("       ^ 4-GPU speedup below 2.5x\n");
       ok = false;
+    }
+  }
+
+  // --- 1D stencils: block-distributed vector ------------------------------
+  constexpr int kCalls1D = 4;
+  std::printf("\n1D stencils over %zu floats, block distributed, %d ping-pong calls:\n", length,
+              kCalls1D);
+  std::printf("%-18s %-6s %12s %9s %14s %12s\n", "stencil", "GPUs", "seconds", "speedup",
+              "halo records", "halo KiB");
+  struct Stencil1D {
+    const char* name;
+    const char* source;
+    std::size_t radius;
+    Padding padding;
+  };
+  for (const Stencil1D& st : {Stencil1D{"radius 1 neutral", kSmooth3, 1, Padding::Neutral},
+                              Stencil1D{"radius 1 clamp", kSmooth3, 1, Padding::Clamp},
+                              Stencil1D{"radius 3 clamp", kBox7, 3, Padding::Clamp}}) {
+    const StencilRun one = timed1D(1, length, st.source, st.radius, st.padding, kCalls1D);
+    for (int gpus : {1, 2, 4}) {
+      const StencilRun r =
+          gpus == 1 ? one : timed1D(gpus, length, st.source, st.radius, st.padding, kCalls1D);
+      std::printf("%-18s %-6d %12.6f %8.2fx %14zu %12.1f\n", st.name, gpus, r.seconds,
+                  one.seconds / r.seconds, r.haloRecords,
+                  static_cast<double>(r.haloBytes) / 1024.0);
+      // The matrix stencils' gate: the partitioning must not change a bit.
+      const bool same = bitIdentical(r.result, one.result);
+      if (!same) std::printf("       ^ DIVERGES from the 1-GPU result\n");
+      ok = ok && same && (gpus == 1 || r.haloRecords > 0);
     }
   }
 

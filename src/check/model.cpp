@@ -407,7 +407,7 @@ void Model::materializeParts(MVec& v, bool upload) {
     if (r.size > 0) {
       allocCheck(r.device);
       part.hasBuf = true;
-      part.data.assign(r.size, 0);  // fresh buffers read as zero bytes
+      part.data.assign(r.size * v.w, 0);  // fresh buffers read as zero bytes
     }
     v.parts.push_back(std::move(part));
   }
@@ -434,8 +434,8 @@ void Model::materializeParts(MVec& v, bool upload) {
         continue;
       }
       const MGraph::NodeId id = g.add(p->device, /*cls=*/0, nullptr, [&v, p] {
-        std::copy(v.host.begin() + static_cast<std::ptrdiff_t>(p->offset),
-                  v.host.begin() + static_cast<std::ptrdiff_t>(p->offset + p->size),
+        std::copy(v.host.begin() + static_cast<std::ptrdiff_t>(p->offset * v.w),
+                  v.host.begin() + static_cast<std::ptrdiff_t>((p->offset + p->size) * v.w),
                   p->data.begin());
       });
       leader = p;
@@ -458,7 +458,7 @@ void Model::downloadParts(MVec& v) {
     MPart* p = &part;
     g.add(p->device, /*cls=*/0, nullptr, [&v, p] {
       std::copy(p->data.begin(), p->data.end(),
-                v.host.begin() + static_cast<std::ptrdiff_t>(p->offset));
+                v.host.begin() + static_cast<std::ptrdiff_t>(p->offset * v.w));
     });
   }
   g.run();
@@ -712,7 +712,7 @@ void Model::zip(const std::string& fn, MVec& left, MVec& right, MVec& output,
 }
 
 // ---------------------------------------------------------------------------
-// MapOverlap mirror (runMapOverlap1DOnce / runMapOverlap2DOnce)
+// MapOverlap mirror (runMapOverlapOnce)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -721,7 +721,7 @@ namespace {
 std::int32_t trunc32(std::int64_t v) { return static_cast<std::int32_t>(v); }
 
 /// Mirror of skeleton_exec.cpp's HaloSegment decomposition: the in-range
-/// portion of [lo, hi) split into per-owner contiguous segments, ascending.
+/// portion of [lo, hi) split into per-owner contiguous row segments, ascending.
 struct MSeg {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -778,10 +778,10 @@ std::uint32_t Model::stencilEval(const std::string& fn, const std::vector<std::u
   throw UsageError("model: unknown stencil function '" + fn + "'");
 }
 
-void Model::mapOverlapOnce(const std::string& fn, std::size_t radius, bool clampPad,
-                           std::uint32_t neutral, MVec& input, MVec& output) {
-  const std::size_t n = input.n;
-  if (n == 0) return;  // empty in, empty out
+void Model::overlapOnce(const std::string& fn, std::size_t radius, std::size_t colRadius,
+                        bool clampPad, std::uint32_t neutral, MVec& input, MVec& output) {
+  const std::size_t rows = input.n;
+  if (rows == 0) return;  // empty in, empty out
 
   if (input.requested.kind() != Distribution::Kind::Block) {
     setDistribution(input, Distribution::block());
@@ -790,17 +790,20 @@ void Model::mapOverlapOnce(const std::string& fn, std::size_t radius, bool clamp
   setDistribution(output, input.requested);
   ensureOnDevicesNoUpload(output);
 
+  const std::size_t cols = input.w;
+  const std::size_t stride = cols + 2 * colRadius;
+  const bool contiguous = colRadius == 0;
   const std::ptrdiff_t R = static_cast<std::ptrdiff_t>(radius);
   const std::vector<PartRange> ranges = plannedPartition(input);
 
   struct Plan {
-    PartRange range;
-    std::vector<MSeg> segs;
+    PartRange range;                                  ///< row range
+    std::vector<MSeg> segs;                           ///< halo row segments
     std::vector<std::vector<std::uint32_t>> staging;  ///< one per segment
-    std::vector<std::uint32_t> padded;                ///< [haloL | interior | haloR]
-    std::size_t missLeft = 0, missRight = 0;
-    std::vector<MGraph::NodeId> segUploads;
-    std::vector<MGraph::NodeId> padWrites;
+    std::vector<std::uint32_t> padded;                ///< (rows + 2r) x stride words
+    std::size_t missTop = 0, missBottom = 0;          ///< out-of-range padded rows
+    std::vector<MGraph::NodeId> segWrites;            ///< per segment: get, then last put
+    std::vector<MGraph::NodeId> ready;                ///< the stencil kernel's deps
     MGraph::NodeId interior = 0;
   };
   std::vector<Plan> plans;
@@ -811,16 +814,13 @@ void Model::mapOverlapOnce(const std::string& fn, std::size_t radius, bool clamp
     const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(r.offset);
     const std::ptrdiff_t hiEnd = off + static_cast<std::ptrdiff_t>(r.size) + R;
     allocCheck(r.device);  // the padded buffer's allocation gate
-    p.padded.assign(r.size + 2 * radius, 0);
-    p.segs = haloSegs(ranges, pi, off - R, hiEnd, n);
-    p.staging.resize(p.segs.size());
-    for (std::size_t si = 0; si < p.segs.size(); ++si) {
-      p.staging[si].assign(p.segs[si].end - p.segs[si].begin, 0);
-    }
-    p.missLeft = off < R ? static_cast<std::size_t>(R - off) : 0;
-    p.missRight = hiEnd > static_cast<std::ptrdiff_t>(n)
-                      ? static_cast<std::size_t>(hiEnd - static_cast<std::ptrdiff_t>(n))
-                      : 0;
+    p.padded.assign((r.size + 2 * radius) * stride, 0);
+    p.segs = haloSegs(ranges, pi, off - R, hiEnd, rows);
+    for (const MSeg& s : p.segs) p.staging.emplace_back((s.end - s.begin) * cols, 0);
+    p.missTop = off < R ? static_cast<std::size_t>(R - off) : 0;
+    p.missBottom = hiEnd > static_cast<std::ptrdiff_t>(rows)
+                       ? static_cast<std::size_t>(hiEnd - static_cast<std::ptrdiff_t>(rows))
+                       : 0;
     plans.push_back(std::move(p));
   }
 
@@ -829,112 +829,156 @@ void Model::mapOverlapOnce(const std::string& fn, std::size_t radius, bool clamp
   MVec* in = &input;
   // Halo exchange, step 1: read each segment from its owner.
   for (Plan& p : plans) {
-    p.segUploads.assign(p.segs.size(), 0);
     for (std::size_t si = 0; si < p.segs.size(); ++si) {
       const MSeg s = p.segs[si];
       const PartRange owner = ranges[s.ownerIndex];
       std::vector<std::uint32_t>* stage = &p.staging[si];
-      p.segUploads[si] = g.add(owner.device, /*cls=*/0, nullptr, [in, owner, s, stage] {
+      p.segWrites.push_back(g.add(owner.device, /*cls=*/0, nullptr, [in, owner, s, stage, cols] {
         MPart* po = in->partOn(owner.device);
-        const auto srcOff = static_cast<std::ptrdiff_t>(s.begin - owner.offset);
+        const auto srcOff = static_cast<std::ptrdiff_t>((s.begin - owner.offset) * cols);
         std::copy(po->data.begin() + srcOff,
-                  po->data.begin() + srcOff + static_cast<std::ptrdiff_t>(s.end - s.begin),
+                  po->data.begin() + srcOff + static_cast<std::ptrdiff_t>(stage->size()),
                   stage->begin());
-      });
+      }));
     }
   }
-  // Interior: one device-local copy of the part's own elements.
+  // Contiguous apron, interior: one device-local copy of the part's own rows.
   for (Plan& p : plans) {
+    if (!contiguous) continue;
     const PartRange r = p.range;
     Plan* pp = &p;
-    p.interior = g.add(r.device, /*cls=*/0, nullptr, [in, pp, r, radius] {
+    p.interior = g.add(r.device, /*cls=*/0, nullptr, [in, pp, r, radius, stride] {
       MPart* ip = in->partOn(r.device);
-      std::copy(ip->data.begin(), ip->data.begin() + static_cast<std::ptrdiff_t>(r.size),
-                pp->padded.begin() + static_cast<std::ptrdiff_t>(radius));
+      std::copy(ip->data.begin(),
+                ip->data.begin() + static_cast<std::ptrdiff_t>(r.size * stride),
+                pp->padded.begin() + static_cast<std::ptrdiff_t>(radius * stride));
     });
-    p.padWrites.push_back(p.interior);
+    p.ready.push_back(p.interior);
   }
-  // Halo exchange, step 2: staged segments into the padded buffer.
+  // Halo exchange, step 2: staged segments into the padded block, one upload
+  // per contiguous run (the whole segment, or one row under column padding).
   for (Plan& p : plans) {
     const PartRange r = p.range;
     Plan* pp = &p;
     for (std::size_t si = 0; si < p.segs.size(); ++si) {
       const MSeg s = p.segs[si];
-      const MGraph::NodeId download = p.segUploads[si];
-      const std::size_t dstOff = s.begin + radius - r.offset;
-      p.segUploads[si] = g.add(
-          r.device, /*cls=*/0, nullptr,
-          [pp, si, dstOff] {
-            std::copy(pp->staging[si].begin(), pp->staging[si].end(),
-                      pp->padded.begin() + static_cast<std::ptrdiff_t>(dstOff));
-          },
-          {download});
-      p.padWrites.push_back(p.segUploads[si]);
+      const MGraph::NodeId get = p.segWrites[si];
+      const std::size_t run = contiguous ? s.end - s.begin : 1;
+      for (std::size_t row = s.begin; row < s.end; row += run) {
+        const std::size_t srcOff = (row - s.begin) * cols;
+        const std::size_t dstOff = (row + radius - r.offset) * stride + colRadius;
+        const std::size_t count = run * cols;
+        p.segWrites[si] = g.add(
+            r.device, /*cls=*/0, nullptr,
+            [pp, si, srcOff, dstOff, count] {
+              const auto src = pp->staging[si].begin() + static_cast<std::ptrdiff_t>(srcOff);
+              std::copy(src, src + static_cast<std::ptrdiff_t>(count),
+                        pp->padded.begin() + static_cast<std::ptrdiff_t>(dstOff));
+            },
+            {get});
+        p.ready.push_back(p.segWrites[si]);
+      }
     }
   }
-  // Boundary policy.
+  // The rest of the apron: out-of-range rows (and the column padding).
   for (Plan& p : plans) {
     const PartRange r = p.range;
     Plan* pp = &p;
-    if (!clampPad) {
-      if (p.missLeft > 0) {
-        const std::size_t count = p.missLeft;
-        p.padWrites.push_back(g.add(r.device, /*cls=*/0, nullptr, [pp, neutral, count] {
-          std::fill(pp->padded.begin(), pp->padded.begin() + static_cast<std::ptrdiff_t>(count),
-                    neutral);
+    const std::size_t padRows = r.size + 2 * radius;
+    if (!contiguous) {
+      // Mirror of skelcl_mo_pack: interior rows + boundary policy; in-range
+      // halo rows were uploaded above and are left untouched.
+      const std::size_t total = padRows * stride;
+      const MGraph::NodeId packed = g.add(
+          r.device, /*cls=*/1, nullptr,
+          [in, pp, r, rows, cols, stride, radius, neutral, clampPad, total] {
+            MPart* ip = in->partOn(r.device);
+            const auto row0 = static_cast<std::ptrdiff_t>(r.offset);
+            const auto prows = static_cast<std::ptrdiff_t>(r.size);
+            const auto nrows = static_cast<std::ptrdiff_t>(rows);
+            const auto ncols = static_cast<std::ptrdiff_t>(cols);
+            const auto rad = static_cast<std::ptrdiff_t>(radius);
+            const auto str = static_cast<std::ptrdiff_t>(stride);
+            for (std::size_t i = 0; i < total; ++i) {
+              const std::ptrdiff_t prow = static_cast<std::ptrdiff_t>(i) / str;
+              const std::ptrdiff_t col = static_cast<std::ptrdiff_t>(i) % str - rad;
+              const std::ptrdiff_t arow = row0 - rad + prow;
+              if (col < 0 || col >= ncols || arow < 0 || arow >= nrows) {
+                if (!clampPad) {
+                  pp->padded[i] = neutral;
+                  continue;
+                }
+                const std::ptrdiff_t crow = std::clamp<std::ptrdiff_t>(arow, 0, nrows - 1);
+                const std::ptrdiff_t ccol = std::clamp<std::ptrdiff_t>(col, 0, ncols - 1);
+                pp->padded[i] =
+                    crow >= row0 && crow < row0 + prows
+                        ? ip->data[static_cast<std::size_t>((crow - row0) * ncols + ccol)]
+                        : pp->padded[static_cast<std::size_t>((crow - row0 + rad) * str + rad +
+                                                              ccol)];
+              } else if (arow >= row0 && arow < row0 + prows) {
+                pp->padded[i] = ip->data[static_cast<std::size_t>((arow - row0) * ncols + col)];
+              }
+            }
+          },
+          p.ready);
+      p.ready = {packed};
+    } else if (!clampPad) {
+      auto fill = [&](std::size_t firstRow, std::size_t count) {
+        const auto first = static_cast<std::ptrdiff_t>(firstRow * stride);
+        const auto last = static_cast<std::ptrdiff_t>((firstRow + count) * stride);
+        p.ready.push_back(g.add(r.device, /*cls=*/0, nullptr, [pp, neutral, first, last] {
+          std::fill(pp->padded.begin() + first, pp->padded.begin() + last, neutral);
         }));
-      }
-      if (p.missRight > 0) {
-        const std::size_t dstOff = r.size + 2 * radius - p.missRight;
-        const std::size_t count = p.missRight;
-        p.padWrites.push_back(g.add(r.device, /*cls=*/0, nullptr, [pp, neutral, dstOff, count] {
-          std::fill(pp->padded.begin() + static_cast<std::ptrdiff_t>(dstOff),
-                    pp->padded.begin() + static_cast<std::ptrdiff_t>(dstOff + count), neutral);
-        }));
-      }
+      };
+      if (p.missTop > 0) fill(0, p.missTop);
+      if (p.missBottom > 0) fill(padRows - p.missBottom, p.missBottom);
     } else {
       auto writerOf = [&](std::size_t global) -> MGraph::NodeId {
         if (global >= r.offset && global < r.offset + r.size) return pp->interior;
         for (std::size_t si = 0; si < pp->segs.size(); ++si) {
           if (global >= pp->segs[si].begin && global < pp->segs[si].end) {
-            return pp->segUploads[si];
+            return pp->segWrites[si];
           }
         }
         throw UsageError("map-overlap: clamp source element not staged");
       };
-      auto clampCopies = [&](std::size_t global, std::size_t firstDst, std::size_t count) {
-        const std::size_t srcOff = global + radius - r.offset;
+      auto clampCopies = [&](std::size_t global, std::size_t firstRow, std::size_t count) {
+        const auto src = static_cast<std::ptrdiff_t>((global + radius - r.offset) * stride);
         const MGraph::NodeId dep = writerOf(global);
         for (std::size_t k = 0; k < count; ++k) {
-          const std::size_t dstOff = firstDst + k;
-          pp->padWrites.push_back(g.add(
+          const auto dst = static_cast<std::ptrdiff_t>((firstRow + k) * stride);
+          const auto len = static_cast<std::ptrdiff_t>(stride);
+          p.ready.push_back(g.add(
               r.device, /*cls=*/0, nullptr,
-              [pp, srcOff, dstOff] { pp->padded[dstOff] = pp->padded[srcOff]; }, {dep}));
+              [pp, src, dst, len] {
+                std::copy(pp->padded.begin() + src, pp->padded.begin() + src + len,
+                          pp->padded.begin() + dst);
+              },
+              {dep}));
         }
       };
-      if (p.missLeft > 0) clampCopies(0, 0, p.missLeft);
-      if (p.missRight > 0) clampCopies(n - 1, r.size + 2 * radius - p.missRight, p.missRight);
+      if (p.missTop > 0) clampCopies(0, 0, p.missTop);
+      if (p.missBottom > 0) clampCopies(rows - 1, padRows - p.missBottom, p.missBottom);
     }
   }
   // Stencil kernels, one per part.
-  bool launched = false;
+  MVec* outp = &output;
   for (Plan& p : plans) {
     const PartRange r = p.range;
     Plan* pp = &p;
-    MVec* outp = &output;
     g.add(
         r.device, /*cls=*/1, nullptr,
-        [this, fn, pp, outp, r, radius] {
+        [this, fn, pp, outp, r, cols, stride, radius, colRadius] {
           MPart* po = outp->partOn(r.device);
-          for (std::size_t j = 0; j < r.size; ++j) {
-            po->data[j] = stencilEval(fn, pp->padded, j + radius, 0);
+          for (std::size_t i = 0; i < r.size * cols; ++i) {
+            const std::size_t center = (i / cols + radius) * stride + i % cols + colRadius;
+            po->data[i] = stencilEval(fn, pp->padded, center, stride);
           }
         },
-        p.padWrites);
-    launched = true;
+        p.ready);
   }
   g.run();
-  if (launched) markDevicesModified(output);
+  if (!plans.empty()) markDevicesModified(output);
 }
 
 void Model::mapOverlap(const std::string& fn, int radius, bool clampPad, std::uint32_t neutral,
@@ -943,234 +987,9 @@ void Model::mapOverlap(const std::string& fn, int radius, bool clampPad, std::ui
   SKELCL_CHECK(&output != &input,
                "map-overlap cannot run in place: the stencil reads neighbours of every element");
   withRecovery({&input}, &output, [&] {
-    mapOverlapOnce(fn, static_cast<std::size_t>(radius), clampPad, neutral, input, output);
+    overlapOnce(fn, static_cast<std::size_t>(radius), /*colRadius=*/0, clampPad, neutral, input,
+                output);
   });
-}
-
-// Matrix mirrors of the VectorData helpers: a matrix MVec counts rows in `n`
-// and carries `cols` words per row in host/part data, exactly like the real
-// MatrixData's row vector (one element = one row of cols*4 bytes).
-
-void Model::matrixMaterializeParts(MVec& v, std::size_t cols, bool upload) {
-  v.parts.clear();
-  for (const PartRange& r : plannedPartition(v)) {
-    MPart part;
-    part.device = r.device;
-    part.offset = r.offset;
-    part.size = r.size;
-    if (r.size > 0) {
-      allocCheck(r.device);
-      part.hasBuf = true;
-      part.data.assign(r.size * cols, 0);
-    }
-    v.parts.push_back(std::move(part));
-  }
-  if (upload) {
-    MGraph g(*this);
-    for (MPart& part : v.parts) {
-      if (part.size == 0) continue;
-      MPart* p = &part;
-      g.add(p->device, /*cls=*/0, nullptr, [&v, p, cols] {
-        std::copy(v.host.begin() + static_cast<std::ptrdiff_t>(p->offset * cols),
-                  v.host.begin() + static_cast<std::ptrdiff_t>((p->offset + p->size) * cols),
-                  p->data.begin());
-      });
-    }
-    g.run();
-  }
-  v.current = v.requested;
-  v.devicesValid = true;
-}
-
-void Model::matrixEnsureOnDevices(MVec& v, std::size_t cols) {
-  SKELCL_CHECK(v.requested.isSet(), "vector has no distribution");
-  if (partsMatchRequested(v)) {
-    v.current = v.requested;
-    return;
-  }
-  matrixEnsureHostValid(v, cols);
-  matrixMaterializeParts(v, cols, /*upload=*/true);
-}
-
-void Model::matrixEnsureOnDevicesNoUpload(MVec& v, std::size_t cols) {
-  SKELCL_CHECK(v.requested.isSet(), "vector has no distribution");
-  if (partsMatchRequested(v)) {
-    v.current = v.requested;
-    return;
-  }
-  matrixMaterializeParts(v, cols, /*upload=*/false);
-  v.hostValid = false;
-}
-
-void Model::matrixEnsureHostValid(MVec& v, std::size_t cols) {
-  if (v.hostValid) return;
-  SKELCL_CHECK(v.devicesValid, "vector holds no valid data");
-  if (v.requested.isSet() && partsMatchRequested(v)) v.current = v.requested;
-  // The transient stencil matrix is always block-distributed: plain part
-  // downloads, no copy-combine path.
-  MGraph g(*this);
-  for (MPart& part : v.parts) {
-    if (part.size == 0) continue;
-    MPart* p = &part;
-    g.add(p->device, /*cls=*/0, nullptr, [&v, p, cols] {
-      std::copy(p->data.begin(), p->data.end(),
-                v.host.begin() + static_cast<std::ptrdiff_t>(p->offset * cols));
-    });
-  }
-  g.run();
-  v.hostValid = true;
-}
-
-void Model::matStencilOnce(const std::string& fn, std::size_t radius, bool clampPad,
-                           std::uint32_t neutral, std::size_t rows, std::size_t cols,
-                           MVec& input, MVec& output) {
-  if (rows == 0) return;  // empty in, empty out
-
-  if (input.requested.kind() != Distribution::Kind::Block) {
-    setDistribution(input, Distribution::block());
-  }
-  matrixEnsureOnDevices(input, cols);
-  setDistribution(output, input.requested);
-  matrixEnsureOnDevicesNoUpload(output, cols);
-
-  const std::size_t stride = cols + 2 * radius;
-  const std::ptrdiff_t R = static_cast<std::ptrdiff_t>(radius);
-  const std::vector<PartRange> ranges = plannedPartition(input);
-
-  struct Plan {
-    PartRange range;                                  ///< row range
-    std::vector<MSeg> segs;                           ///< halo *row* segments
-    std::vector<std::vector<std::uint32_t>> staging;  ///< one per segment
-    std::vector<std::uint32_t> padded;                ///< (rows + 2r) x stride words
-    std::vector<MGraph::NodeId> padWrites;
-    MGraph::NodeId packNode = 0;
-  };
-  std::vector<Plan> plans;
-  for (std::size_t pi = 0; pi < ranges.size(); ++pi) {
-    const PartRange& r = ranges[pi];
-    Plan p;
-    p.range = r;
-    const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(r.offset);
-    allocCheck(r.device);
-    p.padded.assign((r.size + 2 * radius) * stride, 0);
-    p.segs =
-        haloSegs(ranges, pi, off - R, off + static_cast<std::ptrdiff_t>(r.size) + R, rows);
-    p.staging.resize(p.segs.size());
-    for (std::size_t si = 0; si < p.segs.size(); ++si) {
-      p.staging[si].assign((p.segs[si].end - p.segs[si].begin) * cols, 0);
-    }
-    plans.push_back(std::move(p));
-  }
-
-  MGraph g(*this);
-  MVec* in = &input;
-  // Halo rows out of their owners.
-  std::vector<std::vector<MGraph::NodeId>> downloads(plans.size());
-  for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-    Plan& p = plans[pi];
-    for (std::size_t si = 0; si < p.segs.size(); ++si) {
-      const MSeg s = p.segs[si];
-      const PartRange owner = ranges[s.ownerIndex];
-      std::vector<std::uint32_t>* stage = &p.staging[si];
-      downloads[pi].push_back(g.add(owner.device, /*cls=*/0, nullptr, [in, owner, s, stage, cols] {
-        MPart* po = in->partOn(owner.device);
-        const auto srcOff = static_cast<std::ptrdiff_t>((s.begin - owner.offset) * cols);
-        std::copy(po->data.begin() + srcOff,
-                  po->data.begin() + srcOff +
-                      static_cast<std::ptrdiff_t>((s.end - s.begin) * cols),
-                  stage->begin());
-      }));
-    }
-  }
-  // Halo rows into the padded buffers: one upload per row.
-  for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-    Plan& p = plans[pi];
-    const PartRange r = p.range;
-    Plan* pp = &p;
-    for (std::size_t si = 0; si < p.segs.size(); ++si) {
-      const MSeg s = p.segs[si];
-      const MGraph::NodeId download = downloads[pi][si];
-      for (std::size_t row = s.begin; row < s.end; ++row) {
-        const std::size_t srcOff = (row - s.begin) * cols;
-        const std::size_t dstOff = (row + radius - r.offset) * stride + radius;
-        p.padWrites.push_back(g.add(
-            r.device, /*cls=*/0, nullptr,
-            [pp, si, srcOff, dstOff, cols] {
-              std::copy(pp->staging[si].begin() + static_cast<std::ptrdiff_t>(srcOff),
-                        pp->staging[si].begin() + static_cast<std::ptrdiff_t>(srcOff + cols),
-                        pp->padded.begin() + static_cast<std::ptrdiff_t>(dstOff));
-            },
-            {download}));
-      }
-    }
-  }
-  // Pack kernels: interior rows + boundary policy (mirror of skelcl_mo_pack;
-  // in-matrix halo rows were uploaded above and are left untouched).
-  for (Plan& p : plans) {
-    const PartRange r = p.range;
-    Plan* pp = &p;
-    const std::size_t total = (r.size + 2 * radius) * stride;
-    p.packNode = g.add(
-        r.device, /*cls=*/1, nullptr,
-        [in, pp, r, rows, cols, stride, radius, neutral, clampPad, total] {
-          MPart* ip = in->partOn(r.device);
-          const auto row0 = static_cast<std::ptrdiff_t>(r.offset);
-          const auto prows = static_cast<std::ptrdiff_t>(r.size);
-          for (std::size_t i = 0; i < total; ++i) {
-            const auto prow = static_cast<std::ptrdiff_t>(i / stride);
-            const std::ptrdiff_t col =
-                static_cast<std::ptrdiff_t>(i % stride) - static_cast<std::ptrdiff_t>(radius);
-            const std::ptrdiff_t arow = row0 - static_cast<std::ptrdiff_t>(radius) + prow;
-            if (col < 0 || col >= static_cast<std::ptrdiff_t>(cols) || arow < 0 ||
-                arow >= static_cast<std::ptrdiff_t>(rows)) {
-              if (!clampPad) {
-                pp->padded[i] = neutral;
-              } else {
-                const std::ptrdiff_t crow =
-                    std::clamp<std::ptrdiff_t>(arow, 0, static_cast<std::ptrdiff_t>(rows) - 1);
-                const std::ptrdiff_t ccol =
-                    std::clamp<std::ptrdiff_t>(col, 0, static_cast<std::ptrdiff_t>(cols) - 1);
-                if (crow >= row0 && crow < row0 + prows) {
-                  pp->padded[i] = ip->data[static_cast<std::size_t>(
-                      (crow - row0) * static_cast<std::ptrdiff_t>(cols) + ccol)];
-                } else {
-                  pp->padded[i] = pp->padded[static_cast<std::size_t>(
-                      (crow - row0 + static_cast<std::ptrdiff_t>(radius)) *
-                          static_cast<std::ptrdiff_t>(stride) +
-                      static_cast<std::ptrdiff_t>(radius) + ccol)];
-                }
-              }
-            } else if (arow >= row0 && arow < row0 + prows) {
-              pp->padded[i] = ip->data[static_cast<std::size_t>(
-                  (arow - row0) * static_cast<std::ptrdiff_t>(cols) + col)];
-            }
-          }
-        },
-        p.padWrites);
-  }
-  // Stencil kernels.
-  bool launched = false;
-  for (Plan& p : plans) {
-    const PartRange r = p.range;
-    Plan* pp = &p;
-    MVec* outp = &output;
-    const std::size_t nOut = r.size * cols;
-    g.add(
-        r.device, /*cls=*/1, nullptr,
-        [this, fn, pp, outp, r, cols, stride, radius, nOut] {
-          MPart* po = outp->partOn(r.device);
-          for (std::size_t i = 0; i < nOut; ++i) {
-            const std::size_t row = i / cols;
-            const std::size_t col = i % cols;
-            po->data[i] =
-                stencilEval(fn, pp->padded, (row + radius) * stride + col + radius, stride);
-          }
-        },
-        {p.packNode});
-    launched = true;
-  }
-  g.run();
-  if (launched) markDevicesModified(output);
 }
 
 void Model::matStencil(const std::string& fn, int radius, bool clampPad, std::uint32_t neutral,
@@ -1178,16 +997,13 @@ void Model::matStencil(const std::string& fn, int radius, bool clampPad, std::ui
   // The driver host-reads the source slot to build the matrix.
   ensureHostValid(src);
   const std::size_t rows = src.n / cols;
-  MVec min(rows), mout(rows);
-  min.host.assign(src.host.begin(),
-                  src.host.begin() + static_cast<std::ptrdiff_t>(rows * cols));
-  mout.host.assign(rows * cols, 0);
-  withRecovery({&min}, &mout, [&] {
-    matStencilOnce(fn, static_cast<std::size_t>(radius), clampPad, neutral, rows, cols, min,
-                   mout);
-  });
+  MVec min(rows, cols), mout(rows, cols);
+  std::copy(src.host.begin(), src.host.begin() + static_cast<std::ptrdiff_t>(rows * cols),
+            min.host.begin());
+  const auto r = static_cast<std::size_t>(radius);
+  withRecovery({&min}, &mout, [&] { overlapOnce(fn, r, r, clampPad, neutral, min, mout); });
   // toStdVector(): the matrix host-read downloads the row parts.
-  matrixEnsureHostValid(mout, cols);
+  ensureHostValid(mout);
   // The driver writes the flattened result into the destination's host copy.
   ensureHostValid(dst);
   markHostModified(dst);

@@ -43,15 +43,19 @@ struct MPart {
   std::size_t offset = 0;
   std::size_t size = 0;
   bool hasBuf = false;               ///< buffer allocated (size > 0)
-  std::vector<std::uint32_t> data;   ///< element bit patterns
+  std::vector<std::uint32_t> data;   ///< element bit patterns (size * w words)
 };
 
-/// Mirror of detail::VectorData.
+/// Mirror of detail::VectorData.  An element is `w` 32-bit words: 1 for a
+/// vector, `cols` for a matrix's row vector (MatrixData stores a matrix as a
+/// VectorData whose elements are whole rows).
 struct MVec {
-  explicit MVec(std::size_t count) : n(count), host(count, 0) {}
+  explicit MVec(std::size_t count, std::size_t words = 1)
+      : n(count), w(words), host(count * words, 0) {}
 
   std::size_t n;
-  std::vector<std::uint32_t> host;
+  std::size_t w;                     ///< words per element
+  std::vector<std::uint32_t> host;   ///< n * w words
   bool hostValid = true;
   bool devicesValid = false;
   Distribution requested;  ///< latest requested distribution
@@ -116,8 +120,9 @@ class Model {
   void mapOverlap(const std::string& fn, int radius, bool clampPad, std::uint32_t neutral,
                   MVec& input, MVec& output);
   /// Mirror of the MatStencil op: host-read `src`, run the 2D MapOverlap over
-  /// the first (src.n / cols) * cols elements viewed as a matrix, download the
-  /// result and write it into `dst`'s host copy.
+  /// the first (src.n / cols) * cols elements viewed as a matrix (an MVec of
+  /// rows, `cols` words each), download the result and write it into `dst`'s
+  /// host copy.
   void matStencil(const std::string& fn, int radius, bool clampPad, std::uint32_t neutral,
                   std::size_t cols, MVec& src, MVec& dst);
   /// Returns whether the chain took the fused path (compared against
@@ -206,20 +211,15 @@ class Model {
   /// one-stage case, a fused pipeline runs all its stages through it.
   void runChain(MVec& input, std::span<MStage> stages, MVec& output);
   void chainUnfused(MVec& input, std::vector<MStage>& stages, MVec& output);
-  // map-overlap mirror (skeleton_exec.cpp's runMapOverlap{1D,2D}Once command
-  // order).  The matrix variants mirror MatrixData's row vector: n counts
-  // rows, each part/host word run is `cols` wide.
+  // map-overlap mirror
   std::uint32_t stencilEval(const std::string& fn, const std::vector<std::uint32_t>& pad,
                             std::size_t center, std::size_t stride) const;
-  void mapOverlapOnce(const std::string& fn, std::size_t radius, bool clampPad,
-                      std::uint32_t neutral, MVec& input, MVec& output);
-  void matStencilOnce(const std::string& fn, std::size_t radius, bool clampPad,
-                      std::uint32_t neutral, std::size_t rows, std::size_t cols, MVec& input,
-                      MVec& output);
-  void matrixMaterializeParts(MVec& v, std::size_t cols, bool upload);
-  void matrixEnsureOnDevices(MVec& v, std::size_t cols);
-  void matrixEnsureOnDevicesNoUpload(MVec& v, std::size_t cols);
-  void matrixEnsureHostValid(MVec& v, std::size_t cols);
+  /// Mirror of runMapOverlapOnce, the one halo engine, command for command:
+  /// each part's padded block is (partRows + 2 radius) x (input.w +
+  /// 2 colRadius) words.  mapOverlap runs it with colRadius 0 over a vector,
+  /// matStencil with colRadius = radius over a matrix's row vector.
+  void overlapOnce(const std::string& fn, std::size_t radius, std::size_t colRadius,
+                   bool clampPad, std::uint32_t neutral, MVec& input, MVec& output);
 
   template <typename Body>
   auto withRecovery(std::vector<MVec*> inputs, MVec* resetOutput, Body&& body)

@@ -1324,11 +1324,11 @@ kc::Slot runFusedReduce(Session& session, VectorData& input, const std::string& 
 
 namespace {
 
-/// One contiguous run of in-range halo elements (1D) or halo rows (2D) owned
-/// by another part of the same block partition.
+/// One contiguous run of in-range halo rows owned by another part of the
+/// same block partition (a vector's rows are its elements).
 struct HaloSegment {
-  std::size_t begin = 0;       ///< global element/row index (inclusive)
-  std::size_t end = 0;         ///< global element/row index (exclusive)
+  std::size_t begin = 0;       ///< global row index (inclusive)
+  std::size_t end = 0;         ///< global row index (exclusive)
   std::size_t ownerIndex = 0;  ///< index into the partition plan
 };
 
@@ -1376,12 +1376,97 @@ void bindNeutral(ocl::Kernel& kernel, std::size_t arg, const ExtraArg& neutral) 
   }
 }
 
-void runMapOverlap1DOnce(Session& sess, const std::string& userSource, VectorData& input,
-                         VectorData& output, const std::string& typeName, std::size_t radius,
-                         Padding padding, const ExtraArg& neutral,
-                         std::vector<ExtraArg>& extras) {
-  const std::size_t n = input.count();
-  if (n == 0) return;  // empty in, empty out
+/// The stencil program.  Contiguous padded rows keep the 1D stencil call
+/// func(pad, i + r); a block with column padding adds the pack kernel, which
+/// assembles the padded part (interior from the part's own rows, column
+/// padding and out-of-range rows from the boundary policy; in-range halo rows
+/// were uploaded before it runs and are left untouched), and calls
+/// func(pad, center, stride).  The row/col index costs the 1D stencil about a
+/// third more kernel time, so it stays layout-specific (docs/MATRIX.md).
+std::string overlapSource(const std::string& userSource, const std::string& typeName,
+                          bool contiguous, Padding padding,
+                          const std::vector<ExtraArg>& extras) {
+  std::string source = gatherTypedefs(extras) + userSource + "\n";
+  if (!contiguous) {
+    source += "__kernel void skelcl_mo_pack(__global " + typeName + "* skelcl_src, __global " +
+              typeName +
+              "* skelcl_pad, int skelcl_total, int skelcl_rows, int skelcl_cols, "
+              "int skelcl_stride, int skelcl_r, int skelcl_row0, int skelcl_prows, " +
+              typeName +
+              " skelcl_neutral) {\n"
+              "  int skelcl_i = get_global_id(0);\n"
+              "  if (skelcl_i < skelcl_total) {\n"
+              "    int skelcl_prow = skelcl_i / skelcl_stride;\n"
+              "    int skelcl_col = skelcl_i % skelcl_stride - skelcl_r;\n"
+              "    int skelcl_arow = skelcl_row0 - skelcl_r + skelcl_prow;\n"
+              "    if (skelcl_col < 0 || skelcl_col >= skelcl_cols || skelcl_arow < 0 || "
+              "skelcl_arow >= skelcl_rows) {\n";
+    if (padding == Padding::Neutral) {
+      source += "      skelcl_pad[skelcl_i] = skelcl_neutral;\n";
+    } else {
+      // The clamped cell is always present: in the part's own rows, or in an
+      // uploaded halo row (the clipped halo row range always reaches the
+      // matrix edge whenever an out-of-matrix row exists).  Halo-row cells
+      // are never written by this kernel, so the read is safe under any
+      // work-item order.
+      source +=
+          "      int skelcl_crow = clamp(skelcl_arow, 0, skelcl_rows - 1);\n"
+          "      int skelcl_ccol = clamp(skelcl_col, 0, skelcl_cols - 1);\n"
+          "      if (skelcl_crow >= skelcl_row0 && skelcl_crow < skelcl_row0 + skelcl_prows) {\n"
+          "        skelcl_pad[skelcl_i] = "
+          "skelcl_src[(skelcl_crow - skelcl_row0) * skelcl_cols + skelcl_ccol];\n"
+          "      } else {\n"
+          "        skelcl_pad[skelcl_i] = skelcl_pad[(skelcl_crow - skelcl_row0 + skelcl_r) * "
+          "skelcl_stride + skelcl_r + skelcl_ccol];\n"
+          "      }\n";
+    }
+    source +=
+        "    } else if (skelcl_arow >= skelcl_row0 && skelcl_arow < skelcl_row0 + skelcl_prows) "
+        "{\n"
+        "      skelcl_pad[skelcl_i] = "
+        "skelcl_src[(skelcl_arow - skelcl_row0) * skelcl_cols + skelcl_col];\n"
+        "    }\n"
+        "  }\n}\n";
+  }
+  source += std::string("__kernel void ") + (contiguous ? "skelcl_overlap" : "skelcl_overlap2") +
+            "(__global " + typeName + "* skelcl_pad, __global " + typeName +
+            "* skelcl_out, int skelcl_n, " +
+            (contiguous ? "" : "int skelcl_cols, int skelcl_stride, ") + "int skelcl_r" +
+            extraParams(extras) +
+            ") {\n"
+            "  int skelcl_i = get_global_id(0);\n"
+            "  if (skelcl_i < skelcl_n) ";
+  if (contiguous) {
+    source += "skelcl_out[skelcl_i] = func(skelcl_pad, skelcl_i + skelcl_r" +
+              extraNames(extras) + ");\n}\n";
+  } else {
+    source += "{\n"
+              "    int skelcl_row = skelcl_i / skelcl_cols;\n"
+              "    int skelcl_col = skelcl_i % skelcl_cols;\n"
+              "    skelcl_out[skelcl_i] = func(skelcl_pad, "
+              "(skelcl_row + skelcl_r) * skelcl_stride + skelcl_col + skelcl_r, skelcl_stride" +
+              extraNames(extras) + ");\n  }\n}\n";
+  }
+  return source;
+}
+
+/// The one halo engine.  Each device part of `input` (a vector, or a
+/// matrix's row vector) is staged into a padded block of (partRows + 2r) rows
+/// by stride = cols + 2 colRadius scalars: a vector is cols = 1,
+/// colRadius = 0; a matrix is cols = columnCount(), colRadius = r.  Segment
+/// planning, staging, the halo gets and puts, the stencil launch and the
+/// output bookkeeping are shared; only the apron (the padding ring around
+/// the part) is built per layout.  Recorded order, stage-outer / part-inner so
+/// the in-order device queues admit every halo get before any compute:
+///   contiguous rows (colRadius = 0): gets, interior copies, puts, edges,
+///                                    kernels;
+///   column padding:                  gets, puts, packs, kernels.
+void runMapOverlapOnce(Session& sess, const std::string& userSource, VectorData& input,
+                       VectorData& output, const std::string& typeName, std::size_t cols,
+                       std::size_t colRadius, std::size_t radius, Padding padding,
+                       const ExtraArg& neutral, std::vector<ExtraArg>& extras) {
+  const std::size_t rows = input.count();
+  if (rows == 0) return;  // empty in, empty out
 
   // Stencils need the contiguous block layout; any other distribution is
   // switched to block (as zip does for mismatched inputs, paper III-C).
@@ -1393,32 +1478,35 @@ void runMapOverlap1DOnce(Session& sess, const std::string& userSource, VectorDat
   output.ensureOnDevicesNoUpload(sess);
   prepareExtras(sess, extras);
 
-  const std::size_t elem = input.elemSize();
+  const std::size_t rowBytes = input.elemSize();
+  const std::size_t elem = rowBytes / cols;
+  const std::size_t stride = cols + 2 * colRadius;
+  const std::size_t padRowBytes = stride * elem;
   const std::ptrdiff_t R = static_cast<std::ptrdiff_t>(radius);
+  // Without column padding the padded rows are contiguous: device copies and
+  // fills build the apron and a halo segment lands as one upload.  Packing a
+  // vector with the kernel instead took about 100x their device time
+  // (docs/MATRIX.md).
+  const bool contiguous = colRadius == 0;
 
-  std::string source = gatherTypedefs(extras);
-  source += userSource;
-  source += "\n__kernel void skelcl_overlap(__global " + typeName + "* skelcl_pad, __global " +
-            typeName + "* skelcl_out, int skelcl_n, int skelcl_r" + extraParams(extras) +
-            ") {\n"
-            "  int skelcl_i = get_global_id(0);\n"
-            "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = "
-            "func(skelcl_pad, skelcl_i + skelcl_r" + extraNames(extras) + ");\n}\n";
-  auto program = sess.programForSource(source);
-  ocl::Kernel kernel(*program, "skelcl_overlap");
+  auto program =
+      sess.programForSource(overlapSource(userSource, typeName, contiguous, padding, extras));
+  std::optional<ocl::Kernel> pack;
+  if (!contiguous) pack.emplace(*program, "skelcl_mo_pack");
+  ocl::Kernel kernel(*program, contiguous ? "skelcl_overlap" : "skelcl_overlap2");
 
   const std::vector<PartRange> ranges = input.plannedPartition(sess);
 
   struct PartPlan {
-    PartRange range;
-    std::unique_ptr<ocl::Buffer> padded;          ///< [haloL | interior | haloR]
-    std::vector<HaloSegment> segs;                ///< ascending global order
+    PartRange range;                              ///< row range
+    std::unique_ptr<ocl::Buffer> padded;          ///< (rows + 2r) x stride scalars
+    std::vector<HaloSegment> segs;                ///< halo row segments, ascending
     std::vector<std::vector<std::byte>> staging;  ///< one per segment
-    std::vector<std::byte> neutralStage;          ///< boundary fill source
-    std::size_t missLeft = 0;                     ///< out-of-range elements, left
-    std::size_t missRight = 0;                    ///< out-of-range elements, right
-    std::vector<ExecGraph::NodeId> segUploads;    ///< aligned with segs
-    std::vector<ExecGraph::NodeId> padWrites;     ///< every node writing `padded`
+    std::vector<std::byte> neutralStage;          ///< contiguous neutral edge source
+    std::size_t missTop = 0;                      ///< out-of-range padded rows, top
+    std::size_t missBottom = 0;                   ///< out-of-range padded rows, bottom
+    std::vector<ExecGraph::NodeId> segWrites;     ///< per segment: its get, then last put
+    std::vector<ExecGraph::NodeId> ready;         ///< what the stencil kernel waits on
     ExecGraph::NodeId interior = 0;
   };
   std::vector<PartPlan> plans;
@@ -1429,358 +1517,166 @@ void runMapOverlap1DOnce(Session& sess, const std::string& userSource, VectorDat
     const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(r.offset);
     const std::ptrdiff_t hiEnd = off + static_cast<std::ptrdiff_t>(r.size) + R;
     p.padded = std::make_unique<ocl::Buffer>(sess.context(), sess.device(r.device),
-                                             (r.size + 2 * radius) * elem);
-    p.segs = haloSegments(ranges, pi, off - R, hiEnd, n);
+                                             (r.size + 2 * radius) * padRowBytes);
+    p.segs = haloSegments(ranges, pi, off - R, hiEnd, rows);
     for (const HaloSegment& s : p.segs) {
-      p.staging.emplace_back((s.end - s.begin) * elem);
+      p.staging.emplace_back((s.end - s.begin) * rowBytes);
     }
-    p.missLeft = off < R ? static_cast<std::size_t>(R - off) : 0;
-    p.missRight = hiEnd > static_cast<std::ptrdiff_t>(n)
-                      ? static_cast<std::size_t>(hiEnd - static_cast<std::ptrdiff_t>(n))
-                      : 0;
-    if (padding == Padding::Neutral && (p.missLeft > 0 || p.missRight > 0)) {
-      p.neutralStage =
-          neutralBytes(neutral, input.elemKind(), elem, std::max(p.missLeft, p.missRight));
+    p.missTop = off < R ? static_cast<std::size_t>(R - off) : 0;
+    p.missBottom = hiEnd > static_cast<std::ptrdiff_t>(rows)
+                       ? static_cast<std::size_t>(hiEnd - static_cast<std::ptrdiff_t>(rows))
+                       : 0;
+    if (contiguous && padding == Padding::Neutral && (p.missTop > 0 || p.missBottom > 0)) {
+      p.neutralStage = neutralBytes(neutral, input.elemKind(), elem,
+                                    std::max(p.missTop, p.missBottom) * stride);
     }
     plans.push_back(std::move(p));
   }
 
-  // The stages are recorded stage-outer / part-inner so the in-order device
-  // queues admit all halo downloads before any compute: a device serves its
-  // neighbours' halos first, then copies its interior, then receives its own
-  // halos, and the stencil kernels come last.
   ExecGraph g(sess);
 
   // Halo exchange, step 1: read each segment from its owner (kind "halo").
   for (PartPlan& p : plans) {
-    p.segUploads.assign(p.segs.size(), 0);
     for (std::size_t si = 0; si < p.segs.size(); ++si) {
       const HaloSegment& s = p.segs[si];
       const PartRange& owner = ranges[s.ownerIndex];
       std::byte* dst = p.staging[si].data();
       std::vector<ocl::Event> ext;
       addPartDep(ext, &input, owner.device);
-      g.add(StageKind::Halo, owner.device,
-            "halo get dev" + std::to_string(owner.device) + "->dev" +
-                std::to_string(p.range.device),
-            [&sess, &input, owner, s, dst, elem](std::span<const ocl::Event> deps) {
-              return sess.queue(owner.device)
-                  .enqueueReadBuffer(*input.partOn(owner.device)->buffer,
-                                     (s.begin - owner.offset) * elem,
-                                     (s.end - s.begin) * elem, dst, /*blocking=*/false, deps);
-            },
-            {}, std::move(ext));
-      p.segUploads[si] = g.size() - 1;  // placeholder; rewritten by the upload below
+      p.segWrites.push_back(g.add(
+          StageKind::Halo, owner.device,
+          "halo get dev" + std::to_string(owner.device) + "->dev" +
+              std::to_string(p.range.device),
+          [&sess, &input, owner, s, dst, rowBytes](std::span<const ocl::Event> deps) {
+            return sess.queue(owner.device)
+                .enqueueReadBuffer(*input.partOn(owner.device)->buffer,
+                                   (s.begin - owner.offset) * rowBytes,
+                                   (s.end - s.begin) * rowBytes, dst, /*blocking=*/false, deps);
+          },
+          {}, std::move(ext)));
     }
   }
-  // Interior: one device-local copy of the part's own elements.
+  // Contiguous apron, interior: one device-local copy of the part's own rows.
   for (PartPlan& p : plans) {
+    if (!contiguous) continue;
     const PartRange r = p.range;
     std::vector<ocl::Event> ext;
     addPartDep(ext, &input, r.device);
     ocl::Buffer* padded = p.padded.get();
     p.interior = g.add(
         StageKind::Copy, r.device, "overlap interior dev" + std::to_string(r.device),
-        [&sess, &input, r, padded, elem, radius](std::span<const ocl::Event> deps) {
+        [&sess, &input, r, padded, padRowBytes, radius](std::span<const ocl::Event> deps) {
           return sess.queue(r.device).enqueueCopyBuffer(*input.partOn(r.device)->buffer,
-                                                        *padded, 0, radius * elem,
-                                                        r.size * elem, deps);
+                                                        *padded, 0, radius * padRowBytes,
+                                                        r.size * padRowBytes, deps);
         },
         {}, std::move(ext));
-    p.padWrites.push_back(p.interior);
+    p.ready.push_back(p.interior);
   }
-  // Halo exchange, step 2: write each staged segment into the padded buffer
-  // (contiguous in 1D, one upload per segment; kind "halo").
-  for (PartPlan& p : plans) {
-    const PartRange r = p.range;
-    for (std::size_t si = 0; si < p.segs.size(); ++si) {
-      const HaloSegment& s = p.segs[si];
-      const ExecGraph::NodeId download = p.segUploads[si];
-      const std::byte* src = p.staging[si].data();
-      // padded index of global element g is g + radius - r.offset
-      const std::size_t dstOff = (s.begin + radius - r.offset) * elem;
-      ocl::Buffer* padded = p.padded.get();
-      p.segUploads[si] = g.add(
-          StageKind::Halo, r.device,
-          "halo put dev" + std::to_string(ranges[s.ownerIndex].device) + "->dev" +
-              std::to_string(r.device),
-          [&sess, r, padded, src, s, dstOff, elem](std::span<const ocl::Event> deps) {
-            return sess.queue(r.device).enqueueWriteBuffer(*padded, dstOff,
-                                                           (s.end - s.begin) * elem, src,
-                                                           /*blocking=*/false, deps);
-          },
-          {download});
-      p.padWrites.push_back(p.segUploads[si]);
-    }
-  }
-  // Boundary policy for the out-of-range ends of the padded buffer.
+  // Halo exchange, step 2: write the staged segments into the padded block,
+  // one upload per contiguous run — the whole segment when padded rows are
+  // contiguous, else one row (kind "halo").
   for (PartPlan& p : plans) {
     const PartRange r = p.range;
     ocl::Buffer* padded = p.padded.get();
-    if (padding == Padding::Neutral) {
-      if (p.missLeft > 0) {
-        const std::byte* src = p.neutralStage.data();
-        const std::size_t bytes = p.missLeft * elem;
-        p.padWrites.push_back(
-            g.add(StageKind::Upload, r.device, "overlap edge dev" + std::to_string(r.device),
-                  [&sess, r, padded, src, bytes](std::span<const ocl::Event> deps) {
-                    return sess.queue(r.device).enqueueWriteBuffer(*padded, 0, bytes, src,
-                                                                   /*blocking=*/false, deps);
-                  }));
+    for (std::size_t si = 0; si < p.segs.size(); ++si) {
+      const HaloSegment& s = p.segs[si];
+      const ExecGraph::NodeId get = p.segWrites[si];
+      const std::size_t run = contiguous ? s.end - s.begin : 1;
+      for (std::size_t row = s.begin; row < s.end; row += run) {
+        const std::byte* src = p.staging[si].data() + (row - s.begin) * rowBytes;
+        // padded row of global row g is g + radius - r.offset
+        const std::size_t dstOff = ((row + radius - r.offset) * stride + colRadius) * elem;
+        const std::size_t bytes = run * rowBytes;
+        p.segWrites[si] = g.add(
+            StageKind::Halo, r.device,
+            "halo put dev" + std::to_string(ranges[s.ownerIndex].device) + "->dev" +
+                std::to_string(r.device),
+            [&sess, r, padded, src, dstOff, bytes](std::span<const ocl::Event> deps) {
+              return sess.queue(r.device).enqueueWriteBuffer(*padded, dstOff, bytes, src,
+                                                             /*blocking=*/false, deps);
+            },
+            {get});
+        p.ready.push_back(p.segWrites[si]);
       }
-      if (p.missRight > 0) {
+    }
+  }
+  // The rest of the apron: out-of-range rows (and the column padding) from
+  // the boundary policy.
+  for (PartPlan& p : plans) {
+    const PartRange r = p.range;
+    ocl::Buffer* padded = p.padded.get();
+    const std::size_t padRows = r.size + 2 * radius;
+    if (!contiguous) {
+      std::vector<ocl::Event> ext;
+      addPartDep(ext, &input, r.device);
+      const std::size_t total = padRows * stride;
+      const ExecGraph::NodeId packed = g.add(
+          StageKind::Kernel, r.device, "overlap pack dev" + std::to_string(r.device),
+          [&, r, padded, total](std::span<const ocl::Event> deps) {
+            pack->setArg(0, *input.partOn(r.device)->buffer);
+            pack->setArg(1, *padded);
+            pack->setArg(2, static_cast<std::int32_t>(total));
+            pack->setArg(3, static_cast<std::int32_t>(rows));
+            pack->setArg(4, static_cast<std::int32_t>(cols));
+            pack->setArg(5, static_cast<std::int32_t>(stride));
+            pack->setArg(6, static_cast<std::int32_t>(radius));
+            pack->setArg(7, static_cast<std::int32_t>(r.offset));
+            pack->setArg(8, static_cast<std::int32_t>(r.size));
+            bindNeutral(*pack, 9, neutral);
+            return sess.queue(r.device).enqueueNDRangeKernel(*pack, total, 0, deps);
+          },
+          p.ready, std::move(ext));
+      p.ready = {packed};
+    } else if (padding == Padding::Neutral) {
+      auto fill = [&](std::size_t firstRow, std::size_t count) {
         const std::byte* src = p.neutralStage.data();
-        const std::size_t dstOff = (r.size + 2 * radius - p.missRight) * elem;
-        const std::size_t bytes = p.missRight * elem;
-        p.padWrites.push_back(
+        const std::size_t dstOff = firstRow * padRowBytes;
+        const std::size_t bytes = count * padRowBytes;
+        p.ready.push_back(
             g.add(StageKind::Upload, r.device, "overlap edge dev" + std::to_string(r.device),
                   [&sess, r, padded, src, dstOff, bytes](std::span<const ocl::Event> deps) {
                     return sess.queue(r.device).enqueueWriteBuffer(*padded, dstOff, bytes, src,
                                                                    /*blocking=*/false, deps);
                   }));
-      }
+      };
+      if (p.missTop > 0) fill(0, p.missTop);
+      if (p.missBottom > 0) fill(padRows - p.missBottom, p.missBottom);
     } else {
-      // Clamp: replicate the global edge element.  Whenever an end of the
-      // padded buffer is out of range, the edge element is already *in* the
-      // buffer — in the interior if this part owns it, otherwise inside the
-      // fetched halo (the clipped halo interval always reaches the edge).
+      // Clamp: replicate the global edge row.  Whenever an end of the padded
+      // block is out of range, the edge row is already *in* the block — in
+      // the interior if this part owns it, otherwise inside the fetched halo
+      // (the clipped halo interval always reaches the edge).
       auto writerOf = [&](std::size_t global) -> ExecGraph::NodeId {
         if (global >= r.offset && global < r.offset + r.size) return p.interior;
         for (std::size_t si = 0; si < p.segs.size(); ++si) {
-          if (global >= p.segs[si].begin && global < p.segs[si].end) return p.segUploads[si];
+          if (global >= p.segs[si].begin && global < p.segs[si].end) return p.segWrites[si];
         }
         throw UsageError("map-overlap: clamp source element not staged");
       };
-      auto clampCopies = [&](std::size_t global, std::size_t firstDst, std::size_t count) {
-        const std::size_t srcOff = (global + radius - r.offset) * elem;
+      auto clampCopies = [&](std::size_t global, std::size_t firstRow, std::size_t count) {
+        const std::size_t srcOff = (global + radius - r.offset) * padRowBytes;
         const ExecGraph::NodeId dep = writerOf(global);
         for (std::size_t k = 0; k < count; ++k) {
-          const std::size_t dstOff = (firstDst + k) * elem;
-          p.padWrites.push_back(g.add(
+          const std::size_t dstOff = (firstRow + k) * padRowBytes;
+          p.ready.push_back(g.add(
               StageKind::Copy, r.device, "overlap edge dev" + std::to_string(r.device),
-              [&sess, r, padded, srcOff, dstOff, elem](std::span<const ocl::Event> deps) {
-                return sess.queue(r.device).enqueueCopyBuffer(*padded, *padded, srcOff,
-                                                              dstOff, elem, deps);
+              [&sess, r, padded, srcOff, dstOff, padRowBytes](std::span<const ocl::Event> deps) {
+                return sess.queue(r.device).enqueueCopyBuffer(*padded, *padded, srcOff, dstOff,
+                                                              padRowBytes, deps);
               },
               {dep}));
         }
       };
-      if (p.missLeft > 0) clampCopies(0, 0, p.missLeft);
-      if (p.missRight > 0) clampCopies(n - 1, r.size + 2 * radius - p.missRight, p.missRight);
+      if (p.missTop > 0) clampCopies(0, 0, p.missTop);
+      if (p.missBottom > 0) clampCopies(rows - 1, padRows - p.missBottom, p.missBottom);
     }
   }
-  // Stencil kernels, one per part.
-  std::vector<std::pair<int, ExecGraph::NodeId>> launches;
-  for (PartPlan& p : plans) {
-    const PartRange r = p.range;
-    ocl::Buffer* padded = p.padded.get();
-    std::vector<ocl::Event> ext;
-    for (const ExtraArg& e : extras) {
-      if (e.kind == ExtraArg::Kind::VectorRef) addPartDep(ext, e.vector, r.device);
-    }
-    launches.emplace_back(
-        r.device,
-        g.add(StageKind::Kernel, r.device, "overlap dev" + std::to_string(r.device),
-              [&, r, padded](std::span<const ocl::Event> deps) {
-                kernel.setArg(0, *padded);
-                kernel.setArg(1, *output.partOn(r.device)->buffer);
-                kernel.setArg(2, static_cast<std::int32_t>(r.size));
-                kernel.setArg(3, static_cast<std::int32_t>(radius));
-                bindExtras(sess, kernel, 4, extras, r.device);
-                return sess.queue(r.device).enqueueNDRangeKernel(kernel, r.size, 0, deps);
-              },
-              p.padWrites, std::move(ext)));
-  }
-  g.run();
-  for (const auto& [device, node] : launches) {
-    output.recordDeviceWrite(device, g.event(node));
-  }
-  if (!launches.empty()) output.markDevicesModified();
-}
-
-void runMapOverlap2DOnce(Session& sess, const std::string& userSource, MatrixData& input,
-                         MatrixData& output, const std::string& typeName, std::size_t radius,
-                         Padding padding, const ExtraArg& neutral,
-                         std::vector<ExtraArg>& extras) {
-  const std::size_t rows = input.rowCount();
-  const std::size_t cols = input.columnCount();
-  if (rows == 0) return;  // empty in, empty out
-
-  VectorData& in = input.rowVector();
-  VectorData& out = output.rowVector();
-  if (in.distribution().kind() != Distribution::Kind::Block) {
-    in.setDistribution(Distribution::block());
-  }
-  in.ensureOnDevices(sess);
-  out.setDistribution(in.distribution());
-  out.ensureOnDevicesNoUpload(sess);
-  prepareExtras(sess, extras);
-
-  const std::size_t elem = input.scalarSize();
-  const std::size_t stride = cols + 2 * radius;
-  const std::ptrdiff_t R = static_cast<std::ptrdiff_t>(radius);
-
-  // Two kernels per program: the pack kernel assembles the padded part
-  // (interior from the part's own rows, column padding and out-of-matrix
-  // rows from the boundary policy; in-matrix halo rows were uploaded before
-  // it runs and are left untouched), then the stencil kernel consumes it.
-  std::string source = gatherTypedefs(extras);
-  source += userSource;
-  source += "\n__kernel void skelcl_mo_pack(__global " + typeName + "* skelcl_src, __global " +
-            typeName +
-            "* skelcl_pad, int skelcl_total, int skelcl_rows, int skelcl_cols, "
-            "int skelcl_stride, int skelcl_r, int skelcl_row0, int skelcl_prows, " +
-            typeName +
-            " skelcl_neutral) {\n"
-            "  int skelcl_i = get_global_id(0);\n"
-            "  if (skelcl_i < skelcl_total) {\n"
-            "    int skelcl_prow = skelcl_i / skelcl_stride;\n"
-            "    int skelcl_col = skelcl_i % skelcl_stride - skelcl_r;\n"
-            "    int skelcl_arow = skelcl_row0 - skelcl_r + skelcl_prow;\n"
-            "    if (skelcl_col < 0 || skelcl_col >= skelcl_cols || skelcl_arow < 0 || "
-            "skelcl_arow >= skelcl_rows) {\n";
-  if (padding == Padding::Neutral) {
-    source += "      skelcl_pad[skelcl_i] = skelcl_neutral;\n";
-  } else {
-    // The clamped cell is always present: in the part's own rows, or in an
-    // uploaded halo row (the clipped halo row range always reaches the
-    // matrix edge whenever an out-of-matrix row exists).  Halo-row cells
-    // are never written by this kernel, so the read is safe under any
-    // work-item order.
-    source +=
-        "      int skelcl_crow = clamp(skelcl_arow, 0, skelcl_rows - 1);\n"
-        "      int skelcl_ccol = clamp(skelcl_col, 0, skelcl_cols - 1);\n"
-        "      if (skelcl_crow >= skelcl_row0 && skelcl_crow < skelcl_row0 + skelcl_prows) {\n"
-        "        skelcl_pad[skelcl_i] = "
-        "skelcl_src[(skelcl_crow - skelcl_row0) * skelcl_cols + skelcl_ccol];\n"
-        "      } else {\n"
-        "        skelcl_pad[skelcl_i] = skelcl_pad[(skelcl_crow - skelcl_row0 + skelcl_r) * "
-        "skelcl_stride + skelcl_r + skelcl_ccol];\n"
-        "      }\n";
-  }
-  source +=
-      "    } else if (skelcl_arow >= skelcl_row0 && skelcl_arow < skelcl_row0 + skelcl_prows) "
-      "{\n"
-      "      skelcl_pad[skelcl_i] = "
-      "skelcl_src[(skelcl_arow - skelcl_row0) * skelcl_cols + skelcl_col];\n"
-      "    }\n"
-      "  }\n}\n";
-  source += "__kernel void skelcl_overlap2(__global " + typeName + "* skelcl_pad, __global " +
-            typeName + "* skelcl_out, int skelcl_n, int skelcl_cols, int skelcl_stride, "
-            "int skelcl_r" + extraParams(extras) +
-            ") {\n"
-            "  int skelcl_i = get_global_id(0);\n"
-            "  if (skelcl_i < skelcl_n) {\n"
-            "    int skelcl_row = skelcl_i / skelcl_cols;\n"
-            "    int skelcl_col = skelcl_i % skelcl_cols;\n"
-            "    skelcl_out[skelcl_i] = func(skelcl_pad, "
-            "(skelcl_row + skelcl_r) * skelcl_stride + skelcl_col + skelcl_r, skelcl_stride" +
-            extraNames(extras) + ");\n  }\n}\n";
-  auto program = sess.programForSource(source);
-  ocl::Kernel pack(*program, "skelcl_mo_pack");
-  ocl::Kernel kernel(*program, "skelcl_overlap2");
-
-  const std::vector<PartRange> ranges = in.plannedPartition(sess);
-
-  struct PartPlan {
-    PartRange range;                              ///< row range
-    std::unique_ptr<ocl::Buffer> padded;          ///< (rows + 2r) x stride scalars
-    std::vector<HaloSegment> segs;                ///< halo *row* segments
-    std::vector<std::vector<std::byte>> staging;  ///< one per segment
-    std::vector<ExecGraph::NodeId> padWrites;     ///< downloads resolved to uploads
-    ExecGraph::NodeId packNode = 0;
-  };
-  std::vector<PartPlan> plans;
-  for (std::size_t pi = 0; pi < ranges.size(); ++pi) {
-    const PartRange& r = ranges[pi];
-    PartPlan p;
-    p.range = r;
-    const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(r.offset);
-    p.padded = std::make_unique<ocl::Buffer>(sess.context(), sess.device(r.device),
-                                             (r.size + 2 * radius) * stride * elem);
-    p.segs = haloSegments(ranges, pi, off - R,
-                          off + static_cast<std::ptrdiff_t>(r.size) + R, rows);
-    for (const HaloSegment& s : p.segs) {
-      p.staging.emplace_back((s.end - s.begin) * cols * elem);
-    }
-    plans.push_back(std::move(p));
-  }
-
-  ExecGraph g(sess);
-  // Halo rows out of their owners (contiguous in the owner's part buffer).
-  std::vector<std::vector<ExecGraph::NodeId>> downloads(plans.size());
-  for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-    PartPlan& p = plans[pi];
-    for (std::size_t si = 0; si < p.segs.size(); ++si) {
-      const HaloSegment& s = p.segs[si];
-      const PartRange& owner = ranges[s.ownerIndex];
-      std::byte* dst = p.staging[si].data();
-      std::vector<ocl::Event> ext;
-      addPartDep(ext, &in, owner.device);
-      downloads[pi].push_back(g.add(
-          StageKind::Halo, owner.device,
-          "halo get dev" + std::to_string(owner.device) + "->dev" +
-              std::to_string(p.range.device),
-          [&sess, &in, owner, s, dst, cols, elem](std::span<const ocl::Event> deps) {
-            return sess.queue(owner.device)
-                .enqueueReadBuffer(*in.partOn(owner.device)->buffer,
-                                   (s.begin - owner.offset) * cols * elem,
-                                   (s.end - s.begin) * cols * elem, dst, /*blocking=*/false,
-                                   deps);
-          },
-          {}, std::move(ext)));
-    }
-  }
-  // Halo rows into the padded buffers: one upload per row (the padded
-  // destination is strided, the rows of one segment are not contiguous).
-  for (std::size_t pi = 0; pi < plans.size(); ++pi) {
-    PartPlan& p = plans[pi];
-    const PartRange r = p.range;
-    ocl::Buffer* padded = p.padded.get();
-    for (std::size_t si = 0; si < p.segs.size(); ++si) {
-      const HaloSegment& s = p.segs[si];
-      const ExecGraph::NodeId download = downloads[pi][si];
-      for (std::size_t row = s.begin; row < s.end; ++row) {
-        const std::byte* src = p.staging[si].data() + (row - s.begin) * cols * elem;
-        // padded row index of global row g is g + radius - r.offset
-        const std::size_t dstOff = ((row + radius - r.offset) * stride + radius) * elem;
-        p.padWrites.push_back(g.add(
-            StageKind::Halo, r.device,
-            "halo put dev" + std::to_string(ranges[s.ownerIndex].device) + "->dev" +
-                std::to_string(r.device),
-            [&sess, r, padded, src, dstOff, cols, elem](std::span<const ocl::Event> deps) {
-              return sess.queue(r.device).enqueueWriteBuffer(*padded, dstOff, cols * elem, src,
-                                                             /*blocking=*/false, deps);
-            },
-            {download}));
-      }
-    }
-  }
-  // Pack kernels: interior rows + boundary policy around them.
-  for (PartPlan& p : plans) {
-    const PartRange r = p.range;
-    ocl::Buffer* padded = p.padded.get();
-    std::vector<ocl::Event> ext;
-    addPartDep(ext, &in, r.device);
-    const std::size_t total = (r.size + 2 * radius) * stride;
-    p.packNode = g.add(
-        StageKind::Kernel, r.device, "overlap pack dev" + std::to_string(r.device),
-        [&, r, padded, total](std::span<const ocl::Event> deps) {
-          pack.setArg(0, *in.partOn(r.device)->buffer);
-          pack.setArg(1, *padded);
-          pack.setArg(2, static_cast<std::int32_t>(total));
-          pack.setArg(3, static_cast<std::int32_t>(rows));
-          pack.setArg(4, static_cast<std::int32_t>(cols));
-          pack.setArg(5, static_cast<std::int32_t>(stride));
-          pack.setArg(6, static_cast<std::int32_t>(radius));
-          pack.setArg(7, static_cast<std::int32_t>(r.offset));
-          pack.setArg(8, static_cast<std::int32_t>(r.size));
-          bindNeutral(pack, 9, neutral);
-          return sess.queue(r.device).enqueueNDRangeKernel(pack, total, 0, deps);
-        },
-        p.padWrites, std::move(ext));
-  }
-  // Stencil kernels.
+  // Stencil kernels, one per part: (pad, out, n, r) in the 1D form,
+  // (pad, out, n, cols, stride, r) in the row/col form, then the extras.
+  const std::vector<std::size_t> shapeArgs =
+      contiguous ? std::vector<std::size_t>{radius}
+                 : std::vector<std::size_t>{cols, stride, radius};
   std::vector<std::pair<int, ExecGraph::NodeId>> launches;
   for (PartPlan& p : plans) {
     const PartRange r = p.range;
@@ -1795,21 +1691,38 @@ void runMapOverlap2DOnce(Session& sess, const std::string& userSource, MatrixDat
         g.add(StageKind::Kernel, r.device, "overlap dev" + std::to_string(r.device),
               [&, r, padded, nOut](std::span<const ocl::Event> deps) {
                 kernel.setArg(0, *padded);
-                kernel.setArg(1, *out.partOn(r.device)->buffer);
+                kernel.setArg(1, *output.partOn(r.device)->buffer);
                 kernel.setArg(2, static_cast<std::int32_t>(nOut));
-                kernel.setArg(3, static_cast<std::int32_t>(cols));
-                kernel.setArg(4, static_cast<std::int32_t>(stride));
-                kernel.setArg(5, static_cast<std::int32_t>(radius));
-                bindExtras(sess, kernel, 6, extras, r.device);
+                std::size_t arg = 3;
+                for (const std::size_t v : shapeArgs) {
+                  kernel.setArg(arg++, static_cast<std::int32_t>(v));
+                }
+                bindExtras(sess, kernel, arg, extras, r.device);
                 return sess.queue(r.device).enqueueNDRangeKernel(kernel, nOut, 0, deps);
               },
-              {p.packNode}, std::move(ext)));
+              p.ready, std::move(ext)));
   }
   g.run();
   for (const auto& [device, node] : launches) {
-    out.recordDeviceWrite(device, g.event(node));
+    output.recordDeviceWrite(device, g.event(node));
   }
-  if (!launches.empty()) out.markDevicesModified();
+  if (!launches.empty()) output.markDevicesModified();
+}
+
+/// Shared front of both ranks: lock, the in-place and aliasing checks, and
+/// device-loss recovery around the engine.
+void runMapOverlap(Session& session, const std::string& userSource, VectorData& input,
+                   VectorData& output, const std::string& typeName, std::size_t cols,
+                   std::size_t colRadius, std::size_t radius, Padding padding,
+                   const ExtraArg& neutral, std::vector<ExtraArg>& extras) {
+  std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
+  SKELCL_CHECK(&output != &input,
+               "map-overlap cannot run in place: the stencil reads neighbours of every element");
+  rejectOutputAsExtra(extras, output);
+  withDeviceLossRecovery(session, recoveryInputs(&input, nullptr, extras), &output, [&] {
+    runMapOverlapOnce(session, userSource, input, output, typeName, cols, colRadius, radius,
+                      padding, neutral, extras);
+  });
 }
 
 }  // namespace
@@ -1817,32 +1730,19 @@ void runMapOverlap2DOnce(Session& sess, const std::string& userSource, MatrixDat
 void runMapOverlap1D(Session& session, const std::string& userSource, VectorData& input,
                      VectorData& output, const std::string& typeName, std::size_t radius,
                      Padding padding, const ExtraArg& neutral, std::vector<ExtraArg>& extras) {
-  std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
   SKELCL_CHECK(output.count() == input.count(), "map-overlap output size mismatch");
-  SKELCL_CHECK(&output != &input,
-               "map-overlap cannot run in place: the stencil reads neighbours of every element");
-  rejectOutputAsExtra(extras, output);
-  withDeviceLossRecovery(session, recoveryInputs(&input, nullptr, extras), &output, [&] {
-    runMapOverlap1DOnce(session, userSource, input, output, typeName, radius, padding, neutral,
-                        extras);
-  });
+  runMapOverlap(session, userSource, input, output, typeName, /*cols=*/1, /*colRadius=*/0,
+                radius, padding, neutral, extras);
 }
 
 void runMapOverlap2D(Session& session, const std::string& userSource, MatrixData& input,
                      MatrixData& output, const std::string& typeName, std::size_t radius,
                      Padding padding, const ExtraArg& neutral, std::vector<ExtraArg>& extras) {
-  std::lock_guard<std::recursive_mutex> lock(session.shared().mutex());
   SKELCL_CHECK(output.rowCount() == input.rowCount() &&
                    output.columnCount() == input.columnCount(),
                "map-overlap output shape mismatch");
-  SKELCL_CHECK(&output != &input,
-               "map-overlap cannot run in place: the stencil reads neighbours of every element");
-  rejectOutputAsExtra(extras, output.rowVector());
-  withDeviceLossRecovery(session, recoveryInputs(&input.rowVector(), nullptr, extras),
-                         &output.rowVector(), [&] {
-                           runMapOverlap2DOnce(session, userSource, input, output, typeName,
-                                               radius, padding, neutral, extras);
-                         });
+  runMapOverlap(session, userSource, input.rowVector(), output.rowVector(), typeName,
+                input.columnCount(), /*colRadius=*/radius, radius, padding, neutral, extras);
 }
 
 // ---------------------------------------------------------------------------

@@ -122,23 +122,24 @@ kc::Slot runFusedReduce(Session& session, VectorData& input, const std::string& 
                         std::vector<ExtraArg>& reduceExtras,
                         bool forceUnfused, bool* ranFused = nullptr);
 
-/// MapOverlap over a vector (1D stencil): each output element is computed by
+/// MapOverlap: one halo engine serves both ranks.  Each device part is
+/// staged into a padded block of (partRows + 2r) rows by (cols + 2 r_c)
+/// scalars; in-range halo rows are exchanged between parts through host
+/// staging (traced as kind "halo"), out-of-range reads follow the `padding`
+/// policy (`neutral` supplies the neutral element, ignored for clamp).
+/// Empty input -> empty output.
+///
+/// 1D, over a vector: cols = 1, r_c = 0.  Each output element is
 /// `T func(__global T* pad, int center, extras...)` reading pad[center - r]
-/// .. pad[center + r] of a per-device buffer padded with `radius` halo
-/// elements on both sides.  In-range halo elements are exchanged between
-/// neighbouring device parts through host staging (traced as kind "halo");
-/// out-of-range accesses follow the `padding` policy (`neutral` supplies the
-/// neutral element, ignored for clamp).  Empty input -> empty output.
+/// .. pad[center + r].  Device copies and fills build the apron.
 void runMapOverlap1D(Session& session, const std::string& userSource, VectorData& input,
                      VectorData& output, const std::string& typeName, std::size_t radius,
                      Padding padding, const ExtraArg& neutral, std::vector<ExtraArg>& extras);
 
-/// MapOverlap over a row-block matrix (2D stencil): per device part one
-/// padded buffer of (partRows + 2r) x (columns + 2r) scalars, halo *rows*
-/// exchanged between parts (kind "halo"), column padding and out-of-matrix
-/// rows filled by a generated pack kernel according to `padding`.  The user
+/// 2D, over a row-block matrix: cols = columnCount(), r_c = r.  The user
 /// function is `T func(__global T* pad, int center, int stride, extras...)`;
-/// neighbours live at center +- 1 and center +- stride.
+/// neighbours live at center +- 1 and center +- stride.  A generated pack
+/// kernel builds the apron (column padding and out-of-matrix rows).
 void runMapOverlap2D(Session& session, const std::string& userSource, MatrixData& input,
                      MatrixData& output, const std::string& typeName, std::size_t radius,
                      Padding padding, const ExtraArg& neutral, std::vector<ExtraArg>& extras);

@@ -19,14 +19,6 @@ using namespace skelcl;
 
 namespace {
 
-// Stencil bit-identity across device counts needs a deterministic VM; float
-// kernels here are per-element independent, but pin to one thread anyway so
-// the comparisons can be memcmp-strict.
-const int kForceSingleThread = [] {
-  setenv("SKELCL_THREADS", "1", 1);
-  return 0;
-}();
-
 struct RuntimeGuard {
   explicit RuntimeGuard(sim::SystemConfig config) { init(std::move(config)); }
   ~RuntimeGuard() {
@@ -283,6 +275,59 @@ TEST(Stencil1D, MultiHopHaloWhenRadiusSpansSeveralParts) {
   }
 }
 
+namespace {
+
+/// Trace records of the last stencil call whose stage label starts with
+/// `prefix` ("halo get", "overlap edge", ...).
+int countLabelled(const char* prefix) {
+  int count = 0;
+  for (const auto& r : trace::snapshot()) {
+    if (r.name.rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
+}
+
+}  // namespace
+
+TEST(Stencil1D, HaloExchangeIsTraced) {
+  // The contiguous apron: one interior copy per part, halo segments uploaded
+  // whole, boundary rows filled by edge commands — never the pack kernel.
+  RuntimeGuard rt(sim::SystemConfig::teslaS1070(4));
+  trace::enable();
+  MapOverlap<float(float)> sum3(kSum3, 1, Padding::Clamp);
+  Vector<float> in(randomFloats(64, 15));
+  Vector<float> out = sum3(in);
+  (void)out.hostData();
+
+  int halos = 0;
+  for (const auto& r : trace::snapshot()) {
+    if (r.kind == trace::Record::Kind::Halo) ++halos;
+  }
+  // 4 parts of 16, 3 internal boundaries, one get and one put per direction.
+  EXPECT_EQ(halos, 12);
+  EXPECT_EQ(countLabelled("halo get"), 6);
+  EXPECT_EQ(countLabelled("halo put"), 6);
+  EXPECT_EQ(countLabelled("overlap interior"), 4);
+  EXPECT_EQ(countLabelled("overlap edge"), 2);  // one clamp copy at each global end
+  EXPECT_EQ(countLabelled("overlap pack"), 0);
+
+  // Multi-hop: 8 elements in parts of 2, radius 5.  Every part reads three
+  // segments (one upload each), and each out-of-range end of a padded part
+  // (5, 3 or 1 elements deep) is one neutral fill.
+  trace::clear();
+  MapOverlap<int(int)> span(
+      "int func(__global int* in, int i) { return in[i - 5] + in[i] + in[i + 5]; }", 5,
+      Padding::Neutral, 0);
+  Vector<int> small(8);
+  for (std::size_t i = 0; i < 8; ++i) small[i] = static_cast<int>(i);
+  Vector<int> spanned = span(small);
+  (void)spanned.hostData();
+  EXPECT_EQ(countLabelled("halo get"), 12);
+  EXPECT_EQ(countLabelled("halo put"), 12);
+  EXPECT_EQ(countLabelled("overlap edge"), 6);
+  EXPECT_EQ(countLabelled("overlap pack"), 0);
+}
+
 TEST(Stencil1D, InPlaceIsRejected) {
   RuntimeGuard rt(sim::SystemConfig::teslaS1070(2));
   MapOverlap<float(float)> sum3(kSum3, 1, Padding::Clamp);
@@ -429,6 +474,21 @@ TEST(Stencil2D, HaloExchangeIsTraced) {
   // 4 parts, 3 interior edges, each edge one download + one upload per
   // direction = 4 halo records per edge.
   EXPECT_EQ(halos, 12);
+
+  // Column padding: the pack kernel builds the apron (no interior copy), and
+  // halo rows land one upload per row — radius 2 gives 6 segments of 2 rows.
+  trace::clear();
+  trace::enable();
+  MapOverlap<float(float)> wide(
+      "float func(__global float* m, int i, int s) { return m[i - 2 * s] + m[i + 2]; }", 2,
+      Padding::Neutral, 0.0f);
+  Matrix<float> wider = wide(in);
+  (void)wider.hostData();
+  EXPECT_EQ(countLabelled("halo get"), 6);
+  EXPECT_EQ(countLabelled("halo put"), 12);
+  EXPECT_EQ(countLabelled("overlap pack"), 4);
+  EXPECT_EQ(countLabelled("overlap interior"), 0);
+  EXPECT_EQ(countLabelled("overlap edge"), 0);
 }
 
 TEST(Stencil2D, SingleDeviceNeedsNoHalo) {

@@ -7,6 +7,7 @@
 // Vector API (each one failed before its fix).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "check/vector_access.hpp"
 #include "core/detail/runtime.hpp"
 #include "core/skelcl.hpp"
+#include "ocl/queue.hpp"
 
 using namespace skelcl;
 using namespace skelcl::check;
@@ -112,6 +114,43 @@ TEST(SkelcheckReplay, StencilOpsWithKillRecovery) {
   EXPECT_EQ(serialize(parse(serialize(parsed))), serialize(parsed));
   const RunResult res = runProgram(parsed);
   EXPECT_TRUE(res.ok) << res.message;
+}
+
+/// Set by the command hook when any command fails (here: the injected kill).
+std::atomic<bool> g_commandFailed{false};
+
+void noteFailedCommand(const ocl::CommandInfo&, const ocl::Event& event) {
+  if (event.failed()) g_commandFailed = true;
+}
+
+TEST(SkelcheckReplay, StencilOpsAgreeAtEveryKillPosition) {
+  // Every fault position in both stencil ranks: device d dies after k
+  // commands.  n = 10 on 4 devices gives parts of 3/3/2/2 elements, so the
+  // radius-3 map-overlap and the radius-2 matrix stencil (5 rows of 2, parts
+  // of one or two rows) read halos across several parts (multi-hop).  For
+  // each d, k climbs until the ops finish before the kill fires.
+  for (int d = 0; d < 4; ++d) {
+    for (int k = 1;; ++k) {
+      const std::string text =
+          "skelcheck v1\n"
+          "config devices=4 elem=i32 n=10 kcopt=1 seed=0 pool=3\n"
+          "fault kill=" + std::to_string(d) + " after=" + std::to_string(k) + "\n"
+          "fill a=0 base=-7 step=3\n"
+          "mapoverlap a=0 dst=1 fn=s1sum inplace=0 r=3 pad=1 ci=0 cf=0\n"
+          "probe a=1\n"
+          "mapoverlap a=1 dst=2 fn=s1diff inplace=0 r=1 pad=0 ci=5 cf=0\n"
+          "probe a=2\n"
+          "matstencil a=2 dst=0 fn=s2sum r=2 pad=0 cols=2 ci=-3 cf=0\n"
+          "probe a=0\n";
+      g_commandFailed = false;
+      ocl::setCommandHook(&noteFailedCommand);
+      const RunResult res = runProgram(parse(text));
+      ocl::setCommandHook(nullptr);
+      EXPECT_TRUE(res.ok) << "kill=" << d << " after=" << k << ": " << res.message;
+      if (!g_commandFailed) break;
+      ASSERT_LT(k, 500) << "kill=" << d << " still fires";
+    }
+  }
 }
 
 TEST(SkelcheckReplay, EmptyVectorsFlowThroughEverySkeleton) {
