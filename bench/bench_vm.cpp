@@ -9,18 +9,23 @@
 //          interpreter
 //   batch  tier 2 pipeline on the work-group-batched interpreter
 //          (Vm::runKernelBatch, 256-lane groups)
-// and reports wall-clock Minstructions/s plus speedups over the tiers below.
-// Outputs must be bit-identical and the retired-instruction counts equal
-// across every configuration, otherwise the simulated GPU timings would
-// drift; the benchmark exits nonzero on any divergence.
+// and reports Minstructions/s plus speedups over the tiers below.  Times are
+// the bench thread's CPU time (CLOCK_THREAD_CPUTIME_ID), so a busy host
+// preempting it does not count; fast and batch run as interleaved
+// repetitions, each reported at its median, and batch/fast is the median of
+// the per-repetition ratios.  Outputs must be bit-identical and the
+// retired-instruction counts equal across every run, otherwise the
+// simulated GPU timings would drift; the benchmark exits nonzero on any
+// divergence.
 //
 //   usage: bench_vm [--smoke] [--gate]
-//     --smoke   small sizes (CI): divergence checks only
+//     --smoke   small sizes (CI), one repetition: divergence checks only
 //     --gate    additionally require batch >= 3x fast on mandelbrot, osem
 //               and the map, reduce and stencil kernels, and batch >= 1.5x
 //               fast on OSEM's step 1 (the pack kernel is reported only)
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -184,6 +189,19 @@ struct RunResult {
   std::uint64_t instructions = 0;
 };
 
+/// CPU time the calling thread has used, in seconds.
+double threadSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
 /// One kernel argument: a buffer with its initial contents, or a scalar.
 struct Arg {
   std::vector<std::byte> buffer;
@@ -260,7 +278,7 @@ RunResult runWorkload(const Workload& w, const Config& cfg,
     std::fprintf(stderr, "no kernel '%s'\n", w.kernel);
     std::exit(1);
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = threadSeconds();
   if (cfg.batch) {
     for (std::int64_t gid = 0; gid < w.items;) {
       const std::int64_t lanes = std::min<std::int64_t>(w.items - gid, Vm::kBatchLanes);
@@ -272,10 +290,10 @@ RunResult runWorkload(const Workload& w, const Config& cfg,
       vm.runKernel(k, args, gid, w.items);
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
+  const double t1 = threadSeconds();
 
   RunResult r;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.seconds = t1 - t0;
   r.instructions = vm.instructionsExecuted();
   return r;
 }
@@ -293,41 +311,55 @@ struct BenchOutcome {
   double speedupBatchOverFast = 0.0;
 };
 
-BenchOutcome benchWorkload(const Workload& w) {
-  RunResult results[kNumConfigs];
-  std::vector<std::vector<std::byte>> outs[kNumConfigs];
-  for (int c = 0; c < kNumConfigs; ++c) {
-    results[c] = runWorkload(w, kConfigs[c], outs[c]);
-  }
+/// Run ref and tier2 once, then fast and batch interleaved `reps` times;
+/// every run is checked against ref.
+BenchOutcome benchWorkload(const Workload& w, int reps) {
+  constexpr int kRef = 0;
+  constexpr int kFast = 1;
+  constexpr int kTier2 = 2;
+  constexpr int kBatch = 3;
+  std::vector<double> seconds[kNumConfigs];
+  std::vector<std::vector<std::byte>> refOut;
+  std::vector<std::vector<std::byte>> out;
+  const RunResult ref = runWorkload(w, kConfigs[kRef], refOut);
+  seconds[kRef].push_back(ref.seconds);
 
   BenchOutcome outcome;
-  for (int c = 1; c < kNumConfigs; ++c) {
-    if (results[c].instructions != results[0].instructions) {
-      std::fprintf(stderr, "%s: retired-instruction mismatch: %s %llu vs ref %llu\n",
-                   w.name, kConfigs[c].name,
-                   static_cast<unsigned long long>(results[c].instructions),
-                   static_cast<unsigned long long>(results[0].instructions));
+  const auto runChecked = [&](int c) {
+    const RunResult r = runWorkload(w, kConfigs[c], out);
+    if (r.instructions != ref.instructions) {
+      std::fprintf(stderr, "%s: retired-instruction mismatch: %s %llu vs ref %llu\n", w.name,
+                   kConfigs[c].name, static_cast<unsigned long long>(r.instructions),
+                   static_cast<unsigned long long>(ref.instructions));
       outcome.identical = false;
     }
-    if (outs[c] != outs[0]) {
+    if (out != refOut) {
       std::fprintf(stderr, "%s: %s output is not bit-identical to ref\n", w.name,
                    kConfigs[c].name);
       outcome.identical = false;
     }
+    seconds[c].push_back(r.seconds);
+    return r.seconds;
+  };
+  runChecked(kTier2);
+  std::vector<double> ratios;
+  for (int rep = 0; rep < reps; ++rep) {
+    const double fast = runChecked(kFast);
+    const double batch = runChecked(kBatch);
+    ratios.push_back(batch > 0 ? fast / batch : 0.0);
   }
 
   std::printf("%-12s %12llu instr  ", w.name,
-              static_cast<unsigned long long>(results[0].instructions));
+              static_cast<unsigned long long>(ref.instructions));
   for (int c = 0; c < kNumConfigs; ++c) {
-    const double mips =
-        results[c].seconds > 0 ? results[c].instructions / results[c].seconds / 1e6 : 0.0;
+    const double sec = median(seconds[c]);
+    const double mips = sec > 0 ? static_cast<double>(ref.instructions) / sec / 1e6 : 0.0;
     std::printf(" %s %8.1f Mi/s", kConfigs[c].name, mips);
   }
-  const double fastSec = results[1].seconds;
-  const double batchSec = results[3].seconds;
-  outcome.speedupBatchOverFast = batchSec > 0 ? fastSec / batchSec : 0.0;
+  const double batchSec = median(seconds[kBatch]);
+  outcome.speedupBatchOverFast = median(ratios);
   std::printf("   batch/fast %.2fx  batch/ref %.2fx\n", outcome.speedupBatchOverFast,
-              batchSec > 0 ? results[0].seconds / batchSec : 0.0);
+              batchSec > 0 ? ref.seconds / batchSec : 0.0);
   return outcome;
 }
 
@@ -409,9 +441,11 @@ int main(int argc, char** argv) {
                            integer(vol.nx), integer(vol.ny), integer(vol.nz),
                            scalar(Slot::fromFloat(vol.voxel))}};
 
+  // Interleaved fast/batch repetitions; the gate reads their median ratio.
+  const int reps = smoke ? 1 : 5;
   bool ok = true;
   const auto run = [&](const Workload& w, double gatedRatio) {
-    const BenchOutcome r = benchWorkload(w);
+    const BenchOutcome r = benchWorkload(w, reps);
     ok = ok && r.identical;
     if (gate && !smoke && gatedRatio > 0 && r.speedupBatchOverFast < gatedRatio) {
       std::fprintf(stderr, "gate: %s batch/fast %.2fx < %.1fx\n", w.name,

@@ -141,22 +141,16 @@ Slot bAtomicAddF(BuiltinCtx& ctx, const Slot* args) {
 }  // namespace
 
 void applyAtomic(AtomicOp op, std::byte* addr, std::uint32_t a, std::uint32_t b) {
-  std::uint32_t cur;
-  std::memcpy(&cur, addr, 4);
-  const auto si = [](std::uint32_t v) { return static_cast<std::int32_t>(v); };
   switch (op) {
-    case AtomicOp::AddI: cur += a; break;
-    case AtomicOp::SubI: cur -= a; break;
-    case AtomicOp::IncI: cur += 1; break;
-    case AtomicOp::MinI: if (si(a) < si(cur)) cur = a; break;
-    case AtomicOp::MaxI: if (si(a) > si(cur)) cur = a; break;
-    case AtomicOp::CmpXchgI: if (cur == a) cur = b; break;
-    case AtomicOp::AddF:
-      cur = std::bit_cast<std::uint32_t>(std::bit_cast<float>(cur) + std::bit_cast<float>(a));
-      break;
+    case AtomicOp::AddI: return applyAtomicAs<AtomicOp::AddI>(addr, a, b);
+    case AtomicOp::SubI: return applyAtomicAs<AtomicOp::SubI>(addr, a, b);
+    case AtomicOp::IncI: return applyAtomicAs<AtomicOp::IncI>(addr, a, b);
+    case AtomicOp::MinI: return applyAtomicAs<AtomicOp::MinI>(addr, a, b);
+    case AtomicOp::MaxI: return applyAtomicAs<AtomicOp::MaxI>(addr, a, b);
+    case AtomicOp::CmpXchgI: return applyAtomicAs<AtomicOp::CmpXchgI>(addr, a, b);
+    case AtomicOp::AddF: return applyAtomicAs<AtomicOp::AddF>(addr, a, b);
     case AtomicOp::None: return;
   }
-  std::memcpy(addr, &cur, 4);
 }
 
 namespace {
@@ -166,7 +160,8 @@ std::vector<BuiltinDef> makeTable() {
   std::vector<BuiltinDef> t;
 
   // work-item geometry
-  t.push_back({"get_global_id", BType::Int, P{BType::Int}, bGetGlobalId});
+  t.push_back({"get_global_id", BType::Int, P{BType::Int}, bGetGlobalId, AtomicOp::None,
+               BuiltinColumn::GlobalId});
   t.push_back({"get_global_size", BType::Int, P{BType::Int}, bGetGlobalSize});
   t.push_back({"get_local_id", BType::Int, P{BType::Int}, bGetLocalId});
   t.push_back({"get_local_size", BType::Int, P{BType::Int}, bGetLocalSize});
@@ -174,43 +169,51 @@ std::vector<BuiltinDef> makeTable() {
   t.push_back({"get_num_groups", BType::Int, P{BType::Int}, bGetNumGroups});
   t.push_back({"barrier", BType::Void, P{BType::Int}, bBarrier});
 
-  // unary math: float overload first (preferred for float args), then double
-#define SKELCL_MATH1(NAME, FN)                                              \
-  t.push_back({NAME, BType::Float, P{BType::Float}, &unaryF32<FN>});        \
+  // unary math: float overload first (preferred for float args), then
+  // double.  COL is the float overload's column kind: it names FN.
+#define SKELCL_MATH1(NAME, FN, COL)                                                   \
+  t.push_back({NAME, BType::Float, P{BType::Float}, &unaryF32<FN>, AtomicOp::None,    \
+               BuiltinColumn::COL});                                                  \
   t.push_back({NAME, BType::Double, P{BType::Double}, &unaryF64<FN>});
-  SKELCL_MATH1("sqrt", std::sqrt)
-  SKELCL_MATH1("rsqrt", dRsqrt)
-  SKELCL_MATH1("fabs", std::fabs)
-  SKELCL_MATH1("exp", std::exp)
-  SKELCL_MATH1("log", std::log)
-  SKELCL_MATH1("log2", dLog2)
-  SKELCL_MATH1("sin", std::sin)
-  SKELCL_MATH1("cos", std::cos)
-  SKELCL_MATH1("tan", std::tan)
-  SKELCL_MATH1("atan", std::atan)
-  SKELCL_MATH1("floor", std::floor)
-  SKELCL_MATH1("ceil", std::ceil)
-  SKELCL_MATH1("round", std::round)
+  SKELCL_MATH1("sqrt", std::sqrt, SqrtF)
+  SKELCL_MATH1("rsqrt", dRsqrt, None)
+  SKELCL_MATH1("fabs", std::fabs, FabsF)
+  SKELCL_MATH1("exp", std::exp, None)
+  SKELCL_MATH1("log", std::log, None)
+  SKELCL_MATH1("log2", dLog2, None)
+  SKELCL_MATH1("sin", std::sin, None)
+  SKELCL_MATH1("cos", std::cos, None)
+  SKELCL_MATH1("tan", std::tan, None)
+  SKELCL_MATH1("atan", std::atan, None)
+  SKELCL_MATH1("floor", std::floor, FloorF)
+  SKELCL_MATH1("ceil", std::ceil, None)
+  SKELCL_MATH1("round", std::round, None)
 #undef SKELCL_MATH1
 
-#define SKELCL_MATH2(NAME, FN)                                                       \
-  t.push_back({NAME, BType::Float, P{BType::Float, BType::Float}, &binaryF32<FN>});  \
+#define SKELCL_MATH2(NAME, FN, COL)                                                   \
+  t.push_back({NAME, BType::Float, P{BType::Float, BType::Float}, &binaryF32<FN>,     \
+               AtomicOp::None, BuiltinColumn::COL});                                  \
   t.push_back({NAME, BType::Double, P{BType::Double, BType::Double}, &binaryF64<FN>});
-  SKELCL_MATH2("pow", std::pow)
-  SKELCL_MATH2("atan2", std::atan2)
-  SKELCL_MATH2("fmod", std::fmod)
-  SKELCL_MATH2("fmin", std::fmin)
-  SKELCL_MATH2("fmax", std::fmax)
+  SKELCL_MATH2("pow", std::pow, None)
+  SKELCL_MATH2("atan2", std::atan2, None)
+  SKELCL_MATH2("fmod", std::fmod, None)
+  SKELCL_MATH2("fmin", std::fmin, FminF)
+  SKELCL_MATH2("fmax", std::fmax, FmaxF)
 #undef SKELCL_MATH2
 
   // generic min/max/abs/clamp/mix: integer overloads listed first so that
   // all-integer argument lists pick them
-  t.push_back({"min", BType::Int, P{BType::Int, BType::Int}, bMinI});
-  t.push_back({"min", BType::Float, P{BType::Float, BType::Float}, &binaryF32<std::fmin>});
-  t.push_back({"max", BType::Int, P{BType::Int, BType::Int}, bMaxI});
-  t.push_back({"max", BType::Float, P{BType::Float, BType::Float}, &binaryF32<std::fmax>});
+  t.push_back({"min", BType::Int, P{BType::Int, BType::Int}, bMinI, AtomicOp::None,
+               BuiltinColumn::MinI});
+  t.push_back({"min", BType::Float, P{BType::Float, BType::Float}, &binaryF32<std::fmin>,
+               AtomicOp::None, BuiltinColumn::FminF});
+  t.push_back({"max", BType::Int, P{BType::Int, BType::Int}, bMaxI, AtomicOp::None,
+               BuiltinColumn::MaxI});
+  t.push_back({"max", BType::Float, P{BType::Float, BType::Float}, &binaryF32<std::fmax>,
+               AtomicOp::None, BuiltinColumn::FmaxF});
   t.push_back({"abs", BType::Int, P{BType::Int}, bAbsI});
-  t.push_back({"clamp", BType::Int, P{BType::Int, BType::Int, BType::Int}, bClampI});
+  t.push_back({"clamp", BType::Int, P{BType::Int, BType::Int, BType::Int}, bClampI,
+               AtomicOp::None, BuiltinColumn::ClampI});
   t.push_back({"clamp", BType::Float, P{BType::Float, BType::Float, BType::Float}, bClampF});
   t.push_back({"mix", BType::Float, P{BType::Float, BType::Float, BType::Float}, bMixF});
   t.push_back({"isnan", BType::Int, P{BType::Float}, bIsNan});

@@ -140,7 +140,9 @@ class Vm final : public BuiltinCtx {
   template <bool kLaneLists>
   void executeBatch(int functionIndex, std::span<const Slot> args, std::int64_t gidBase,
                     std::int64_t count);
-  void finishBatchAtomics(std::int32_t lanes);
+  /// Apply (or keep) this batch's deferred atomics in work-item order;
+  /// `opsLogged` has bit `op` set for every AtomicOp the batch logged.
+  void finishBatchAtomics(std::int32_t lanes, unsigned opsLogged);
   /// Lane-list storage: kBatchLanes + 1 slots of kBatchLanes lanes.
   std::int32_t* laneListPool();
   /// Per-item arenas are allocated on first per-item use: a Vm that only

@@ -19,6 +19,23 @@
 //    [laneOff, laneOff+cnt) runs unit-stride loops with no index
 //    indirection.
 //
+// Lane loops never re-dispatch per lane on what is the same for the whole
+// dispatch (docs/VM.md, "Lane loops"):
+//
+//  * A fused compare-branch switches on its comparison once and runs one
+//    typed loop counting the lanes where it holds; only a branch that
+//    splits the group also writes the per-lane results.
+//  * A load or store writes each lane's raw pointer word to a scratch
+//    column and checks the group at once: one region, every offset in
+//    bounds.  A group that passes runs an unchecked loop, a contiguous one
+//    when the offsets step by exactly the element size; a group that fails
+//    takes the per-lane resolveLane loop, so a fault names the same
+//    work-item with the same message.  PtrAdd is a 64-bit add on the
+//    offset word.
+//  * A builtin with a column kind (BuiltinDef::column) runs as one lane loop
+//    calling the same std:: function as its table entry; others are called
+//    through the table once per lane.
+//
 // Divergence and reconvergence.  The scheduler always runs the group with
 // the lowest pc; a divergent branch makes two groups (fall-through and
 // taken) and parks the higher one.  How a split is represented depends on
@@ -63,17 +80,15 @@
 // sequential execution leaves behind.
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 
 #include "kernelc/diagnostics.hpp"
 #include "kernelc/vm.hpp"
-#include "kernelc/vm_ops.hpp"
 
 namespace skelcl::kc {
-
-using detail::cmpHolds;
-using detail::ptrPlus;
 
 namespace {
 
@@ -84,7 +99,39 @@ inline const std::int64_t* iCol(const Slot* c) {
   return reinterpret_cast<const std::int64_t*>(c);
 }
 inline double* fCol(Slot* c) { return reinterpret_cast<double*>(c); }
+inline const double* fCol(const Slot* c) { return reinterpret_cast<const double*>(c); }
 inline std::uint64_t* rawCol(Slot* c) { return reinterpret_cast<std::uint64_t*>(c); }
+inline const std::uint64_t* rawCol(const Slot* c) {
+  return reinterpret_cast<const std::uint64_t*>(c);
+}
+
+/// Gt and Ge evaluate as Lt and Le with the operands swapped; Ne as Eq with
+/// the result negated.  So each operand type needs three comparison loops.
+constexpr bool swapsOperands(Op cmp) {
+  switch (cmp) {
+    case Op::GtI: case Op::GeI: case Op::GtU: case Op::GeU: case Op::GtUL: case Op::GeUL:
+    case Op::GtF: case Op::GeF:
+      return true;
+    default:
+      return false;
+  }
+}
+constexpr bool negatesResult(Op cmp) {
+  return cmp == Op::NeI || cmp == Op::NeF || cmp == Op::NeP;
+}
+
+// A pointer slot's raw word holds the region in its low 32 bits and the
+// offset in its high 32 bits: pointer equality is word equality, and
+// pointer arithmetic is one 64-bit add whose carry out of the offset word
+// drops, as the per-item ptrPlus wraps the offset mod 2^32.
+static_assert(sizeof(Ptr) == 8 && offsetof(Ptr, region) == 0 && offsetof(Ptr, offset) == 4 &&
+                  std::endian::native == std::endian::little,
+              "raw pointer words assume {int32 region, uint32 offset}, little-endian");
+
+inline std::uint64_t ptrPlusRaw(std::uint64_t raw, std::int64_t index, std::int64_t elemSize) {
+  return raw + (static_cast<std::uint64_t>(index) * static_cast<std::uint64_t>(elemSize) << 32);
+}
+inline std::uint32_t offsetOf(std::uint64_t raw) { return static_cast<std::uint32_t>(raw >> 32); }
 
 static_assert(Vm::kBatchLanes <= 256, "DeferredAtomic::lane holds a lane in one byte");
 
@@ -92,6 +139,88 @@ static_assert(Vm::kBatchLanes <= 256, "DeferredAtomic::lane holds a lane in one 
 std::uint32_t atomicWord(AtomicOp op, const Slot& v) {
   return op == AtomicOp::AddF ? std::bit_cast<std::uint32_t>(static_cast<float>(v.f))
                               : static_cast<std::uint32_t>(v.i);
+}
+
+/// The lanes of one group: [off, off + cnt), or list[0, cnt) when `list` is
+/// set.  Out-of-line lane loops take it by value, so their bounds are
+/// locals that no column store can alias.
+struct LaneSet {
+  std::int32_t cnt;
+  std::int32_t off;
+  const std::int32_t* list;
+};
+
+/// Where a group's lanes access memory, from Vm::executeBatch's group
+/// memory check.  `data` set: lane li's address is data + li * sizeof(C) when
+/// `contiguous` (dense groups only), else data + the offset word of
+/// addr[li].  `data` null: host[li], resolved lane by lane.
+struct GroupAccess {
+  std::byte* data;
+  bool contiguous;
+  const std::uint64_t* addr;
+  std::byte* const* host;
+};
+
+/// Run `access(lane, address)` for every lane of `g`, with unit-stride or
+/// list-indexed lanes and the addressing `a` picks; C is the element type.
+template <typename C, typename F>
+inline void eachAccess(const LaneSet g, const GroupAccess a, F access) {
+  const std::int32_t cnt = g.cnt;
+  const std::int32_t off = g.off;
+  const std::int32_t* const list = g.list;
+  std::byte* const data = a.data;
+  const std::uint64_t* const addr = a.addr;
+  std::byte* const* const host = a.host;
+  const auto lanes = [&](auto at) {
+    if (!list) {
+      for (std::int32_t li = 0; li < cnt; ++li) access(off + li, at(li));
+    } else {
+      for (std::int32_t li = 0; li < cnt; ++li) access(list[li], at(li));
+    }
+  };
+  if (data && a.contiguous) {
+    lanes([&](std::int32_t li) { return data + li * sizeof(C); });
+  } else if (data) {
+    lanes([&](std::int32_t li) { return data + offsetOf(addr[li]); });
+  } else {
+    lanes([&](std::int32_t li) { return host[li]; });
+  }
+}
+
+/// Load a C for every lane into the typed column view `out`.
+template <typename C, typename V>
+[[gnu::noinline]] void loadLanes(const LaneSet g, const GroupAccess a, V* out) {
+  eachAccess<C>(g, a, [out](std::int32_t l, const std::byte* at) {
+    C v;
+    std::memcpy(&v, at, sizeof(C));
+    out[l] = v;
+  });
+}
+
+/// Store every lane's value of the typed column view `val` as a C.
+template <typename C, typename V>
+[[gnu::noinline]] void storeLanes(const LaneSet g, const GroupAccess a, const V* val) {
+  eachAccess<C>(g, a, [val](std::int32_t l, std::byte* at) {
+    const auto v = static_cast<C>(val[l]);
+    std::memcpy(at, &v, sizeof(C));
+  });
+}
+
+/// Apply the records `order` lists, in that order.  kOp is the one op the
+/// batch logged, hoisting the dispatch out of the loop; None dispatches per
+/// record.
+template <AtomicOp kOp>
+void applyInOrder(const DeferredAtomic* log, std::span<const std::uint32_t> order,
+                  const MemRegion* regions) {
+  for (const std::uint32_t i : order) {
+    const DeferredAtomic& d = log[i];
+    std::byte* const addr = regions[d.region].data + d.offset;
+    if constexpr (kOp == AtomicOp::None) {
+      applyAtomic(d.op, addr, d.a, d.b);
+    } else {
+      applyAtomicAs<kOp>(addr, d.a, d.b);
+    }
+  }
 }
 
 }  // namespace
@@ -127,7 +256,7 @@ std::int32_t* Vm::laneListPool() {
   return laneLists_.get();
 }
 
-void Vm::finishBatchAtomics(std::int32_t lanes) {
+void Vm::finishBatchAtomics(std::int32_t lanes, unsigned opsLogged) {
   if (batchAtomics_.empty()) return;
   // Counting sort by lane: work-item order, each lane's atomics in the
   // order its program issued them.
@@ -138,12 +267,26 @@ void Vm::finishBatchAtomics(std::int32_t lanes) {
   for (std::uint32_t i = 0; i < batchAtomics_.size(); ++i) {
     atomicOrder_[next[batchAtomics_[i].lane]++] = i;
   }
-  for (const std::uint32_t i : atomicOrder_) {
-    const DeferredAtomic& d = batchAtomics_[i];
-    if (keepAtomicLog_) {
-      atomicLog_.push_back(d);
-    } else {
-      applyAtomic(d.op, regions_[d.region].data + d.offset, d.a, d.b);
+  if (keepAtomicLog_) {
+    for (const std::uint32_t i : atomicOrder_) atomicLog_.push_back(batchAtomics_[i]);
+  } else {
+    const AtomicOp only = std::has_single_bit(opsLogged)
+                              ? static_cast<AtomicOp>(std::countr_zero(opsLogged))
+                              : AtomicOp::None;
+    switch (only) {
+#define KC_APPLY(OP)                                                              \
+  case AtomicOp::OP:                                                              \
+    applyInOrder<AtomicOp::OP>(batchAtomics_.data(), atomicOrder_, regions_.data()); \
+    break;
+      KC_APPLY(None)
+      KC_APPLY(AddI)
+      KC_APPLY(SubI)
+      KC_APPLY(IncI)
+      KC_APPLY(MinI)
+      KC_APPLY(MaxI)
+      KC_APPLY(CmpXchgI)
+      KC_APPLY(AddF)
+#undef KC_APPLY
     }
   }
   batchAtomics_.clear();
@@ -210,6 +353,9 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   std::int32_t nPending = 0;
   unsigned char mask[kBatchLanes];     // divergence: takes-the-branch per lane
   std::uint64_t scratch[kBatchLanes];  // divergence: taken-lane staging
+  std::uint64_t addr[kBatchLanes];     // memory access: lane li's raw pointer word
+  std::byte* host[kBatchLanes];        // memory access: lane li's host address
+  unsigned atomicOps = 0;              // bit AtomicOp for every op logged
   // Lane lists: one slot of kBatchLanes entries per live group, recycled
   // through freeSlots; laneBase is each lane's retired-count offset.
   std::int32_t* const listPool = kLaneLists ? laneListPool() : nullptr;
@@ -349,6 +495,103 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     }                                                    \
   } while (0)
 
+  // The current group's lanes for the out-of-line lane loops.
+  const auto laneSet = [&] {
+    return LaneSet{cnt, laneOff, kLaneLists && !dense ? lanes : nullptr};
+  };
+  // The group memory check (docs/VM.md, "Lane loops").  Lane li addresses
+  // the raw pointer word ptr[l], advanced by idx[l] elements of `elemSize`
+  // bytes when `idx` is given; the words go to addr[li].  When every lane
+  // addresses `bytes` inside one region, the access is unchecked: through
+  // the region's data, contiguous for a dense group whose offsets step by
+  // exactly `bytes` from lane 0's.  Otherwise each lane is resolved in turn
+  // into host[li], so a bad lane faults as resolve() does, on the same
+  // work-item.  One out-of-line copy serves every load and store.
+  const auto groupAccess = [&](std::uint32_t bytes, const std::uint64_t* ptr,
+                               const std::int64_t* idx, std::int64_t elemSize)
+      __attribute__((noinline)) -> GroupAccess {
+    const LaneSet g = laneSet();
+    const std::int32_t n = g.cnt;
+    std::uint64_t* const words = addr;  // a local, so stores cannot move it
+    const auto fill = [&](auto laneOf) {
+      if (idx) {
+        for (std::int32_t li = 0; li < n; ++li) {
+          const std::int32_t l = laneOf(li);
+          words[li] = ptrPlusRaw(ptr[l], idx[l], elemSize);
+        }
+      } else {
+        for (std::int32_t li = 0; li < n; ++li) words[li] = ptr[laneOf(li)];
+      }
+    };
+    if (g.list) {
+      fill([&](std::int32_t li) { return g.list[li]; });
+    } else {
+      fill([&](std::int32_t li) { return g.off + li; });
+    }
+    const std::uint64_t first = words[0];
+    const auto region = static_cast<std::uint32_t>(first);  // negative ids fail too
+    if (region != 0 && region < regionCount && regionTab[region].size >= bytes) {
+      const std::uint64_t limit = regionTab[region].size - bytes;
+      const std::uint64_t off0 = offsetOf(first);
+      std::uint64_t bad = 0;
+      std::uint64_t stray = 0;
+      for (std::int32_t li = 0; li < n; ++li) {
+        const std::uint64_t a = words[li];
+        bad |= ((a ^ first) & 0xFFFFFFFFu) | static_cast<std::uint64_t>(offsetOf(a) > limit);
+        stray |= offsetOf(a) ^ (off0 + static_cast<std::uint64_t>(li) * bytes);
+      }
+      if (bad == 0) {
+        const bool contiguous = stray == 0 && !g.list;
+        return GroupAccess{regionTab[region].data + (contiguous ? off0 : 0), contiguous, words,
+                           host};
+      }
+    }
+    for (std::int32_t li = 0; li < n; ++li) {
+      const std::int32_t l = g.list ? g.list[li] : g.off + li;
+      host[li] = resolveLane(std::bit_cast<Ptr>(words[li]), bytes, laneGid[l]);
+    }
+    return GroupAccess{nullptr, false, words, host};
+  };
+
+// Evaluate comparison CMP of columns X and Y for every lane into the bool
+// `holds`, then run STORE: one switch per dispatch, then one typed loop
+// (Gt, Ge and Ne run the Lt, Le and Eq loops: swapsOperands,
+// negatesResult).  The standalone comparison opcodes and the fused
+// compare-branches (which the peephole builds from exactly these
+// comparisons) share these loops; pointers compare as raw words.
+#define KC_COMPARE_LOOP(TYPE, VIEW, OPERATOR, STORE)                       \
+  {                                                                        \
+    const auto* xv = VIEW(cx);                                             \
+    const auto* yv = VIEW(cy);                                             \
+    KC_LANES(const bool holds = (static_cast<TYPE>(xv[l]) OPERATOR         \
+                                 static_cast<TYPE>(yv[l])) != flipped;     \
+             STORE);                                                       \
+    break;                                                                 \
+  }
+#define KC_COMPARE(CMP, X, Y, STORE)                                                    \
+  do {                                                                                  \
+    const Slot* cx = X;                                                                 \
+    const Slot* cy = Y;                                                                 \
+    if (swapsOperands(CMP)) std::swap(cx, cy);                                          \
+    const bool flipped = negatesResult(CMP);                                            \
+    switch (CMP) {                                                                      \
+      case Op::EqI: case Op::NeI: KC_COMPARE_LOOP(std::int64_t, iCol, ==, STORE)        \
+      case Op::LtI: case Op::GtI: KC_COMPARE_LOOP(std::int64_t, iCol, <, STORE)         \
+      case Op::LeI: case Op::GeI: KC_COMPARE_LOOP(std::int64_t, iCol, <=, STORE)        \
+      case Op::LtU: case Op::GtU: KC_COMPARE_LOOP(std::uint32_t, iCol, <, STORE)        \
+      case Op::LeU: case Op::GeU: KC_COMPARE_LOOP(std::uint32_t, iCol, <=, STORE)       \
+      case Op::LtUL: case Op::GtUL: KC_COMPARE_LOOP(std::uint64_t, iCol, <, STORE)      \
+      case Op::LeUL: case Op::GeUL: KC_COMPARE_LOOP(std::uint64_t, iCol, <=, STORE)     \
+      case Op::EqF: case Op::NeF: KC_COMPARE_LOOP(double, fCol, ==, STORE)              \
+      case Op::LtF: case Op::GtF: KC_COMPARE_LOOP(double, fCol, <, STORE)               \
+      case Op::LeF: case Op::GeF: KC_COMPARE_LOOP(double, fCol, <=, STORE)              \
+      case Op::EqP: case Op::NeP: KC_COMPARE_LOOP(std::uint64_t, rawCol, ==, STORE)     \
+      default:  /* the peephole fuses only the comparisons above */                    \
+        globalId_ = laneGid[dense ? laneOff : lanes[0]];                                \
+        fault("unknown comparison in batched execution");                               \
+    }                                                                                   \
+  } while (0)
+
   for (;;) {
     if constexpr (kLaneLists) {
       // Reached a parked group's pc (merge), or passed it (run it first).
@@ -366,6 +609,7 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     instructions_ += static_cast<std::uint64_t>(insn.weight) *
                      static_cast<std::uint64_t>(cnt);
 
+    std::int32_t nTrue = 0;  // lanes whose branch condition holds (jz/jnz)
     switch (insn.op) {
       case Op::PushI: {
         const std::int64_t v = insn.a;
@@ -422,79 +666,69 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         break;
       }
 
-// Loads keep Slot-typed pointer columns (the bounds check is inherently
-// branchy); results are written through the typed view so downstream
-// arithmetic sees clean columns.
-#define KC_LOAD(OPNAME, CTYPE, BYTES, VIEW)                                        \
-  case Op::Load##OPNAME: {                                                         \
-    Slot* col = stackAt(sp - 1);                                                   \
-    auto* out = VIEW(col);                                                         \
-    KC_LANES(const std::byte* addr = resolveLane(col[l].p, BYTES, laneGid[l]);     \
-             CTYPE v; std::memcpy(&v, addr, BYTES); out[l] = v;);                  \
-    break;                                                                         \
-  }                                                                                \
-  case Op::LoadElem##OPNAME: {                                                     \
-    const std::int64_t* idx = iCol(stackAt(sp - 1));                               \
-    Slot* col = stackAt(sp - 2);                                                   \
-    auto* out = VIEW(col);                                                         \
-    KC_LANES(const std::byte* addr =                                               \
-                 resolveLane(ptrPlus(col[l].p, idx[l], insn.a), BYTES, laneGid[l]); \
-             CTYPE v; std::memcpy(&v, addr, BYTES); out[l] = v;);                  \
-    --sp;                                                                          \
-    break;                                                                         \
-  }                                                                                \
-  case Op::LoadSlotElem##OPNAME: {                                                 \
-    const Slot* ptr = slotAt(insn.a);                                              \
-    const std::int64_t* idx = iCol(slotAt(insn.b));                                \
-    auto* out = VIEW(stackAt(sp));                                                 \
-    KC_LANES(const std::byte* addr =                                               \
-                 resolveLane(ptrPlus(ptr[l].p, idx[l], insn.c), BYTES, laneGid[l]); \
-             CTYPE v; std::memcpy(&v, addr, BYTES); out[l] = v;);                  \
-    ++sp;                                                                          \
-    break;                                                                         \
+// Loads and stores: groupAccess checks the group and finds the addresses,
+// then one typed lane loop per element type accesses them.
+#define KC_LOAD(OPNAME, CTYPE, VIEW)                                                     \
+  case Op::Load##OPNAME: {                                                               \
+    Slot* col = stackAt(sp - 1);                                                         \
+    loadLanes<CTYPE>(laneSet(), groupAccess(sizeof(CTYPE), rawCol(col), nullptr, 0),       \
+                     VIEW(col));                                                         \
+    break;                                                                               \
+  }                                                                                      \
+  case Op::LoadElem##OPNAME: {                                                           \
+    Slot* col = stackAt(sp - 2);                                                         \
+    loadLanes<CTYPE>(laneSet(),                                                          \
+                     groupAccess(sizeof(CTYPE), rawCol(col), iCol(stackAt(sp - 1)), insn.a), \
+                     VIEW(col));                                                         \
+    --sp;                                                                                \
+    break;                                                                               \
+  }                                                                                      \
+  case Op::LoadSlotElem##OPNAME: {                                                       \
+    loadLanes<CTYPE>(laneSet(),                                                          \
+                     groupAccess(sizeof(CTYPE), rawCol(slotAt(insn.a)), iCol(slotAt(insn.b)), \
+                               insn.c),                                                  \
+                     VIEW(stackAt(sp)));                                                 \
+    ++sp;                                                                                \
+    break;                                                                               \
   }
-      KC_LOAD(I32, std::int32_t, 4, iCol)
-      KC_LOAD(U32, std::uint32_t, 4, iCol)
-      KC_LOAD(F32, float, 4, fCol)
-      KC_LOAD(F64, double, 8, fCol)
-      KC_LOAD(I64, std::int64_t, 8, iCol)
+      KC_LOAD(I32, std::int32_t, iCol)
+      KC_LOAD(U32, std::uint32_t, iCol)
+      KC_LOAD(F32, float, fCol)
+      KC_LOAD(F64, double, fCol)
+      KC_LOAD(I64, std::int64_t, iCol)
 #undef KC_LOAD
 
-#define KC_STORE(OPNAME, CTYPE, LOADV, BYTES)                                      \
-  case Op::Store##OPNAME: {                                                        \
-    const Slot* val = stackAt(sp - 1);                                             \
-    const Slot* ptr = stackAt(sp - 2);                                             \
-    KC_LANES(std::byte* addr = resolveLane(ptr[l].p, BYTES, laneGid[l]);           \
-             const CTYPE v = LOADV; std::memcpy(addr, &v, BYTES););                \
-    sp -= 2;                                                                       \
-    break;                                                                         \
-  }                                                                                \
-  case Op::TeeStore##OPNAME: {                                                     \
-    const Slot* val = stackAt(sp - 1);                                             \
-    const Slot* ptr = stackAt(sp - 2);                                             \
-    std::uint64_t* tee = rawCol(slotAt(insn.a));                                   \
-    const std::uint64_t* raw = rawCol(stackAt(sp - 1));                            \
-    KC_LANES(std::byte* addr = resolveLane(ptr[l].p, BYTES, laneGid[l]);           \
-             const CTYPE v = LOADV; std::memcpy(addr, &v, BYTES); tee[l] = raw[l];); \
-    sp -= 2;                                                                       \
-    break;                                                                         \
+#define KC_STORE(OPNAME, CTYPE, VIEW)                                                    \
+  case Op::Store##OPNAME:                                                                \
+  case Op::TeeStore##OPNAME: {                                                           \
+    const Slot* val = stackAt(sp - 1);                                                   \
+    storeLanes<CTYPE>(laneSet(), groupAccess(sizeof(CTYPE), rawCol(stackAt(sp - 2)), nullptr, 0), \
+                      VIEW(val));                                                        \
+    if (insn.op == Op::TeeStore##OPNAME) {                                               \
+      std::uint64_t* tee = rawCol(slotAt(insn.a));                                       \
+      const std::uint64_t* raw = rawCol(val);                                            \
+      KC_LANES(tee[l] = raw[l];);                                                        \
+    }                                                                                    \
+    sp -= 2;                                                                             \
+    break;                                                                               \
   }
-      KC_STORE(I32, std::int32_t, static_cast<std::int32_t>(val[l].i), 4)
-      KC_STORE(I64, std::int64_t, val[l].i, 8)
-      KC_STORE(F32, float, static_cast<float>(val[l].f), 4)
-      KC_STORE(F64, double, val[l].f, 8)
+      KC_STORE(I32, std::int32_t, iCol)
+      KC_STORE(I64, std::int64_t, iCol)
+      KC_STORE(F32, float, fCol)
+      KC_STORE(F64, double, fCol)
 #undef KC_STORE
 
       case Op::PtrAdd: {
         const std::int64_t* idx = iCol(stackAt(sp - 1));
-        Slot* col = stackAt(sp - 2);
-        KC_LANES(col[l] = Slot::fromPtr(ptrPlus(col[l].p, idx[l], insn.a)););
+        std::uint64_t* col = rawCol(stackAt(sp - 2));
+        KC_LANES(col[l] = ptrPlusRaw(col[l], idx[l], insn.a););
         --sp;
         break;
       }
       case Op::PtrAddImm: {
-        Slot* col = stackAt(sp - 1);
-        KC_LANES(col[l] = Slot::fromPtr(ptrPlus(col[l].p, insn.b, insn.a)););
+        std::uint64_t* col = rawCol(stackAt(sp - 1));
+        const std::uint64_t step = ptrPlusRaw(0, insn.b, insn.a);
+        KC_LANES(col[l] += step;);
         break;
       }
       case Op::IncSlotI: {
@@ -672,57 +906,6 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         break;
       }
 
-#define KC_CMP(OPNAME, TYPE, VIEW, OPERATOR)                          \
-  case Op::OPNAME: {                                                  \
-    const auto* bcol = VIEW(static_cast<Slot*>(stackAt(sp - 1)));     \
-    const auto* asrc = VIEW(static_cast<Slot*>(stackAt(sp - 2)));     \
-    std::int64_t* adst = iCol(stackAt(sp - 2));                       \
-    KC_LANES(const auto a = static_cast<TYPE>(asrc[l]);               \
-             const auto b = static_cast<TYPE>(bcol[l]);               \
-             adst[l] = (a OPERATOR b) ? 1 : 0;);                      \
-    --sp;                                                             \
-    break;                                                            \
-  }
-      KC_CMP(EqI, std::int64_t, iCol, ==)
-      KC_CMP(NeI, std::int64_t, iCol, !=)
-      KC_CMP(LtI, std::int64_t, iCol, <)
-      KC_CMP(LeI, std::int64_t, iCol, <=)
-      KC_CMP(GtI, std::int64_t, iCol, >)
-      KC_CMP(GeI, std::int64_t, iCol, >=)
-      KC_CMP(LtU, std::uint32_t, iCol, <)
-      KC_CMP(LeU, std::uint32_t, iCol, <=)
-      KC_CMP(GtU, std::uint32_t, iCol, >)
-      KC_CMP(GeU, std::uint32_t, iCol, >=)
-      KC_CMP(LtUL, std::uint64_t, iCol, <)
-      KC_CMP(LeUL, std::uint64_t, iCol, <=)
-      KC_CMP(GtUL, std::uint64_t, iCol, >)
-      KC_CMP(GeUL, std::uint64_t, iCol, >=)
-      KC_CMP(EqF, double, fCol, ==)
-      KC_CMP(NeF, double, fCol, !=)
-      KC_CMP(LtF, double, fCol, <)
-      KC_CMP(LeF, double, fCol, <=)
-      KC_CMP(GtF, double, fCol, >)
-      KC_CMP(GeF, double, fCol, >=)
-#undef KC_CMP
-
-      // Ptr is {int32 region, uint32 offset} with no padding, so pointer
-      // equality is 8-byte raw equality.
-      case Op::EqP: {
-        const std::uint64_t* bcol = rawCol(stackAt(sp - 1));
-        const std::uint64_t* asrc = rawCol(stackAt(sp - 2));
-        std::int64_t* adst = iCol(stackAt(sp - 2));
-        KC_LANES(adst[l] = asrc[l] == bcol[l] ? 1 : 0;);
-        --sp;
-        break;
-      }
-      case Op::NeP: {
-        const std::uint64_t* bcol = rawCol(stackAt(sp - 1));
-        const std::uint64_t* asrc = rawCol(stackAt(sp - 2));
-        std::int64_t* adst = iCol(stackAt(sp - 2));
-        KC_LANES(adst[l] = asrc[l] != bcol[l] ? 1 : 0;);
-        --sp;
-        break;
-      }
       case Op::LNot: {
         std::int64_t* col = iCol(stackAt(sp - 1));
         KC_LANES(col[l] = col[l] == 0 ? 1 : 0;);
@@ -763,25 +946,35 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         ip = insn.a;
         break;
 
-      case Op::Jz:
-      case Op::Jnz:
+      // A fused compare-branch counts the lanes where its comparison holds.
+      // Only when that splits the group does it also write the comparison,
+      // 0/1, into the first operand's column, as the standalone opcode does,
+      // for the split to read as jz/jnz does.
+      case Op::EqI: case Op::NeI: case Op::LtI: case Op::LeI: case Op::GtI: case Op::GeI:
+      case Op::LtU: case Op::LeU: case Op::GtU: case Op::GeU:
+      case Op::LtUL: case Op::LeUL: case Op::GtUL: case Op::GeUL:
+      case Op::EqF: case Op::NeF: case Op::LtF: case Op::LeF: case Op::GtF: case Op::GeF:
+      case Op::EqP: case Op::NeP:
       case Op::CmpJz:
       case Op::CmpJnz: {
         const bool fused = insn.op == Op::CmpJz || insn.op == Op::CmpJnz;
-        const bool jumpOnTrue = insn.op == Op::Jnz || insn.op == Op::CmpJnz;
-        sp -= fused ? 2 : 1;
-        std::int32_t nTaken = 0;
-        if (fused) {
-          const Slot* acol = stackAt(sp);
-          const Slot* bcol = stackAt(sp + 1);
-          const Op cmp = static_cast<Op>(insn.c);
-          KC_LANES(mask[li] = cmpHolds(cmp, acol[l], bcol[l]) == jumpOnTrue ? 1 : 0;
-                   nTaken += mask[li];);
-        } else {
-          const std::int64_t* acol = iCol(stackAt(sp));
-          KC_LANES(mask[li] = ((acol[l] != 0) == jumpOnTrue) ? 1 : 0;
-                   nTaken += mask[li];);
+        const Op cmp = fused ? static_cast<Op>(insn.c) : insn.op;
+        if (fused) KC_COMPARE(cmp, stackAt(sp - 2), stackAt(sp - 1), nTrue += holds ? 1 : 0;);
+        if (!fused || (nTrue != 0 && nTrue != cnt)) {
+          std::int64_t* dst = iCol(stackAt(sp - 2));
+          KC_COMPARE(cmp, stackAt(sp - 2), stackAt(sp - 1), dst[l] = holds ? 1 : 0;);
         }
+        --sp;
+        if (!fused) break;
+        [[fallthrough]];
+      }
+      case Op::Jz:
+      case Op::Jnz: {
+        const bool jumpOnTrue = insn.op == Op::Jnz || insn.op == Op::CmpJnz;
+        --sp;
+        const std::int64_t* cond = iCol(stackAt(sp));
+        if (insn.op == Op::Jz || insn.op == Op::Jnz) KC_LANES(nTrue += cond[l] != 0 ? 1 : 0;);
+        const std::int32_t nTaken = jumpOnTrue ? nTrue : cnt - nTrue;
         if (nTaken == 0) break;  // whole group falls through
         if (nTaken == cnt) {
           if (insn.a < ip) checkBudget();
@@ -791,6 +984,7 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         // Divergence.  Lane lists split the lane set; compaction moves the
         // data: stay lanes keep the front of the group's segment of every
         // live column (order preserved), taken lanes follow.
+        KC_LANES(mask[li] = (cond[l] != 0) == jumpOnTrue ? 1 : 0;);
         const std::int32_t stayCnt = cnt - nTaken;
         Group stay{ip, sp, off, stayCnt, retired, maxBase};
         Group taken{insn.a, sp, off + stayCnt, nTaken, retired, maxBase};
@@ -846,10 +1040,42 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         const BuiltinDef& def = builtinTable()[static_cast<std::size_t>(insn.a)];
         const std::int32_t argc = insn.b;
         sp -= argc;
-        // Fast path for the ubiquitous get_global_id(dim).
-        if (argc == 1 && std::strcmp(def.name, "get_global_id") == 0) {
-          std::int64_t* col = iCol(stackAt(sp));
-          KC_LANES(col[l] = col[l] == 0 ? laneGid[l] : 0;);
+        if (def.column != BuiltinColumn::None) {
+          // Arguments in columns sp, sp+1, ...; the result replaces the first.
+          switch (def.column) {
+#define KC_COLUMN1(KIND, VIEW, EXPR) \
+  case BuiltinColumn::KIND: {          \
+    auto* x = VIEW(stackAt(sp));       \
+    KC_LANES(x[l] = EXPR;);            \
+    break;                             \
+  }
+#define KC_COLUMN2(KIND, VIEW, EXPR)         \
+  case BuiltinColumn::KIND: {                \
+    auto* x = VIEW(stackAt(sp));             \
+    const auto* y = VIEW(stackAt(sp + 1));   \
+    KC_LANES(x[l] = EXPR;);                  \
+    break;                                   \
+  }
+            KC_COLUMN1(GlobalId, iCol, x[l] == 0 ? laneGid[l] : 0)
+            KC_COLUMN1(SqrtF, fCol, static_cast<float>(std::sqrt(x[l])))
+            KC_COLUMN1(FabsF, fCol, static_cast<float>(std::fabs(x[l])))
+            KC_COLUMN1(FloorF, fCol, static_cast<float>(std::floor(x[l])))
+            KC_COLUMN2(FminF, fCol, static_cast<float>(std::fmin(x[l], y[l])))
+            KC_COLUMN2(FmaxF, fCol, static_cast<float>(std::fmax(x[l], y[l])))
+            KC_COLUMN2(MinI, iCol, std::min(x[l], y[l]))
+            KC_COLUMN2(MaxI, iCol, std::max(x[l], y[l]))
+#undef KC_COLUMN1
+#undef KC_COLUMN2
+            case BuiltinColumn::ClampI: {
+              std::int64_t* x = iCol(stackAt(sp));
+              const std::int64_t* lo = iCol(stackAt(sp + 1));
+              const std::int64_t* hi = iCol(stackAt(sp + 2));
+              KC_LANES(x[l] = std::min(std::max(x[l], lo[l]), hi[l]););
+              break;
+            }
+            case BuiltinColumn::None:
+              break;
+          }
           ++sp;
           break;
         }
@@ -860,6 +1086,7 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
           const Slot* ptr = stackAt(sp);
           const Slot* va = argc > 1 ? stackAt(sp + 1) : ptr;
           const Slot* vb = argc > 2 ? stackAt(sp + 2) : ptr;
+          atomicOps |= 1u << static_cast<unsigned>(def.atomic);
           KC_LANES(const Ptr p = ptr[l].p;
                    resolveLane(p, 4, laneGid[l]);
                    batchAtomics_.push_back(DeferredAtomic{
@@ -912,7 +1139,7 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       case Op::RetVoid: {
         // This group's lanes are done; continue with the lowest-pc group.
         if (nPending == 0) {
-          finishBatchAtomics(n);
+          finishBatchAtomics(n, atomicOps);
           currentFunction_ = savedFunction;
           return;
         }
@@ -938,6 +1165,8 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         fault("non-batchable instruction in batched execution");
     }
   }
+#undef KC_COMPARE
+#undef KC_COMPARE_LOOP
 #undef KC_LANES
 }
 

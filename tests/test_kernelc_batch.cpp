@@ -6,14 +6,23 @@
 // the same program run one work-item at a time, for any lane count up to
 // kBatchLanes.  Non-batchable kernels (frame memory, calls, barriers, used
 // or aliased atomics) must fall back to per-item execution transparently,
-// and faults must still surface as VmError.
+// and faults must still surface as VmError.  The lane loops' typed paths
+// (every fused comparison, the group memory check and its per-lane
+// fallback, the column builtins) are driven with adversarial per-lane
+// operands in dense and lane-list groups.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <climits>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "kernelc/builtins.hpp"
 #include "kernelc/diagnostics.hpp"
 #include "kernelc/program.hpp"
 #include "kernelc/vm.hpp"
@@ -504,6 +513,409 @@ TEST(KernelcBatch, UsedAtomicResultFallsBackToPerItem) {
   EXPECT_EQ(bat.instructions, seq.instructions);
   EXPECT_EQ(bat.sums, seq.sums);
   EXPECT_EQ(bat.counts, seq.counts);
+}
+
+// --- lane loops: fused comparisons, group memory check, column builtins ------
+
+/// Buffers of one launch as bytes; buffer i is bound as region i + 1.
+using Buffers = std::vector<std::vector<std::byte>>;
+
+template <typename T>
+std::vector<std::byte> bytesOf(const std::vector<T>& v) {
+  std::vector<std::byte> b(v.size() * sizeof(T));
+  std::memcpy(b.data(), v.data(), b.size());
+  return b;
+}
+
+template <typename T>
+std::vector<T> valuesOf(const std::vector<std::byte>& b) {
+  std::vector<T> v(b.size() / sizeof(T));
+  std::memcpy(v.data(), b.data(), v.size() * sizeof(T));
+  return v;
+}
+
+struct Launch {
+  Buffers buffers;
+  std::uint64_t instructions = 0;
+  std::string fault;  ///< the VmError message, empty when none
+};
+
+/// Run `kernel` over `n` items with every buffer bound in order, then
+/// `scalars`: per item, or batched in kBatchLanes chunks.  A fault ends the
+/// run and is recorded.
+Launch launch(const CompiledProgram& program, const std::string& kernel, Buffers buffers,
+              const std::vector<Slot>& scalars, std::int64_t n, bool batch) {
+  Launch out;
+  out.buffers = std::move(buffers);
+  std::vector<MemRegion> regions;
+  std::vector<Slot> args;
+  for (std::vector<std::byte>& b : out.buffers) {
+    regions.push_back(MemRegion{b.data(), b.size()});
+    Ptr p;
+    p.region = static_cast<std::int32_t>(regions.size());
+    args.push_back(Slot::fromPtr(p));
+  }
+  args.insert(args.end(), scalars.begin(), scalars.end());
+  Vm vm(program, regions);
+  const int k = program.findKernel(kernel);
+  EXPECT_GE(k, 0);
+  try {
+    for (std::int64_t gid = 0; gid < n;) {
+      const std::int64_t lanes = batch ? std::min<std::int64_t>(n - gid, Vm::kBatchLanes) : 1;
+      if (batch) {
+        vm.runKernelBatch(k, args, gid, lanes, n);
+      } else {
+        vm.runKernel(k, args, gid, n);
+      }
+      gid += lanes;
+    }
+  } catch (const VmError& e) {
+    out.fault = e.what();
+  }
+  out.instructions = vm.instructionsExecuted();
+  return out;
+}
+
+/// Batched against per-item execution of one tier-2 program: the same
+/// fault message, or bit-identical buffers and equal retired counts.
+Launch expectLaunchMatchesPerItem(const std::string& source, const std::string& kernel,
+                                  const Buffers& buffers, const std::vector<Slot>& scalars,
+                                  std::int64_t n) {
+  const auto program = compileProgram(source, CompileOptions{2});
+  EXPECT_TRUE(kernelCode(*program, kernel).batchable) << source;
+  const Launch seq = launch(*program, kernel, buffers, scalars, n, /*batch=*/false);
+  Launch bat = launch(*program, kernel, buffers, scalars, n, /*batch=*/true);
+  EXPECT_EQ(bat.fault, seq.fault) << source;
+  if (seq.fault.empty()) {
+    EXPECT_EQ(bat.instructions, seq.instructions) << source;
+    EXPECT_TRUE(bat.buffers == seq.buffers) << "batched buffers diverged\n" << source;
+  }
+  return bat;
+}
+
+/// `pad` unused float locals: enough of them put a kernel above
+/// kLaneListColumns without changing what it computes.
+std::string padLocals(int pad) {
+  std::string s;
+  for (int p = 0; p < pad; ++p) s += "  float pad" + std::to_string(p) + " = 0.0f;\n";
+  return s;
+}
+constexpr int kLaneListPad = 28;
+
+/// Eight per-lane operand values; item gid reads value gid % 8 as its first
+/// operand and (gid / 8) % 8 as its second, so 64 items see every pair.
+template <typename T>
+Buffers operandPairs(const std::vector<T>& values, std::int64_t n) {
+  std::vector<T> a;
+  std::vector<T> b;
+  for (std::int64_t gid = 0; gid < n; ++gid) {
+    a.push_back(values[static_cast<std::size_t>(gid % 8)]);
+    b.push_back(values[static_cast<std::size_t>(gid / 8 % 8)]);
+  }
+  return {bytesOf(a), bytesOf(b)};
+}
+
+/// The fused comparisons in `program`'s kernel `name`: (opcode, comparison).
+std::set<std::pair<Op, Op>> fusedComparisons(const CompiledProgram& program,
+                                             const std::string& name) {
+  std::set<std::pair<Op, Op>> seen;
+  for (const PackedInsn& insn : kernelCode(program, name).packed) {
+    if (insn.op == Op::CmpJz || insn.op == Op::CmpJnz) {
+      seen.insert({insn.op, static_cast<Op>(insn.c)});
+    }
+  }
+  return seen;
+}
+
+/// `x OP y` as both fused forms: an `if` (cmp.jz) and the left operand of
+/// `||` (cmp.jnz), once on the whole batch and once after a divergent
+/// split, so lane-list kernels also run them on a partial lane list.
+std::string compareKernel(const std::string& type, const std::string& op, int pad) {
+  std::string src = "__kernel void cmp(__global " + (type == "ptr" ? "int" : type) +
+                    "* a, __global " + (type == "ptr" ? "int" : type) +
+                    "* b, __global int* out) {\n"
+                    "  int gid = get_global_id(0);\n" +
+                    padLocals(pad);
+  if (type == "ptr") {
+    // Bit 0 picks the region, the rest the (possibly wrapped) offset.
+    src += "  __global int* x = a + (a[gid] >> 1);\n"
+           "  if ((a[gid] & 1) != 0) x = b + (a[gid] >> 1);\n"
+           "  __global int* y = a + (b[gid] >> 1);\n"
+           "  if ((b[gid] & 1) != 0) y = b + (b[gid] >> 1);\n";
+  } else {
+    src += "  " + type + " x = a[gid];\n  " + type + " y = b[gid];\n";
+  }
+  const std::string cmp = "x " + op + " y";
+  src += "  int r = 0;\n"
+         "  if (" + cmp + ") r = 1; else r = 2;\n"
+         "  if (" + cmp + " || gid < 0) r = r + 4;\n"
+         "  if (gid % 3 != 0) {\n"
+         "    if (" + cmp + ") r = r + 8;\n"
+         "    if (" + cmp + " || gid < 0) r = r + 16;\n"
+         "  }\n"
+         "  out[gid] = r;\n}\n";
+  return src;
+}
+
+TEST(KernelcBatch, EveryFusedComparisonMatchesPerItem) {
+  const std::int64_t n = 300;  // a full group and a partial one
+  const std::vector<std::int32_t> ints{INT_MIN, INT_MIN + 1, -1, 0, 1, 2, INT_MAX - 1, INT_MAX};
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> floats{std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, -inf,
+                                  inf, 1.0f, -1.5f, 1e-45f};
+  const std::vector<std::uint64_t> ulongs{0,
+                                          1,
+                                          0xFFFFFFFFull,
+                                          0x100000000ull,
+                                          0x7FFFFFFFFFFFFFFFull,
+                                          0x8000000000000000ull,
+                                          0x8000000000000001ull,
+                                          0xFFFFFFFFFFFFFFFFull};
+  // Pointer operands: bit 0 the buffer, the rest an offset, -1 wrapping it.
+  const std::vector<std::int32_t> ptrs{0, 1, 2, 3, 4, 5, -2, -1};
+  const std::vector<std::string> all{"==", "!=", "<", "<=", ">", ">="};
+  struct Family {
+    std::string type;
+    std::vector<std::string> ops;
+    Buffers operands;
+  };
+  const std::vector<Family> families{
+      {"int", all, operandPairs(ints, n)},
+      {"uint", all, operandPairs(ints, n)},
+      {"ulong", all, operandPairs(ulongs, n)},
+      {"float", all, operandPairs(floats, n)},
+      {"ptr", {"==", "!="}, operandPairs(ptrs, n)},
+  };
+  std::set<std::pair<Op, Op>> covered;
+  for (const Family& f : families) {
+    for (const std::string& op : f.ops) {
+      for (const int pad : {0, kLaneListPad}) {
+        SCOPED_TRACE(f.type + " " + op + " pad " + std::to_string(pad));
+        const std::string src = compareKernel(f.type, op, pad);
+        if (pad == 0) {
+          ASSERT_LE(columns(src, "cmp"), Vm::kLaneListColumns);
+        } else {
+          ASSERT_GT(columns(src, "cmp"), Vm::kLaneListColumns);
+        }
+        const auto program = compileProgram(src, CompileOptions{2});
+        const auto seen = fusedComparisons(*program, "cmp");
+        covered.insert(seen.begin(), seen.end());
+        Buffers buffers = f.operands;
+        buffers.push_back(std::vector<std::byte>(static_cast<std::size_t>(n) * 4));
+        expectLaunchMatchesPerItem(src, "cmp", buffers, {}, n);
+      }
+    }
+  }
+  // Every comparison the peephole fuses, under both branch senses.
+  for (const Op cmp : {Op::EqI, Op::NeI, Op::LtI, Op::LeI, Op::GtI, Op::GeI, Op::LtU, Op::LeU,
+                       Op::GtU, Op::GeU, Op::LtUL, Op::LeUL, Op::GtUL, Op::GeUL, Op::EqF,
+                       Op::NeF, Op::LtF, Op::LeF, Op::GtF, Op::GeF, Op::EqP, Op::NeP}) {
+    for (const Op branch : {Op::CmpJz, Op::CmpJnz}) {
+      EXPECT_TRUE(covered.count({branch, cmp}))
+          << "no kernel fused comparison " << static_cast<int>(cmp) << " into "
+          << static_cast<int>(branch);
+    }
+  }
+}
+
+/// What a builtin sees of the work-item it runs for.
+class ItemCtx final : public BuiltinCtx {
+ public:
+  std::int64_t gid = 0;
+  std::int64_t size = 1;
+  std::int64_t globalId() const override { return gid; }
+  std::int64_t globalSize() const override { return size; }
+  void* resolve(Ptr, std::uint32_t) override { throw VmError("no memory"); }
+};
+
+TEST(KernelcBatch, ColumnBuiltinsMatchTheirTableFunctions) {
+  // Item gid reads operand k from value (gid / 8^k) % 8, so 600 items see
+  // every pair and 512 triples.
+  const std::int64_t n = 600;
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> floats{std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, -inf,
+                                  inf, 1.5f, -2.5f, 0.3f};
+  const std::vector<std::int32_t> ints{INT_MIN, -7, -1, 0, 1, 2, 7, INT_MAX};
+  const std::vector<std::int32_t> dims{0, 1, 2, 0, 0, 1, 0, 3};
+  const auto& table = builtinTable();
+  std::set<BuiltinColumn> covered;
+  for (std::size_t id = 0; id < table.size(); ++id) {
+    const BuiltinDef& def = table[id];
+    if (def.column == BuiltinColumn::None) continue;
+    covered.insert(def.column);
+    const bool isFloat = def.ret == BType::Float;
+    const std::string type = isFloat ? "float" : "int";
+    std::string params;
+    std::string call = std::string(def.name) + "(";
+    Buffers buffers;
+    for (std::size_t k = 0; k < def.params.size(); ++k) {
+      ASSERT_EQ(def.params[k], def.ret) << def.name;
+      params += "__global " + type + "* a" + std::to_string(k) + ", ";
+      call += (k ? ", a" : "a") + std::to_string(k) + "[gid]";
+      std::int64_t stride = 1;
+      for (std::size_t j = 0; j < k; ++j) stride *= 8;
+      std::vector<std::int32_t> words;
+      for (std::int64_t gid = 0; gid < n; ++gid) {
+        const auto v = static_cast<std::size_t>(gid / stride % 8);
+        words.push_back(isFloat ? std::bit_cast<std::int32_t>(floats[v])
+                                : def.column == BuiltinColumn::GlobalId ? dims[v] : ints[v]);
+      }
+      buffers.push_back(bytesOf(words));
+    }
+    call += ")";
+    buffers.push_back(std::vector<std::byte>(static_cast<std::size_t>(n) * 4));
+    for (const int pad : {0, kLaneListPad}) {
+      SCOPED_TRACE(call + " pad " + std::to_string(pad));
+      // Once on the whole batch, once on each side of a divergent split.
+      const std::string src = "__kernel void col(" + params + "__global " + type +
+                              "* out) {\n  int gid = get_global_id(0);\n" + padLocals(pad) +
+                              "  " + type + " w = " + call + ";\n  if (gid % 3 != 0) out[gid] = " +
+                              call + "; else out[gid] = w;\n}\n";
+      const auto program = compileProgram(src, CompileOptions{2});
+      bool calls = false;
+      for (const PackedInsn& insn : kernelCode(*program, "col").packed) {
+        calls = calls || (insn.op == Op::CallBuiltin && insn.a == static_cast<std::int32_t>(id));
+      }
+      ASSERT_TRUE(calls) << src;
+      const Launch bat = expectLaunchMatchesPerItem(src, "col", buffers, {}, n);
+      ASSERT_TRUE(bat.fault.empty()) << bat.fault;
+      const auto got = valuesOf<std::int32_t>(bat.buffers.back());
+      ItemCtx ctx;
+      ctx.size = n;
+      for (std::int64_t gid = 0; gid < n; ++gid) {
+        ctx.gid = gid;
+        Slot args[3];
+        for (std::size_t k = 0; k < def.params.size(); ++k) {
+          const std::int32_t w = valuesOf<std::int32_t>(buffers[k])[static_cast<std::size_t>(gid)];
+          args[k] = isFloat ? Slot::fromFloat(std::bit_cast<float>(w)) : Slot::fromInt(w);
+        }
+        const Slot r = def.fn(ctx, args);
+        const std::int32_t want = isFloat
+                                      ? std::bit_cast<std::int32_t>(static_cast<float>(r.f))
+                                      : static_cast<std::int32_t>(r.i);
+        ASSERT_EQ(got[static_cast<std::size_t>(gid)], want) << "work-item " << gid;
+      }
+    }
+  }
+  EXPECT_EQ(covered.size(), 9u) << "every column kind has a table entry";
+}
+
+// The group memory check: a group whose lanes address two buffers, or one
+// lane out of bounds, takes the per-lane loop, which keeps per-item results
+// and names the faulting work-item.
+
+TEST(KernelcBatch, GroupAddressingTwoBuffersMatchesPerItem) {
+  // Groups merge after the branch only above the lane-list threshold; the
+  // `gid % 5` split then runs the accesses on a partial lane list too.
+  for (const int pad : {0, kLaneListPad}) {
+    SCOPED_TRACE(pad);
+    const std::string src =
+        "__kernel void two(__global float* inA, __global float* inB, __global float* outA,\n"
+        "                  __global float* outB, __global int* cA, __global int* cB) {\n"
+        "  int gid = get_global_id(0);\n" + padLocals(pad) +
+        "  __global float* src = inA;\n  __global float* dst = outA;\n"
+        "  __global int* c = cA;\n"
+        "  if ((gid & 1) != 0) { src = inB; dst = outB; c = cB; }\n"
+        "  dst[gid] = src[gid] * 2.0f + *(src + gid + 1);\n"
+        "  c[gid]++;\n"
+        "  if (gid % 5 != 0) { dst[gid + 300] = src[gid + 2]; c[gid + 300]++; }\n"
+        "}\n";
+    std::vector<float> inA(302);
+    std::vector<float> inB(302);
+    for (std::size_t i = 0; i < inA.size(); ++i) {
+      inA[i] = static_cast<float>(i) * 0.5f;
+      inB[i] = -static_cast<float>(i) * 0.25f;
+    }
+    const std::vector<float> out(600, 0.0f);
+    const std::vector<std::int32_t> counts(600, 3);
+    for (const std::int64_t n : {std::int64_t{37}, std::int64_t{300}}) {
+      expectLaunchMatchesPerItem(
+          src, "two",
+          {bytesOf(inA), bytesOf(inB), bytesOf(out), bytesOf(out), bytesOf(counts),
+           bytesOf(counts)},
+          {}, n);
+    }
+  }
+}
+
+TEST(KernelcBatch, OutOfBoundsLaneNamedInDenseAndLaneListGroups) {
+  // Work-item `bad` alone reads past the buffer, or at a negative index
+  // that wraps the 32-bit offset; the fault must name it, with the per-item
+  // message.  The lane-list kernel reads after a split, on a partial list.
+  for (const int pad : {0, kLaneListPad}) {
+    for (const std::int64_t index : {std::int64_t{1000}, std::int64_t{-1}}) {
+      SCOPED_TRACE("pad " + std::to_string(pad) + " index " + std::to_string(index));
+      const std::string access = "in[gid == bad ? " + std::to_string(index) + " : gid]";
+      const std::string src =
+          "__kernel void oob(__global float* in, __global float* out, int bad) {\n"
+          "  int gid = get_global_id(0);\n" + padLocals(pad) +
+          (pad ? "  if (gid % 3 != 0) out[gid] = " + access + "; else out[gid] = 1.0f;\n"
+               : "  out[gid] = " + access + ";\n") +
+          "}\n";
+      const std::vector<float> in(300, 2.0f);
+      const Launch bat = expectLaunchMatchesPerItem(
+          src, "oob", {bytesOf(in), bytesOf(in)}, {Slot::fromInt(101)}, 300);
+      EXPECT_NE(bat.fault.find("(work-item 101)"), std::string::npos) << bat.fault;
+      EXPECT_NE(bat.fault.find(index < 0 ? "offset 4294967292 + 4" : "offset 4000 + 4"),
+                std::string::npos)
+          << bat.fault;
+    }
+  }
+}
+
+TEST(KernelcBatch, NegativeOffsetsWrapBackIntoBounds) {
+  // `in - 4` wraps the 32-bit offset below zero; indexing 4 further wraps
+  // it back, as per-item pointer arithmetic does.
+  const std::string src = R"(
+    __kernel void wrap(__global float* in, __global float* out) {
+      int gid = get_global_id(0);
+      __global float* before = in - 4;
+      out[gid] = before[gid + 4] + *(before + 4 + (gid + 1) % 300);
+    }
+  )";
+  std::vector<float> in(300);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<float>(i);
+  const Launch bat =
+      expectLaunchMatchesPerItem(src, "wrap", {bytesOf(in), bytesOf(in)}, {}, 300);
+  EXPECT_TRUE(bat.fault.empty()) << bat.fault;
+}
+
+TEST(KernelcBatch, ReversedStridedAndOffsetAddressesMatchPerItem) {
+  // Loads, stores (post-increment) and tee-stores at reversed (stride -1),
+  // strided (2 and 3) and offset-start unit-stride addresses; every output
+  // element has one writer.
+  const std::string src = R"(
+    __kernel void addr(__global float* in, __global float* out, __global int* cnt, int n) {
+      int gid = get_global_id(0);
+      float rev = in[n - 1 - gid];
+      float strided = in[3 * gid];
+      float shifted = in[gid + 5];
+      float plain = *(in + gid + 2);
+      out[n - 1 - gid] = rev + plain;
+      out[n + 2 * gid] = strided;
+      out[3 * n + 5 + gid] = shifted;
+      cnt[n - 1 - gid]++;
+      cnt[n + 2 * gid]++;
+      cnt[3 * n + 5 + gid]++;
+    }
+  )";
+  const auto program = compileProgram(src, CompileOptions{2});
+  std::set<Op> ops;
+  for (const PackedInsn& insn : kernelCode(*program, "addr").packed) ops.insert(insn.op);
+  for (const Op op : {Op::LoadF32, Op::LoadElemF32, Op::LoadSlotElemF32, Op::LoadI32,
+                      Op::StoreI32, Op::TeeStoreF32}) {
+    EXPECT_TRUE(ops.count(op)) << "kernel lost opcode " << static_cast<int>(op);
+  }
+  for (const std::int64_t n : {std::int64_t{37}, std::int64_t{256}, std::int64_t{300}}) {
+    SCOPED_TRACE(n);
+    std::vector<float> in(static_cast<std::size_t>(3 * n + 8));
+    for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<float>(i) * 0.75f;
+    const std::vector<float> out(static_cast<std::size_t>(4 * n + 8), -1.0f);
+    const std::vector<std::int32_t> cnt(out.size(), 5);
+    const Launch bat = expectLaunchMatchesPerItem(
+        src, "addr", {bytesOf(in), bytesOf(out), bytesOf(cnt)}, {Slot::fromInt(n)}, n);
+    EXPECT_TRUE(bat.fault.empty()) << bat.fault;
+  }
 }
 
 }  // namespace
