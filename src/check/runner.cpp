@@ -185,7 +185,7 @@ void sanitize(Program& p) {
           if (s[2] < 0) s[2] = 0;
           if (s[2] > 3) s[2] = 3;
         }
-        if (op.hangs.size() > 1) op.hangs.resize(1);
+        if (op.hangs.size() > 1) op.hangs.erase(op.hangs.begin() + 1, op.hangs.end());
         for (auto& h : op.hangs) {
           h[0] = wrapIndex(static_cast<int>(h[0]), c.devices);
           if (h[1] < 1) h[1] = 1;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -9,115 +10,229 @@
 
 namespace skelcl::kc {
 
+/// What an instruction's operand fields mean.  Each kind fixes how both
+/// disassemblers print the operands and which slots the instruction reads
+/// and writes.  Fields are Insn's; the packed encoding moves the ones noted.
+enum class Operands : std::uint8_t {
+  None,
+  Imm,        ///< imm: integer constant (packed: a, or PushCI when it does not fit)
+  FImm,       ///< fimm: floating constant (packed: PushCF)
+  PoolInt,    ///< packed only: pool[k] as int64 (Insn view: a = k, imm = pool[k])
+  PoolFloat,  ///< packed only: pool[k] as a double (Insn view: a = k, fimm)
+  Num,        ///< a: frame offset, byte count, element size or function index
+  SlotRead,   ///< a: slot read
+  SlotWrite,  ///< a: slot written
+  Target,     ///< a: branch target
+  Builtin,    ///< a: builtin id, b: argument count
+  PtrImm,     ///< a: element size, imm: constant index (packed: b)
+  ElemSize,   ///< a: element size
+  SlotElem,   ///< a, b: pointer and index slots read, imm: element size (packed: c)
+  Tee,        ///< a: scratch slot written
+  IncSlot,    ///< a: slot read and written, imm: delta (packed: b)
+  Slot2,      ///< a, b: slots read
+  SlotBytes,  ///< a: slot written, b: byte count
+  CmpTarget,  ///< a: branch target, b: comparison opcode (packed: c)
+};
+
+/// OpInfo::flags bits.  Which pass reads which is in docs/VM.md.
+enum OpFlag : std::uint8_t {
+  kPure = 1 << 0,            ///< pure and never faults: the hoister may copy it
+  kStraight = 1 << 1,        ///< straight-line, not pure: the struct-copy scan passes it
+  kStops = 1 << 2,           ///< control never falls through to the next instruction
+  kReturns = 1 << 3,         ///< leaves the function, returning its `pops` values
+  kFusableCompare = 1 << 4,  ///< a comparison CmpJz/CmpJnz can fuse
+  kVarEffect = 1 << 5,       ///< pops and pushes depend on the callee
+};
+
+// The opcode table: X(op, mnemonic, pops, pushes, flags, operands), one row
+// per opcode in opcode-value order.  It generates `Op` and kOpInfo, so an
+// opcode's value, name, stack effect, flags and operand kinds are written
+// once.  The interpreters (vm.cpp, vm_batch.cpp) keep their own dispatch.
+#define SKELCL_KC_OPCODES(X)                                                             \
+  /* constants; f32 literals are already float-rounded in fimm */                        \
+  X(PushI, "push.i", 0, 1, kPure, Imm)                                                   \
+  X(PushF, "push.f", 0, 1, kPure, FImm)                                                  \
+  /* locals */                                                                           \
+  X(LoadSlot, "load.slot", 0, 1, kPure, SlotRead)                                        \
+  X(StoreSlot, "store.slot", 1, 0, kStraight, SlotWrite)                                 \
+  /* frame memory: push a pointer to the current frame's memory + a */                   \
+  X(LeaFrame, "lea.frame", 0, 1, kStraight, Num)                                         \
+  /* memory access: pop ptr, push value; pop value, pop ptr */                           \
+  X(LoadI32, "load.i32", 1, 1, kStraight, None)                                          \
+  X(LoadU32, "load.u32", 1, 1, kStraight, None)                                          \
+  X(LoadF32, "load.f32", 1, 1, kStraight, None)                                          \
+  X(LoadF64, "load.f64", 1, 1, kStraight, None)                                          \
+  X(LoadI64, "load.i64", 1, 1, kStraight, None)                                          \
+  X(StoreI32, "store.i32", 2, 0, kStraight, None)                                        \
+  X(StoreF32, "store.f32", 2, 0, kStraight, None)                                        \
+  X(StoreF64, "store.f64", 2, 0, kStraight, None)                                        \
+  X(StoreI64, "store.i64", 2, 0, kStraight, None)                                        \
+  X(MemCopy, "memcopy", 2, 0, kStraight, Num) /* a = bytes; pop src, pop dst */          \
+  X(PtrAdd, "ptradd", 2, 1, kPure, Num)       /* a = element size; pop index, pop ptr */ \
+  /* 32-bit integer arithmetic, wrap-around; division faults */                          \
+  X(AddI, "add.i", 2, 1, kPure, None)                                                    \
+  X(SubI, "sub.i", 2, 1, kPure, None)                                                    \
+  X(MulI, "mul.i", 2, 1, kPure, None)                                                    \
+  X(DivI, "div.i", 2, 1, 0, None)                                                        \
+  X(RemI, "rem.i", 2, 1, 0, None)                                                        \
+  X(NegI, "neg.i", 1, 1, kPure, None)                                                    \
+  X(DivU, "div.u", 2, 1, 0, None)                                                        \
+  X(RemU, "rem.u", 2, 1, 0, None)                                                        \
+  X(AndI, "and.i", 2, 1, kPure, None)                                                    \
+  X(OrI, "or.i", 2, 1, kPure, None)                                                      \
+  X(XorI, "xor.i", 2, 1, kPure, None)                                                    \
+  X(ShlI, "shl.i", 2, 1, kPure, None)                                                    \
+  X(ShrI, "shr.i", 2, 1, kPure, None)                                                    \
+  X(ShrU, "shr.u", 2, 1, kPure, None)                                                    \
+  X(NotI, "not.i", 1, 1, kPure, None)                                                    \
+  /* 64-bit integer arithmetic (long/ulong; slots hold full 64 bits) */                  \
+  X(AddL, "add.l", 2, 1, kPure, None)                                                    \
+  X(SubL, "sub.l", 2, 1, kPure, None)                                                    \
+  X(MulL, "mul.l", 2, 1, kPure, None)                                                    \
+  X(DivL, "div.l", 2, 1, 0, None)                                                        \
+  X(RemL, "rem.l", 2, 1, 0, None)                                                        \
+  X(NegL, "neg.l", 1, 1, kPure, None)                                                    \
+  X(DivUL, "div.ul", 2, 1, 0, None)                                                      \
+  X(RemUL, "rem.ul", 2, 1, 0, None)                                                      \
+  X(AndL, "and.l", 2, 1, kPure, None)                                                    \
+  X(OrL, "or.l", 2, 1, kPure, None)                                                      \
+  X(XorL, "xor.l", 2, 1, kPure, None)                                                    \
+  X(ShlL, "shl.l", 2, 1, kPure, None)                                                    \
+  X(ShrL, "shr.l", 2, 1, kPure, None)                                                    \
+  X(ShrUL, "shr.ul", 2, 1, kPure, None)                                                  \
+  X(NotL, "not.l", 1, 1, kPure, None)                                                    \
+  /* floating arithmetic */                                                              \
+  X(AddF32, "add.f32", 2, 1, kPure, None)                                                \
+  X(SubF32, "sub.f32", 2, 1, kPure, None)                                                \
+  X(MulF32, "mul.f32", 2, 1, kPure, None)                                                \
+  X(DivF32, "div.f32", 2, 1, kPure, None)                                                \
+  X(NegF32, "neg.f32", 1, 1, kPure, None)                                                \
+  X(AddF64, "add.f64", 2, 1, kPure, None)                                                \
+  X(SubF64, "sub.f64", 2, 1, kPure, None)                                                \
+  X(MulF64, "mul.f64", 2, 1, kPure, None)                                                \
+  X(DivF64, "div.f64", 2, 1, kPure, None)                                                \
+  X(NegF64, "neg.f64", 1, 1, kPure, None)                                                \
+  /* comparisons push int 0/1; long reuses EqI..GeI, ulong adds LtUL..GeUL */            \
+  X(EqI, "eq.i", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(NeI, "ne.i", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(LtI, "lt.i", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(LeI, "le.i", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(GtI, "gt.i", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(GeI, "ge.i", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(LtU, "lt.u", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(LeU, "le.u", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(GtU, "gt.u", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(GeU, "ge.u", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(LtUL, "lt.ul", 2, 1, kPure | kFusableCompare, None)                                  \
+  X(LeUL, "le.ul", 2, 1, kPure | kFusableCompare, None)                                  \
+  X(GtUL, "gt.ul", 2, 1, kPure | kFusableCompare, None)                                  \
+  X(GeUL, "ge.ul", 2, 1, kPure | kFusableCompare, None)                                  \
+  X(EqF, "eq.f", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(NeF, "ne.f", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(LtF, "lt.f", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(LeF, "le.f", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(GtF, "gt.f", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(GeF, "ge.f", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(EqP, "eq.p", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(NeP, "ne.p", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(LNot, "lnot", 1, 1, kPure, None)                                                     \
+  /* conversions; float->integer saturates (floatToInt below) */                         \
+  X(I2F32, "cvt.i.f32", 1, 1, kPure, None)                                               \
+  X(I2F64, "cvt.i.f64", 1, 1, kPure, None)                                               \
+  X(U2F32, "cvt.u.f32", 1, 1, kPure, None)                                               \
+  X(U2F64, "cvt.u.f64", 1, 1, kPure, None)                                               \
+  X(UL2F32, "cvt.ul.f32", 1, 1, kPure, None) /* long reuses I2F* */                      \
+  X(UL2F64, "cvt.ul.f64", 1, 1, kPure, None)                                             \
+  X(F2I, "cvt.f.i", 1, 1, kPure, None)                                                   \
+  X(F2U, "cvt.f.u", 1, 1, kPure, None)                                                   \
+  X(F2L, "cvt.f.l", 1, 1, kPure, None)                                                   \
+  X(F2UL, "cvt.f.ul", 1, 1, kPure, None)                                                 \
+  X(F64toF32, "cvt.f64.f32", 1, 1, kPure, None) /* round to float precision */           \
+  X(I2U, "cvt.i.u", 1, 1, kPure, None)          /* re-normalize 32-bit views */          \
+  X(U2I, "cvt.u.i", 1, 1, kPure, None)                                                   \
+  X(BoolNorm, "boolnorm", 1, 1, kPure, None)    /* nonzero -> 1 */                       \
+  /* control flow */                                                                     \
+  X(Jmp, "jmp", 0, 0, kStops, Target)                                                    \
+  X(Jz, "jz", 1, 0, 0, Target)                                                           \
+  X(Jnz, "jnz", 1, 0, 0, Target)                                                         \
+  /* calls: arguments on the stack, left to right */                                     \
+  X(CallFn, "call", 0, 0, kVarEffect, Num)                                               \
+  X(CallBuiltin, "call.builtin", 0, 0, kStraight | kVarEffect, Builtin)                  \
+  X(Ret, "ret", 1, 0, kStops | kReturns, None)                                           \
+  X(RetVoid, "ret.void", 0, 0, kStops | kReturns, None)                                  \
+  /* stack */                                                                            \
+  X(Dup, "dup", 1, 2, kPure, None)                                                       \
+  X(Drop, "drop", 1, 0, kStraight, None)                                                 \
+  /* a = trap message index (e.g. missing return), not printed */                        \
+  X(Trap, "trap", 0, 0, kStops, None)                                                    \
+  /* Superinstructions: never emitted by the compiler proper, only by the */           \
+  /* peephole pass (and PtrAddImm, IncSlotI by the rewrite pass).  Each one */           \
+  /* replaces a fixed window of naive instructions and carries its weight, */            \
+  /* so retired counts and simulated time equal the unfused program's. */                \
+  X(PtrAddImm, "ptradd.imm", 1, 1, kPure, PtrImm) /* pop ptr, push ptr+imm*a */          \
+  X(LoadElemI32, "loadelem.i32", 2, 1, 0, ElemSize) /* pop index, pop ptr */             \
+  X(LoadElemU32, "loadelem.u32", 2, 1, 0, ElemSize)                                      \
+  X(LoadElemF32, "loadelem.f32", 2, 1, 0, ElemSize)                                      \
+  X(LoadElemF64, "loadelem.f64", 2, 1, 0, ElemSize)                                      \
+  X(LoadElemI64, "loadelem.i64", 2, 1, 0, ElemSize)                                      \
+  X(LoadSlotElemI32, "loadslotelem.i32", 0, 1, 0, SlotElem) /* slot[a][slot[b]] */       \
+  X(LoadSlotElemU32, "loadslotelem.u32", 0, 1, 0, SlotElem)                              \
+  X(LoadSlotElemF32, "loadslotelem.f32", 0, 1, 0, SlotElem)                              \
+  X(LoadSlotElemF64, "loadslotelem.f64", 0, 1, 0, SlotElem)                              \
+  X(LoadSlotElemI64, "loadslotelem.i64", 0, 1, 0, SlotElem)                              \
+  /* pop value, pop ptr, store; slot[a] = value, the naive code's scratch */             \
+  X(TeeStoreI32, "teestore.i32", 2, 0, 0, Tee)                                           \
+  X(TeeStoreI64, "teestore.i64", 2, 0, 0, Tee)                                           \
+  X(TeeStoreF32, "teestore.f32", 2, 0, 0, Tee)                                           \
+  X(TeeStoreF64, "teestore.f64", 2, 0, 0, Tee)                                           \
+  X(IncSlotI, "incslot.i", 0, 0, kStraight, IncSlot) /* slot[a] += imm, int32 */         \
+  X(LoadSlot2, "load.slot2", 0, 2, 0, Slot2)                                             \
+  X(CmpJz, "cmp.jz", 2, 0, 0, CmpTarget)   /* branch if the comparison fails */          \
+  X(CmpJnz, "cmp.jnz", 2, 0, 0, CmpTarget) /* branch if it holds */                      \
+  /* The rewrite pass's struct scalar replacement: for a whole-struct copy */            \
+  /* whose destination became slots, pop ptr, fault as a read of b bytes */              \
+  /* at it would, slot[a] = ptr. */                                                      \
+  X(StoreSlotChecked, "store.slot.checked", 1, 0, 0, SlotBytes)                          \
+  /* Constant-pool pushes, produced by the encoder only */                               \
+  X(PushCI, "push.ci", 0, 1, 0, PoolInt)                                                 \
+  X(PushCF, "push.cf", 0, 1, 0, PoolFloat)
+
 enum class Op : std::uint8_t {
-  // constants
-  PushI,   // push imm (int64)
-  PushF,   // push fimm (double; already float-rounded for f32 literals)
+#define SKELCL_KC_OP(op, name, pops, pushes, flags, operands) op,
+  SKELCL_KC_OPCODES(SKELCL_KC_OP)
+#undef SKELCL_KC_OP
+};
 
-  // locals (a = slot index)
-  LoadSlot,
-  StoreSlot,
+struct OpInfo {
+  const char* name;    ///< mnemonic
+  std::int8_t pops;    ///< operand-stack values consumed (kVarEffect: 0)
+  std::int8_t pushes;  ///< values produced (kVarEffect: 0)
+  std::uint8_t flags;  ///< OpFlag bits
+  Operands operands;
+};
 
-  // frame memory (a = byte offset within the current frame's memory region)
-  LeaFrame,  // push pointer to frame memory + a
-
-  // memory access (pointer operand(s) on the stack)
-  LoadI32, LoadU32, LoadF32, LoadF64,      // pop ptr, push value
-  LoadI64,                                 // pop ptr, push 64-bit integer
-  StoreI32, StoreF32, StoreF64,            // pop value, pop ptr
-  StoreI64,                                // pop 64-bit value, pop ptr
-  MemCopy,                                 // a = bytes; pop src, pop dst
-  PtrAdd,                                  // a = element size; pop index, pop ptr
-
-  // integer arithmetic (32-bit semantics, wrap-around)
-  AddI, SubI, MulI, DivI, RemI, NegI,
-  DivU, RemU,
-  AndI, OrI, XorI, ShlI, ShrI, ShrU, NotI,
-
-  // 64-bit integer arithmetic (long/ulong; slots hold full 64 bits)
-  AddL, SubL, MulL, DivL, RemL, NegL,
-  DivUL, RemUL,
-  AndL, OrL, XorL, ShlL, ShrL, ShrUL, NotL,
-
-  // floating arithmetic
-  AddF32, SubF32, MulF32, DivF32, NegF32,
-  AddF64, SubF64, MulF64, DivF64, NegF64,
-
-  // comparisons (push int 0/1)
-  EqI, NeI, LtI, LeI, GtI, GeI,
-  LtU, LeU, GtU, GeU,
-  LtUL, LeUL, GtUL, GeUL,  // unsigned 64-bit (ulong); Eq/Ne/signed reuse EqI..GeI
-  EqF, NeF, LtF, LeF, GtF, GeF,
-  EqP, NeP,
-  LNot,
-
-  // conversions
-  I2F32, I2F64, U2F32, U2F64,
-  UL2F32, UL2F64,  // full 64-bit unsigned -> float/double (long reuses I2F*)
-  F2I,   // double slot -> int32 (truncation)
-  F2U,   // double slot -> uint32
-  F2L,   // double slot -> int64 (truncation)
-  F2UL,  // double slot -> uint64
-  F64toF32,  // round slot to float precision
-  I2U, U2I,  // re-normalize 32-bit views
-  BoolNorm,  // nonzero -> 1
-
-  // control flow (a = target instruction index)
-  Jmp, Jz, Jnz,
-
-  // calls
-  CallFn,       // a = function index (args on stack, left to right)
-  CallBuiltin,  // a = builtin id, b = argc
-  Ret,          // pop return value
-  RetVoid,
-
-  // stack
-  Dup, Drop,
-
-  // diagnostics
-  Trap,  // a = trap message index (e.g. missing return)
-
-  // -------------------------------------------------------------------------
-  // Superinstructions (emitted by the peephole pass, never by the compiler
-  // proper).  Each replaces a fixed window of naive instructions; its `weight`
-  // equals the window length so retired-instruction accounting — and thus
-  // simulated kernel time — is exactly what the unfused program would report.
-  // -------------------------------------------------------------------------
-  PtrAddImm,       // a = element size, imm = constant index; pop ptr, push ptr+imm*a
-  LoadElemI32,     // a = element size; pop index, pop ptr, push typed load
-  LoadElemU32,
-  LoadElemF32,
-  LoadElemF64,
-  LoadElemI64,
-  LoadSlotElemI32,  // a = pointer slot, b = index slot, imm = element size;
-  LoadSlotElemU32,  // push typed load of slot[a][slot[b]]
-  LoadSlotElemF32,
-  LoadSlotElemF64,
-  LoadSlotElemI64,
-  TeeStoreI32,     // a = scratch slot; pop value, pop ptr, typed store,
-  TeeStoreI64,     // slot[a] = value (the scratch the naive sequence wrote)
-  TeeStoreF32,
-  TeeStoreF64,
-  IncSlotI,        // a = slot, imm = delta; slot[a] = int32(slot[a] + delta)
-  LoadSlot2,       // a, b = slots; push slot[a] then slot[b]
-  CmpJz,           // b = comparison Op, a = target; pop rhs, pop lhs, branch if false
-  CmpJnz,          // b = comparison Op, a = target; branch if true
-
-  // Emitted by the rewrite pass's struct scalar replacement: stands in for
-  // the MemCopy of a whole-struct copy whose destination became slots.
-  StoreSlotChecked,  // a = slot, b = bytes; pop ptr, fault exactly as a read
-                     // of b bytes at it would, slot[a] = ptr
-
-  // Packed-only constant-pool pushes (produced by the encoder, not the
-  // peephole pass): k indexes the function's constant pool.
-  PushCI,          // push pool[k] as int64
-  PushCF,          // push bit_cast<double>(pool[k])
+inline constexpr OpInfo kOpInfo[] = {
+#define SKELCL_KC_OP(op, name, pops, pushes, flags, operands) \
+  {name, pops, pushes, flags, Operands::operands},
+    SKELCL_KC_OPCODES(SKELCL_KC_OP)
+#undef SKELCL_KC_OP
 };
 
 /// Number of opcodes (for tables / exhaustiveness tests).
-inline constexpr int kOpCount = static_cast<int>(Op::PushCF) + 1;
+inline constexpr int kOpCount = static_cast<int>(std::size(kOpInfo));
 
-const char* opName(Op op);
+constexpr const OpInfo& opInfo(Op op) { return kOpInfo[static_cast<std::size_t>(op)]; }
+
+/// The mnemonic; "?" for a value that is no opcode.
+constexpr const char* opName(Op op) {
+  return static_cast<int>(op) < kOpCount ? opInfo(op).name : "?";
+}
+
+/// `op` branches to the instruction index in `a`.
+constexpr bool isBranch(Op op) {
+  return opInfo(op).operands == Operands::Target ||
+         opInfo(op).operands == Operands::CmpTarget;
+}
 
 /// Compiler IR instruction: roomy, easy to pattern-match and disassemble.
 /// `weight` is the number of source (naive) instructions this one retires;
@@ -134,11 +249,21 @@ struct Insn {
   std::uint8_t weight = 1;
 };
 
+/// Calls `each(next)` for every instruction control may reach after
+/// code[pc]: its branch target, then the next one unless the opcode stops.
+template <class F>
+void forEachSuccessor(const std::vector<Insn>& code, std::size_t pc, F&& each) {
+  const Insn& insn = code[pc];
+  if (isBranch(insn.op)) each(static_cast<std::size_t>(insn.a));
+  if (!(opInfo(insn.op).flags & kStops)) each(pc + 1);
+}
+
 /// Execution encoding: 16 bytes per instruction (vs 32 for Insn), halving
 /// I-cache pressure in the dispatch loop.  Cold 64-bit payloads (big integer
 /// immediates, float immediates) move to a side constant pool indexed by `k`;
 /// small integer immediates ride inline in `a`/`b`; `c` carries small
-/// auxiliary payloads (fused comparison opcode, element sizes).
+/// auxiliary payloads (fused comparison opcode, element sizes).  Operands
+/// says where each kind's fields go.
 struct PackedInsn {
   Op op;
   std::uint8_t weight;

@@ -2,6 +2,7 @@
 
 #include "base/error.hpp"
 #include "kernelc/builtins.hpp"
+#include "kernelc/value.hpp"
 
 #include <optional>
 
@@ -225,14 +226,16 @@ std::optional<Folded> tryFold(const Expr& expr, const TypeTable& types) {
       } else {
         std::int64_t v;
         if (fromFloat) {
-          if (to == types::Uint) {
-            v = static_cast<std::int64_t>(static_cast<std::uint32_t>(inner->f));
+          if (to == types::Bool) {
+            v = inner->f != 0.0;  // as the VM's NeF against 0.0: NaN is true
+          } else if (to == types::Uint) {
+            v = floatToInt<std::uint32_t>(inner->f);
           } else if (to == types::Ulong) {
-            v = static_cast<std::int64_t>(static_cast<std::uint64_t>(inner->f));
+            v = floatToInt<std::uint64_t>(inner->f);
           } else if (to == types::Long) {
-            v = static_cast<std::int64_t>(inner->f);
+            v = floatToInt<std::int64_t>(inner->f);
           } else {
-            v = static_cast<std::int64_t>(static_cast<std::int32_t>(inner->f));
+            v = floatToInt<std::int32_t>(inner->f);
           }
         } else {
           v = inner->i;

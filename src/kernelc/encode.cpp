@@ -10,95 +10,27 @@
 
 namespace skelcl::kc {
 
-namespace {
-
-struct Effect {
-  int delta = 0;         ///< net stack change
-  int peak = 0;          ///< transient growth above the entry height (>= 0)
-  bool terminal = false; ///< Ret / RetVoid / Trap
-  bool jumps = false;    ///< has a branch target in `a`
-  bool falls = true;     ///< control may continue to the next instruction
-};
-
-Effect effectOf(const Insn& insn, const std::vector<FunctionCode>& fns) {
-  Effect e;
-  switch (insn.op) {
-    case Op::PushI: case Op::PushF: case Op::PushCI: case Op::PushCF:
-    case Op::LoadSlot: case Op::LeaFrame: case Op::Dup:
-      e.delta = 1; e.peak = 1; return e;
-    case Op::LoadSlot2:
-      e.delta = 2; e.peak = 2; return e;
-    case Op::LoadSlotElemI32: case Op::LoadSlotElemU32: case Op::LoadSlotElemF32:
-    case Op::LoadSlotElemF64: case Op::LoadSlotElemI64:
-      e.delta = 1; e.peak = 1; return e;
-    case Op::StoreSlot: case Op::StoreSlotChecked: case Op::Drop:
-      e.delta = -1; return e;
-    case Op::LoadI32: case Op::LoadU32: case Op::LoadF32: case Op::LoadF64:
-    case Op::LoadI64:
-      return e;  // pop ptr, push value
-    case Op::StoreI32: case Op::StoreI64: case Op::StoreF32: case Op::StoreF64:
-    case Op::MemCopy:
-      e.delta = -2; return e;
-    case Op::PtrAdd:
-      e.delta = -1; return e;
-    case Op::PtrAddImm: case Op::IncSlotI:
-      return e;
-    case Op::LoadElemI32: case Op::LoadElemU32: case Op::LoadElemF32:
-    case Op::LoadElemF64: case Op::LoadElemI64:
-      e.delta = -1; return e;
-    case Op::TeeStoreI32: case Op::TeeStoreI64: case Op::TeeStoreF32:
-    case Op::TeeStoreF64:
-      e.delta = -2; return e;
-    case Op::AddI: case Op::SubI: case Op::MulI: case Op::DivI: case Op::RemI:
-    case Op::DivU: case Op::RemU: case Op::AndI: case Op::OrI: case Op::XorI:
-    case Op::ShlI: case Op::ShrI: case Op::ShrU:
-    case Op::AddL: case Op::SubL: case Op::MulL: case Op::DivL: case Op::RemL:
-    case Op::DivUL: case Op::RemUL: case Op::AndL: case Op::OrL: case Op::XorL:
-    case Op::ShlL: case Op::ShrL: case Op::ShrUL:
-    case Op::AddF32: case Op::SubF32: case Op::MulF32: case Op::DivF32:
-    case Op::AddF64: case Op::SubF64: case Op::MulF64: case Op::DivF64:
-    case Op::EqI: case Op::NeI: case Op::LtI: case Op::LeI: case Op::GtI: case Op::GeI:
-    case Op::LtU: case Op::LeU: case Op::GtU: case Op::GeU:
-    case Op::LtUL: case Op::LeUL: case Op::GtUL: case Op::GeUL:
-    case Op::EqF: case Op::NeF: case Op::LtF: case Op::LeF: case Op::GtF: case Op::GeF:
-    case Op::EqP: case Op::NeP:
-      e.delta = -1; return e;
-    case Op::NegI: case Op::NotI: case Op::NegL: case Op::NotL:
-    case Op::NegF32: case Op::NegF64: case Op::LNot:
-    case Op::I2F32: case Op::I2F64: case Op::U2F32: case Op::U2F64:
-    case Op::UL2F32: case Op::UL2F64: case Op::F2I: case Op::F2U: case Op::F2L:
-    case Op::F2UL: case Op::F64toF32: case Op::I2U: case Op::U2I: case Op::BoolNorm:
-      return e;
-    case Op::Jmp:
-      e.jumps = true; e.falls = false; return e;
-    case Op::Jz: case Op::Jnz:
-      e.delta = -1; e.jumps = true; return e;
-    case Op::CmpJz: case Op::CmpJnz:
-      e.delta = -2; e.jumps = true; return e;
-    case Op::CallFn: {
-      const auto& callee = fns.at(static_cast<std::size_t>(insn.a));
-      const int ret = callee.returnType != types::Void ? 1 : 0;
-      e.delta = ret - static_cast<int>(callee.paramTypes.size());
-      e.peak = e.delta > 0 ? e.delta : 0;
-      return e;
-    }
-    case Op::CallBuiltin: {
-      const BuiltinDef& def = builtinTable().at(static_cast<std::size_t>(insn.a));
-      const int ret = def.ret != BType::Void ? 1 : 0;
-      e.delta = ret - insn.b;
-      e.peak = e.delta > 0 ? e.delta : 0;
-      return e;
-    }
-    case Op::Ret:
-      e.delta = -1; e.terminal = true; e.falls = false; return e;
-    case Op::RetVoid: case Op::Trap:
-      e.terminal = true; e.falls = false; return e;
+StackEffect stackEffect(const Insn& insn, const std::vector<FunctionCode>& fns) {
+  const OpInfo& info = opInfo(insn.op);
+  if (!(info.flags & kVarEffect)) return {info.pops, info.pushes};
+  if (insn.op == Op::CallFn) {
+    const FunctionCode& callee = fns.at(static_cast<std::size_t>(insn.a));
+    return {static_cast<int>(callee.paramTypes.size()), callee.returnType != types::Void ? 1 : 0};
   }
-  SKELCL_CHECK(false, "unhandled opcode in effectOf");
-  return e;
+  const BuiltinDef& def = builtinTable().at(static_cast<std::size_t>(insn.a));
+  return {insn.b, def.ret != BType::Void ? 1 : 0};
 }
 
-}  // namespace
+std::vector<bool> branchTargets(const std::vector<Insn>& code) {
+  std::vector<bool> target(code.size() + 1, false);
+  for (const Insn& insn : code) {
+    if (!isBranch(insn.op)) continue;
+    SKELCL_CHECK(insn.a >= 0 && static_cast<std::size_t>(insn.a) <= code.size(),
+                 "branch target out of range");
+    target[static_cast<std::size_t>(insn.a)] = true;
+  }
+  return target;
+}
 
 std::vector<int> stackHeights(const FunctionCode& fn, const std::vector<FunctionCode>& fns) {
   const std::size_t n = fn.code.size();
@@ -119,13 +51,10 @@ std::vector<int> stackHeights(const FunctionCode& fn, const std::vector<Function
   while (!work.empty()) {
     const std::size_t pc = work.back();
     work.pop_back();
-    const Insn& insn = fn.code[pc];
-    const Effect e = effectOf(insn, fns);
-    const int after = height[pc] + e.delta;
+    const StackEffect e = stackEffect(fn.code[pc], fns);
+    const int after = height[pc] + e.pushes - e.pops;
     SKELCL_CHECK(after >= 0, "stack underflow in '" + fn.name + "'");
-    if (e.terminal) continue;
-    if (e.jumps) propagate(static_cast<std::size_t>(insn.a), after);
-    if (e.falls) propagate(pc + 1, after);
+    forEachSuccessor(fn.code, pc, [&](std::size_t next) { propagate(next, after); });
   }
   return height;
 }
@@ -138,7 +67,8 @@ int computeMaxStack(const FunctionCode& fn, const std::vector<FunctionCode>& fns
   int maxPeak = 0;
   for (std::size_t pc = 0; pc < height.size(); ++pc) {
     if (height[pc] < 0) continue;
-    maxPeak = std::max(maxPeak, height[pc] + effectOf(fn.code[pc], fns).peak);
+    const StackEffect e = stackEffect(fn.code[pc], fns);
+    maxPeak = std::max(maxPeak, height[pc] + std::max(0, e.pushes - e.pops));
   }
   return maxPeak;
 }
@@ -161,8 +91,8 @@ void packFunction(FunctionCode& fn) {
   };
   for (const Insn& insn : fn.code) {
     PackedInsn p{insn.op, insn.weight, 0, insn.a, insn.b, 0};
-    switch (insn.op) {
-      case Op::PushI:
+    switch (opInfo(insn.op).operands) {
+      case Operands::Imm:
         if (fitsI32(insn.imm)) {
           p.a = static_cast<std::int32_t>(insn.imm);
         } else {
@@ -170,25 +100,23 @@ void packFunction(FunctionCode& fn) {
           p.k = addPool(static_cast<std::uint64_t>(insn.imm));
         }
         break;
-      case Op::PushF: {
+      case Operands::FImm: {
         std::uint64_t bits;
         std::memcpy(&bits, &insn.fimm, sizeof bits);
         p.op = Op::PushCF;
         p.k = addPool(bits);
         break;
       }
-      case Op::PtrAddImm:
-      case Op::IncSlotI:
+      case Operands::PtrImm:
+      case Operands::IncSlot:
         // peephole guarantees the immediate fits in 32 bits
         p.b = static_cast<std::int32_t>(insn.imm);
         break;
-      case Op::LoadSlotElemI32: case Op::LoadSlotElemU32: case Op::LoadSlotElemF32:
-      case Op::LoadSlotElemF64: case Op::LoadSlotElemI64:
+      case Operands::SlotElem:
         // peephole guarantees the element size fits in 16 bits
         p.c = static_cast<std::uint16_t>(insn.imm);
         break;
-      case Op::CmpJz:
-      case Op::CmpJnz:
+      case Operands::CmpTarget:
         p.c = static_cast<std::uint16_t>(insn.b);  // the fused comparison op
         p.b = 0;
         break;
@@ -225,9 +153,6 @@ void originStep(const Insn& insn, const std::vector<FunctionCode>& fns,
     return slots[static_cast<std::size_t>(s)];
   };
   switch (insn.op) {
-    case Op::PushI: case Op::PushF: case Op::PushCI: case Op::PushCF:
-      stk.push_back(kNoParam);
-      return;
     case Op::LoadSlot:
       stk.push_back(slot(insn.a));
       return;
@@ -282,17 +207,10 @@ void originStep(const Insn& insn, const std::vector<FunctionCode>& fns,
     case Op::PtrAdd:
       pop();  // the index; the pointer below keeps its origin
       return;
-    case Op::PtrAddImm: case Op::Jmp: case Op::RetVoid: case Op::Trap:
-      return;
+    case Op::PtrAddImm:
+      return;  // the pointer keeps its origin
     case Op::Dup:
       stk.push_back(stk.back());
-      return;
-    case Op::Drop: case Op::Jz: case Op::Jnz: case Op::Ret:
-      pop();
-      return;
-    case Op::CmpJz: case Op::CmpJnz:
-      pop();
-      pop();
       return;
     case Op::CallFn: {
       const FunctionCode& callee = fns.at(static_cast<std::size_t>(insn.a));
@@ -300,22 +218,19 @@ void originStep(const Insn& insn, const std::vector<FunctionCode>& fns,
       if (callee.returnType != types::Void) stk.push_back(kAnyParam);
       return;
     }
-    case Op::CallBuiltin: {
-      const BuiltinDef& def = builtinTable().at(static_cast<std::size_t>(insn.a));
-      if (def.atomic != AtomicOp::None) atomic(stk[stk.size() - static_cast<std::size_t>(insn.b)]);
-      for (std::int32_t i = 0; i < insn.b; ++i) pop();
-      if (def.ret != BType::Void) stk.push_back(kNoParam);
-      return;
-    }
-    default: {
-      // Arithmetic, comparisons and conversions: every operand is consumed
-      // and the one result is a number.
-      const int pops = 1 - effectOf(insn, fns).delta;
-      for (int i = 0; i < pops; ++i) pop();
-      stk.push_back(kNoParam);
-      return;
-    }
+    case Op::CallBuiltin:
+      if (builtinTable().at(static_cast<std::size_t>(insn.a)).atomic != AtomicOp::None) {
+        atomic(stk[stk.size() - static_cast<std::size_t>(insn.b)]);
+      }
+      break;
+    default:
+      break;
   }
+  // The rest derives no pointer (constants, arithmetic, comparisons,
+  // conversions, branches, builtins): its operands go, numbers come.
+  const StackEffect e = stackEffect(insn, fns);
+  stk.resize(stk.size() - static_cast<std::size_t>(e.pops));
+  stk.insert(stk.end(), static_cast<std::size_t>(e.pushes), kNoParam);
 }
 
 /// Prove that deferring the atomics of a call- and frame-free kernel to the
@@ -355,13 +270,6 @@ bool proveAtomicsDeferrable(const FunctionCode& fn, const std::vector<FunctionCo
   }
   flow(0, entry);
   const auto ignore = [](std::int16_t) {};
-  const auto successors = [&](std::size_t pc, auto&& each) {
-    const Insn& insn = fn.code[pc];
-    const Effect e = effectOf(insn, fns);
-    if (e.terminal) return;
-    if (e.jumps) each(static_cast<std::size_t>(insn.a));
-    if (e.falls) each(pc + 1);
-  };
   std::vector<std::int16_t> slots;
   std::vector<std::int16_t> stk;
   const auto step = [&](std::size_t pc, auto&& access, auto&& atomic) {
@@ -376,7 +284,7 @@ bool proveAtomicsDeferrable(const FunctionCode& fn, const std::vector<FunctionCo
     work.pop_back();
     step(pc, ignore, ignore);
     const std::vector<std::int16_t> out = slots;
-    successors(pc, [&](std::size_t next) { flow(next, out); });
+    forEachSuccessor(fn.code, pc, [&](std::size_t next) { flow(next, out); });
   }
 
   bool ok = true;
@@ -419,14 +327,7 @@ void computeBatchInfo(FunctionCode& fn, const std::vector<FunctionCode>& fns) {
   bool barrier = false;
   bool resultUsed = false;
   bool atomics = false;
-  const std::vector<bool> target = [&] {
-    std::vector<bool> t(fn.code.size() + 1, false);
-    for (const Insn& insn : fn.code) {
-      const Effect e = effectOf(insn, fns);
-      if (e.jumps) t[static_cast<std::size_t>(insn.a)] = true;
-    }
-    return t;
-  }();
+  const std::vector<bool> target = branchTargets(fn.code);
   for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
     const Insn& insn = fn.code[pc];
     switch (insn.op) {

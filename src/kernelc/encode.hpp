@@ -3,6 +3,7 @@
 //    letting the VM hoist per-push overflow guards to one check at entry;
 //  - packs the 32-byte Insn IR into the 16-byte PackedInsn dispatch encoding,
 //    moving cold 64-bit immediates into a per-function constant pool.
+// Also the stack and branch facts the rewrite and peephole passes share.
 #pragma once
 
 #include <vector>
@@ -10,6 +11,19 @@
 #include "kernelc/bytecode.hpp"
 
 namespace skelcl::kc {
+
+struct StackEffect {
+  int pops = 0;
+  int pushes = 0;
+};
+
+/// Operand-stack values `insn` pops and pushes: its opcode's OpInfo row, or
+/// for a call its callee's signature (a CallFn resolves against `fns`).
+StackEffect stackEffect(const Insn& insn, const std::vector<FunctionCode>& fns);
+
+/// For each index of `code` and one past its end: is it a branch target?
+/// Throws when a target is out of range.
+std::vector<bool> branchTargets(const std::vector<Insn>& code);
 
 /// Finalize every function in `fns` (maxStack + packed encoding).  Call-stack
 /// deltas of CallFn instructions are resolved against `fns` itself, so the

@@ -4,15 +4,11 @@
 #include <vector>
 
 #include "base/error.hpp"
+#include "kernelc/encode.hpp"
 
 namespace skelcl::kc {
 
 namespace {
-
-bool isBranch(Op op) {
-  return op == Op::Jmp || op == Op::Jz || op == Op::Jnz || op == Op::CmpJz ||
-         op == Op::CmpJnz;
-}
 
 /// Typed memory load -> its two fused forms (0 if not fusable).
 Op loadElemFor(Op load) {
@@ -67,19 +63,6 @@ Insn make(Op op, std::int32_t a, std::int32_t b, std::int64_t imm, std::uint8_t 
 
 }  // namespace
 
-bool isFusableCompare(Op op) {
-  switch (op) {
-    case Op::EqI: case Op::NeI: case Op::LtI: case Op::LeI: case Op::GtI: case Op::GeI:
-    case Op::LtU: case Op::LeU: case Op::GtU: case Op::GeU:
-    case Op::LtUL: case Op::LeUL: case Op::GtUL: case Op::GeUL:
-    case Op::EqF: case Op::NeF: case Op::LtF: case Op::LeF: case Op::GtF: case Op::GeF:
-    case Op::EqP: case Op::NeP:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void peepholeOptimize(FunctionCode& fn) {
   const std::vector<Insn>& code = fn.code;
   const std::size_t n = code.size();
@@ -87,14 +70,7 @@ void peepholeOptimize(FunctionCode& fn) {
 
   // An instruction that is the target of any branch must stay addressable:
   // fusion windows may *start* at a target but never contain one.
-  std::vector<bool> isTarget(n + 1, false);
-  for (const Insn& insn : code) {
-    if (isBranch(insn.op)) {
-      SKELCL_CHECK(insn.a >= 0 && static_cast<std::size_t>(insn.a) <= n,
-                   "branch target out of range before peephole");
-      isTarget[static_cast<std::size_t>(insn.a)] = true;
-    }
-  }
+  const std::vector<bool> isTarget = branchTargets(code);
 
   std::vector<Insn> out;
   out.reserve(n);
@@ -192,7 +168,8 @@ void peepholeOptimize(FunctionCode& fn) {
       consumed = 2;
     }
     // compare; Jz / Jnz  ->  fused conditional branch
-    else if (clear(2) && isFusableCompare(op(0)) && (op(1) == Op::Jz || op(1) == Op::Jnz)) {
+    else if (clear(2) && (opInfo(op(0)).flags & kFusableCompare) &&
+             (op(1) == Op::Jz || op(1) == Op::Jnz)) {
       out.push_back(make(op(1) == Op::Jz ? Op::CmpJz : Op::CmpJnz, at(1).a,
                          static_cast<std::int32_t>(op(0)), 0, wsum(2)));
       consumed = 2;

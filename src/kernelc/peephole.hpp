@@ -16,7 +16,4 @@ namespace skelcl::kc {
 /// remapped.
 void peepholeOptimize(FunctionCode& fn);
 
-/// True if `op` is a comparison that CmpJz/CmpJnz can fuse.
-bool isFusableCompare(Op op);
-
 }  // namespace skelcl::kc

@@ -16,11 +16,6 @@ namespace {
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
-bool isBranch(Op op) {
-  return op == Op::Jmp || op == Op::Jz || op == Op::Jnz || op == Op::CmpJz ||
-         op == Op::CmpJnz;
-}
-
 std::int32_t t32(std::int64_t v) { return static_cast<std::int32_t>(v); }
 
 bool fitsI32(std::int64_t v) {
@@ -38,18 +33,11 @@ Insn make(Op op, std::int32_t a, std::int32_t b, std::int64_t imm, std::uint8_t 
   return insn;
 }
 
-/// Slot written by this instruction, or -1.  Covers the superinstructions an
-/// earlier rewrite iteration may have inserted (IncSlotI); the peephole pass
-/// has not run yet, so the rest of the stream is naive.
+/// Slot written by this instruction, or -1.
 int writtenSlot(const Insn& insn) {
-  switch (insn.op) {
-    case Op::StoreSlot:
-    case Op::StoreSlotChecked:
-    case Op::IncSlotI:
-    case Op::TeeStoreI32:
-    case Op::TeeStoreI64:
-    case Op::TeeStoreF32:
-    case Op::TeeStoreF64:
+  switch (opInfo(insn.op).operands) {
+    case Operands::SlotWrite: case Operands::Tee: case Operands::IncSlot:
+    case Operands::SlotBytes:
       return insn.a;
     default:
       return -1;
@@ -57,80 +45,20 @@ int writtenSlot(const Insn& insn) {
 }
 
 /// Pure, never-faulting operations the hoister may duplicate into a
-/// preheader.  Excludes integer division (faults on zero / INT_MIN edge),
-/// all memory access, calls into other functions, and builtins with
-/// observable side effects or pointer parameters.  Reports the stack effect.
-bool pureOp(const Insn& insn, int& pops, int& pushes) {
-  switch (insn.op) {
-    case Op::PushI:
-    case Op::PushF:
-    case Op::LoadSlot:
-      pops = 0;
-      pushes = 1;
-      return true;
-    case Op::Dup:
-      pops = 1;
-      pushes = 2;
-      return true;
-    case Op::AddI: case Op::SubI: case Op::MulI:
-    case Op::AndI: case Op::OrI: case Op::XorI:
-    case Op::ShlI: case Op::ShrI: case Op::ShrU:
-    case Op::AddL: case Op::SubL: case Op::MulL:
-    case Op::AndL: case Op::OrL: case Op::XorL:
-    case Op::ShlL: case Op::ShrL: case Op::ShrUL:
-    case Op::AddF32: case Op::SubF32: case Op::MulF32: case Op::DivF32:
-    case Op::AddF64: case Op::SubF64: case Op::MulF64: case Op::DivF64:
-    case Op::EqI: case Op::NeI: case Op::LtI: case Op::LeI: case Op::GtI: case Op::GeI:
-    case Op::LtU: case Op::LeU: case Op::GtU: case Op::GeU:
-    case Op::LtUL: case Op::LeUL: case Op::GtUL: case Op::GeUL:
-    case Op::EqF: case Op::NeF: case Op::LtF: case Op::LeF: case Op::GtF: case Op::GeF:
-    case Op::EqP: case Op::NeP:
-    case Op::PtrAdd:  // pointer arithmetic wraps; faults happen at the access
-      pops = 2;
-      pushes = 1;
-      return true;
-    case Op::NegI: case Op::NotI: case Op::NegL: case Op::NotL:
-    case Op::NegF32: case Op::NegF64:
-    case Op::LNot: case Op::BoolNorm:
-    case Op::I2F32: case Op::I2F64: case Op::U2F32: case Op::U2F64:
-    case Op::UL2F32: case Op::UL2F64:
-    case Op::F2I: case Op::F2U: case Op::F2L: case Op::F2UL:
-    case Op::F64toF32: case Op::I2U: case Op::U2I:
-    case Op::PtrAddImm:
-      pops = 1;
-      pushes = 1;
-      return true;
-    case Op::CallBuiltin: {
-      const auto& table = builtinTable();
-      if (insn.a < 0 || static_cast<std::size_t>(insn.a) >= table.size()) return false;
-      const BuiltinDef& def = table[static_cast<std::size_t>(insn.a)];
-      if (std::strcmp(def.name, "barrier") == 0) return false;
-      if (std::strncmp(def.name, "atomic_", 7) == 0) return false;
-      for (BType p : def.params) {
-        if (p == BType::PtrInt || p == BType::PtrUint || p == BType::PtrFloat ||
-            p == BType::PtrDouble) {
-          return false;
-        }
-      }
-      pops = insn.b;
-      pushes = def.ret == BType::Void ? 0 : 1;
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-std::vector<bool> branchTargets(const std::vector<Insn>& code) {
-  std::vector<bool> target(code.size() + 1, false);
-  for (const Insn& insn : code) {
-    if (isBranch(insn.op)) {
-      SKELCL_CHECK(insn.a >= 0 && static_cast<std::size_t>(insn.a) <= code.size(),
-                   "branch target out of range before rewrite");
-      target[static_cast<std::size_t>(insn.a)] = true;
-    }
-  }
-  return target;
+/// preheader: the kPure opcodes (no integer division, which faults, and no
+/// memory access; PtrAdd is one, as pointer arithmetic wraps and faults
+/// happen at the access), and builtins without observable side effects or
+/// pointer parameters.
+bool pureOp(const Insn& insn) {
+  if (insn.op != Op::CallBuiltin) return opInfo(insn.op).flags & kPure;
+  const auto& table = builtinTable();
+  if (insn.a < 0 || static_cast<std::size_t>(insn.a) >= table.size()) return false;
+  const BuiltinDef& def = table[static_cast<std::size_t>(insn.a)];
+  if (std::strcmp(def.name, "barrier") == 0 || def.atomic != AtomicOp::None) return false;
+  return std::none_of(def.params.begin(), def.params.end(), [](BType p) {
+    return p == BType::PtrInt || p == BType::PtrUint || p == BType::PtrFloat ||
+           p == BType::PtrDouble;
+  });
 }
 
 /// A natural loop, identified by a backward branch: body is [head, back].
@@ -543,15 +471,14 @@ bool hoistLoopInvariant(FunctionCode& fn) {
       std::size_t j = w;
       while (j <= loop.back) {
         if (j > w && target[j]) break;
-        int pops = 0;
-        int pushes = 0;
-        if (!pureOp(code[j], pops, pushes)) break;
+        if (!pureOp(code[j])) break;
         if (code[j].op == Op::LoadSlot &&
             written[static_cast<std::size_t>(code[j].a)]) {
           break;
         }
-        if (height < pops) break;  // would consume pre-window stack
-        height += pushes - pops;
+        const StackEffect e = stackEffect(code[j], {});  // calls no function
+        if (height < e.pops) break;  // would consume pre-window stack
+        height += e.pushes - e.pops;
         weight += code[j].weight;
         if (weight > 255) break;
         ++j;
@@ -608,43 +535,6 @@ std::uint32_t loadBytes(Op load) {
   return load == Op::LoadF64 || load == Op::LoadI64 ? 8 : 4;
 }
 
-/// Stack effect of a straight-line naive instruction; false for control
-/// flow and calls into other functions.
-bool straightLineEffect(const Insn& insn, int& pops, int& pushes) {
-  if (pureOp(insn, pops, pushes)) return true;
-  switch (insn.op) {
-    case Op::LeaFrame:
-      pops = 0;
-      pushes = 1;
-      return true;
-    case Op::LoadI32: case Op::LoadU32: case Op::LoadF32: case Op::LoadF64: case Op::LoadI64:
-      pops = 1;
-      pushes = 1;
-      return true;
-    case Op::StoreSlot: case Op::Drop:
-      pops = 1;
-      pushes = 0;
-      return true;
-    case Op::StoreI32: case Op::StoreI64: case Op::StoreF32: case Op::StoreF64:
-    case Op::MemCopy:
-      pops = 2;
-      pushes = 0;
-      return true;
-    case Op::IncSlotI:
-      pops = 0;
-      pushes = 0;
-      return true;
-    case Op::CallBuiltin: {
-      const BuiltinDef& def = builtinTable().at(static_cast<std::size_t>(insn.a));
-      pops = insn.b;
-      pushes = def.ret == BType::Void ? 0 : 1;
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 /// If the LeaFrame at `p` is the destination of a whole copy — a
 /// straight-line, branch-target-free window computing the source pointer
 /// and then MemCopy — set `q` to the MemCopy.  The window may not address
@@ -658,10 +548,10 @@ bool copyDestination(const std::vector<Insn>& code, const std::vector<bool>& tar
       q = j;
       return depth == 1;
     }
-    int pops = 0;
-    int pushes = 0;
-    if (!straightLineEffect(code[j], pops, pushes) || pops > depth) return false;
-    depth += pushes - pops;
+    if (!(opInfo(code[j].op).flags & (kPure | kStraight))) return false;
+    const StackEffect e = stackEffect(code[j], {});  // calls no function
+    if (e.pops > depth) return false;
+    depth += e.pushes - e.pops;
   }
   return false;
 }
@@ -811,16 +701,12 @@ constexpr std::size_t kMaxInlinedCode = std::size_t{1} << 16;
 
 /// Slots an instruction reads (at most two, into `out`).
 int readSlots(const Insn& insn, std::int32_t out[2]) {
-  switch (insn.op) {
-    case Op::LoadSlot:
-    case Op::IncSlotI:
-      out[0] = insn.a;
+  out[0] = insn.a;
+  out[1] = insn.b;
+  switch (opInfo(insn.op).operands) {
+    case Operands::SlotRead: case Operands::IncSlot:
       return 1;
-    case Op::LoadSlot2:
-    case Op::LoadSlotElemI32: case Op::LoadSlotElemU32: case Op::LoadSlotElemF32:
-    case Op::LoadSlotElemF64: case Op::LoadSlotElemI64:
-      out[0] = insn.a;
-      out[1] = insn.b;
+    case Operands::Slot2: case Operands::SlotElem:
       return 2;
     default:
       return 0;
@@ -870,11 +756,7 @@ std::vector<std::int32_t> localsReadBeforeWritten(const FunctionCode& fn) {
     std::vector<bool> after = assigned[pc];
     const int w = writtenSlot(code[pc]);
     if (w >= 0) after[static_cast<std::size_t>(w)] = true;
-    const Op op = code[pc].op;
-    if (isBranch(op)) flow(static_cast<std::size_t>(code[pc].a), after);
-    if (op != Op::Jmp && op != Op::Ret && op != Op::RetVoid && op != Op::Trap) {
-      flow(pc + 1, after);
-    }
+    forEachSuccessor(code, pc, [&](std::size_t next) { flow(next, after); });
   }
 
   std::vector<bool> zero(slots, false);
@@ -909,10 +791,8 @@ bool inlinable(const FunctionCode& callee, const std::vector<FunctionCode>& fns)
   const std::vector<int> height = stackHeights(callee, fns);
   for (std::size_t pc = 0; pc < callee.code.size(); ++pc) {
     if (height[pc] < 0) continue;  // unreachable: its Jmp never runs
-    const Op op = callee.code[pc].op;
-    if ((op == Op::Ret && height[pc] != 1) || (op == Op::RetVoid && height[pc] != 0)) {
-      return false;
-    }
+    const OpInfo& info = opInfo(callee.code[pc].op);
+    if ((info.flags & kReturns) && height[pc] != info.pops) return false;
   }
   return true;
 }
@@ -934,7 +814,7 @@ std::vector<Insn> inlineBlock(const Insn& call, const FunctionCode& callee,
   const auto body = static_cast<std::int32_t>(block.size());
   const auto end = body + static_cast<std::int32_t>(callee.code.size());
   for (Insn insn : callee.code) {
-    if (insn.op == Op::Ret || insn.op == Op::RetVoid) {
+    if (opInfo(insn.op).flags & kReturns) {
       insn = make(Op::Jmp, end, 0, 0, insn.weight);
     } else {
       if (isBranch(insn.op)) insn.a += body;

@@ -194,13 +194,17 @@ void Sema::declareStruct(StructDecl& decl) {
       fail(f.loc, "pointer members are not allowed in device structs");
     }
     if (t == types::Bool) fail(f.loc, "bool members are not allowed in device structs");
+    for (const auto& field : fields) {
+      if (field.first == f.name) {
+        fail(f.loc, "duplicate member '" + f.name + "' in struct '" + decl.name + "'");
+      }
+    }
     fields.emplace_back(f.name, t);
   }
-  try {
-    types_.addStruct(decl.name, fields);
-  } catch (const Error& e) {
-    fail(decl.loc, e.what());
+  if (types_.findStruct(decl.name) != types::Invalid) {
+    fail(decl.loc, "duplicate struct '" + decl.name + "'");
   }
+  types_.addStruct(decl.name, fields);
 }
 
 void Sema::collectFunction(FunctionDecl& decl) {

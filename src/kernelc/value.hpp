@@ -2,7 +2,9 @@
 // layer's argument marshalling.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace skelcl::kc {
 
@@ -40,5 +42,18 @@ union Slot {
     return s;
   }
 };
+
+/// Float -> integer conversion: the F2I, F2U, F2L and F2UL opcodes and the
+/// compiler's folding of the same casts.  OpenCL's convert_<T>_sat rule: NaN
+/// gives 0, values outside T's range clamp to its ends, the rest truncate
+/// toward zero.  Returns the slot value (T's value; an unsigned T's bits).
+template <class T>
+std::int64_t floatToInt(double v) {
+  using Limits = std::numeric_limits<T>;
+  if (std::isnan(v)) return 0;
+  if (v <= static_cast<double>(Limits::min())) return static_cast<std::int64_t>(Limits::min());
+  if (v >= static_cast<double>(Limits::max())) return static_cast<std::int64_t>(Limits::max());
+  return static_cast<std::int64_t>(static_cast<T>(v));
+}
 
 }  // namespace skelcl::kc

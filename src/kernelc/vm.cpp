@@ -678,26 +678,18 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
         sp[-1] = Slot::fromFloat(
             static_cast<double>(static_cast<std::uint64_t>(sp[-1].i)));
         break;
-      case Op::F2I: {
-        const double v = sp[-1].f;
-        sp[-1] = Slot::fromInt(static_cast<std::int32_t>(v));
+      case Op::F2I:
+        sp[-1] = Slot::fromInt(floatToInt<std::int32_t>(sp[-1].f));
         break;
-      }
-      case Op::F2L: {
-        const double v = sp[-1].f;
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(v));
+      case Op::F2L:
+        sp[-1] = Slot::fromInt(floatToInt<std::int64_t>(sp[-1].f));
         break;
-      }
-      case Op::F2UL: {
-        const double v = sp[-1].f;
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint64_t>(v)));
+      case Op::F2UL:
+        sp[-1] = Slot::fromInt(floatToInt<std::uint64_t>(sp[-1].f));
         break;
-      }
-      case Op::F2U: {
-        const double v = sp[-1].f;
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(v)));
+      case Op::F2U:
+        sp[-1] = Slot::fromInt(floatToInt<std::uint32_t>(sp[-1].f));
         break;
-      }
       case Op::F64toF32:
         sp[-1].f = static_cast<float>(sp[-1].f);
         break;
@@ -1174,28 +1166,18 @@ void Vm::executeRef(int functionIndex, std::span<const Slot> args, bool expectRe
         stack_.back() = Slot::fromFloat(
             static_cast<double>(static_cast<std::uint64_t>(stack_.back().i)));
         break;
-      case Op::F2I: {
-        const double v = stack_.back().f;
-        stack_.back() = Slot::fromInt(static_cast<std::int32_t>(v));
+      case Op::F2I:
+        stack_.back() = Slot::fromInt(floatToInt<std::int32_t>(stack_.back().f));
         break;
-      }
-      case Op::F2L: {
-        const double v = stack_.back().f;
-        stack_.back() = Slot::fromInt(static_cast<std::int64_t>(v));
+      case Op::F2L:
+        stack_.back() = Slot::fromInt(floatToInt<std::int64_t>(stack_.back().f));
         break;
-      }
-      case Op::F2UL: {
-        const double v = stack_.back().f;
-        stack_.back() =
-            Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint64_t>(v)));
+      case Op::F2UL:
+        stack_.back() = Slot::fromInt(floatToInt<std::uint64_t>(stack_.back().f));
         break;
-      }
-      case Op::F2U: {
-        const double v = stack_.back().f;
-        stack_.back() =
-            Slot::fromInt(static_cast<std::int64_t>(static_cast<std::uint32_t>(v)));
+      case Op::F2U:
+        stack_.back() = Slot::fromInt(floatToInt<std::uint32_t>(stack_.back().f));
         break;
-      }
       case Op::F64toF32:
         stack_.back().f = static_cast<float>(stack_.back().f);
         break;

@@ -927,12 +927,10 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       KC_CONV(U2F64, iCol, fCol, static_cast<double>(static_cast<std::uint32_t>(v)))
       KC_CONV(UL2F32, iCol, fCol, static_cast<float>(static_cast<std::uint64_t>(v)))
       KC_CONV(UL2F64, iCol, fCol, static_cast<double>(static_cast<std::uint64_t>(v)))
-      KC_CONV(F2I, fCol, iCol, static_cast<std::int32_t>(v))
-      KC_CONV(F2L, fCol, iCol, static_cast<std::int64_t>(v))
-      KC_CONV(F2U, fCol, iCol,
-              static_cast<std::int64_t>(static_cast<std::uint32_t>(v)))
-      KC_CONV(F2UL, fCol, iCol,
-              static_cast<std::int64_t>(static_cast<std::uint64_t>(v)))
+      KC_CONV(F2I, fCol, iCol, floatToInt<std::int32_t>(v))
+      KC_CONV(F2L, fCol, iCol, floatToInt<std::int64_t>(v))
+      KC_CONV(F2U, fCol, iCol, floatToInt<std::uint32_t>(v))
+      KC_CONV(F2UL, fCol, iCol, floatToInt<std::uint64_t>(v))
       KC_CONV(F64toF32, fCol, fCol, static_cast<float>(v))
       KC_CONV(I2U, iCol, iCol,
               static_cast<std::int64_t>(static_cast<std::uint32_t>(v)))

@@ -304,7 +304,8 @@ std::string divergentWalk(int accumulators) {
   src += "  while (m > 1) {\n"
          "    if (m % 2 == 0) { m = m / 2; } else { m = 3 * m + 1; if (m > 100000) break; }\n";
   for (int a = 0; a < accumulators; ++a) {
-    const std::string v = "a" + std::to_string(a);
+    std::string v = "a";  // not `"a" + ...`: GCC 12 -Wrestrict misfires on that at -O3
+    v += std::to_string(a);
     src += "    if (((m >> " + std::to_string(a % 7) + ") & 1) == " + std::to_string(a % 2) +
            ") " + v + " = " + v + " * 0.5f + (float)m; else " + v + " = " + v + " + 0.25f;\n";
   }
@@ -915,6 +916,114 @@ TEST(KernelcBatch, ReversedStridedAndOffsetAddressesMatchPerItem) {
     const Launch bat = expectLaunchMatchesPerItem(
         src, "addr", {bytesOf(in), bytesOf(out), bytesOf(cnt)}, {Slot::fromInt(n)}, n);
     EXPECT_TRUE(bat.fault.empty()) << bat.fault;
+  }
+}
+
+// Float -> integer casts follow OpenCL's convert_<T>_sat rule on every path
+// (constant folding, the reference and fast per-item interpreters, the
+// batched one): NaN gives 0, values outside the range clamp to its ends, the
+// rest truncate toward zero.  A plain C++ cast is undefined for those
+// inputs, and what it gives varies with the interpreter path and host CPU.
+struct SaturatingCase {
+  float value;
+  const char* literal;  ///< the same value as a float expression the compiler folds
+  std::int32_t i;
+  std::uint32_t u;
+  std::int64_t l;
+  std::uint64_t ul;
+};
+
+const std::vector<SaturatingCase>& saturatingCases() {
+  constexpr std::int32_t iMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t iMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::uint32_t uMax = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t lMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t lMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint64_t ulMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  static const std::vector<SaturatingCase> cases{
+      {nan, "0.0f / 0.0f", 0, 0, 0, 0},
+      {inf, "1.0f / 0.0f", iMax, uMax, lMax, ulMax},
+      {-inf, "-1.0f / 0.0f", iMin, 0, lMin, 0},
+      {1e20f, "1e20f", iMax, uMax, lMax, ulMax},
+      {-1e20f, "-1e20f", iMin, 0, lMin, 0},
+      {3e9f, "3e9f", iMax, 3000000000u, 3000000000, 3000000000u},
+      {-3e9f, "-3e9f", iMin, 0, -3000000000, 0},
+      {5e9f, "5e9f", iMax, uMax, 5000000000, 5000000000u},
+      {0x1p31f, "2147483648.0f", iMax, 2147483648u, 2147483648, 2147483648u},
+      {0x1p32f, "4294967296.0f", iMax, uMax, 4294967296, 4294967296u},
+      {0x1p63f, "9223372036854775808.0f", iMax, uMax, lMax, 9223372036854775808u},
+      {0x1p64f, "18446744073709551616.0f", iMax, uMax, lMax, ulMax},
+      {-0.5f, "-0.5f", 0, 0, 0, 0},
+      {4.5f, "4.5f", 4, 4, 4, 4},
+  };
+  return cases;
+}
+
+TEST(KernelcBatch, FloatToIntegerCastsSaturateOnEveryPath) {
+  const std::vector<SaturatingCase>& cases = saturatingCases();
+  const std::int64_t n = 256;
+  std::vector<float> in;
+  for (std::int64_t gid = 0; gid < n; ++gid) {
+    in.push_back(cases[static_cast<std::size_t>(gid) % cases.size()].value);
+  }
+  const std::string src = R"(
+    __kernel void cvt(__global float* in, __global int* i, __global uint* u,
+                      __global long* l, __global ulong* ul) {
+      int gid = get_global_id(0);
+      float x = in[gid];
+      i[gid] = (int)x;
+      u[gid] = (uint)x;
+      l[gid] = (long)x;
+      ul[gid] = (ulong)x;
+    }
+  )";
+  const Buffers buffers{bytesOf(in), std::vector<std::byte>(n * 4), std::vector<std::byte>(n * 4),
+                        std::vector<std::byte>(n * 8), std::vector<std::byte>(n * 8)};
+  for (const int tier : {0, 1, 2}) {
+    for (const bool batch : {false, true}) {
+      if (batch && tier < 2) continue;
+      SCOPED_TRACE("tier " + std::to_string(tier) + (batch ? " batched" : " per item"));
+      const auto program = compileProgram(src, CompileOptions{tier});
+      if (batch) {
+        ASSERT_TRUE(kernelCode(*program, "cvt").batchable);
+      }
+      const Launch run = launch(*program, "cvt", buffers, {}, n, batch);
+      ASSERT_TRUE(run.fault.empty()) << run.fault;
+      const auto i = valuesOf<std::int32_t>(run.buffers[1]);
+      const auto u = valuesOf<std::uint32_t>(run.buffers[2]);
+      const auto l = valuesOf<std::int64_t>(run.buffers[3]);
+      const auto ul = valuesOf<std::uint64_t>(run.buffers[4]);
+      for (std::size_t gid = 0; gid < static_cast<std::size_t>(n); ++gid) {
+        const SaturatingCase& c = cases[gid % cases.size()];
+        SCOPED_TRACE(c.value);
+        EXPECT_EQ(i[gid], c.i);
+        EXPECT_EQ(u[gid], c.u);
+        EXPECT_EQ(l[gid], c.l);
+        EXPECT_EQ(ul[gid], c.ul);
+      }
+    }
+  }
+}
+
+TEST(KernelcBatch, FoldedFloatToIntegerCastsSaturate) {
+  for (const SaturatingCase& c : saturatingCases()) {
+    const std::pair<const char*, std::int64_t> casts[] = {
+        {"int", c.i},
+        {"uint", c.u},
+        {"long", c.l},
+        {"ulong", static_cast<std::int64_t>(c.ul)},
+    };
+    for (const auto& [type, slot] : casts) {
+      const std::string src = std::string(type) + " f() { return (" + type + ")(" + c.literal +
+                              "); }";
+      SCOPED_TRACE(src);
+      const auto program = compileProgram(src, CompileOptions{0});
+      const std::vector<Insn>& code = program->functions[0].code;
+      ASSERT_EQ(code[0].op, Op::PushI) << "the cast was not folded";
+      EXPECT_EQ(code[0].imm, slot);
+    }
   }
 }
 

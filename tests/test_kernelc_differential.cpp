@@ -207,6 +207,22 @@ TEST(KernelcDifferential, IntegerEdgeCases) {
   EXPECT_EQ(counts[0], counts[1]);
 }
 
+TEST(KernelcDifferential, LoopInvariantDivisionStaysInItsZeroTripLoop) {
+  // `a / b` is loop-invariant, but division can fault, so the tier-2 hoister
+  // must leave it in the loop: with n = 0 and b = 0 no tier divides.
+  const std::string src = R"(
+    int f(int n, int a, int b) {
+      int acc = 0;
+      for (int i = 0; i < n; ++i) acc = acc + a / b;
+      return acc;
+    }
+  )";
+  std::uint64_t counts[2];
+  EXPECT_EQ(callBoth(src, "f", {Slot::fromInt(0), Slot::fromInt(7), Slot::fromInt(0)}, counts),
+            0);
+  EXPECT_EQ(counts[0], counts[1]);
+}
+
 TEST(KernelcDifferential, LongArithmetic) {
   const std::string src = R"(
     long f(long n) {

@@ -2,7 +2,9 @@
 // execute fewer instructions (visible through the simulated-time model).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <utility>
 
 #include "kernelc/diagnostics.hpp"
 #include "kernelc/program.hpp"
@@ -44,6 +46,19 @@ TEST(KernelcFolding, CastOfLiteralFolds) {
   const FunctionCode& fn = fnOf(h, "f");
   ASSERT_EQ(fn.code.size(), 3u);
   EXPECT_EQ(fn.code[0].imm, 6);
+}
+
+TEST(KernelcFolding, FloatToBoolFoldsLikeRuntime) {
+  // (bool)x is x != 0, so 0.5 and NaN are true and -0.0 is false.
+  Harness runtime("int f(float x) { return (int)(bool)x; }");
+  const std::pair<const char*, double> cases[] = {
+      {"0.5f", 0.5}, {"-0.0f", -0.0}, {"0.0f / 0.0f", std::nan("")}};
+  for (const auto& [literal, value] : cases) {
+    Harness folded(std::string("int f() { return (int)(bool)(") + literal + "); }");
+    ASSERT_EQ(fnOf(folded, "f").code.size(), 3u) << literal;
+    const Slot args[] = {Slot::fromFloat(value)};
+    EXPECT_EQ(folded.call("f", {}).i, runtime.call("f", args).i) << literal;
+  }
 }
 
 TEST(KernelcFolding, UnsignedWrapFoldsLikeRuntime) {

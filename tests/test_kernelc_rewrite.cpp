@@ -392,7 +392,7 @@ TEST(KernelcRewrite, HoistedCodeAnnotatedInDisassembly) {
 /// struct lives in frame bytes [0, 12).
 FunctionCode copyThenReadFields() {
   FunctionCode fn;
-  fn.name = "e";
+  fn.name.append("e");  // not `= "e"`: GCC 12 -Wrestrict misfires on that at -O3
   fn.returnType = types::Float;
   fn.paramTypes = {types::Int, types::Int};  // Ptr slots marshal raw
   fn.numSlots = 2;

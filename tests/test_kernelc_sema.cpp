@@ -136,8 +136,25 @@ TEST(KernelcSema, ArrowOnValueRejected) {
               "'->' requires a pointer");
 }
 
+/// The whole diagnostic, location included: one error, formatted.
+void expectOnlyDiagnostic(const std::string& src, const std::string& diagnostic) {
+  try {
+    compileProgram(src);
+    FAIL() << "expected CompileError for:\n" << src;
+  } catch (const CompileError& e) {
+    ASSERT_EQ(e.diagnostics().size(), 1u) << e.what();
+    EXPECT_EQ(e.diagnostics()[0].format(), diagnostic);
+  }
+}
+
 TEST(KernelcSema, DuplicateStructRejected) {
-  expectError("typedef struct { int a; } S; typedef struct { int b; } S;", "duplicate struct");
+  expectOnlyDiagnostic("typedef struct { int a; } S; typedef struct { int b; } S;",
+                       "1:30: error: duplicate struct 'S'");
+}
+
+TEST(KernelcSema, DuplicateStructMemberRejected) {
+  expectOnlyDiagnostic("typedef struct { int a; float a; } S;",
+                       "1:25: error: duplicate member 'a' in struct 'S'");
 }
 
 TEST(KernelcSema, PointerMemberInStructRejected) {
