@@ -13,10 +13,11 @@
 // the bench thread's CPU time (CLOCK_THREAD_CPUTIME_ID), so a busy host
 // preempting it does not count; fast and batch run as interleaved
 // repetitions, each reported at its median, and batch/fast is the median of
-// the per-repetition ratios.  Outputs must be bit-identical and the
-// retired-instruction counts equal across every run, otherwise the
-// simulated GPU timings would drift; the benchmark exits nonzero on any
-// divergence.
+// the per-repetition ratios.  Each row ends with the batched run's
+// dispatches per work-item and mean live lanes per dispatch.  Outputs must
+// be bit-identical and the retired-instruction counts equal across every
+// run, otherwise the simulated GPU timings would drift; the benchmark exits
+// nonzero on any divergence.
 //
 //   usage: bench_vm [--smoke] [--gate]
 //     --smoke   small sizes (CI), one repetition: divergence checks only
@@ -187,6 +188,8 @@ std::string skelOsemStep1Src() {
 struct RunResult {
   double seconds = 0.0;
   std::uint64_t instructions = 0;
+  std::uint64_t dispatches = 0;  ///< batched dispatches (Vm::batchDispatches)
+  std::uint64_t laneSum = 0;     ///< live lanes summed over them
 };
 
 /// CPU time the calling thread has used, in seconds.
@@ -295,6 +298,8 @@ RunResult runWorkload(const Workload& w, const Config& cfg,
   RunResult r;
   r.seconds = t1 - t0;
   r.instructions = vm.instructionsExecuted();
+  r.dispatches = vm.batchDispatches();
+  r.laneSum = vm.batchLaneSum();
   return r;
 }
 
@@ -325,6 +330,7 @@ BenchOutcome benchWorkload(const Workload& w, int reps) {
   seconds[kRef].push_back(ref.seconds);
 
   BenchOutcome outcome;
+  RunResult batched;
   const auto runChecked = [&](int c) {
     const RunResult r = runWorkload(w, kConfigs[c], out);
     if (r.instructions != ref.instructions) {
@@ -339,6 +345,7 @@ BenchOutcome benchWorkload(const Workload& w, int reps) {
       outcome.identical = false;
     }
     seconds[c].push_back(r.seconds);
+    if (c == kBatch) batched = r;
     return r.seconds;
   };
   runChecked(kTier2);
@@ -358,8 +365,14 @@ BenchOutcome benchWorkload(const Workload& w, int reps) {
   }
   const double batchSec = median(seconds[kBatch]);
   outcome.speedupBatchOverFast = median(ratios);
-  std::printf("   batch/fast %.2fx  batch/ref %.2fx\n", outcome.speedupBatchOverFast,
+  std::printf("   batch/fast %.2fx  batch/ref %.2fx", outcome.speedupBatchOverFast,
               batchSec > 0 ? ref.seconds / batchSec : 0.0);
+  // Where the batched interpreter's time goes: dispatches (one opcode over
+  // one lane group) per work-item, and how many lanes each one drives.
+  const auto dispatches = static_cast<double>(batched.dispatches);
+  std::printf("   %.3f disp/item  %.1f lanes/disp\n",
+              dispatches / static_cast<double>(w.items),
+              dispatches > 0 ? static_cast<double>(batched.laneSum) / dispatches : 0.0);
   return outcome;
 }
 

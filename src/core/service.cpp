@@ -334,7 +334,7 @@ void Service::executorLoop() {
       ++completed;
       auto& tq = queues_[job->session->id()];
       ++tq.stats.jobsCompleted;
-      tq.stats.latencySeconds.push_back(job->doneSimTime - job->submitSimTime);
+      tq.stats.latency.add(job->doneSimTime - job->submitSimTime);
     }
     if (completed > 0) ++queues_[q->session->id()].stats.batchesRun;
     in_flight_ -= batch.size();

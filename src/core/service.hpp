@@ -49,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/histogram.hpp"
 #include "core/detail/session.hpp"
 
 namespace skelcl {
@@ -112,8 +113,11 @@ class Service {
   /// Per-tenant accounting, exposed for benches and tests.
   struct TenantStats {
     std::uint64_t jobsCompleted = 0;
-    std::uint64_t batchesRun = 0;       ///< enqueues (≤ jobsCompleted when batching)
-    std::vector<double> latencySeconds; ///< one entry per completed job
+    std::uint64_t batchesRun = 0;  ///< enqueues (≤ jobsCompleted when batching)
+    /// Simulated seconds from submission to completion of every completed
+    /// job, in a fixed-size histogram: a long-running service keeps
+    /// constant memory per tenant.
+    LogHistogram latency;
   };
 
   /// The runtime must be initialized (skelcl::init) before constructing.

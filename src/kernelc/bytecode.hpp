@@ -32,6 +32,12 @@ enum class Operands : std::uint8_t {
   Slot2,      ///< a, b: slots read
   SlotBytes,  ///< a: slot written, b: byte count
   CmpTarget,  ///< a: branch target, b: comparison opcode (packed: c)
+  // The register form (regC below): c carries the operation and where its
+  // operands come from; b and k are x and y, a slot index or (packed) a pool
+  // index, and an Insn holds a constant operand's raw bits in imm.
+  Reg,        ///< b, k: operands x, y; c: operation and operand kinds
+  RegSlot,    ///< Reg, and a: the slot the result is written to
+  RegTarget,  ///< Reg, and a: branch target
 };
 
 /// OpInfo::flags bits.  Which pass reads which is in docs/VM.md.
@@ -41,7 +47,8 @@ enum OpFlag : std::uint8_t {
   kStops = 1 << 2,           ///< control never falls through to the next instruction
   kReturns = 1 << 3,         ///< leaves the function, returning its `pops` values
   kFusableCompare = 1 << 4,  ///< a comparison CmpJz/CmpJnz can fuse
-  kVarEffect = 1 << 5,       ///< pops and pushes depend on the callee
+  kVarEffect = 1 << 5,       ///< pops and pushes depend on the callee or the operand kinds
+  kFloatOperands = 1 << 6,   ///< a binary op on floating values: a constant operand is a double
 };
 
 // The opcode table: X(op, mnemonic, pops, pushes, flags, operands), one row
@@ -102,15 +109,15 @@ enum OpFlag : std::uint8_t {
   X(ShrUL, "shr.ul", 2, 1, kPure, None)                                                  \
   X(NotL, "not.l", 1, 1, kPure, None)                                                    \
   /* floating arithmetic */                                                              \
-  X(AddF32, "add.f32", 2, 1, kPure, None)                                                \
-  X(SubF32, "sub.f32", 2, 1, kPure, None)                                                \
-  X(MulF32, "mul.f32", 2, 1, kPure, None)                                                \
-  X(DivF32, "div.f32", 2, 1, kPure, None)                                                \
+  X(AddF32, "add.f32", 2, 1, kPure | kFloatOperands, None)                               \
+  X(SubF32, "sub.f32", 2, 1, kPure | kFloatOperands, None)                               \
+  X(MulF32, "mul.f32", 2, 1, kPure | kFloatOperands, None)                               \
+  X(DivF32, "div.f32", 2, 1, kPure | kFloatOperands, None)                               \
   X(NegF32, "neg.f32", 1, 1, kPure, None)                                                \
-  X(AddF64, "add.f64", 2, 1, kPure, None)                                                \
-  X(SubF64, "sub.f64", 2, 1, kPure, None)                                                \
-  X(MulF64, "mul.f64", 2, 1, kPure, None)                                                \
-  X(DivF64, "div.f64", 2, 1, kPure, None)                                                \
+  X(AddF64, "add.f64", 2, 1, kPure | kFloatOperands, None)                               \
+  X(SubF64, "sub.f64", 2, 1, kPure | kFloatOperands, None)                               \
+  X(MulF64, "mul.f64", 2, 1, kPure | kFloatOperands, None)                               \
+  X(DivF64, "div.f64", 2, 1, kPure | kFloatOperands, None)                               \
   X(NegF64, "neg.f64", 1, 1, kPure, None)                                                \
   /* comparisons push int 0/1; long reuses EqI..GeI, ulong adds LtUL..GeUL */            \
   X(EqI, "eq.i", 2, 1, kPure | kFusableCompare, None)                                    \
@@ -127,12 +134,12 @@ enum OpFlag : std::uint8_t {
   X(LeUL, "le.ul", 2, 1, kPure | kFusableCompare, None)                                  \
   X(GtUL, "gt.ul", 2, 1, kPure | kFusableCompare, None)                                  \
   X(GeUL, "ge.ul", 2, 1, kPure | kFusableCompare, None)                                  \
-  X(EqF, "eq.f", 2, 1, kPure | kFusableCompare, None)                                    \
-  X(NeF, "ne.f", 2, 1, kPure | kFusableCompare, None)                                    \
-  X(LtF, "lt.f", 2, 1, kPure | kFusableCompare, None)                                    \
-  X(LeF, "le.f", 2, 1, kPure | kFusableCompare, None)                                    \
-  X(GtF, "gt.f", 2, 1, kPure | kFusableCompare, None)                                    \
-  X(GeF, "ge.f", 2, 1, kPure | kFusableCompare, None)                                    \
+  X(EqF, "eq.f", 2, 1, kPure | kFusableCompare | kFloatOperands, None)                   \
+  X(NeF, "ne.f", 2, 1, kPure | kFusableCompare | kFloatOperands, None)                   \
+  X(LtF, "lt.f", 2, 1, kPure | kFusableCompare | kFloatOperands, None)                   \
+  X(LeF, "le.f", 2, 1, kPure | kFusableCompare | kFloatOperands, None)                   \
+  X(GtF, "gt.f", 2, 1, kPure | kFusableCompare | kFloatOperands, None)                   \
+  X(GeF, "ge.f", 2, 1, kPure | kFusableCompare | kFloatOperands, None)                   \
   X(EqP, "eq.p", 2, 1, kPure | kFusableCompare, None)                                    \
   X(NeP, "ne.p", 2, 1, kPure | kFusableCompare, None)                                    \
   X(LNot, "lnot", 1, 1, kPure, None)                                                     \
@@ -195,7 +202,15 @@ enum OpFlag : std::uint8_t {
   X(StoreSlotChecked, "store.slot.checked", 1, 0, 0, SlotBytes)                          \
   /* Constant-pool pushes, produced by the encoder only */                               \
   X(PushCI, "push.ci", 0, 1, 0, PoolInt)                                                 \
-  X(PushCF, "push.cf", 0, 1, 0, PoolFloat)
+  X(PushCF, "push.cf", 0, 1, 0, PoolFloat)                                               \
+  /* Register form, tier 2 only (lowerToRegisters): one binary op (regC) on */          \
+  /* operands that are slots, constants or the stack top; the stack */                  \
+  /* operands are popped.  The result is pushed, written to slot a, or */               \
+  /* branched on like cmp.jz / cmp.jnz. */                                              \
+  X(RegOp, "reg", 0, 0, kVarEffect, Reg)                                                 \
+  X(RegStore, "reg.store", 0, 0, kVarEffect, RegSlot)                                    \
+  X(RegJz, "reg.jz", 0, 0, kVarEffect, RegTarget)                                        \
+  X(RegJnz, "reg.jnz", 0, 0, kVarEffect, RegTarget)
 
 enum class Op : std::uint8_t {
 #define SKELCL_KC_OP(op, name, pops, pushes, flags, operands) op,
@@ -230,8 +245,44 @@ constexpr const char* opName(Op op) {
 
 /// `op` branches to the instruction index in `a`.
 constexpr bool isBranch(Op op) {
-  return opInfo(op).operands == Operands::Target ||
-         opInfo(op).operands == Operands::CmpTarget;
+  const Operands kind = opInfo(op).operands;
+  return kind == Operands::Target || kind == Operands::CmpTarget ||
+         kind == Operands::RegTarget;
+}
+
+/// A register-form row: RegOp, RegStore, RegJz or RegJnz.
+constexpr bool isRegisterForm(Op op) {
+  const Operands kind = opInfo(op).operands;
+  return kind == Operands::Reg || kind == Operands::RegSlot || kind == Operands::RegTarget;
+}
+
+/// The binary arithmetic opcodes and the comparisons: two values popped, one
+/// pushed, no operand fields.  The register form carries these and PtrAdd.
+constexpr bool isBinaryValueOp(Op op) {
+  const OpInfo& info = opInfo(op);
+  return info.pops == 2 && info.pushes == 1 && info.operands == Operands::None;
+}
+
+/// Where a register-form operand comes from: the operand stack (popped, y
+/// before x), a slot, or a constant.
+enum class Src : std::uint8_t { Stack, Slot, Const };
+
+/// A register-form instruction's `c`: the operation in bits 0-7, the kinds
+/// of x and y in bits 8-9 and 10-11, and for PtrAdd the log2 of the element
+/// size in bits 12-15.
+constexpr std::uint16_t regC(Op op, Src x, Src y, int sizeLog2 = 0) {
+  return static_cast<std::uint16_t>(static_cast<unsigned>(op) |
+                                    static_cast<unsigned>(x) << 8 |
+                                    static_cast<unsigned>(y) << 10 |
+                                    static_cast<unsigned>(sizeLog2) << 12);
+}
+constexpr Op regOp(std::uint16_t c) { return static_cast<Op>(c & 0xFF); }
+constexpr Src regX(std::uint16_t c) { return static_cast<Src>(c >> 8 & 3); }
+constexpr Src regY(std::uint16_t c) { return static_cast<Src>(c >> 10 & 3); }
+constexpr std::int64_t regElemSize(std::uint16_t c) { return std::int64_t{1} << (c >> 12); }
+/// Operand-stack values a register-form instruction pops.
+constexpr int regPops(std::uint16_t c) {
+  return (regX(c) == Src::Stack ? 1 : 0) + (regY(c) == Src::Stack ? 1 : 0);
 }
 
 /// Compiler IR instruction: roomy, easy to pattern-match and disassemble.
@@ -240,6 +291,7 @@ constexpr bool isBranch(Op op) {
 /// and 0 for code the rewrite pass hoisted out of a loop (the hoisted
 /// computation's weight is charged by the in-loop replacement instruction at
 /// its original frequency, keeping retired counts pipeline-independent).
+/// `c` and `k` are the register form's only (Operands::Reg).
 struct Insn {
   Op op;
   std::int32_t a = 0;
@@ -247,6 +299,8 @@ struct Insn {
   std::int64_t imm = 0;
   double fimm = 0.0;
   std::uint8_t weight = 1;
+  std::uint16_t c = 0;
+  std::int32_t k = 0;
 };
 
 /// Calls `each(next)` for every instruction control may reach after
@@ -262,8 +316,8 @@ void forEachSuccessor(const std::vector<Insn>& code, std::size_t pc, F&& each) {
 /// I-cache pressure in the dispatch loop.  Cold 64-bit payloads (big integer
 /// immediates, float immediates) move to a side constant pool indexed by `k`;
 /// small integer immediates ride inline in `a`/`b`; `c` carries small
-/// auxiliary payloads (fused comparison opcode, element sizes).  Operands
-/// says where each kind's fields go.
+/// auxiliary payloads (fused comparison opcode, element sizes, the register
+/// form's operation).  Operands says where each kind's fields go.
 struct PackedInsn {
   Op op;
   std::uint8_t weight;

@@ -1,5 +1,6 @@
 #include "kernelc/disasm.hpp"
 
+#include <bit>
 #include <cstring>
 #include <iomanip>
 #include <sstream>
@@ -22,6 +23,28 @@ const char* batchFallbackName(BatchFallback reason) {
 }
 
 namespace {
+
+/// A register-form instruction's operation and operands: "op x y", each
+/// operand "stack", "s<slot>" or the constant (a double for a kFloatOperands
+/// op, an integer otherwise).
+void printReg(std::ostream& os, const Insn& insn) {
+  const Op op = regOp(insn.c);
+  os << " " << opName(op);
+  if (op == Op::PtrAdd) os << " sz=" << regElemSize(insn.c);
+  const auto operand = [&](Src src, std::int32_t slot) {
+    if (src == Src::Stack) {
+      os << " stack";
+    } else if (src == Src::Slot) {
+      os << " s" << slot;
+    } else if (opInfo(op).flags & kFloatOperands) {
+      os << " " << std::bit_cast<double>(insn.imm);
+    } else {
+      os << " " << insn.imm;
+    }
+  };
+  operand(regX(insn.c), insn.b);
+  operand(regY(insn.c), insn.k);
+}
 
 /// One instruction line: index, mnemonic, operands, weight annotation.
 void printInsn(std::ostream& os, std::size_t index, const Insn& insn) {
@@ -48,6 +71,15 @@ void printInsn(std::ostream& os, std::size_t index, const Insn& insn) {
     case Operands::SlotBytes: os << " s" << insn.a << " bytes=" << insn.b; break;
     case Operands::CmpTarget:
       os << " " << insn.a << " (" << opName(static_cast<Op>(insn.b)) << ")";
+      break;
+    case Operands::Reg: printReg(os, insn); break;
+    case Operands::RegSlot:
+      printReg(os, insn);
+      os << " -> s" << insn.a;
+      break;
+    case Operands::RegTarget:
+      os << " " << insn.a;
+      printReg(os, insn);
       break;
   }
   // Weight 0 marks code the rewrite pass synthesized (hoisted / tracking
@@ -76,6 +108,16 @@ Insn unpack(const PackedInsn& p, const std::vector<std::uint64_t>& pool) {
     case Operands::IncSlot: insn.imm = p.b; break;
     case Operands::SlotElem: insn.imm = p.c; break;
     case Operands::CmpTarget: insn.b = p.c; break;
+    case Operands::Reg:
+    case Operands::RegSlot:
+    case Operands::RegTarget:
+      insn.c = p.c;
+      insn.k = p.k;
+      if (regX(p.c) == Src::Const || regY(p.c) == Src::Const) {
+        const std::int32_t k = regX(p.c) == Src::Const ? p.b : p.k;
+        insn.imm = static_cast<std::int64_t>(pool[static_cast<std::size_t>(k)]);
+      }
+      break;
     default: break;
   }
   return insn;

@@ -13,6 +13,7 @@ namespace skelcl::kc {
 StackEffect stackEffect(const Insn& insn, const std::vector<FunctionCode>& fns) {
   const OpInfo& info = opInfo(insn.op);
   if (!(info.flags & kVarEffect)) return {info.pops, info.pushes};
+  if (isRegisterForm(insn.op)) return {regPops(insn.c), insn.op == Op::RegOp ? 1 : 0};
   if (insn.op == Op::CallFn) {
     const FunctionCode& callee = fns.at(static_cast<std::size_t>(insn.a));
     return {static_cast<int>(callee.paramTypes.size()), callee.returnType != types::Void ? 1 : 0};
@@ -120,6 +121,14 @@ void packFunction(FunctionCode& fn) {
         p.c = static_cast<std::uint16_t>(insn.b);  // the fused comparison op
         p.b = 0;
         break;
+      case Operands::Reg:
+      case Operands::RegSlot:
+      case Operands::RegTarget:
+        // A constant operand's field indexes its bits in the pool.
+        p.c = insn.c;
+        p.k = regY(insn.c) == Src::Const ? addPool(static_cast<std::uint64_t>(insn.imm)) : insn.k;
+        if (regX(insn.c) == Src::Const) p.b = addPool(static_cast<std::uint64_t>(insn.imm));
+        break;
       default:
         break;
     }
@@ -209,6 +218,23 @@ void originStep(const Insn& insn, const std::vector<FunctionCode>& fns,
       return;
     case Op::PtrAddImm:
       return;  // the pointer keeps its origin
+    case Op::RegOp:
+    case Op::RegStore: {
+      // Stack operands pop y first.  PtrAdd's result keeps its pointer's
+      // origin; every other op's result is a number.
+      const auto origin = [&](Src src, std::int32_t s) {
+        return src == Src::Stack ? pop() : src == Src::Slot ? slot(s) : kNoParam;
+      };
+      origin(regY(insn.c), insn.k);  // y, popped first, never passes a pointer on
+      const std::int16_t x = origin(regX(insn.c), insn.b);
+      const std::int16_t result = regOp(insn.c) == Op::PtrAdd ? x : kNoParam;
+      if (insn.op == Op::RegOp) {
+        stk.push_back(result);
+      } else {
+        slot(insn.a) = result;
+      }
+      return;
+    }
     case Op::Dup:
       stk.push_back(stk.back());
       return;
@@ -226,8 +252,9 @@ void originStep(const Insn& insn, const std::vector<FunctionCode>& fns,
     default:
       break;
   }
-  // The rest derives no pointer (constants, arithmetic, comparisons,
-  // conversions, branches, builtins): its operands go, numbers come.
+  // The rest derives no pointer and writes no slot (constants, arithmetic,
+  // comparisons, conversions, branches including RegJz/RegJnz, builtins):
+  // its operands go, numbers come.
   const StackEffect e = stackEffect(insn, fns);
   stk.resize(stk.size() - static_cast<std::size_t>(e.pops));
   stk.insert(stk.end(), static_cast<std::size_t>(e.pushes), kNoParam);

@@ -57,7 +57,10 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
     inlineCalls(program->functions);
   }
   if (options.tier >= 1) {
-    for (FunctionCode& fn : program->functions) peepholeOptimize(fn);
+    for (FunctionCode& fn : program->functions) {
+      peepholeOptimize(fn);
+      if (options.tier >= 2) lowerToRegisters(fn);
+    }
     finalizeFunctions(program->functions);
     program->optimized = true;
   }

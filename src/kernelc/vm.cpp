@@ -1,5 +1,6 @@
 #include "kernelc/vm.hpp"
 
+#include <bit>
 #include <cstring>
 #include <limits>
 
@@ -175,6 +176,79 @@ inline Ptr ptrPlus(Ptr p, std::int64_t index, std::int64_t elemSize) {
   return p;
 }
 
+/// One binary arithmetic op or comparison (isBinaryValueOp) on x and y: the
+/// per-item interpreter's one evaluator, for the stack form (with `op` a
+/// constant, so the switch folds away) and the register form.  Integer ops
+/// wrap at their width; f32 results re-round to float.  `fault(message)`
+/// must not return.
+template <class Fault>
+[[gnu::always_inline]] inline Slot binary(Op op, Slot x, Slot y, Fault&& fault) {
+  const std::int64_t a = x.i;
+  const std::int64_t b = y.i;
+  const auto u32 = [](std::int64_t v) { return static_cast<std::uint32_t>(v); };
+  const auto u64 = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  const auto i32 = [](auto v) { return Slot::fromInt(static_cast<std::int32_t>(v)); };
+  const auto i64 = [](auto v) { return Slot::fromInt(static_cast<std::int64_t>(v)); };
+  const auto f32 = [&](auto combine) {
+    return Slot::fromFloat(
+        static_cast<float>(combine(static_cast<float>(x.f), static_cast<float>(y.f))));
+  };
+  switch (op) {
+    case Op::AddI: return i32(a + b);
+    case Op::SubI: return i32(a - b);
+    case Op::MulI: return i32(a * b);
+    case Op::AndI: return i32(a & b);
+    case Op::OrI: return i32(a | b);
+    case Op::XorI: return i32(a ^ b);
+    case Op::ShlI: return i32(static_cast<std::int64_t>(u32(a) << (u32(b) & 31u)));
+    case Op::ShrI: return i32(static_cast<std::int32_t>(a) >> (u32(b) & 31u));
+    case Op::ShrU: return i32(u32(a) >> (u32(b) & 31u));
+    case Op::DivI:
+      if (b == 0) fault("integer division by zero");
+      return i32(a / b);
+    case Op::RemI:
+      if (b == 0) fault("integer remainder by zero");
+      return i32(a % b);
+    case Op::DivU:
+      if (u32(b) == 0) fault("integer division by zero");
+      return i64(u32(a) / u32(b));
+    case Op::RemU:
+      if (u32(b) == 0) fault("integer remainder by zero");
+      return i64(u32(a) % u32(b));
+    case Op::AddL: return i64(u64(a) + u64(b));
+    case Op::SubL: return i64(u64(a) - u64(b));
+    case Op::MulL: return i64(u64(a) * u64(b));
+    case Op::AndL: return i64(a & b);
+    case Op::OrL: return i64(a | b);
+    case Op::XorL: return i64(a ^ b);
+    case Op::ShlL: return i64(u64(a) << (u64(b) & 63u));
+    case Op::ShrL: return i64(a >> (u64(b) & 63u));
+    case Op::ShrUL: return i64(u64(a) >> (u64(b) & 63u));
+    case Op::DivL:
+      if (b == 0) fault("integer division by zero");
+      // INT64_MIN / -1 wraps, matching 2's-complement overflow
+      return i64(b == -1 && a == std::numeric_limits<std::int64_t>::min() ? a : a / b);
+    case Op::RemL:
+      if (b == 0) fault("integer remainder by zero");
+      return i64(b == -1 ? 0 : a % b);
+    case Op::DivUL:
+      if (b == 0) fault("integer division by zero");
+      return i64(u64(a) / u64(b));
+    case Op::RemUL:
+      if (b == 0) fault("integer remainder by zero");
+      return i64(u64(a) % u64(b));
+    case Op::AddF32: return f32([](float p, float q) { return p + q; });
+    case Op::SubF32: return f32([](float p, float q) { return p - q; });
+    case Op::MulF32: return f32([](float p, float q) { return p * q; });
+    case Op::DivF32: return f32([](float p, float q) { return p / q; });
+    case Op::AddF64: return Slot::fromFloat(x.f + y.f);
+    case Op::SubF64: return Slot::fromFloat(x.f - y.f);
+    case Op::MulF64: return Slot::fromFloat(x.f * y.f);
+    case Op::DivF64: return Slot::fromFloat(x.f / y.f);
+    default: return Slot::fromInt(cmpHolds(op, x, y) ? 1 : 0);  // the comparisons
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -252,6 +326,17 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
   // on back-edges and calls — straight-line code always terminates.
   const auto checkBudget = [&] {
     if (instructions_ > budget) fault("instruction budget exceeded (infinite loop?)");
+  };
+  const auto divFault = [this](const char* message) { fault(message); };
+  // A register-form operand that is no stack value: a slot, or a constant's
+  // pool bits.  (Stack operands pop in the cases below, so `sp` stays out of
+  // every lambda.)
+  const auto regFixed = [slots, pool](Src src, std::int32_t field) {
+    return src == Src::Slot ? slots[field] : std::bit_cast<Slot>(pool[field]);
+  };
+  const auto regValue = [divFault](std::uint16_t c, Slot x, Slot y) {
+    if (regOp(c) == Op::PtrAdd) return Slot::fromPtr(ptrPlus(x.p, y.i, regElemSize(c)));
+    return binary(regOp(c), x, y, divFault);
   };
 
   for (;;) {
@@ -457,152 +542,42 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
       }
       // --- end superinstructions --------------------------------------------
 
-#define SKELCL_BIN_I(OPNAME, EXPR)                                         \
-  case Op::OPNAME: {                                                       \
-    const std::int64_t b = (*--sp).i;                                      \
-    const std::int64_t a = sp[-1].i;                                       \
-    (void)a;                                                               \
-    (void)b;                                                               \
-    sp[-1] = Slot::fromInt(static_cast<std::int32_t>(EXPR));               \
-    break;                                                                 \
-  }
-      SKELCL_BIN_I(AddI, a + b)
-      SKELCL_BIN_I(SubI, a - b)
-      SKELCL_BIN_I(MulI, a * b)
-      SKELCL_BIN_I(AndI, a & b)
-      SKELCL_BIN_I(OrI, a | b)
-      SKELCL_BIN_I(XorI, a ^ b)
-      SKELCL_BIN_I(ShlI, static_cast<std::int64_t>(static_cast<std::uint32_t>(a)
-                                                   << (static_cast<std::uint32_t>(b) & 31u)))
-      SKELCL_BIN_I(ShrI, static_cast<std::int32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
-      SKELCL_BIN_I(ShrU, static_cast<std::uint32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
-#undef SKELCL_BIN_I
+// Binary arithmetic and comparisons, stack form.
+#define SKELCL_BINARY(OPNAME)                               \
+  case Op::OPNAME:                                          \
+    --sp;                                                   \
+    sp[-1] = binary(Op::OPNAME, sp[-1], sp[0], divFault);   \
+    break;
+      SKELCL_BINARY(AddI) SKELCL_BINARY(SubI) SKELCL_BINARY(MulI) SKELCL_BINARY(DivI)
+      SKELCL_BINARY(RemI) SKELCL_BINARY(DivU) SKELCL_BINARY(RemU) SKELCL_BINARY(AndI)
+      SKELCL_BINARY(OrI) SKELCL_BINARY(XorI) SKELCL_BINARY(ShlI) SKELCL_BINARY(ShrI)
+      SKELCL_BINARY(ShrU)
+      SKELCL_BINARY(AddL) SKELCL_BINARY(SubL) SKELCL_BINARY(MulL) SKELCL_BINARY(DivL)
+      SKELCL_BINARY(RemL) SKELCL_BINARY(DivUL) SKELCL_BINARY(RemUL) SKELCL_BINARY(AndL)
+      SKELCL_BINARY(OrL) SKELCL_BINARY(XorL) SKELCL_BINARY(ShlL) SKELCL_BINARY(ShrL)
+      SKELCL_BINARY(ShrUL)
+      SKELCL_BINARY(AddF32) SKELCL_BINARY(SubF32) SKELCL_BINARY(MulF32) SKELCL_BINARY(DivF32)
+      SKELCL_BINARY(AddF64) SKELCL_BINARY(SubF64) SKELCL_BINARY(MulF64) SKELCL_BINARY(DivF64)
+      SKELCL_BINARY(EqI) SKELCL_BINARY(NeI) SKELCL_BINARY(LtI) SKELCL_BINARY(LeI)
+      SKELCL_BINARY(GtI) SKELCL_BINARY(GeI) SKELCL_BINARY(LtU) SKELCL_BINARY(LeU)
+      SKELCL_BINARY(GtU) SKELCL_BINARY(GeU) SKELCL_BINARY(LtUL) SKELCL_BINARY(LeUL)
+      SKELCL_BINARY(GtUL) SKELCL_BINARY(GeUL) SKELCL_BINARY(EqF) SKELCL_BINARY(NeF)
+      SKELCL_BINARY(LtF) SKELCL_BINARY(LeF) SKELCL_BINARY(GtF) SKELCL_BINARY(GeF)
+      SKELCL_BINARY(EqP) SKELCL_BINARY(NeP)
+#undef SKELCL_BINARY
 
-      case Op::DivI: {
-        const std::int64_t b = (*--sp).i;
-        const std::int64_t a = sp[-1].i;
-        if (b == 0) fault("integer division by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int32_t>(a / b));
-        break;
-      }
-      case Op::RemI: {
-        const std::int64_t b = (*--sp).i;
-        const std::int64_t a = sp[-1].i;
-        if (b == 0) fault("integer remainder by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int32_t>(a % b));
-        break;
-      }
-      case Op::DivU: {
-        const auto b = static_cast<std::uint32_t>((*--sp).i);
-        const auto a = static_cast<std::uint32_t>(sp[-1].i);
-        if (b == 0) fault("integer division by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a / b));
-        break;
-      }
-      case Op::RemU: {
-        const auto b = static_cast<std::uint32_t>((*--sp).i);
-        const auto a = static_cast<std::uint32_t>(sp[-1].i);
-        if (b == 0) fault("integer remainder by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a % b));
-        break;
-      }
       case Op::NegI:
         sp[-1].i = static_cast<std::int32_t>(-sp[-1].i);
         break;
       case Op::NotI:
         sp[-1].i = static_cast<std::int32_t>(~sp[-1].i);
         break;
-
-#define SKELCL_BIN_L(OPNAME, EXPR)                                         \
-  case Op::OPNAME: {                                                       \
-    const std::int64_t b = (*--sp).i;                                      \
-    const std::int64_t a = sp[-1].i;                                       \
-    (void)a;                                                               \
-    (void)b;                                                               \
-    sp[-1] = Slot::fromInt(static_cast<std::int64_t>(EXPR));               \
-    break;                                                                 \
-  }
-      SKELCL_BIN_L(AddL, static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b))
-      SKELCL_BIN_L(SubL, static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b))
-      SKELCL_BIN_L(MulL, static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b))
-      SKELCL_BIN_L(AndL, a & b)
-      SKELCL_BIN_L(OrL, a | b)
-      SKELCL_BIN_L(XorL, a ^ b)
-      SKELCL_BIN_L(ShlL, static_cast<std::uint64_t>(a) << (static_cast<std::uint64_t>(b) & 63u))
-      SKELCL_BIN_L(ShrL, a >> (static_cast<std::uint64_t>(b) & 63u))
-      SKELCL_BIN_L(ShrUL, static_cast<std::uint64_t>(a) >> (static_cast<std::uint64_t>(b) & 63u))
-#undef SKELCL_BIN_L
-
-      case Op::DivL: {
-        const std::int64_t b = (*--sp).i;
-        const std::int64_t a = sp[-1].i;
-        if (b == 0) fault("integer division by zero");
-        if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
-          sp[-1] = Slot::fromInt(a);  // wrap, matching 2's-complement overflow
-        } else {
-          sp[-1] = Slot::fromInt(a / b);
-        }
-        break;
-      }
-      case Op::RemL: {
-        const std::int64_t b = (*--sp).i;
-        const std::int64_t a = sp[-1].i;
-        if (b == 0) fault("integer remainder by zero");
-        if (b == -1) {
-          sp[-1] = Slot::fromInt(std::int64_t{0});
-        } else {
-          sp[-1] = Slot::fromInt(a % b);
-        }
-        break;
-      }
-      case Op::DivUL: {
-        const auto b = static_cast<std::uint64_t>((*--sp).i);
-        const auto a = static_cast<std::uint64_t>(sp[-1].i);
-        if (b == 0) fault("integer division by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a / b));
-        break;
-      }
-      case Op::RemUL: {
-        const auto b = static_cast<std::uint64_t>((*--sp).i);
-        const auto a = static_cast<std::uint64_t>(sp[-1].i);
-        if (b == 0) fault("integer remainder by zero");
-        sp[-1] = Slot::fromInt(static_cast<std::int64_t>(a % b));
-        break;
-      }
       case Op::NegL:
         sp[-1].i = static_cast<std::int64_t>(-static_cast<std::uint64_t>(sp[-1].i));
         break;
       case Op::NotL:
         sp[-1].i = ~sp[-1].i;
         break;
-
-#define SKELCL_BIN_F32(OPNAME, OPERATOR)                                            \
-  case Op::OPNAME: {                                                                \
-    const double b = (*--sp).f;                                                     \
-    const double a = sp[-1].f;                                                      \
-    sp[-1] = Slot::fromFloat(static_cast<float>(static_cast<float>(a)               \
-                                                    OPERATOR static_cast<float>(b))); \
-    break;                                                                          \
-  }
-      SKELCL_BIN_F32(AddF32, +)
-      SKELCL_BIN_F32(SubF32, -)
-      SKELCL_BIN_F32(MulF32, *)
-      SKELCL_BIN_F32(DivF32, /)
-#undef SKELCL_BIN_F32
-
-#define SKELCL_BIN_F64(OPNAME, OPERATOR)       \
-  case Op::OPNAME: {                           \
-    const double b = (*--sp).f;                \
-    const double a = sp[-1].f;                 \
-    sp[-1] = Slot::fromFloat(a OPERATOR b);    \
-    break;                                     \
-  }
-      SKELCL_BIN_F64(AddF64, +)
-      SKELCL_BIN_F64(SubF64, -)
-      SKELCL_BIN_F64(MulF64, *)
-      SKELCL_BIN_F64(DivF64, /)
-#undef SKELCL_BIN_F64
-
       case Op::NegF32:
         sp[-1].f = -static_cast<float>(sp[-1].f);
         break;
@@ -610,47 +585,32 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
         sp[-1].f = -sp[-1].f;
         break;
 
-#define SKELCL_CMP(OPNAME, TYPE, FIELD, OPERATOR)                  \
-  case Op::OPNAME: {                                               \
-    const auto b = static_cast<TYPE>((*--sp).FIELD);               \
-    const auto a = static_cast<TYPE>(sp[-1].FIELD);                \
-    sp[-1] = Slot::fromInt((a OPERATOR b) ? 1 : 0);                \
-    break;                                                         \
-  }
-      SKELCL_CMP(EqI, std::int64_t, i, ==)
-      SKELCL_CMP(NeI, std::int64_t, i, !=)
-      SKELCL_CMP(LtI, std::int64_t, i, <)
-      SKELCL_CMP(LeI, std::int64_t, i, <=)
-      SKELCL_CMP(GtI, std::int64_t, i, >)
-      SKELCL_CMP(GeI, std::int64_t, i, >=)
-      SKELCL_CMP(LtU, std::uint32_t, i, <)
-      SKELCL_CMP(LeU, std::uint32_t, i, <=)
-      SKELCL_CMP(GtU, std::uint32_t, i, >)
-      SKELCL_CMP(GeU, std::uint32_t, i, >=)
-      SKELCL_CMP(LtUL, std::uint64_t, i, <)
-      SKELCL_CMP(LeUL, std::uint64_t, i, <=)
-      SKELCL_CMP(GtUL, std::uint64_t, i, >)
-      SKELCL_CMP(GeUL, std::uint64_t, i, >=)
-      SKELCL_CMP(EqF, double, f, ==)
-      SKELCL_CMP(NeF, double, f, !=)
-      SKELCL_CMP(LtF, double, f, <)
-      SKELCL_CMP(LeF, double, f, <=)
-      SKELCL_CMP(GtF, double, f, >)
-      SKELCL_CMP(GeF, double, f, >=)
-#undef SKELCL_CMP
+      // --- register form (tier 2) --------------------------------------------
+      // Operands come from slots, the constant pool or the stack (y popped
+      // first); the result goes to the stack, a slot or a branch decision.
+      case Op::RegOp: {
+        const Slot y = regY(insn.c) == Src::Stack ? *--sp : regFixed(regY(insn.c), insn.k);
+        const Slot x = regX(insn.c) == Src::Stack ? *--sp : regFixed(regX(insn.c), insn.b);
+        *sp++ = regValue(insn.c, x, y);
+        break;
+      }
+      case Op::RegStore: {
+        const Slot y = regY(insn.c) == Src::Stack ? *--sp : regFixed(regY(insn.c), insn.k);
+        const Slot x = regX(insn.c) == Src::Stack ? *--sp : regFixed(regX(insn.c), insn.b);
+        slots[insn.a] = regValue(insn.c, x, y);
+        break;
+      }
+      case Op::RegJz:
+      case Op::RegJnz: {
+        const Slot y = regY(insn.c) == Src::Stack ? *--sp : regFixed(regY(insn.c), insn.k);
+        const Slot x = regX(insn.c) == Src::Stack ? *--sp : regFixed(regX(insn.c), insn.b);
+        if (cmpHolds(regOp(insn.c), x, y) == (insn.op == Op::RegJnz)) {
+          if (insn.a <= static_cast<std::int32_t>(ip - codeBase - 1)) checkBudget();
+          ip = codeBase + insn.a;
+        }
+        break;
+      }
 
-      case Op::EqP: {
-        const Ptr b = (*--sp).p;
-        const Ptr a = sp[-1].p;
-        sp[-1] = Slot::fromInt((a.region == b.region && a.offset == b.offset) ? 1 : 0);
-        break;
-      }
-      case Op::NeP: {
-        const Ptr b = (*--sp).p;
-        const Ptr a = sp[-1].p;
-        sp[-1] = Slot::fromInt((a.region != b.region || a.offset != b.offset) ? 1 : 0);
-        break;
-      }
       case Op::LNot:
         sp[-1].i = sp[-1].i == 0 ? 1 : 0;
         break;
@@ -1263,6 +1223,7 @@ void Vm::executeRef(int functionIndex, std::span<const Slot> args, bool expectRe
       case Op::TeeStoreF64:
       case Op::IncSlotI: case Op::LoadSlot2: case Op::CmpJz: case Op::CmpJnz:
       case Op::PushCI: case Op::PushCF:
+      case Op::RegOp: case Op::RegStore: case Op::RegJz: case Op::RegJnz:
         fault("superinstruction reached the reference interpreter "
               "(recompile without the peephole pass)");
         break;

@@ -125,6 +125,11 @@ class Vm final : public BuiltinCtx {
   std::uint64_t instructionsExecuted() const { return instructions_; }
   void resetInstructionCount() { instructions_ = 0; }
 
+  /// Batched dispatches (one instruction over one lane group) and, summed
+  /// over them, live lanes; they accumulate like instructionsExecuted().
+  std::uint64_t batchDispatches() const { return batchDispatches_; }
+  std::uint64_t batchLaneSum() const { return batchLaneSum_; }
+
   // BuiltinCtx
   std::int64_t globalId() const override { return globalId_; }
   std::int64_t globalSize() const override { return globalSize_; }
@@ -169,8 +174,9 @@ class Vm final : public BuiltinCtx {
   std::uint64_t frameTop_ = 0;
 
   // batched path: lane-strided slot and operand-stack arenas, allocated on
-  // first runKernelBatch use.  Slot s of lane l lives at batchSlots_[s*n + l];
-  // stack depth d of lane l at batchStack_[d*n + l] (n = lanes this batch).
+  // first runKernelBatch use.  Slot s of lane l lives at batchSlots_[s*n + l],
+  // followed by one column per constant-pool entry; stack depth d of lane l
+  // at batchStack_[d*n + l] (n = lanes this batch).
   std::vector<Slot> batchSlots_;
   std::vector<Slot> batchStack_;
   std::unique_ptr<std::int32_t[]> laneLists_;  // allocated uninitialized on first use
@@ -184,6 +190,8 @@ class Vm final : public BuiltinCtx {
   std::int64_t globalId_ = 0;
   std::int64_t globalSize_ = 1;
   std::uint64_t instructions_ = 0;
+  std::uint64_t batchDispatches_ = 0;
+  std::uint64_t batchLaneSum_ = 0;
   int currentFunction_ = -1;
 
   static constexpr std::size_t kMaxStack = 1 << 16;

@@ -35,6 +35,10 @@
 //  * A builtin with a column kind (BuiltinDef::column) runs as one lane loop
 //    calling the same std:: function as its table entry; others are called
 //    through the table once per lane.
+//  * Binary arithmetic, comparisons and ptradd run one typed loop per op
+//    (arithLanes, compareLanes) on whatever columns hold the operands: the
+//    top two stack columns in the stack form, slot, stack or constant
+//    columns in the tier-2 register form (docs/VM.md, "Register form").
 //
 // Divergence and reconvergence.  The scheduler always runs the group with
 // the lowest pc; a divergent branch makes two groups (fall-through and
@@ -161,29 +165,33 @@ struct GroupAccess {
   std::byte* const* host;
 };
 
+/// Run `body(l, li)` for every lane `l` of `g`, `li` its position in the
+/// group: unit-stride, or through the group's list.
+template <typename F>
+inline void forLanes(const LaneSet g, F body) {
+  const std::int32_t cnt = g.cnt;
+  const std::int32_t off = g.off;
+  const std::int32_t* const list = g.list;
+  if (!list) {
+    for (std::int32_t li = 0; li < cnt; ++li) body(off + li, li);
+  } else {
+    for (std::int32_t li = 0; li < cnt; ++li) body(list[li], li);
+  }
+}
+
 /// Run `access(lane, address)` for every lane of `g`, with unit-stride or
 /// list-indexed lanes and the addressing `a` picks; C is the element type.
 template <typename C, typename F>
 inline void eachAccess(const LaneSet g, const GroupAccess a, F access) {
-  const std::int32_t cnt = g.cnt;
-  const std::int32_t off = g.off;
-  const std::int32_t* const list = g.list;
   std::byte* const data = a.data;
   const std::uint64_t* const addr = a.addr;
   std::byte* const* const host = a.host;
-  const auto lanes = [&](auto at) {
-    if (!list) {
-      for (std::int32_t li = 0; li < cnt; ++li) access(off + li, at(li));
-    } else {
-      for (std::int32_t li = 0; li < cnt; ++li) access(list[li], at(li));
-    }
-  };
   if (data && a.contiguous) {
-    lanes([&](std::int32_t li) { return data + li * sizeof(C); });
+    forLanes(g, [&](std::int32_t l, std::int32_t li) { access(l, data + li * sizeof(C)); });
   } else if (data) {
-    lanes([&](std::int32_t li) { return data + offsetOf(addr[li]); });
+    forLanes(g, [&](std::int32_t l, std::int32_t li) { access(l, data + offsetOf(addr[li])); });
   } else {
-    lanes([&](std::int32_t li) { return host[li]; });
+    forLanes(g, [&](std::int32_t l, std::int32_t li) { access(l, host[li]); });
   }
 }
 
@@ -203,6 +211,171 @@ template <typename C, typename V>
   eachAccess<C>(g, a, [val](std::int32_t l, std::byte* at) {
     const auto v = static_cast<C>(val[l]);
     std::memcpy(at, &v, sizeof(C));
+  });
+}
+
+/// forLanes until `body(l)` returns false; returns that lane's position in
+/// the group, or -1 when every lane ran.
+template <typename F>
+inline std::int32_t lanesUntil(const LaneSet g, F body) {
+  for (std::int32_t li = 0; li < g.cnt; ++li) {
+    if (!body(g.list ? g.list[li] : g.off + li)) return li;
+  }
+  return -1;
+}
+
+/// dst = x OP y on every lane of `g`, for a binary arithmetic opcode OP or
+/// PtrAdd by `elemSize`: the one typed lane loop per op, which the stack
+/// form (dst is x's column) and the register form (any operand and
+/// destination columns) share.  A division stops at the first lane, in
+/// group order, whose divisor is zero and returns its position; otherwise
+/// the result is -1.
+[[gnu::noinline]] std::int32_t arithLanes(Op op, const LaneSet g, const Slot* x, const Slot* y,
+                                          Slot* dst, std::int64_t elemSize) {
+  switch (op) {
+#define KC_ARITH(OPNAME, VIEW, EXPR)                          \
+  case Op::OPNAME: {                                          \
+    const auto* xv = VIEW(x);                                 \
+    const auto* yv = VIEW(y);                                 \
+    auto* dv = VIEW(dst);                                     \
+    forLanes(g, [=](std::int32_t l, std::int32_t) {           \
+      const auto a = xv[l];                                   \
+      const auto b = yv[l];                                   \
+      (void)a;                                                \
+      (void)b;                                                \
+      dv[l] = EXPR;                                           \
+    });                                                       \
+    return -1;                                                \
+  }
+#define KC_DIVIDE(OPNAME, CAST, EXPR)                         \
+  case Op::OPNAME: {                                          \
+    const std::int64_t* xv = iCol(x);                         \
+    const std::int64_t* yv = iCol(y);                         \
+    std::int64_t* dv = iCol(dst);                             \
+    return lanesUntil(g, [=](std::int32_t l) {                \
+      const auto a = static_cast<CAST>(xv[l]);                \
+      const auto b = static_cast<CAST>(yv[l]);                \
+      if (b == 0) return false;                               \
+      dv[l] = EXPR;                                           \
+      return true;                                            \
+    });                                                       \
+  }
+#define KC_I32(OPNAME, EXPR) KC_ARITH(OPNAME, iCol, static_cast<std::int32_t>(EXPR))
+#define KC_I64(OPNAME, EXPR) KC_ARITH(OPNAME, iCol, static_cast<std::int64_t>(EXPR))
+#define KC_U64(OPNAME, OPERATOR) \
+  KC_I64(OPNAME, static_cast<std::uint64_t>(a) OPERATOR static_cast<std::uint64_t>(b))
+#define KC_F32(OPNAME, OPERATOR) \
+  KC_ARITH(OPNAME, fCol,         \
+           static_cast<float>(static_cast<float>(a) OPERATOR static_cast<float>(b)))
+#define KC_F64(OPNAME, OPERATOR) KC_ARITH(OPNAME, fCol, a OPERATOR b)
+    KC_I32(AddI, a + b)
+    KC_I32(SubI, a - b)
+    KC_I32(MulI, a * b)
+    KC_I32(AndI, a & b)
+    KC_I32(OrI, a | b)
+    KC_I32(XorI, a ^ b)
+    KC_I32(ShlI, static_cast<std::int64_t>(static_cast<std::uint32_t>(a)
+                                           << (static_cast<std::uint32_t>(b) & 31u)))
+    KC_I32(ShrI, static_cast<std::int32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
+    KC_I32(ShrU, static_cast<std::uint32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
+    KC_DIVIDE(DivI, std::int64_t, static_cast<std::int32_t>(a / b))
+    KC_DIVIDE(RemI, std::int64_t, static_cast<std::int32_t>(a % b))
+    KC_DIVIDE(DivU, std::uint32_t, static_cast<std::int64_t>(a / b))
+    KC_DIVIDE(RemU, std::uint32_t, static_cast<std::int64_t>(a % b))
+    KC_U64(AddL, +)
+    KC_U64(SubL, -)
+    KC_U64(MulL, *)
+    KC_I64(AndL, a & b)
+    KC_I64(OrL, a | b)
+    KC_I64(XorL, a ^ b)
+    KC_I64(ShlL, static_cast<std::uint64_t>(a) << (static_cast<std::uint64_t>(b) & 63u))
+    KC_I64(ShrL, a >> (static_cast<std::uint64_t>(b) & 63u))
+    KC_I64(ShrUL, static_cast<std::uint64_t>(a) >> (static_cast<std::uint64_t>(b) & 63u))
+    // INT64_MIN / -1 wraps, matching 2's-complement overflow
+    KC_DIVIDE(DivL, std::int64_t,
+              b == -1 && a == std::numeric_limits<std::int64_t>::min() ? a : a / b)
+    KC_DIVIDE(RemL, std::int64_t, b == -1 ? 0 : a % b)
+    KC_DIVIDE(DivUL, std::uint64_t, static_cast<std::int64_t>(a / b))
+    KC_DIVIDE(RemUL, std::uint64_t, static_cast<std::int64_t>(a % b))
+    KC_F32(AddF32, +)
+    KC_F32(SubF32, -)
+    KC_F32(MulF32, *)
+    KC_F32(DivF32, /)
+    KC_F64(AddF64, +)
+    KC_F64(SubF64, -)
+    KC_F64(MulF64, *)
+    KC_F64(DivF64, /)
+    KC_ARITH(PtrAdd, rawCol, ptrPlusRaw(a, static_cast<std::int64_t>(b), elemSize))
+#undef KC_F64
+#undef KC_F32
+#undef KC_U64
+#undef KC_I64
+#undef KC_I32
+#undef KC_DIVIDE
+#undef KC_ARITH
+    default:
+      SKELCL_CHECK(false, std::string("no lane loop for ") + opName(op));
+      return -1;
+  }
+}
+
+/// Hand `store(l, li, holds)` comparison `cmp` of columns x and y for every
+/// lane of `g`: one switch per dispatch, then one typed loop (Gt, Ge and Ne
+/// run the Lt, Le and Eq loops: swapsOperands, negatesResult).  Pointers
+/// compare as raw words.  The standalone comparisons, the fused
+/// compare-branches and the register form share these loops.
+template <typename Store>
+[[gnu::always_inline]] inline void compareLanes(Op cmp, const LaneSet g, const Slot* x,
+                                                const Slot* y, Store store) {
+  if (swapsOperands(cmp)) std::swap(x, y);
+  const bool flipped = negatesResult(cmp);
+  switch (cmp) {
+#define KC_COMPARE_LOOP(TYPE, VIEW, OPERATOR)                                            \
+  {                                                                                      \
+    const auto* xv = VIEW(x);                                                            \
+    const auto* yv = VIEW(y);                                                            \
+    forLanes(g, [&](std::int32_t l, std::int32_t li) {                                   \
+      store(l, li, (static_cast<TYPE>(xv[l]) OPERATOR static_cast<TYPE>(yv[l])) != flipped); \
+    });                                                                                  \
+    return;                                                                              \
+  }
+    case Op::EqI: case Op::NeI: KC_COMPARE_LOOP(std::int64_t, iCol, ==)
+    case Op::LtI: case Op::GtI: KC_COMPARE_LOOP(std::int64_t, iCol, <)
+    case Op::LeI: case Op::GeI: KC_COMPARE_LOOP(std::int64_t, iCol, <=)
+    case Op::LtU: case Op::GtU: KC_COMPARE_LOOP(std::uint32_t, iCol, <)
+    case Op::LeU: case Op::GeU: KC_COMPARE_LOOP(std::uint32_t, iCol, <=)
+    case Op::LtUL: case Op::GtUL: KC_COMPARE_LOOP(std::uint64_t, iCol, <)
+    case Op::LeUL: case Op::GeUL: KC_COMPARE_LOOP(std::uint64_t, iCol, <=)
+    case Op::EqF: case Op::NeF: KC_COMPARE_LOOP(double, fCol, ==)
+    case Op::LtF: case Op::GtF: KC_COMPARE_LOOP(double, fCol, <)
+    case Op::LeF: case Op::GeF: KC_COMPARE_LOOP(double, fCol, <=)
+    case Op::EqP: case Op::NeP: KC_COMPARE_LOOP(std::uint64_t, rawCol, ==)
+#undef KC_COMPARE_LOOP
+    default:
+      SKELCL_CHECK(false, std::string("no comparison loop for ") + opName(cmp));
+  }
+}
+
+/// Lanes of `g` where comparison `cmp` holds.
+[[gnu::noinline]] std::int32_t countHolds(Op cmp, const LaneSet g, const Slot* x,
+                                          const Slot* y) {
+  std::int32_t n = 0;
+  compareLanes(cmp, g, x, y, [&](std::int32_t, std::int32_t, bool holds) { n += holds; });
+  return n;
+}
+
+/// dst = 1 where comparison `cmp` holds, else 0, on every lane of `g`.
+[[gnu::noinline]] void compareInto(Op cmp, const LaneSet g, const Slot* x, const Slot* y,
+                                   Slot* dst) {
+  std::int64_t* const d = iCol(dst);
+  compareLanes(cmp, g, x, y, [=](std::int32_t l, std::int32_t, bool holds) { d[l] = holds; });
+}
+
+/// mask[li] = 1 for the lanes of `g` that take a branch on comparison `cmp`.
+[[gnu::noinline]] void branchMask(Op cmp, const LaneSet g, const Slot* x, const Slot* y,
+                                  bool jumpOnTrue, unsigned char* mask) {
+  compareLanes(cmp, g, x, y, [=](std::int32_t, std::int32_t li, bool holds) {
+    mask[li] = holds == jumpOnTrue ? 1 : 0;
   });
 }
 
@@ -305,7 +478,16 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   // Lane-strided arenas: slot s of lane l at batchSlots_[s*n + l], stack
   // depth d of lane l at batchStack_[d*n + l].  Slots zeroed to match the
   // sequential paths' value-initialization; arguments broadcast per lane.
-  batchSlots_.assign(numSlots * static_cast<std::size_t>(n), Slot{});
+  // Past the slots, column numSlots + k holds constant-pool entry k in every
+  // lane, for the register form's constant operands; splits leave these
+  // uniform columns alone.
+  const std::size_t poolSize = fn.pool.size();
+  batchSlots_.resize((numSlots + poolSize) * static_cast<std::size_t>(n));
+  std::fill_n(batchSlots_.begin(), numSlots * static_cast<std::size_t>(n), Slot{});
+  for (std::size_t k = 0; k < poolSize; ++k) {
+    std::fill_n(rawCol(batchSlots_.data() + (numSlots + k) * static_cast<std::size_t>(n)), n,
+                fn.pool[k]);
+  }
   batchStack_.resize(static_cast<std::size_t>(fn.maxStack) * static_cast<std::size_t>(n) + 1);
   for (std::size_t s = 0; s < args.size(); ++s) {
     Slot* col = batchSlots_.data() + s * static_cast<std::size_t>(n);
@@ -553,44 +735,93 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     return GroupAccess{nullptr, false, words, host};
   };
 
-// Evaluate comparison CMP of columns X and Y for every lane into the bool
-// `holds`, then run STORE: one switch per dispatch, then one typed loop
-// (Gt, Ge and Ne run the Lt, Le and Eq loops: swapsOperands,
-// negatesResult).  The standalone comparison opcodes and the fused
-// compare-branches (which the peephole builds from exactly these
-// comparisons) share these loops; pointers compare as raw words.
-#define KC_COMPARE_LOOP(TYPE, VIEW, OPERATOR, STORE)                       \
-  {                                                                        \
-    const auto* xv = VIEW(cx);                                             \
-    const auto* yv = VIEW(cy);                                             \
-    KC_LANES(const bool holds = (static_cast<TYPE>(xv[l]) OPERATOR         \
-                                 static_cast<TYPE>(yv[l])) != flipped;     \
-             STORE);                                                       \
-    break;                                                                 \
-  }
-#define KC_COMPARE(CMP, X, Y, STORE)                                                    \
-  do {                                                                                  \
-    const Slot* cx = X;                                                                 \
-    const Slot* cy = Y;                                                                 \
-    if (swapsOperands(CMP)) std::swap(cx, cy);                                          \
-    const bool flipped = negatesResult(CMP);                                            \
-    switch (CMP) {                                                                      \
-      case Op::EqI: case Op::NeI: KC_COMPARE_LOOP(std::int64_t, iCol, ==, STORE)        \
-      case Op::LtI: case Op::GtI: KC_COMPARE_LOOP(std::int64_t, iCol, <, STORE)         \
-      case Op::LeI: case Op::GeI: KC_COMPARE_LOOP(std::int64_t, iCol, <=, STORE)        \
-      case Op::LtU: case Op::GtU: KC_COMPARE_LOOP(std::uint32_t, iCol, <, STORE)        \
-      case Op::LeU: case Op::GeU: KC_COMPARE_LOOP(std::uint32_t, iCol, <=, STORE)       \
-      case Op::LtUL: case Op::GtUL: KC_COMPARE_LOOP(std::uint64_t, iCol, <, STORE)      \
-      case Op::LeUL: case Op::GeUL: KC_COMPARE_LOOP(std::uint64_t, iCol, <=, STORE)     \
-      case Op::EqF: case Op::NeF: KC_COMPARE_LOOP(double, fCol, ==, STORE)              \
-      case Op::LtF: case Op::GtF: KC_COMPARE_LOOP(double, fCol, <, STORE)               \
-      case Op::LeF: case Op::GeF: KC_COMPARE_LOOP(double, fCol, <=, STORE)              \
-      case Op::EqP: case Op::NeP: KC_COMPARE_LOOP(std::uint64_t, rawCol, ==, STORE)     \
-      default:  /* the peephole fuses only the comparisons above */                    \
-        globalId_ = laneGid[dense ? laneOff : lanes[0]];                                \
-        fault("unknown comparison in batched execution");                               \
-    }                                                                                   \
-  } while (0)
+  // A register-form operand's column: popped off the stack (y before x),
+  // a slot's, or a constant's.
+  const auto operand = [&](Src src, std::int32_t field) -> const Slot* {
+    if (src == Src::Stack) return stackAt(--sp);
+    return slotAt(src == Src::Slot ? field : static_cast<std::int32_t>(numSlots) + field);
+  };
+  // dst = x OP y over the group, for every binary arithmetic op, comparison
+  // and PtrAdd (by elemSize), in either form.  A zero divisor faults on the
+  // first lane, in group order, that has one.
+  const auto binary = [&](Op op, const Slot* x, const Slot* y, Slot* dst,
+                          std::int64_t elemSize) {
+    if (opInfo(op).flags & kFusableCompare) return compareInto(op, laneSet(), x, y, dst);
+    const std::int32_t zero = arithLanes(op, laneSet(), x, y, dst, elemSize);
+    if (zero >= 0) {
+      globalId_ = laneGid[dense ? laneOff + zero : lanes[zero]];
+      fault(op == Op::DivI || op == Op::DivU || op == Op::DivL || op == Op::DivUL
+                ? "integer division by zero"
+                : "integer remainder by zero");
+    }
+  };
+
+  // Divergence: mask[li] is 1 for the lanes of the current group that jump
+  // to `target`, nTaken of them.  Lane lists split the lane set; compaction
+  // moves the data: stay lanes keep the front of the group's segment of
+  // every live column (order preserved), taken lanes follow.  The group
+  // with the lower pc runs next, the other is parked.
+  const auto diverge = [&](std::int32_t target, std::int32_t nTaken) {
+    const std::int32_t stayCnt = cnt - nTaken;
+    Group stay{ip, sp, off, stayCnt, retired, maxBase};
+    Group taken{target, sp, off + stayCnt, nTaken, retired, maxBase};
+    if constexpr (kLaneLists) {
+      // Branch-free: stay lanes compact in place, taken lanes fill a
+      // fresh slot.
+      taken.off = freeSlots[--nFree];
+      std::int32_t* takenList = listOf(taken.off);
+      std::int32_t w = 0;
+      std::int32_t t = 0;
+      for (std::int32_t i = 0; i < cnt; ++i) {
+        const std::int32_t l = dense ? laneOff + i : lanes[i];
+        lanes[w] = l;
+        takenList[t] = l;
+        w += 1 - mask[i];
+        t += mask[i];
+      }
+    } else {
+      // Branch-free: both destinations are written, one cursor advances.
+      const auto partitionSeg = [&](std::uint64_t* seg) {
+        std::int32_t w = 0;
+        std::int32_t t = 0;
+        for (std::int32_t l = 0; l < cnt; ++l) {
+          const std::uint64_t v = seg[l];
+          seg[w] = v;
+          scratch[t] = v;
+          w += 1 - mask[l];
+          t += mask[l];
+        }
+        std::memcpy(seg + w, scratch, static_cast<std::size_t>(t) * sizeof(std::uint64_t));
+      };
+      for (std::size_t s = 0; s < numSlots; ++s) {
+        partitionSeg(rawCol(slotBase + s * static_cast<std::size_t>(n) + laneOff));
+      }
+      for (std::int32_t d = 0; d < sp; ++d) {
+        partitionSeg(rawCol(stackAt(d) + laneOff));
+      }
+      partitionSeg(reinterpret_cast<std::uint64_t*>(laneGid + laneOff));
+    }
+    const bool backward = target < ip;
+    park(backward ? stay : taken);
+    enter(backward ? taken : stay);
+    if (backward) checkBudget();
+    if constexpr (kLaneLists) {
+      minPendingIp = std::min(minPendingIp, pending[nPending - 1].ip);
+    }
+  };
+  // A branch to `target` that nTaken of the group's lanes take: all of
+  // them jump, none fall through, or the group splits on `mask`, which
+  // `buildMask()` fills only then.
+  const auto branch = [&](std::int32_t target, std::int32_t nTaken, auto buildMask) {
+    if (nTaken == 0) return;  // whole group falls through
+    if (nTaken == cnt) {
+      if (target < ip) checkBudget();
+      ip = target;
+      return;
+    }
+    buildMask();
+    diverge(target, nTaken);
+  };
 
   for (;;) {
     if constexpr (kLaneLists) {
@@ -608,8 +839,9 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     retired += insn.weight;
     instructions_ += static_cast<std::uint64_t>(insn.weight) *
                      static_cast<std::uint64_t>(cnt);
+    ++batchDispatches_;
+    batchLaneSum_ += static_cast<std::uint64_t>(cnt);
 
-    std::int32_t nTrue = 0;  // lanes whose branch condition holds (jz/jnz)
     switch (insn.op) {
       case Op::PushI: {
         const std::int64_t v = insn.a;
@@ -718,13 +950,6 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       KC_STORE(F64, double, fCol)
 #undef KC_STORE
 
-      case Op::PtrAdd: {
-        const std::int64_t* idx = iCol(stackAt(sp - 1));
-        std::uint64_t* col = rawCol(stackAt(sp - 2));
-        KC_LANES(col[l] = ptrPlusRaw(col[l], idx[l], insn.a););
-        --sp;
-        break;
-      }
       case Op::PtrAddImm: {
         std::uint64_t* col = rawCol(stackAt(sp - 1));
         const std::uint64_t step = ptrPlusRaw(0, insn.b, insn.a);
@@ -738,87 +963,33 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         break;
       }
 
-#define KC_BIN_I(OPNAME, EXPR)                                    \
-  case Op::OPNAME: {                                              \
-    const std::int64_t* bcol = iCol(stackAt(sp - 1));             \
-    std::int64_t* acol = iCol(stackAt(sp - 2));                   \
-    KC_LANES(const std::int64_t a = acol[l];                      \
-             const std::int64_t b = bcol[l];                      \
-             (void)a; (void)b;                                    \
-             acol[l] = static_cast<std::int32_t>(EXPR););         \
-    --sp;                                                         \
-    break;                                                        \
-  }
-      KC_BIN_I(AddI, a + b)
-      KC_BIN_I(SubI, a - b)
-      KC_BIN_I(MulI, a * b)
-      KC_BIN_I(AndI, a & b)
-      KC_BIN_I(OrI, a | b)
-      KC_BIN_I(XorI, a ^ b)
-      KC_BIN_I(ShlI, static_cast<std::int64_t>(static_cast<std::uint32_t>(a)
-                                               << (static_cast<std::uint32_t>(b) & 31u)))
-      KC_BIN_I(ShrI, static_cast<std::int32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
-      KC_BIN_I(ShrU, static_cast<std::uint32_t>(a) >> (static_cast<std::uint32_t>(b) & 31u))
-#undef KC_BIN_I
-
-#define KC_DIVREM(OPNAME, CAST, CHECKED, MSG)                     \
-  case Op::OPNAME: {                                              \
-    const std::int64_t* bcol = iCol(stackAt(sp - 1));             \
-    std::int64_t* acol = iCol(stackAt(sp - 2));                   \
-    KC_LANES(const auto a = static_cast<CAST>(acol[l]);           \
-             const auto b = static_cast<CAST>(bcol[l]);           \
-             (void)a;                                             \
-             if (b == 0) {                                        \
-               globalId_ = laneGid[l];                            \
-               fault(MSG);                                        \
-             }                                                    \
-             acol[l] = CHECKED;);                                 \
-    --sp;                                                         \
-    break;                                                        \
-  }
-      KC_DIVREM(DivI, std::int64_t, static_cast<std::int32_t>(a / b),
-                "integer division by zero")
-      KC_DIVREM(RemI, std::int64_t, static_cast<std::int32_t>(a % b),
-                "integer remainder by zero")
-      KC_DIVREM(DivU, std::uint32_t, static_cast<std::int64_t>(a / b),
-                "integer division by zero")
-      KC_DIVREM(RemU, std::uint32_t, static_cast<std::int64_t>(a % b),
-                "integer remainder by zero")
-      KC_DIVREM(DivUL, std::uint64_t, static_cast<std::int64_t>(a / b),
-                "integer division by zero")
-      KC_DIVREM(RemUL, std::uint64_t, static_cast<std::int64_t>(a % b),
-                "integer remainder by zero")
-#undef KC_DIVREM
-
-      case Op::DivL: {
-        const std::int64_t* bcol = iCol(stackAt(sp - 1));
-        std::int64_t* acol = iCol(stackAt(sp - 2));
-        KC_LANES(
-            const std::int64_t a = acol[l];
-            const std::int64_t b = bcol[l];
-            if (b == 0) {
-              globalId_ = laneGid[l];
-              fault("integer division by zero");
-            }
-            if (b == -1 && a == std::numeric_limits<std::int64_t>::min()) {
-              acol[l] = a;  // wrap, matching 2's-complement overflow
-            } else {
-              acol[l] = a / b;
-            });
+      // Binary arithmetic, comparisons and PtrAdd (by its element size a),
+      // stack form.
+      case Op::PtrAdd:
+      case Op::AddI: case Op::SubI: case Op::MulI: case Op::DivI: case Op::RemI:
+      case Op::DivU: case Op::RemU: case Op::AndI: case Op::OrI: case Op::XorI:
+      case Op::ShlI: case Op::ShrI: case Op::ShrU:
+      case Op::AddL: case Op::SubL: case Op::MulL: case Op::DivL: case Op::RemL:
+      case Op::DivUL: case Op::RemUL: case Op::AndL: case Op::OrL: case Op::XorL:
+      case Op::ShlL: case Op::ShrL: case Op::ShrUL:
+      case Op::AddF32: case Op::SubF32: case Op::MulF32: case Op::DivF32:
+      case Op::AddF64: case Op::SubF64: case Op::MulF64: case Op::DivF64:
+      case Op::EqI: case Op::NeI: case Op::LtI: case Op::LeI: case Op::GtI: case Op::GeI:
+      case Op::LtU: case Op::LeU: case Op::GtU: case Op::GeU:
+      case Op::LtUL: case Op::LeUL: case Op::GtUL: case Op::GeUL:
+      case Op::EqF: case Op::NeF: case Op::LtF: case Op::LeF: case Op::GtF: case Op::GeF:
+      case Op::EqP: case Op::NeP:
         --sp;
+        binary(insn.op, stackAt(sp - 1), stackAt(sp), stackAt(sp - 1), insn.a);
         break;
-      }
-      case Op::RemL: {
-        const std::int64_t* bcol = iCol(stackAt(sp - 1));
-        std::int64_t* acol = iCol(stackAt(sp - 2));
-        KC_LANES(
-            const std::int64_t b = bcol[l];
-            if (b == 0) {
-              globalId_ = laneGid[l];
-              fault("integer remainder by zero");
-            }
-            acol[l] = b == -1 ? std::int64_t{0} : acol[l] % b;);
-        --sp;
+
+      // Register form: the same lane loops on the operands' own columns.
+      case Op::RegOp:
+      case Op::RegStore: {
+        const Slot* y = operand(regY(insn.c), insn.k);
+        const Slot* x = operand(regX(insn.c), insn.b);
+        Slot* dst = insn.op == Op::RegOp ? stackAt(sp++) : slotAt(insn.a);
+        binary(regOp(insn.c), x, y, dst, regElemSize(insn.c));
         break;
       }
 
@@ -833,28 +1004,6 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         break;
       }
 
-#define KC_BIN_L(OPNAME, EXPR)                                    \
-  case Op::OPNAME: {                                              \
-    const std::int64_t* bcol = iCol(stackAt(sp - 1));             \
-    std::int64_t* acol = iCol(stackAt(sp - 2));                   \
-    KC_LANES(const std::int64_t a = acol[l];                      \
-             const std::int64_t b = bcol[l];                      \
-             (void)a; (void)b;                                    \
-             acol[l] = static_cast<std::int64_t>(EXPR););         \
-    --sp;                                                         \
-    break;                                                        \
-  }
-      KC_BIN_L(AddL, static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b))
-      KC_BIN_L(SubL, static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b))
-      KC_BIN_L(MulL, static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b))
-      KC_BIN_L(AndL, a & b)
-      KC_BIN_L(OrL, a | b)
-      KC_BIN_L(XorL, a ^ b)
-      KC_BIN_L(ShlL, static_cast<std::uint64_t>(a) << (static_cast<std::uint64_t>(b) & 63u))
-      KC_BIN_L(ShrL, a >> (static_cast<std::uint64_t>(b) & 63u))
-      KC_BIN_L(ShrUL, static_cast<std::uint64_t>(a) >> (static_cast<std::uint64_t>(b) & 63u))
-#undef KC_BIN_L
-
       case Op::NegL: {
         std::int64_t* col = iCol(stackAt(sp - 1));
         KC_LANES(col[l] = static_cast<std::int64_t>(-static_cast<std::uint64_t>(col[l])););
@@ -865,35 +1014,6 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         KC_LANES(col[l] = ~col[l];);
         break;
       }
-
-#define KC_BIN_F32(OPNAME, OPERATOR)                                        \
-  case Op::OPNAME: {                                                        \
-    const double* bcol = fCol(stackAt(sp - 1));                             \
-    double* acol = fCol(stackAt(sp - 2));                                   \
-    KC_LANES(acol[l] = static_cast<float>(static_cast<float>(acol[l])       \
-                                              OPERATOR static_cast<float>(bcol[l]));); \
-    --sp;                                                                   \
-    break;                                                                  \
-  }
-      KC_BIN_F32(AddF32, +)
-      KC_BIN_F32(SubF32, -)
-      KC_BIN_F32(MulF32, *)
-      KC_BIN_F32(DivF32, /)
-#undef KC_BIN_F32
-
-#define KC_BIN_F64(OPNAME, OPERATOR)                        \
-  case Op::OPNAME: {                                        \
-    const double* bcol = fCol(stackAt(sp - 1));             \
-    double* acol = fCol(stackAt(sp - 2));                   \
-    KC_LANES(acol[l] = acol[l] OPERATOR bcol[l];);          \
-    --sp;                                                   \
-    break;                                                  \
-  }
-      KC_BIN_F64(AddF64, +)
-      KC_BIN_F64(SubF64, -)
-      KC_BIN_F64(MulF64, *)
-      KC_BIN_F64(DivF64, /)
-#undef KC_BIN_F64
 
       case Op::NegF32: {
         double* col = fCol(stackAt(sp - 1));
@@ -944,92 +1064,31 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         ip = insn.a;
         break;
 
-      // A fused compare-branch counts the lanes where its comparison holds.
-      // Only when that splits the group does it also write the comparison,
-      // 0/1, into the first operand's column, as the standalone opcode does,
-      // for the split to read as jz/jnz does.
-      case Op::EqI: case Op::NeI: case Op::LtI: case Op::LeI: case Op::GtI: case Op::GeI:
-      case Op::LtU: case Op::LeU: case Op::GtU: case Op::GeU:
-      case Op::LtUL: case Op::LeUL: case Op::GtUL: case Op::GeUL:
-      case Op::EqF: case Op::NeF: case Op::LtF: case Op::LeF: case Op::GtF: case Op::GeF:
-      case Op::EqP: case Op::NeP:
+      // A compare-branch counts the lanes where its comparison holds; only a
+      // branch that splits the group also builds the split mask, with the
+      // same comparison loop.  Plain jz/jnz count and mask the same way.
       case Op::CmpJz:
-      case Op::CmpJnz: {
-        const bool fused = insn.op == Op::CmpJz || insn.op == Op::CmpJnz;
-        const Op cmp = fused ? static_cast<Op>(insn.c) : insn.op;
-        if (fused) KC_COMPARE(cmp, stackAt(sp - 2), stackAt(sp - 1), nTrue += holds ? 1 : 0;);
-        if (!fused || (nTrue != 0 && nTrue != cnt)) {
-          std::int64_t* dst = iCol(stackAt(sp - 2));
-          KC_COMPARE(cmp, stackAt(sp - 2), stackAt(sp - 1), dst[l] = holds ? 1 : 0;);
-        }
-        --sp;
-        if (!fused) break;
-        [[fallthrough]];
+      case Op::CmpJnz:
+      case Op::RegJz:
+      case Op::RegJnz: {
+        const bool reg = insn.op == Op::RegJz || insn.op == Op::RegJnz;
+        const Op cmp = reg ? regOp(insn.c) : static_cast<Op>(insn.c);
+        const Slot* y = reg ? operand(regY(insn.c), insn.k) : stackAt(--sp);
+        const Slot* x = reg ? operand(regX(insn.c), insn.b) : stackAt(--sp);
+        const bool jumpOnTrue = insn.op == Op::CmpJnz || insn.op == Op::RegJnz;
+        const std::int32_t nTrue = countHolds(cmp, laneSet(), x, y);
+        branch(insn.a, jumpOnTrue ? nTrue : cnt - nTrue,
+               [&] { branchMask(cmp, laneSet(), x, y, jumpOnTrue, mask); });
+        break;
       }
       case Op::Jz:
       case Op::Jnz: {
-        const bool jumpOnTrue = insn.op == Op::Jnz || insn.op == Op::CmpJnz;
-        --sp;
-        const std::int64_t* cond = iCol(stackAt(sp));
-        if (insn.op == Op::Jz || insn.op == Op::Jnz) KC_LANES(nTrue += cond[l] != 0 ? 1 : 0;);
-        const std::int32_t nTaken = jumpOnTrue ? nTrue : cnt - nTrue;
-        if (nTaken == 0) break;  // whole group falls through
-        if (nTaken == cnt) {
-          if (insn.a < ip) checkBudget();
-          ip = insn.a;
-          break;
-        }
-        // Divergence.  Lane lists split the lane set; compaction moves the
-        // data: stay lanes keep the front of the group's segment of every
-        // live column (order preserved), taken lanes follow.
-        KC_LANES(mask[li] = (cond[l] != 0) == jumpOnTrue ? 1 : 0;);
-        const std::int32_t stayCnt = cnt - nTaken;
-        Group stay{ip, sp, off, stayCnt, retired, maxBase};
-        Group taken{insn.a, sp, off + stayCnt, nTaken, retired, maxBase};
-        if constexpr (kLaneLists) {
-          // Branch-free: stay lanes compact in place, taken lanes fill a
-          // fresh slot.
-          taken.off = freeSlots[--nFree];
-          std::int32_t* takenList = listOf(taken.off);
-          std::int32_t w = 0;
-          std::int32_t t = 0;
-          for (std::int32_t i = 0; i < cnt; ++i) {
-            const std::int32_t l = dense ? laneOff + i : lanes[i];
-            lanes[w] = l;
-            takenList[t] = l;
-            w += 1 - mask[i];
-            t += mask[i];
-          }
-        } else {
-          // Branch-free: both destinations are written, one cursor advances.
-          const auto partitionSeg = [&](std::uint64_t* seg) {
-            std::int32_t w = 0;
-            std::int32_t t = 0;
-            for (std::int32_t l = 0; l < cnt; ++l) {
-              const std::uint64_t v = seg[l];
-              seg[w] = v;
-              scratch[t] = v;
-              w += 1 - mask[l];
-              t += mask[l];
-            }
-            std::memcpy(seg + w, scratch, static_cast<std::size_t>(t) * sizeof(std::uint64_t));
-          };
-          for (std::size_t s = 0; s < numSlots; ++s) {
-            partitionSeg(rawCol(slotBase + s * static_cast<std::size_t>(n) + laneOff));
-          }
-          for (std::int32_t d = 0; d < sp; ++d) {
-            partitionSeg(rawCol(stackAt(d) + laneOff));
-          }
-          partitionSeg(reinterpret_cast<std::uint64_t*>(laneGid + laneOff));
-        }
-        // Run the lower pc next; park the other half.
-        const bool backward = insn.a < ip;
-        park(backward ? stay : taken);
-        enter(backward ? taken : stay);
-        if (backward) checkBudget();
-        if constexpr (kLaneLists) {
-          minPendingIp = std::min(minPendingIp, pending[nPending - 1].ip);
-        }
+        const bool jumpOnTrue = insn.op == Op::Jnz;
+        const std::int64_t* cond = iCol(stackAt(--sp));
+        std::int32_t nTrue = 0;
+        KC_LANES(nTrue += cond[l] != 0 ? 1 : 0;);
+        branch(insn.a, jumpOnTrue ? nTrue : cnt - nTrue,
+               [&] { KC_LANES(mask[li] = (cond[l] != 0) == jumpOnTrue ? 1 : 0;); });
         break;
       }
 
@@ -1152,7 +1211,8 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         fault("non-void function reached the end without returning a value");
         break;
 
-      // Excluded by FunctionCode::batchable; reaching one is a VM bug.
+      // Excluded by FunctionCode::batchable, or never packed; reaching one is
+      // a VM bug.
       case Op::PushF:
       case Op::LeaFrame:
       case Op::MemCopy:
@@ -1163,8 +1223,6 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         fault("non-batchable instruction in batched execution");
     }
   }
-#undef KC_COMPARE
-#undef KC_COMPARE_LOOP
 #undef KC_LANES
 }
 

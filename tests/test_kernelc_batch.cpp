@@ -20,6 +20,8 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "kernelc/builtins.hpp"
@@ -495,6 +497,36 @@ TEST(KernelcBatch, AliasedAtomicTargetFallsBackToPerItem) {
   EXPECT_EQ(0, std::memcmp(bat.sums.data(), seq.sums.data(), seq.sums.size() * 4));
 }
 
+TEST(KernelcBatch, LoweredPointerWriteIntoAtomicTargetFallsBack) {
+  // q first copies the `in` parameter, then a lowered slot write
+  // (reg.store ptradd) points it into `sums`, which the atomics target.  The
+  // deferral proof must see q's new origin: the load through it reads what
+  // earlier work-items added, so deferring their adds would change it.
+  const std::string src = R"(
+    __kernel void carry(__global float* sums, __global int* counts, __global float* in,
+                        int n) {
+      int gid = get_global_id(0);
+      __global float* q = in;
+      float v = q[gid];
+      q = sums + gid % 3;
+      atomic_add_f(sums + (gid + 1) % 3, v + *q);
+    }
+  )";
+  const auto tier1 = compileProgram(src, CompileOptions{1});
+  const auto tier2 = compileProgram(src, CompileOptions{2});
+  const FunctionCode& fn = kernelCode(*tier2, "carry");
+  const bool lowered = std::any_of(fn.packed.begin(), fn.packed.end(), [](const PackedInsn& i) {
+    return i.op == Op::RegStore && regOp(i.c) == Op::PtrAdd;
+  });
+  EXPECT_TRUE(lowered) << "q's second value is no longer a lowered slot write";
+  EXPECT_FALSE(fn.batchable);
+  EXPECT_EQ(fn.batchFallback, BatchFallback::AtomicTargetAliased);
+  const AtomicBuffers seq = runAtomics(*tier1, "carry", 300, /*batch=*/false);
+  const AtomicBuffers bat = runAtomics(*tier2, "carry", 300, /*batch=*/true);
+  EXPECT_EQ(bat.instructions, seq.instructions);
+  EXPECT_EQ(0, std::memcmp(bat.sums.data(), seq.sums.data(), seq.sums.size() * 4));
+}
+
 TEST(KernelcBatch, UsedAtomicResultFallsBackToPerItem) {
   const std::string src = R"(
     __kernel void ticket(__global float* sums, __global int* counts, __global float* in,
@@ -628,9 +660,22 @@ std::set<std::pair<Op, Op>> fusedComparisons(const CompiledProgram& program,
   return seen;
 }
 
+/// The register-form compare-branches in `program`'s kernel `name`:
+/// (opcode, comparison).
+std::set<std::pair<Op, Op>> registerBranches(const CompiledProgram& program,
+                                             const std::string& name) {
+  std::set<std::pair<Op, Op>> seen;
+  for (const PackedInsn& insn : kernelCode(program, name).packed) {
+    if (insn.op == Op::RegJz || insn.op == Op::RegJnz) seen.insert({insn.op, regOp(insn.c)});
+  }
+  return seen;
+}
+
 /// `x OP y` as both fused forms: an `if` (cmp.jz) and the left operand of
 /// `||` (cmp.jnz), once on the whole batch and once after a divergent
-/// split, so lane-list kernels also run them on a partial lane list.
+/// split, so lane-list kernels also run them on a partial lane list.  Each
+/// runs on the locals x and y, which tier 2 lowers to reg.jz / reg.jnz, and
+/// on two computed values, which stay cmp.jz / cmp.jnz.
 std::string compareKernel(const std::string& type, const std::string& op, int pad) {
   std::string src = "__kernel void cmp(__global " + (type == "ptr" ? "int" : type) +
                     "* a, __global " + (type == "ptr" ? "int" : type) +
@@ -647,12 +692,18 @@ std::string compareKernel(const std::string& type, const std::string& op, int pa
     src += "  " + type + " x = a[gid];\n  " + type + " y = b[gid];\n";
   }
   const std::string cmp = "x " + op + " y";
+  const std::string computed =
+      type == "ptr" ? "(x + 0) " + op + " (y + 0)" : "a[gid] " + op + " b[gid]";
   src += "  int r = 0;\n"
          "  if (" + cmp + ") r = 1; else r = 2;\n"
          "  if (" + cmp + " || gid < 0) r = r + 4;\n"
+         "  if (" + computed + ") r = r + 32;\n"
+         "  if (" + computed + " || gid < 0) r = r + 64;\n"
          "  if (gid % 3 != 0) {\n"
          "    if (" + cmp + ") r = r + 8;\n"
          "    if (" + cmp + " || gid < 0) r = r + 16;\n"
+         "    if (" + computed + ") r = r + 128;\n"
+         "    if (" + computed + " || gid < 0) r = r + 256;\n"
          "  }\n"
          "  out[gid] = r;\n}\n";
   return src;
@@ -688,6 +739,7 @@ TEST(KernelcBatch, EveryFusedComparisonMatchesPerItem) {
       {"ptr", {"==", "!="}, operandPairs(ptrs, n)},
   };
   std::set<std::pair<Op, Op>> covered;
+  std::set<std::pair<Op, Op>> coveredRegister;
   for (const Family& f : families) {
     for (const std::string& op : f.ops) {
       for (const int pad : {0, kLaneListPad}) {
@@ -701,13 +753,16 @@ TEST(KernelcBatch, EveryFusedComparisonMatchesPerItem) {
         const auto program = compileProgram(src, CompileOptions{2});
         const auto seen = fusedComparisons(*program, "cmp");
         covered.insert(seen.begin(), seen.end());
+        const auto lowered = registerBranches(*program, "cmp");
+        coveredRegister.insert(lowered.begin(), lowered.end());
         Buffers buffers = f.operands;
         buffers.push_back(std::vector<std::byte>(static_cast<std::size_t>(n) * 4));
         expectLaunchMatchesPerItem(src, "cmp", buffers, {}, n);
       }
     }
   }
-  // Every comparison the peephole fuses, under both branch senses.
+  // Every comparison the peephole fuses, under both branch senses, and
+  // every one tier 2 lowers to a register-form compare-branch.
   for (const Op cmp : {Op::EqI, Op::NeI, Op::LtI, Op::LeI, Op::GtI, Op::GeI, Op::LtU, Op::LeU,
                        Op::GtU, Op::GeU, Op::LtUL, Op::LeUL, Op::GtUL, Op::GeUL, Op::EqF,
                        Op::NeF, Op::LtF, Op::LeF, Op::GtF, Op::GeF, Op::EqP, Op::NeP}) {
@@ -715,6 +770,10 @@ TEST(KernelcBatch, EveryFusedComparisonMatchesPerItem) {
       EXPECT_TRUE(covered.count({branch, cmp}))
           << "no kernel fused comparison " << static_cast<int>(cmp) << " into "
           << static_cast<int>(branch);
+    }
+    for (const Op branch : {Op::RegJz, Op::RegJnz}) {
+      EXPECT_TRUE(coveredRegister.count({branch, cmp}))
+          << "no kernel lowered comparison " << opName(cmp) << " into " << opName(branch);
     }
   }
 }
@@ -916,6 +975,289 @@ TEST(KernelcBatch, ReversedStridedAndOffsetAddressesMatchPerItem) {
     const Launch bat = expectLaunchMatchesPerItem(
         src, "addr", {bytesOf(in), bytesOf(out), bytesOf(cnt)}, {Slot::fromInt(n)}, n);
     EXPECT_TRUE(bat.fault.empty()) << bat.fault;
+  }
+}
+
+// --- register form: every shape of every op, at edge values ------------------
+
+/// A register-form instruction's kind as the edge test counts it: the row
+/// (RegOp, RegStore, RegJz, RegJnz; CmpJz/CmpJnz for a compare-branch on two
+/// stack values), the op, and where x and y come from.
+using RegShape = std::tuple<Op, Op, Src, Src>;
+
+/// The register-form shapes in `program`'s kernel `name`.
+std::set<RegShape> regShapes(const CompiledProgram& program, const std::string& name) {
+  std::set<RegShape> seen;
+  for (const PackedInsn& insn : kernelCode(program, name).packed) {
+    if (isRegisterForm(insn.op)) {
+      seen.insert({insn.op, regOp(insn.c), regX(insn.c), regY(insn.c)});
+    } else if (insn.op == Op::CmpJz || insn.op == Op::CmpJnz) {
+      seen.insert({insn.op, static_cast<Op>(insn.c), Src::Stack, Src::Stack});
+    }
+  }
+  return seen;
+}
+
+/// `x OP y` for x, y of `type` in every register-form shape: into a local
+/// (reg.store) and into memory (reg) with each operand a slot, the constant
+/// `k` or a loaded value on the stack, and for a comparison in both branch
+/// senses.  The shapes run once after a divergent split (gid % 3 != 0) and
+/// once on the whole group; `pad` unused locals lift the kernel above
+/// kLaneListColumns.  Output j of item gid is out[gid * 32 + j].
+std::string edgeKernel(const std::string& type, const std::string& op, const std::string& k,
+                       bool compare, int pad) {
+  const std::string r = compare ? "int" : type;
+  const auto body = [&](int base) {
+    std::string b;
+    int j = base;
+    const auto put = [&](const std::string& value) {
+      b += "  out[o + " + std::to_string(j++) + "] = " + value + ";\n";
+    };
+    const auto local = [&](const std::string& value) {
+      b += "  r = " + value + ";\n";
+      put("r");
+    };
+    local("x " + op + " y");
+    local("x " + op + " " + k);
+    local(k + " " + op + " y");
+    local("a[gid] " + op + " y");
+    local("a[gid] " + op + " " + k);
+    local("a[gid] " + op + " b[gid]");
+    put("x " + op + " y");
+    put("x " + op + " " + k);
+    put(k + " " + op + " y");
+    put("a[gid] " + op + " y");
+    put("a[gid] " + op + " " + k);
+    if (compare) {
+      const std::string conds[] = {"x " + op + " y", "x " + op + " " + k, k + " " + op + " y",
+                                   "a[gid] " + op + " y", "a[gid] " + op + " " + k,
+                                   "a[gid] " + op + " b[gid]"};
+      b += "  r = 0;\n";
+      int bit = 1;
+      for (const std::string& c : conds) {
+        b += "  if (" + c + ") r = r | " + std::to_string(bit) + ";\n";
+        b += "  if (" + c + " || gid < 0) r = r | " + std::to_string(bit << 6) + ";\n";
+        bit <<= 1;
+      }
+      put("r");
+    }
+    return b;
+  };
+  return "__kernel void edge(__global " + type + "* a, __global " + type + "* b, __global " + r +
+         "* out) {\n  int gid = get_global_id(0);\n" + padLocals(pad) + "  " + type +
+         " x = a[gid];\n  " + type + " y = b[gid];\n  " + r +
+         " r;\n  int o = gid * 32;\n  if (gid % 3 != 0) {\n" + body(0) + "  }\n" + body(16) +
+         "}\n";
+}
+
+/// Tier 1 per item against tier 2 per item and tier 2 batched: the same
+/// fault, message and work-item; the same retired count (batched: when no
+/// item faults, as a faulting group stops mid-way); bit-identical buffers
+/// (batched: when nothing faults).
+Launch expectTiersMatch(const std::string& source, const std::string& kernel,
+                        const Buffers& buffers, std::int64_t n) {
+  const auto tier1 = compileProgram(source, CompileOptions{1});
+  const auto tier2 = compileProgram(source, CompileOptions{2});
+  EXPECT_TRUE(kernelCode(*tier2, kernel).batchable) << source;
+  const Launch ref = launch(*tier1, kernel, buffers, {}, n, /*batch=*/false);
+  const Launch seq = launch(*tier2, kernel, buffers, {}, n, /*batch=*/false);
+  const Launch bat = launch(*tier2, kernel, buffers, {}, n, /*batch=*/true);
+  EXPECT_EQ(seq.fault, ref.fault) << source;
+  EXPECT_EQ(bat.fault, ref.fault) << source;
+  EXPECT_EQ(seq.instructions, ref.instructions) << source;
+  EXPECT_TRUE(seq.buffers == ref.buffers) << "tier-2 per-item buffers diverged\n" << source;
+  if (ref.fault.empty()) {
+    EXPECT_EQ(bat.instructions, ref.instructions) << source;
+    EXPECT_TRUE(bat.buffers == ref.buffers) << "batched buffers diverged\n" << source;
+  }
+  return bat;
+}
+
+/// Runs every operator of one operand type through edgeKernel, dense and
+/// above the lane-list threshold, and collects the shapes it lowered to.
+/// Item gid reads values[gid % 8] and values[gid / 8 % 8].  Divisions run
+/// twice: with every zero divisor replaced by `nonzero`, and with item 101
+/// alone dividing by zero, which must fault on it.
+template <typename T>
+void runEdgeFamily(const std::string& type, const std::vector<T>& values, T nonzero,
+                   const std::vector<std::string>& ops, const std::string& k,
+                   std::set<RegShape>& covered) {
+  const std::int64_t n = 300;  // a full group and a partial one
+  std::vector<T> a;
+  std::vector<T> b;
+  for (std::int64_t gid = 0; gid < n; ++gid) {
+    a.push_back(values[static_cast<std::size_t>(gid % 8)]);
+    b.push_back(values[static_cast<std::size_t>(gid / 8 % 8)]);
+  }
+  for (const std::string& op : ops) {
+    const bool compare = op == "==" || op == "!=" || op == "<" || op == "<=" || op == ">" ||
+                         op == ">=";
+    const bool divides = std::is_integral_v<T> && (op == "/" || op == "%");
+    const std::size_t outBytes = static_cast<std::size_t>(n) * 32 * (compare ? 4 : sizeof(T));
+    for (const int pad : {0, kLaneListPad}) {
+      SCOPED_TRACE(type + " " + op + " pad " + std::to_string(pad));
+      const std::string src = edgeKernel(type, op, k, compare, pad);
+      if (pad == 0) {
+        ASSERT_LE(columns(src, "edge"), Vm::kLaneListColumns) << src;
+      } else {
+        ASSERT_GT(columns(src, "edge"), Vm::kLaneListColumns) << src;
+      }
+      const auto shapes = regShapes(*compileProgram(src, CompileOptions{2}), "edge");
+      covered.insert(shapes.begin(), shapes.end());
+      std::vector<T> divisors = b;
+      if (divides) std::replace(divisors.begin(), divisors.end(), T{0}, nonzero);
+      const Launch clean = expectTiersMatch(
+          src, "edge", {bytesOf(a), bytesOf(divisors), std::vector<std::byte>(outBytes)}, n);
+      EXPECT_EQ(clean.fault, "") << src;
+      if (divides) {
+        divisors[101] = 0;
+        const Launch faulting = expectTiersMatch(
+            src, "edge", {bytesOf(a), bytesOf(divisors), std::vector<std::byte>(outBytes)}, n);
+        EXPECT_NE(faulting.fault.find("(work-item 101): integer " +
+                                      std::string(op == "/" ? "division" : "remainder") +
+                                      " by zero"),
+                  std::string::npos)
+            << faulting.fault;
+      }
+    }
+  }
+}
+
+TEST(KernelcBatch, EveryRegisterFormShapeMatchesTierOneAtEdgeValues) {
+  constexpr std::int32_t iMin = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t iMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t lMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t lMax = std::numeric_limits<std::int64_t>::max();
+  const float inf = std::numeric_limits<float>::infinity();
+  const double dinf = std::numeric_limits<double>::infinity();
+  const std::vector<std::string> compares{"==", "!=", "<", "<=", ">", ">="};
+  auto with = [&](std::vector<std::string> ops) {
+    ops.insert(ops.end(), compares.begin(), compares.end());
+    return ops;
+  };
+  std::set<RegShape> covered;
+  // INT_MIN / -1, zero divisors and shift counts of 32 and more, against
+  // the constant -1 (a shift count that masks to 31).
+  runEdgeFamily<std::int32_t>("int", {iMin, iMin + 1, -1, 0, 1, 31, 32, iMax}, 7,
+                              with({"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"}), "(-1)",
+                              covered);
+  runEdgeFamily<std::uint32_t>("uint", {0, 1, 31, 32, 33, 0x7FFFFFFFu, 0x80000000u, 0xFFFFFFFFu},
+                               7, with({"/", "%", ">>"}), "((uint)33)", covered);
+  runEdgeFamily<std::int64_t>("long", {lMin, lMin + 1, -1, 0, 1, 63, 64, lMax}, 7,
+                              with({"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"}),
+                              "((long)-1)", covered);
+  runEdgeFamily<std::uint64_t>("ulong",
+                               {0, 1, 63, 64, 0xFFFFFFFFull, 0x100000000ull,
+                                0x8000000000000000ull, 0xFFFFFFFFFFFFFFFFull},
+                               7, with({"/", "%", ">>"}), "((ulong)65)", covered);
+  runEdgeFamily<float>("float",
+                       {std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, -inf, inf, 1.0f,
+                        -1.5f, 1e-45f},
+                       1.0f, with({"+", "-", "*", "/"}), "(-0.0f)", covered);
+  runEdgeFamily<double>("double",
+                        {std::numeric_limits<double>::quiet_NaN(), -0.0, 0.0, -dinf, dinf, 1.0,
+                         std::numeric_limits<double>::max(), 5e-324},
+                        1.0, with({"+", "-", "*", "/"}), "(1.5)", covered);
+
+  // Every shape of every op the register form carries: reg and reg.jz/jnz
+  // take any op (a compare-branch, a comparison); reg.store takes the ops
+  // that cannot fault, and also both operands off the stack.  The compiler
+  // converts the count of an unsigned or 64-bit shift, so that count is a
+  // folded constant or a value on the stack, never a slot.
+  const std::set<Op> convertedCount{Op::ShrU, Op::ShlL, Op::ShrL, Op::ShrUL};
+  std::set<Op> ops;
+  for (int op = 0; op < kOpCount; ++op) {
+    if (isBinaryValueOp(static_cast<Op>(op))) ops.insert(static_cast<Op>(op));
+  }
+  ops.erase(Op::EqP);  // pointers: below
+  ops.erase(Op::NeP);
+  const std::vector<std::pair<Src, Src>> sources{{Src::Slot, Src::Slot}, {Src::Slot, Src::Const},
+                                                 {Src::Const, Src::Slot}, {Src::Stack, Src::Slot},
+                                                 {Src::Stack, Src::Const}};
+  for (const Op op : ops) {
+    const bool compare = opInfo(op).flags & kFusableCompare;
+    for (const auto& [x, y] : sources) {
+      if (convertedCount.count(op) && y == Src::Slot) continue;
+      EXPECT_TRUE(covered.count({Op::RegOp, op, x, y})) << "reg " << opName(op);
+      if (opInfo(op).flags & kPure) {
+        EXPECT_TRUE(covered.count({Op::RegStore, op, x, y})) << "reg.store " << opName(op);
+      }
+      if (compare) {
+        EXPECT_TRUE(covered.count({Op::RegJz, op, x, y})) << "reg.jz " << opName(op);
+        EXPECT_TRUE(covered.count({Op::RegJnz, op, x, y})) << "reg.jnz " << opName(op);
+      }
+    }
+    if (opInfo(op).flags & kPure) {
+      EXPECT_TRUE(covered.count({Op::RegStore, op, Src::Stack, Src::Stack}))
+          << "reg.store " << opName(op);
+    }
+    if (compare) {
+      EXPECT_TRUE(covered.count({Op::CmpJz, op, Src::Stack, Src::Stack})) << opName(op);
+      EXPECT_TRUE(covered.count({Op::CmpJnz, op, Src::Stack, Src::Stack})) << opName(op);
+    }
+  }
+}
+
+TEST(KernelcBatch, RegisterFormPointerOpsMatchTierOne) {
+  // Pointer comparisons (with another pointer, or null) and pointer
+  // arithmetic in register form: item gid picks x and y by its operands'
+  // bit 0 (buffer) and the rest (offset, -1 wrapping it), as in
+  // compareKernel, and reads through the sums it builds.
+  const std::int64_t n = 300;
+  for (const int pad : {0, kLaneListPad}) {
+    SCOPED_TRACE(pad);
+    const std::string src =
+        "__kernel void ptr(__global int* a, __global int* b, __global int* out) {\n"
+        "  int gid = get_global_id(0);\n" + padLocals(pad) +
+        "  int i = gid & 3;\n"
+        "  __global int* x = a + (a[gid] >> 1);\n"
+        "  if ((a[gid] & 1) != 0) x = b + (a[gid] >> 1);\n"
+        "  __global int* y = a + (b[gid] >> 1);\n"
+        "  if ((b[gid] & 1) != 0) y = b + (b[gid] >> 1);\n"
+        "  int r = 0;\n"
+        "  if (x == y) r = r | 1;\n"
+        "  if (x != y || gid < 0) r = r | 2;\n"
+        "  if (x == 0) r = r | 4;\n"
+        "  if ((a + 1) == y) r = r | 8;\n"
+        "  int e = x == y;\n"
+        "  out[gid * 4] = r + e * 16 + (x != y) * 32 + ((a + 1) != y) * 64;\n"
+        "  __global int* p = a + i;\n"
+        "  __global int* q = (a + 1) + i;\n"
+        "  __global int* s = a + (gid & 7);\n"
+        "  out[gid * 4 + 1] = *p + *q + *s;\n"
+        "  int w = gid * 4 + 3;\n"
+        "  out[w] = *s - *q;\n"
+        "  if (gid % 3 != 0) {\n"
+        "    __global int* t = b + (gid & 5);\n"
+        "    out[gid * 4 + 2] = (x == y) + *t + t[i];\n"
+        "  }\n"
+        "}\n";
+    const std::vector<std::int32_t> ptrs{0, 1, 2, 3, 4, 5, -2, -1};
+    std::vector<std::int32_t> a;
+    std::vector<std::int32_t> b;
+    for (std::int64_t gid = 0; gid < n; ++gid) {
+      a.push_back(ptrs[static_cast<std::size_t>(gid % 8)]);
+      b.push_back(ptrs[static_cast<std::size_t>(gid / 8 % 8)]);
+    }
+    const auto shapes = regShapes(*compileProgram(src, CompileOptions{2}), "ptr");
+    for (const RegShape& want :
+         {RegShape{Op::RegJz, Op::EqP, Src::Slot, Src::Slot},
+          RegShape{Op::RegJnz, Op::NeP, Src::Slot, Src::Slot},
+          RegShape{Op::RegJz, Op::EqP, Src::Slot, Src::Const},
+          RegShape{Op::RegJz, Op::EqP, Src::Stack, Src::Slot},
+          RegShape{Op::RegStore, Op::EqP, Src::Slot, Src::Slot},
+          RegShape{Op::RegOp, Op::NeP, Src::Slot, Src::Slot},
+          RegShape{Op::RegOp, Op::NeP, Src::Stack, Src::Slot},
+          RegShape{Op::RegStore, Op::PtrAdd, Src::Slot, Src::Slot},
+          RegShape{Op::RegStore, Op::PtrAdd, Src::Stack, Src::Slot},
+          RegShape{Op::RegStore, Op::PtrAdd, Src::Stack, Src::Stack},
+          RegShape{Op::RegOp, Op::PtrAdd, Src::Slot, Src::Slot}}) {
+      EXPECT_TRUE(shapes.count(want)) << opName(std::get<0>(want)) << " "
+                                      << opName(std::get<1>(want)) << "\n" << src;
+    }
+    const Launch bat = expectTiersMatch(
+        src, "ptr", {bytesOf(a), bytesOf(b), std::vector<std::byte>(n * 16)}, n);
+    EXPECT_EQ(bat.fault, "");
   }
 }
 

@@ -75,8 +75,11 @@ TEST(KernelcDisasm, EveryOpcodeHasAName) {
 // shows which field each opcode prints; the weights cycle through 0, 1 and
 // 3.  The packed form carries every opcode but PushF (the encoder pools it
 // as PushCF), with a two-entry constant pool and LtU as the fused comparison.
+// The register rows compare a slot with a constant: in the packed form the
+// constant is pool entry 0.
 FunctionCode everyOpcode() {
   const std::uint8_t weights[] = {0, 1, 3};
+  const std::uint16_t reg = regC(Op::LtU, Src::Slot, Src::Const);
   FunctionCode fn;
   fn.name = "all";
   for (int op = 0; op < kOpCount; ++op) {
@@ -87,9 +90,13 @@ FunctionCode everyOpcode() {
     insn.imm = -11;
     insn.fimm = 2.5;
     insn.weight = weights[op % 3];
+    insn.c = reg;
+    insn.k = 7;
     fn.code.push_back(insn);
     if (insn.op == Op::PushF) continue;
-    fn.packed.push_back(PackedInsn{insn.op, insn.weight, static_cast<std::uint16_t>(Op::LtU),
+    fn.packed.push_back(PackedInsn{insn.op, insn.weight,
+                                   isRegisterForm(insn.op) ? reg
+                                                           : static_cast<std::uint16_t>(Op::LtU),
                                    3, 7, insn.op == Op::PushCF ? 1 : 0});
   }
   const double f = 0.375;
@@ -226,6 +233,10 @@ TEST(KernelcDisasm, EveryOpcodeGolden) {
   122  store.slot.checked s3 bytes=62  ;w=3
   123  push.ci [3]=-11  ;hoisted
   124  push.cf [3]=2.5
+  125  reg lt.u s62 -11  ;w=3
+  126  reg.store lt.u s62 -11 -> s3  ;hoisted
+  127  reg.jz 3 lt.u s62 -11
+  128  reg.jnz 3 lt.u s62 -11  ;w=3
 )");
 }
 
@@ -355,6 +366,10 @@ TEST(KernelcDisasm, EveryPackedOpcodeGolden) {
   121  store.slot.checked s3 bytes=7  ;w=3
   122  push.ci [0]=-1234567890123  ;hoisted
   123  push.cf [1]=0.375
+  124  reg lt.u s7 -1234567890123  ;w=3
+  125  reg.store lt.u s7 -1234567890123 -> s3  ;hoisted
+  126  reg.jz 3 lt.u s7 -1234567890123
+  127  reg.jnz 3 lt.u s7 -1234567890123  ;w=3
 )");
 }
 

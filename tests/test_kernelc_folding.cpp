@@ -104,12 +104,18 @@ TEST(KernelcFolding, ComparisonOfLiteralsFolds) {
 
 TEST(KernelcFolding, NonConstantSubexpressionsStillPartiallyFold) {
   // (2 * 3) folds; the variable addition does not.
-  Harness h("int f(int x) { return x + 2 * 3; }");
-  const FunctionCode& fn = fnOf(h, "f");
-  // load x, push 6, add, ret, trap
+  const std::string src = "int f(int x) { return x + 2 * 3; }";
+  // The folder's output, before any pass: load x, push 6, add, ret, trap.
+  const auto naive = skelcl::kc::compileProgram(src, skelcl::kc::CompileOptions{0});
+  const FunctionCode& fn = naive->functions[0];
   ASSERT_EQ(fn.code.size(), 5u);
   EXPECT_EQ(fn.code[1].op, Op::PushI);
   EXPECT_EQ(fn.code[1].imm, 6);
+  // Tier 2 lowers the addition to one register-form instruction on x and 6.
+  const auto lowered = skelcl::kc::compileProgram(src, skelcl::kc::CompileOptions{2});
+  ASSERT_EQ(lowered->functions[0].code[0].op, Op::RegOp);
+  EXPECT_EQ(lowered->functions[0].code[0].imm, 6);
+  Harness h(src);
   const Slot args[] = {Slot::fromInt(10)};
   EXPECT_EQ(h.call("f", args).i, 16);
 }

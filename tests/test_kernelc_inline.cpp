@@ -6,7 +6,9 @@
 // identical results and identical retired-instruction counts (the call's
 // weight moves onto the first instruction of the inlined block, each Ret's
 // onto the Jmp that replaces it).  Recursive and frame-carrying callees must
-// stay calls.  The last test drives every skeleton through the runtime —
+// stay calls.  One test pins the tier-2 register-form listing and retired
+// count of cluster_mix's 64-step map loop and of an OSEM Siddon step.  The
+// last test drives every skeleton through the runtime —
 // OSEM's step-1 map included — and requires each generated kernel to run on
 // the batched interpreter.
 #include <gtest/gtest.h>
@@ -483,6 +485,184 @@ TEST(KernelcInline, SourceKernelMatchesTierOneBatchedAndPerItem) {
   EXPECT_EQ(ref, bat);
   EXPECT_EQ(vmSeq.instructionsExecuted(), vmRef.instructionsExecuted());
   EXPECT_EQ(vmBat.instructionsExecuted(), vmRef.instructionsExecuted());
+}
+
+// --- the register form of the hot loops ---------------------------------------
+
+/// Lines [from, to] of `fn`'s packed listing.
+std::string packedLines(const FunctionCode& fn, std::size_t from, std::size_t to) {
+  const std::string text = disassemblePacked(fn);
+  std::string out;
+  std::size_t line = 0;
+  for (std::size_t at = text.find('\n') + 1; at < text.size(); ++line) {  // after the header
+    const std::size_t end = text.find('\n', at);
+    if (line >= from && line <= to) out += text.substr(at, end + 1 - at);
+    at = end + 1;
+  }
+  return out;
+}
+
+TEST(KernelcInline, HotLoopsLowerToPinnedRegisterForm) {
+  // cluster_mix's 64-step map kernel as SkelCL generates it: the loop is
+  // five dispatches per step, where the stack form took nine.
+  const std::string mapSrc =
+      "float skelcl_s0_func(float x) { float s = x;"
+      " for (int i = 0; i < 64; ++i) s = s * 0.5f + 1.0f; return s; }\n"
+      "__kernel void skelcl_fused(__global float* skelcl_in, __global float* skelcl_out, "
+      "int skelcl_n, int skelcl_base) {\n"
+      "  int skelcl_i = get_global_id(0);\n"
+      "  if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = skelcl_s0_func(skelcl_in[skelcl_i]);\n"
+      "}\n";
+  const auto map = compileProgram(mapSrc, CompileOptions{2});
+  const FunctionCode& mapFn =
+      map->functions[static_cast<std::size_t>(map->findKernel("skelcl_fused"))];
+  EXPECT_EQ(packedLines(mapFn, 11, 15), R"(   11  reg.jz 16 lt.i s8 64  ;w=4
+   12  reg mul.f32 s7 0.5  ;w=3
+   13  reg.store add.f32 stack 1 -> s7  ;w=5
+   14  incslot.i s8 +1  ;w=6
+   15  jmp 11
+)");
+  std::vector<float> in(4, 3.0f), out(4, 0.0f);
+  const std::vector<MemRegion> mapRegions{
+      MemRegion{reinterpret_cast<std::byte*>(in.data()), in.size() * 4},
+      MemRegion{reinterpret_cast<std::byte*>(out.data()), out.size() * 4}};
+  Ptr inPtr;
+  inPtr.region = 1;
+  Ptr outPtr;
+  outPtr.region = 2;
+  const std::vector<Slot> mapArgs{Slot::fromPtr(inPtr), Slot::fromPtr(outPtr), Slot::fromInt(4),
+                                  Slot::fromInt(0)};
+  const auto mapTier1 = compileProgram(mapSrc, CompileOptions{1});
+  for (const CompiledProgram* program : {mapTier1.get(), map.get()}) {
+    Vm vm(*program, mapRegions);
+    vm.runKernel(program->findKernel("skelcl_fused"), mapArgs, 0, 4);
+    EXPECT_EQ(vm.instructionsExecuted(), 1247u) << "tier " << program->tier;
+  }
+
+  // One Siddon step of OSEM's step 1: the back-projection march, whose
+  // loop holds the atomic add.
+  const auto siddon = compileProgram(skelcl::osem::rawKernelsSource(), CompileOptions{2});
+  const int step1 = siddon->findKernel("osem_step1");
+  const FunctionCode& osemFn = siddon->functions[static_cast<std::size_t>(step1)];
+  std::size_t atomicPc = 0;
+  for (std::size_t pc = 0; pc < osemFn.packed.size(); ++pc) {
+    const PackedInsn& insn = osemFn.packed[pc];
+    if (insn.op == Op::CallBuiltin &&
+        builtinTable()[static_cast<std::size_t>(insn.a)].atomic != AtomicOp::None) {
+      atomicPc = pc;
+    }
+  }
+  std::size_t head = 0;
+  std::size_t backEdge = 0;
+  for (std::size_t pc = atomicPc; pc < osemFn.packed.size() && backEdge == 0; ++pc) {
+    const PackedInsn& insn = osemFn.packed[pc];
+    if (insn.op == Op::Jmp && static_cast<std::size_t>(insn.a) <= atomicPc) {
+      head = static_cast<std::size_t>(insn.a);
+      backEdge = pc;
+    }
+  }
+  ASSERT_GT(backEdge, 0u);
+  EXPECT_EQ(packedLines(osemFn, head, backEdge), R"(  672  load.slot2 s64 s65  ;w=2
+  673  load.slot 66
+  674  call.builtin 39 argc=2
+  675  call.builtin 39 argc=2
+  676  store.slot 72
+  677  reg.jz 680 gt.f s72 s41  ;w=4
+  678  load.slot 41
+  679  store.slot 72  ;w=3
+  680  reg sub.f32 s72 s70  ;w=3
+  681  reg.store mul.f32 stack s51 -> s73  ;w=3
+  682  reg.jz 699 gt.f s73 0  ;w=4
+  683  reg mul.i s57 s26  ;w=3
+  684  reg add.i stack s56  ;w=2
+  685  reg mul.i stack s25  ;w=2
+  686  reg.store add.i stack s55 -> s74  ;w=3
+  687  load.slot 75  ;w=3
+  688  jz 694
+  689  reg ptradd sz=4 s24 s74  ;w=3
+  690  reg div.f32 s73 s29  ;w=3
+  691  call.builtin 61 argc=2
+  692  drop
+  693  jmp 699
+  694  load.slot2 s71 s23  ;w=2
+  695  load.slot 74
+  696  loadelem.f32 sz=4  ;w=2
+  697  reg mul.f32 stack s73  ;w=2
+  698  reg.store add.f32 stack stack -> s71  ;w=4
+  699  reg.jz 701 ge.f s72 s41  ;w=4
+  700  jmp 740
+  701  reg.jz 705 le.f s64 s65  ;w=4
+  702  reg le.f s64 s66  ;w=3
+  703  boolnorm
+  704  jmp 706
+  705  push.i 0
+  706  jz 717
+  707  reg.store add.i s55 s58 -> s55  ;w=6
+  708  reg.jnz 712 lt.i s55 0  ;w=4
+  709  reg ge.i s55 s25  ;w=3
+  710  boolnorm
+  711  jmp 713
+  712  push.i 1
+  713  jz 715
+  714  jmp 740
+  715  reg.store add.f32 s64 s61 -> s64  ;w=6
+  716  jmp 737
+  717  reg.jz 728 le.f s65 s66  ;w=4
+  718  reg.store add.i s56 s59 -> s56  ;w=6
+  719  reg.jnz 723 lt.i s56 0  ;w=4
+  720  reg ge.i s56 s26  ;w=3
+  721  boolnorm
+  722  jmp 724
+  723  push.i 1
+  724  jz 726
+  725  jmp 740
+  726  reg.store add.f32 s65 s62 -> s65  ;w=6
+  727  jmp 737
+  728  reg.store add.i s57 s60 -> s57  ;w=6
+  729  reg.jnz 733 lt.i s57 0  ;w=4
+  730  reg ge.i s57 s27  ;w=3
+  731  boolnorm
+  732  jmp 734
+  733  push.i 1
+  734  jz 736
+  735  jmp 740
+  736  reg.store add.f32 s66 s63 -> s66  ;w=6
+  737  load.slot 72
+  738  store.slot 70  ;w=3
+  739  jmp 672
+)");
+
+  skelcl::osem::OsemConfig cfg;
+  cfg.volume.nx = cfg.volume.ny = cfg.volume.nz = 12;
+  cfg.eventsPerSubset = 64;
+  cfg.numSubsets = 1;
+  const skelcl::osem::OsemData data = skelcl::osem::OsemData::generate(cfg);
+  const skelcl::osem::VolumeSpec& vol = data.volume();
+  std::vector<skelcl::osem::Event> events(data.events.begin(), data.events.begin() + 64);
+  std::vector<float> f(static_cast<std::size_t>(vol.voxels()), 1.0f);
+  const auto osemTier1 = compileProgram(skelcl::osem::rawKernelsSource(), CompileOptions{1});
+  std::vector<std::vector<float>> images;
+  for (const CompiledProgram* program : {osemTier1.get(), siddon.get()}) {
+    std::vector<float> c(f.size(), 0.0f);
+    const std::vector<MemRegion> regions{
+        MemRegion{reinterpret_cast<std::byte*>(events.data()),
+                  events.size() * sizeof(skelcl::osem::Event)},
+        MemRegion{reinterpret_cast<std::byte*>(f.data()), f.size() * 4},
+        MemRegion{reinterpret_cast<std::byte*>(c.data()), c.size() * 4}};
+    std::vector<Slot> args;
+    for (const std::int32_t region : {1, 0, 2, 3}) {
+      Ptr p;
+      p.region = region;
+      args.push_back(region == 0 ? Slot::fromInt(64) : Slot::fromPtr(p));
+    }
+    for (const int extent : {vol.nx, vol.ny, vol.nz}) args.push_back(Slot::fromInt(extent));
+    args.push_back(Slot::fromFloat(vol.voxel));
+    Vm vm(*program, regions);
+    for (std::int64_t gid = 0; gid < 64; ++gid) vm.runKernel(step1, args, gid, 64);
+    EXPECT_EQ(vm.instructionsExecuted(), 270940u) << "tier " << program->tier;
+    images.push_back(c);
+  }
+  EXPECT_EQ(images[0], images[1]);
 }
 
 // --- every skeleton template batches ----------------------------------------

@@ -6,10 +6,13 @@
 // init/terminate cycles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/detail/session.hpp"
@@ -152,6 +155,60 @@ TEST(SessionConcurrency, ServiceMapJobsMatchSerialBitIdentically) {
   EXPECT_EQ(statsA.jobsCompleted + statsB.jobsCompleted, static_cast<std::uint64_t>(jobs));
   EXPECT_GT(a->deviceTimeUsed(), 0.0);
   EXPECT_GT(b->deviceTimeUsed(), 0.0);
+}
+
+// --- latency stats stay bounded ---------------------------------------------
+
+/// The q-quantile as bench_service defines it: sorted values[floor(q*(n-1))].
+double exactQuantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  return values[static_cast<std::size_t>(q * static_cast<double>(values.size() - 1))];
+}
+
+TEST(ServiceStats, LatencyHistogramIsFixedSizeAndQuantilesLandWithinOneBucket) {
+  // A tenant's stats hold no heap storage, so they keep their size however
+  // many jobs complete.
+  static_assert(std::is_trivially_copyable_v<Service::TenantStats>);
+
+  // Spread over nine decades: every quantile lands in (or next to) the
+  // bucket of the exact value.
+  LogHistogram h;
+  std::vector<double> values;
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(1e-8 * std::pow(10.0, 9.0 * ((i * 7919) % 100000) / 100000.0));
+    h.add(values.back());
+  }
+  EXPECT_EQ(h.count(), values.size());
+  for (const double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_LE(std::abs(LogHistogram::bucketOf(h.quantile(q)) -
+                       LogHistogram::bucketOf(exactQuantile(values, q))),
+              1)
+        << "q " << q;
+  }
+
+  // Through the service: every completed job is counted, and p50/p95/p99
+  // match the handles' own latencies to one bucket.
+  RuntimeGuard rt(sim::SystemConfig::teslaS1070(2));
+  Service service;
+  auto tenant = service.createSession({"t", 1.0, 0});
+  std::vector<Service::Handle> handles;
+  for (int j = 0; j < 300; ++j) {
+    handles.push_back(service.submitMap(tenant, kMapSrc, mapInput(32, j)));
+  }
+  std::vector<double> latencies;
+  for (const Service::Handle& handle : handles) {
+    handle.wait();
+    latencies.push_back(handle.latencySeconds());
+  }
+  service.drain();
+  const Service::TenantStats stats = service.stats(*tenant);
+  EXPECT_EQ(stats.latency.count(), 300u);
+  for (const double q : {0.50, 0.95, 0.99}) {
+    EXPECT_LE(std::abs(LogHistogram::bucketOf(stats.latency.quantile(q)) -
+                       LogHistogram::bucketOf(exactQuantile(latencies, q))),
+              1)
+        << "q " << q;
+  }
 }
 
 // --- per-session scheduler state does not leak ------------------------------
