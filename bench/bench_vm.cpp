@@ -14,16 +14,17 @@
 // preempting it does not count; fast and batch run as interleaved
 // repetitions, each reported at its median, and batch/fast is the median of
 // the per-repetition ratios.  Each row ends with the batched run's
-// dispatches per work-item and mean live lanes per dispatch.  Outputs must
-// be bit-identical and the retired-instruction counts equal across every
-// run, otherwise the simulated GPU timings would drift; the benchmark exits
-// nonzero on any divergence.
+// dispatches per work-item, mean live lanes per dispatch and columns moved
+// per compaction split.  Outputs must be bit-identical and the
+// retired-instruction counts equal across every run, otherwise the
+// simulated GPU timings would drift; the benchmark exits nonzero on any
+// divergence.
 //
 //   usage: bench_vm [--smoke] [--gate]
 //     --smoke   small sizes (CI), one repetition: divergence checks only
 //     --gate    additionally require batch >= 3x fast on mandelbrot, osem
-//               and the map, reduce and stencil kernels, and batch >= 1.5x
-//               fast on OSEM's step 1 (the pack kernel is reported only)
+//               and the map, reduce, stencil and halo pack kernels, and
+//               batch >= 1.5x fast on OSEM's step 1
 #include <time.h>
 
 #include <algorithm>
@@ -190,6 +191,8 @@ struct RunResult {
   std::uint64_t instructions = 0;
   std::uint64_t dispatches = 0;  ///< batched dispatches (Vm::batchDispatches)
   std::uint64_t laneSum = 0;     ///< live lanes summed over them
+  std::uint64_t splits = 0;      ///< divergent splits (Vm::batchSplits)
+  std::uint64_t columnsMoved = 0;  ///< columns they partitioned (Vm::batchColumnsMoved)
 };
 
 /// CPU time the calling thread has used, in seconds.
@@ -300,6 +303,8 @@ RunResult runWorkload(const Workload& w, const Config& cfg,
   r.instructions = vm.instructionsExecuted();
   r.dispatches = vm.batchDispatches();
   r.laneSum = vm.batchLaneSum();
+  r.splits = vm.batchSplits();
+  r.columnsMoved = vm.batchColumnsMoved();
   return r;
 }
 
@@ -368,11 +373,14 @@ BenchOutcome benchWorkload(const Workload& w, int reps) {
   std::printf("   batch/fast %.2fx  batch/ref %.2fx", outcome.speedupBatchOverFast,
               batchSec > 0 ? ref.seconds / batchSec : 0.0);
   // Where the batched interpreter's time goes: dispatches (one opcode over
-  // one lane group) per work-item, and how many lanes each one drives.
+  // one lane group) per work-item, how many lanes each one drives, and how
+  // many columns a divergent split partitions (0 on lane lists).
   const auto dispatches = static_cast<double>(batched.dispatches);
-  std::printf("   %.3f disp/item  %.1f lanes/disp\n",
+  const auto splits = static_cast<double>(batched.splits);
+  std::printf("   %.3f disp/item  %.1f lanes/disp  %.1f cols/split\n",
               dispatches / static_cast<double>(w.items),
-              dispatches > 0 ? static_cast<double>(batched.laneSum) / dispatches : 0.0);
+              dispatches > 0 ? static_cast<double>(batched.laneSum) / dispatches : 0.0,
+              splits > 0 ? static_cast<double>(batched.columnsMoved) / splits : 0.0);
   return outcome;
 }
 
@@ -472,7 +480,7 @@ int main(int argc, char** argv) {
   run(skelMap, 3.0);
   run(skelReduce, 3.0);
   run(skelJacobi, 3.0);
-  run(skelPack, 0);
+  run(skelPack, 3.0);
   run(skelOsem, 1.5);
   return ok ? 0 : 1;
 }

@@ -312,6 +312,35 @@ void forEachSuccessor(const std::vector<Insn>& code, std::size_t pc, F&& each) {
   if (!(opInfo(insn.op).flags & kStops)) each(pc + 1);
 }
 
+/// The slots an instruction reads (at most two) and writes (at most one),
+/// from its operand kind.  A register-form operand is read when its kind is
+/// Src::Slot; reg.store writes a.
+struct SlotUse {
+  std::int32_t read[2] = {0, 0};
+  int reads = 0;
+  std::int32_t write = -1;
+};
+constexpr SlotUse slotUse(const Insn& insn) {
+  SlotUse use;
+  const auto read = [&](std::int32_t s) { use.read[use.reads++] = s; };
+  switch (opInfo(insn.op).operands) {
+    case Operands::SlotRead: read(insn.a); break;
+    case Operands::Slot2: case Operands::SlotElem: read(insn.a); read(insn.b); break;
+    case Operands::IncSlot: read(insn.a); use.write = insn.a; break;
+    case Operands::SlotWrite: case Operands::Tee: case Operands::SlotBytes:
+      use.write = insn.a;
+      break;
+    case Operands::Reg: case Operands::RegSlot: case Operands::RegTarget:
+      if (regX(insn.c) == Src::Slot) read(insn.b);
+      if (regY(insn.c) == Src::Slot) read(insn.k);
+      if (insn.op == Op::RegStore) use.write = insn.a;
+      break;
+    default:
+      break;
+  }
+  return use;
+}
+
 /// Execution encoding: 16 bytes per instruction (vs 32 for Insn), halving
 /// I-cache pressure in the dispatch loop.  Cold 64-bit payloads (big integer
 /// immediates, float immediates) move to a side constant pool indexed by `k`;
@@ -373,6 +402,16 @@ struct FunctionCode {
   /// parameters.  A launch must still check that no other argument aliases
   /// one of these buffers.
   std::vector<int> atomicArgs;
+  /// Batchable kernels only, from the encoder's slot liveness (docs/VM.md,
+  /// "The split rule"): the slots live at entry, which a batch initializes
+  /// (a parameter to its argument, a local to zero), and, for the
+  /// conditional branch at pc, splitSlots[splitBegin[pc], splitBegin[pc+1]):
+  /// the slots written somewhere in the kernel and live at either
+  /// successor, which a compaction split partitions.  Every other slot is
+  /// dead there or holds the same bits in every lane.
+  std::vector<std::int32_t> entrySlots;
+  std::vector<std::int32_t> splitSlots;
+  std::vector<std::uint32_t> splitBegin;
   /// The function, or a function it calls, uses an atomic builtin.
   bool usesAtomics = false;
 };

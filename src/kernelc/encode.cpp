@@ -334,6 +334,63 @@ bool proveAtomicsDeferrable(const FunctionCode& fn, const std::vector<FunctionCo
   return ok;
 }
 
+/// Backward slot liveness over a batchable kernel's final code, on bitsets
+/// of 64 slots per word: fills FunctionCode::entrySlots and, for every
+/// conditional branch, the slots written somewhere in the kernel that are
+/// live at either successor (splitSlots, splitBegin).  A slot no
+/// instruction writes holds its entry bits in every lane, and a dead slot
+/// is written before any lane reads it, so a split moves neither.
+void computeSlotLiveness(FunctionCode& fn) {
+  const std::vector<Insn>& code = fn.code;
+  const std::size_t n = code.size();
+  const auto numSlots = static_cast<std::size_t>(fn.numSlots);
+  const std::size_t words = (numSlots + 63) / 64;
+  const auto word = [](std::int32_t s) { return static_cast<std::size_t>(s) / 64; };
+  const auto bit = [](std::int32_t s) { return std::uint64_t{1} << (s % 64); };
+  // live[pc * words ...]: the slots live before pc; row n, past the end, is empty.
+  std::vector<std::uint64_t> live((n + 1) * words, 0);
+  std::vector<std::uint64_t> written(words, 0);
+  for (const Insn& insn : code) {
+    const std::int32_t w = slotUse(insn).write;
+    if (w >= 0) written[word(w)] |= bit(w);
+  }
+  std::vector<std::uint64_t> in(words);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t pc = n; pc-- > 0;) {
+      std::fill(in.begin(), in.end(), 0);
+      forEachSuccessor(code, pc, [&](std::size_t next) {
+        for (std::size_t w = 0; w < words; ++w) in[w] |= live[next * words + w];
+      });
+      const SlotUse use = slotUse(code[pc]);
+      if (use.write >= 0) in[word(use.write)] &= ~bit(use.write);
+      for (int r = 0; r < use.reads; ++r) in[word(use.read[r])] |= bit(use.read[r]);
+      const auto row = live.begin() + static_cast<std::ptrdiff_t>(pc * words);
+      if (!std::equal(in.begin(), in.end(), row)) {
+        std::copy(in.begin(), in.end(), row);
+        changed = true;
+      }
+    }
+  }
+  const auto slotsIn = [&](auto&& has, std::vector<std::int32_t>& out) {
+    for (std::int32_t s = 0; s < fn.numSlots; ++s) {
+      if (has(word(s)) & bit(s)) out.push_back(s);
+    }
+  };
+  slotsIn([&](std::size_t w) { return live[w]; }, fn.entrySlots);
+  fn.splitBegin.assign(n + 1, 0);
+  for (std::size_t pc = 0; pc < n; ++pc) {
+    fn.splitBegin[pc] = static_cast<std::uint32_t>(fn.splitSlots.size());
+    const Insn& insn = code[pc];
+    if (!isBranch(insn.op) || (opInfo(insn.op).flags & kStops)) continue;
+    const auto taken = static_cast<std::size_t>(insn.a);  // <= n: branchTargets checked it
+    slotsIn([&](std::size_t w) {
+      return (live[taken * words + w] | live[(pc + 1) * words + w]) & written[w];
+    }, fn.splitSlots);
+  }
+  fn.splitBegin[n] = static_cast<std::uint32_t>(fn.splitSlots.size());
+}
+
 /// Work-group-batched execution interleaves the work-items of a group
 /// instruction-by-instruction, reordering their memory accesses relative to
 /// sequential per-item execution.  Restrict it to kernels where that
@@ -347,6 +404,9 @@ void computeBatchInfo(FunctionCode& fn, const std::vector<FunctionCode>& fns) {
   fn.batchable = false;
   fn.batchFallback = BatchFallback::None;
   fn.atomicArgs.clear();
+  fn.entrySlots.clear();
+  fn.splitSlots.clear();
+  fn.splitBegin.clear();
   if (!fn.isKernel) return;
   const auto fail = [&](BatchFallback reason) { fn.batchFallback = reason; };
   bool frame = fn.frameBytes != 0;
@@ -390,6 +450,7 @@ void computeBatchInfo(FunctionCode& fn, const std::vector<FunctionCode>& fns) {
     return fail(BatchFallback::AtomicTargetAliased);
   }
   fn.batchable = true;
+  computeSlotLiveness(fn);
 }
 
 }  // namespace

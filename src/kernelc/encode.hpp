@@ -2,7 +2,9 @@
 //  - computes each function's worst-case operand-stack growth (`maxStack`),
 //    letting the VM hoist per-push overflow guards to one check at entry;
 //  - packs the 32-byte Insn IR into the 16-byte PackedInsn dispatch encoding,
-//    moving cold 64-bit immediates into a per-function constant pool.
+//    moving cold 64-bit immediates into a per-function constant pool;
+//  - decides whether a kernel batches and, when it does, which slots a batch
+//    initializes at entry and which a compaction split moves (slot liveness).
 // Also the stack and branch facts the rewrite and peephole passes share.
 #pragma once
 
@@ -25,7 +27,8 @@ StackEffect stackEffect(const Insn& insn, const std::vector<FunctionCode>& fns);
 /// Throws when a target is out of range.
 std::vector<bool> branchTargets(const std::vector<Insn>& code);
 
-/// Finalize every function in `fns` (maxStack + packed encoding).  Call-stack
+/// Finalize every function in `fns` (maxStack, packed encoding, batch
+/// eligibility and the batched interpreter's liveness facts).  Call-stack
 /// deltas of CallFn instructions are resolved against `fns` itself, so the
 /// whole program must be compiled first.
 void finalizeFunctions(std::vector<FunctionCode>& fns);

@@ -33,17 +33,6 @@ Insn make(Op op, std::int32_t a, std::int32_t b, std::int64_t imm, std::uint8_t 
   return insn;
 }
 
-/// Slot written by this instruction, or -1.
-int writtenSlot(const Insn& insn) {
-  switch (opInfo(insn.op).operands) {
-    case Operands::SlotWrite: case Operands::Tee: case Operands::IncSlot:
-    case Operands::SlotBytes:
-      return insn.a;
-    default:
-      return -1;
-  }
-}
-
 /// Pure, never-faulting operations the hoister may duplicate into a
 /// preheader: the kPure opcodes (no integer division, which faults, and no
 /// memory access; PtrAdd is one, as pointer arithmetic wraps and faults
@@ -240,7 +229,7 @@ bool fusePointerBias(FunctionCode& fn) {
 
   std::vector<bool> written(static_cast<std::size_t>(fn.numSlots), false);
   for (const Insn& insn : code) {
-    const int s = writtenSlot(insn);
+    const int s = slotUse(insn).write;
     if (s >= 0) written[static_cast<std::size_t>(s)] = true;
   }
 
@@ -351,7 +340,7 @@ bool strengthReduce(FunctionCode& fn) {
     std::vector<int> writes(static_cast<std::size_t>(fn.numSlots), 0);
     std::vector<std::size_t> writePos(static_cast<std::size_t>(fn.numSlots), kNpos);
     for (std::size_t i = loop.head; i <= loop.back; ++i) {
-      const int s = writtenSlot(code[i]);
+      const int s = slotUse(code[i]).write;
       if (s >= 0) {
         writes[static_cast<std::size_t>(s)] += 1;
         writePos[static_cast<std::size_t>(s)] = i;
@@ -459,7 +448,7 @@ bool hoistLoopInvariant(FunctionCode& fn) {
   for (const Loop& loop : innermostLoops(code)) {
     std::vector<bool> written(static_cast<std::size_t>(fn.numSlots), false);
     for (std::size_t i = loop.head; i <= loop.back; ++i) {
-      const int s = writtenSlot(code[i]);
+      const int s = slotUse(code[i]).write;
       if (s >= 0) written[static_cast<std::size_t>(s)] = true;
     }
 
@@ -699,26 +688,12 @@ bool scalarReplaceStructs(FunctionCode& fn) {
 /// several times grows exponentially.  Call sites past the cap stay calls.
 constexpr std::size_t kMaxInlinedCode = std::size_t{1} << 16;
 
-/// Slots an instruction reads (at most two, into `out`).
-int readSlots(const Insn& insn, std::int32_t out[2]) {
-  out[0] = insn.a;
-  out[1] = insn.b;
-  switch (opInfo(insn.op).operands) {
-    case Operands::SlotRead: case Operands::IncSlot:
-      return 1;
-    case Operands::Slot2: case Operands::SlotElem:
-      return 2;
-    default:
-      return 0;
-  }
-}
-
-/// Move every slot operand of `insn` up by `base`.
+/// Move every slot operand of `insn` up by `base` (stack-form IR: the
+/// register form is lowered after inlining).
 void shiftSlots(Insn& insn, std::int32_t base) {
-  std::int32_t read[2];
-  const int reads = readSlots(insn, read);
-  if (reads == 2) insn.b += base;
-  if (reads >= 1 || writtenSlot(insn) >= 0) insn.a += base;
+  const SlotUse use = slotUse(insn);
+  if (use.reads == 2) insn.b += base;
+  if (use.reads >= 1 || use.write >= 0) insn.a += base;
 }
 
 /// Locals of `fn` that some path from entry may read before writing them
@@ -754,7 +729,7 @@ std::vector<std::int32_t> localsReadBeforeWritten(const FunctionCode& fn) {
     const std::size_t pc = work.back();
     work.pop_back();
     std::vector<bool> after = assigned[pc];
-    const int w = writtenSlot(code[pc]);
+    const int w = slotUse(code[pc]).write;
     if (w >= 0) after[static_cast<std::size_t>(w)] = true;
     forEachSuccessor(code, pc, [&](std::size_t next) { flow(next, after); });
   }
@@ -762,10 +737,9 @@ std::vector<std::int32_t> localsReadBeforeWritten(const FunctionCode& fn) {
   std::vector<bool> zero(slots, false);
   for (std::size_t pc = 0; pc < n; ++pc) {
     if (!reached[pc]) continue;
-    std::int32_t read[2];
-    const int reads = readSlots(code[pc], read);
-    for (int r = 0; r < reads; ++r) {
-      const auto s = static_cast<std::size_t>(read[r]);
+    const SlotUse use = slotUse(code[pc]);
+    for (int r = 0; r < use.reads; ++r) {
+      const auto s = static_cast<std::size_t>(use.read[r]);
       if (!assigned[pc][s]) zero[s] = true;
     }
   }

@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -129,6 +128,11 @@ class Vm final : public BuiltinCtx {
   /// over them, live lanes; they accumulate like instructionsExecuted().
   std::uint64_t batchDispatches() const { return batchDispatches_; }
   std::uint64_t batchLaneSum() const { return batchLaneSum_; }
+  /// Divergent branches that split a group, and the columns compaction
+  /// splits partitioned among them (slots, stack and the lane->work-item
+  /// column; a lane-list split moves none).
+  std::uint64_t batchSplits() const { return batchSplits_; }
+  std::uint64_t batchColumnsMoved() const { return batchColumnsMoved_; }
 
   // BuiltinCtx
   std::int64_t globalId() const override { return globalId_; }
@@ -148,8 +152,6 @@ class Vm final : public BuiltinCtx {
   /// Apply (or keep) this batch's deferred atomics in work-item order;
   /// `opsLogged` has bit `op` set for every AtomicOp the batch logged.
   void finishBatchAtomics(std::int32_t lanes, unsigned opsLogged);
-  /// Lane-list storage: kBatchLanes + 1 slots of kBatchLanes lanes.
-  std::int32_t* laneListPool();
   /// Per-item arenas are allocated on first per-item use: a Vm that only
   /// runs batches never touches them.
   void allocateItemArenas();
@@ -173,13 +175,8 @@ class Vm final : public BuiltinCtx {
   std::vector<std::byte> frameArena_;
   std::uint64_t frameTop_ = 0;
 
-  // batched path: lane-strided slot and operand-stack arenas, allocated on
-  // first runKernelBatch use.  Slot s of lane l lives at batchSlots_[s*n + l],
-  // followed by one column per constant-pool entry; stack depth d of lane l
-  // at batchStack_[d*n + l] (n = lanes this batch).
-  std::vector<Slot> batchSlots_;
-  std::vector<Slot> batchStack_;
-  std::unique_ptr<std::int32_t[]> laneLists_;  // allocated uninitialized on first use
+  // batched path: its lane-strided slot, operand-stack and lane-list arenas
+  // belong to the host thread, not the Vm (vm_batch.cpp, BatchArenas).
   // deferred atomics: this batch's, in execution order, then (when kept)
   // everything since the last takeAtomicLog, in work-item order
   std::vector<DeferredAtomic> batchAtomics_;
@@ -192,6 +189,8 @@ class Vm final : public BuiltinCtx {
   std::uint64_t instructions_ = 0;
   std::uint64_t batchDispatches_ = 0;
   std::uint64_t batchLaneSum_ = 0;
+  std::uint64_t batchSplits_ = 0;
+  std::uint64_t batchColumnsMoved_ = 0;
   int currentFunction_ = -1;
 
   static constexpr std::size_t kMaxStack = 1 << 16;

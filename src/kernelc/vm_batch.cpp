@@ -39,6 +39,8 @@
 //    (arithLanes, compareLanes) on whatever columns hold the operands: the
 //    top two stack columns in the stack form, slot, stack or constant
 //    columns in the tier-2 register form (docs/VM.md, "Register form").
+//    32-bit division divides in double precision, which is exact, unless a
+//    lane needs the integer loop (divideInDouble).
 //
 // Divergence and reconvergence.  The scheduler always runs the group with
 // the lowest pc; a divergent branch makes two groups (fall-through and
@@ -46,7 +48,8 @@
 // the kernel's column count (slots plus stack depth):
 //
 //  * Compaction (few columns).  A divergent branch physically partitions
-//    the group's segment of every live column (all slots plus the stack
+//    the group's segment of every column a lane may still read differently
+//    (the branch's split slots, FunctionCode::splitSlots, plus the stack
 //    below the branch) so stay-lanes keep the front and taken-lanes become
 //    a contiguous group behind them; work-item identity moves with the lane
 //    in laneGid.  Every group stays dense.  Groups never merge: merging two
@@ -88,6 +91,8 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <type_traits>
 
 #include "kernelc/diagnostics.hpp"
 #include "kernelc/vm.hpp"
@@ -224,6 +229,73 @@ inline std::int32_t lanesUntil(const LaneSet g, F body) {
   return -1;
 }
 
+/// A growable array of T that never shrinks and never initializes what it
+/// holds; growing drops the old contents.
+template <typename T>
+class Arena {
+ public:
+  T* reserve(std::size_t count) {
+    if (count > capacity_) {
+      storage_.reset(new std::byte[count * sizeof(T)]);
+      capacity_ = count;
+    }
+    return reinterpret_cast<T*>(storage_.get());
+  }
+
+ private:
+  std::unique_ptr<std::byte[]> storage_;
+  std::size_t capacity_ = 0;
+};
+
+/// The batched interpreter's lane-strided slot and operand-stack arenas and
+/// its lane-list storage, one set per host thread and kept across Vm
+/// instances: ocl/queue.cpp builds a Vm for every launch chunk.  Nothing in
+/// them survives a batch: each batch initializes its entry-live slots and
+/// constant columns, and writes every other column before reading it.
+struct BatchArenas {
+  Arena<Slot> slots;
+  Arena<Slot> stack;
+  Arena<std::int32_t> laneLists;
+};
+thread_local BatchArenas batchArenas;
+
+/// dst = x / y, or x % y when kRem, on every lane of `g`, for div.i and
+/// rem.i (kSigned) or div.u and rem.u, divided in double precision by a
+/// loop GCC vectorizes.  That is exact for 32-bit operands: the rounded
+/// quotient is within 2^-21/|y| of x/y, and a quotient that is no integer
+/// lies at least 1/|y| from one, so truncating it gives C's quotient and
+/// x - q*y C's remainder (docs/VM.md, "Lane loops").  A branch-free scan
+/// first looks for a lane only the exact loop may run: a zero divisor, a
+/// signed operand that is not a sign-extended 32-bit value, or
+/// INT_MIN / -1.  Returns false, having written nothing, when it finds one.
+template <bool kSigned, bool kRem>
+bool divideInDouble(const LaneSet g, const std::int64_t* xv, const std::int64_t* yv,
+                    std::int64_t* dv) {
+  std::uint64_t exact = 0;
+  forLanes(g, [&](std::int32_t l, std::int32_t) {
+    const std::int64_t a = xv[l];
+    const std::int64_t b = yv[l];
+    if constexpr (kSigned) {
+      exact |= static_cast<std::uint64_t>(b == 0) |
+               static_cast<std::uint64_t>(a != static_cast<std::int32_t>(a)) |
+               static_cast<std::uint64_t>(b != static_cast<std::int32_t>(b)) |
+               (static_cast<std::uint64_t>(a == std::numeric_limits<std::int32_t>::min()) &
+                static_cast<std::uint64_t>(b == -1));
+    } else {
+      exact |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b) == 0);
+    }
+  });
+  if (exact != 0) return false;
+  using T = std::conditional_t<kSigned, std::int32_t, std::uint32_t>;
+  forLanes(g, [=](std::int32_t l, std::int32_t) {
+    const auto a = static_cast<T>(xv[l]);
+    const auto b = static_cast<T>(yv[l]);
+    const auto q = static_cast<T>(static_cast<double>(a) / static_cast<double>(b));
+    dv[l] = kRem ? static_cast<T>(a - q * b) : q;
+  });
+  return true;
+}
+
 /// dst = x OP y on every lane of `g`, for a binary arithmetic opcode OP or
 /// PtrAdd by `elemSize`: the one typed lane loop per op, which the stack
 /// form (dst is x's column) and the register form (any operand and
@@ -232,6 +304,14 @@ inline std::int32_t lanesUntil(const LaneSet g, F body) {
 /// the result is -1.
 [[gnu::noinline]] std::int32_t arithLanes(Op op, const LaneSet g, const Slot* x, const Slot* y,
                                           Slot* dst, std::int64_t elemSize) {
+  // 32-bit division runs in double precision unless a lane needs the exact
+  // loop below, which also finds the lane that faults.
+  const bool divided =
+      (op == Op::DivI && divideInDouble<true, false>(g, iCol(x), iCol(y), iCol(dst))) ||
+      (op == Op::RemI && divideInDouble<true, true>(g, iCol(x), iCol(y), iCol(dst))) ||
+      (op == Op::DivU && divideInDouble<false, false>(g, iCol(x), iCol(y), iCol(dst))) ||
+      (op == Op::RemU && divideInDouble<false, true>(g, iCol(x), iCol(y), iCol(dst)));
+  if (divided) return -1;
   switch (op) {
 #define KC_ARITH(OPNAME, VIEW, EXPR)                          \
   case Op::OPNAME: {                                          \
@@ -422,13 +502,6 @@ void Vm::runKernelBatch(int functionIndex, std::span<const Slot> args, std::int6
   }
 }
 
-std::int32_t* Vm::laneListPool() {
-  if (!laneLists_) {
-    laneLists_.reset(new std::int32_t[static_cast<std::size_t>((kBatchLanes + 1) * kBatchLanes)]);
-  }
-  return laneLists_.get();
-}
-
 void Vm::finishBatchAtomics(std::int32_t lanes, unsigned opsLogged) {
   if (batchAtomics_.empty()) return;
   // Counting sort by lane: work-item order, each lane's atomics in the
@@ -475,32 +548,32 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   const std::int32_t n = static_cast<std::int32_t>(count);
   const std::size_t numSlots = static_cast<std::size_t>(fn.numSlots);
 
-  // Lane-strided arenas: slot s of lane l at batchSlots_[s*n + l], stack
-  // depth d of lane l at batchStack_[d*n + l].  Slots zeroed to match the
-  // sequential paths' value-initialization; arguments broadcast per lane.
-  // Past the slots, column numSlots + k holds constant-pool entry k in every
-  // lane, for the register form's constant operands; splits leave these
-  // uniform columns alone.
+  // Lane-strided arenas (this thread's BatchArenas): slot s of lane l at
+  // slotBase[s*n + l], stack depth d of lane l at stackBase[d*n + l].  Only
+  // the entry-live slots (FunctionCode::entrySlots) are filled, a parameter
+  // with its argument and a local with zero as the sequential paths'
+  // value-initialization would; every other slot is written before a lane
+  // reads it.  Past the slots, column numSlots + k holds constant-pool entry
+  // k in every lane, for the register form's constant operands; splits
+  // leave these uniform columns alone.
+  const std::size_t lanesPerColumn = static_cast<std::size_t>(n);
   const std::size_t poolSize = fn.pool.size();
-  batchSlots_.resize((numSlots + poolSize) * static_cast<std::size_t>(n));
-  std::fill_n(batchSlots_.begin(), numSlots * static_cast<std::size_t>(n), Slot{});
-  for (std::size_t k = 0; k < poolSize; ++k) {
-    std::fill_n(rawCol(batchSlots_.data() + (numSlots + k) * static_cast<std::size_t>(n)), n,
-                fn.pool[k]);
+  Slot* const slotBase = batchArenas.slots.reserve((numSlots + poolSize) * lanesPerColumn);
+  Slot* const stackBase =
+      batchArenas.stack.reserve(static_cast<std::size_t>(fn.maxStack) * lanesPerColumn + 1);
+  for (const std::int32_t s : fn.entrySlots) {
+    const auto p = static_cast<std::size_t>(s);
+    std::fill_n(rawCol(slotBase + p * lanesPerColumn), n,
+                p < args.size() ? std::bit_cast<std::uint64_t>(args[p]) : 0);
   }
-  batchStack_.resize(static_cast<std::size_t>(fn.maxStack) * static_cast<std::size_t>(n) + 1);
-  for (std::size_t s = 0; s < args.size(); ++s) {
-    Slot* col = batchSlots_.data() + s * static_cast<std::size_t>(n);
-    for (std::int32_t l = 0; l < n; ++l) col[l] = args[s];
+  for (std::size_t k = 0; k < poolSize; ++k) {
+    std::fill_n(rawCol(slotBase + (numSlots + k) * lanesPerColumn), n, fn.pool[k]);
   }
   batchAtomics_.clear();
   // Work-item id of each physical lane; compaction permutes it alongside
   // the columns, so lane -> gid stays exact.
   std::int64_t laneGid[kBatchLanes];
   for (std::int32_t l = 0; l < n; ++l) laneGid[l] = gidBase + l;
-
-  Slot* const slotBase = batchSlots_.data();
-  Slot* const stackBase = batchStack_.data();
 
   // Bounds-check fast path.  Batchable kernels push no frame regions and make
   // no calls, so the region table cannot change under us.  The cold branch
@@ -540,7 +613,8 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   unsigned atomicOps = 0;              // bit AtomicOp for every op logged
   // Lane lists: one slot of kBatchLanes entries per live group, recycled
   // through freeSlots; laneBase is each lane's retired-count offset.
-  std::int32_t* const listPool = kLaneLists ? laneListPool() : nullptr;
+  std::int32_t* const listPool =
+      kLaneLists ? batchArenas.laneLists.reserve((kBatchLanes + 1) * kBatchLanes) : nullptr;
   std::int16_t freeSlots[kBatchLanes + 1];
   std::int32_t nFree = 0;
   std::int64_t laneBase[kBatchLanes];
@@ -759,9 +833,11 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
   // Divergence: mask[li] is 1 for the lanes of the current group that jump
   // to `target`, nTaken of them.  Lane lists split the lane set; compaction
   // moves the data: stay lanes keep the front of the group's segment of
-  // every live column (order preserved), taken lanes follow.  The group
-  // with the lower pc runs next, the other is parked.
+  // the branch's split slots, the stack below it and laneGid (order
+  // preserved), taken lanes follow.  The group with the lower pc runs next,
+  // the other is parked.
   const auto diverge = [&](std::int32_t target, std::int32_t nTaken) {
+    ++batchSplits_;
     const std::int32_t stayCnt = cnt - nTaken;
     Group stay{ip, sp, off, stayCnt, retired, maxBase};
     Group taken{target, sp, off + stayCnt, nTaken, retired, maxBase};
@@ -793,13 +869,16 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         }
         std::memcpy(seg + w, scratch, static_cast<std::size_t>(t) * sizeof(std::uint64_t));
       };
-      for (std::size_t s = 0; s < numSlots; ++s) {
-        partitionSeg(rawCol(slotBase + s * static_cast<std::size_t>(n) + laneOff));
+      const std::int32_t* const split = fn.splitSlots.data() + fn.splitBegin[ip - 1];
+      const std::int32_t* const splitEnd = fn.splitSlots.data() + fn.splitBegin[ip];
+      for (const std::int32_t* s = split; s != splitEnd; ++s) {
+        partitionSeg(rawCol(slotAt(*s) + laneOff));
       }
       for (std::int32_t d = 0; d < sp; ++d) {
         partitionSeg(rawCol(stackAt(d) + laneOff));
       }
       partitionSeg(reinterpret_cast<std::uint64_t*>(laneGid + laneOff));
+      batchColumnsMoved_ += static_cast<std::uint64_t>(splitEnd - split + sp + 1);
     }
     const bool backward = target < ip;
     park(backward ? stay : taken);

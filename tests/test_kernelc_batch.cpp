@@ -9,7 +9,9 @@
 // and faults must still surface as VmError.  The lane loops' typed paths
 // (every fused comparison, the group memory check and its per-lane
 // fallback, the column builtins) are driven with adversarial per-lane
-// operands in dense and lane-list groups.
+// operands in dense and lane-list groups, as are the encoder's slot
+// liveness (which slots a batch fills at entry and a split moves) and the
+// double-precision 32-bit division.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +28,7 @@
 
 #include "kernelc/builtins.hpp"
 #include "kernelc/diagnostics.hpp"
+#include "kernelc/encode.hpp"
 #include "kernelc/program.hpp"
 #include "kernelc/vm.hpp"
 
@@ -571,6 +574,8 @@ struct Launch {
   Buffers buffers;
   std::uint64_t instructions = 0;
   std::string fault;  ///< the VmError message, empty when none
+  std::uint64_t splits = 0;        ///< Vm::batchSplits
+  std::uint64_t columnsMoved = 0;  ///< Vm::batchColumnsMoved
 };
 
 /// Run `kernel` over `n` items with every buffer bound in order, then
@@ -606,6 +611,8 @@ Launch launch(const CompiledProgram& program, const std::string& kernel, Buffers
     out.fault = e.what();
   }
   out.instructions = vm.instructionsExecuted();
+  out.splits = vm.batchSplits();
+  out.columnsMoved = vm.batchColumnsMoved();
   return out;
 }
 
@@ -1050,18 +1057,19 @@ std::string edgeKernel(const std::string& type, const std::string& op, const std
          "}\n";
 }
 
-/// Tier 1 per item against tier 2 per item and tier 2 batched: the same
-/// fault, message and work-item; the same retired count (batched: when no
-/// item faults, as a faulting group stops mid-way); bit-identical buffers
-/// (batched: when nothing faults).
+/// Tier 1 per item against tier 2 per item and tier 2 batched, buffers
+/// bound first, then `scalars`: the same fault, message and work-item; the
+/// same retired count (batched: when no item faults, as a faulting group
+/// stops mid-way); bit-identical buffers (batched: when nothing faults).
 Launch expectTiersMatch(const std::string& source, const std::string& kernel,
-                        const Buffers& buffers, std::int64_t n) {
+                        const Buffers& buffers, std::int64_t n,
+                        const std::vector<Slot>& scalars = {}) {
   const auto tier1 = compileProgram(source, CompileOptions{1});
   const auto tier2 = compileProgram(source, CompileOptions{2});
   EXPECT_TRUE(kernelCode(*tier2, kernel).batchable) << source;
-  const Launch ref = launch(*tier1, kernel, buffers, {}, n, /*batch=*/false);
-  const Launch seq = launch(*tier2, kernel, buffers, {}, n, /*batch=*/false);
-  const Launch bat = launch(*tier2, kernel, buffers, {}, n, /*batch=*/true);
+  const Launch ref = launch(*tier1, kernel, buffers, scalars, n, /*batch=*/false);
+  const Launch seq = launch(*tier2, kernel, buffers, scalars, n, /*batch=*/false);
+  const Launch bat = launch(*tier2, kernel, buffers, scalars, n, /*batch=*/true);
   EXPECT_EQ(seq.fault, ref.fault) << source;
   EXPECT_EQ(bat.fault, ref.fault) << source;
   EXPECT_EQ(seq.instructions, ref.instructions) << source;
@@ -1365,6 +1373,429 @@ TEST(KernelcBatch, FoldedFloatToIntegerCastsSaturate) {
       const std::vector<Insn>& code = program->functions[0].code;
       ASSERT_EQ(code[0].op, Op::PushI) << "the cast was not folded";
       EXPECT_EQ(code[0].imm, slot);
+    }
+  }
+}
+
+// --- slot liveness: batch entry and compaction splits -----------------------
+//
+// A batch initializes only the slots live at kernel entry, and a compaction
+// split partitions only the slots its branch's successors may read that
+// some instruction writes (FunctionCode::entrySlots, splitSlots).  Each
+// kernel below runs tier 1 per item against tier 2 per item and batched,
+// in compaction mode and, padded, on lane lists.
+
+/// Is `op` a conditional branch, one whose group may split?
+bool conditionalBranch(Op op) { return isBranch(op) && !(opInfo(op).flags & kStops); }
+
+/// The slots the split at conditional branch `pc` of `fn` partitions.
+std::vector<std::int32_t> splitSlotsAt(const FunctionCode& fn, std::size_t pc) {
+  return {fn.splitSlots.begin() + fn.splitBegin[pc], fn.splitSlots.begin() + fn.splitBegin[pc + 1]};
+}
+
+/// Builds kernel `k` from `head` and `body` twice, unpadded (compaction)
+/// and padded above kLaneListColumns (lane lists), and hands each source
+/// and its pad to `check`.
+template <typename Check>
+void forBothSplitModes(const std::string& head, const std::string& body, Check check) {
+  for (const int pad : {0, kLaneListPad}) {
+    SCOPED_TRACE(pad);
+    const std::string src = head + "  int gid = get_global_id(0);\n" + padLocals(pad) + body + "}\n";
+    if (pad == 0) {
+      ASSERT_LE(columns(src, "k"), Vm::kLaneListColumns) << src;
+    } else {
+      ASSERT_GT(columns(src, "k"), Vm::kLaneListColumns) << src;
+    }
+    check(src, pad);
+  }
+}
+
+/// Item gid's value: (gid * 37 + 11) mod 1000, which takes every residue of
+/// the small divisors the kernels below branch on, in no lane order.
+std::int32_t residue(std::int64_t gid) { return static_cast<std::int32_t>((gid * 37 + 11) % 1000); }
+
+/// `n` items' values and one int output per item.
+Buffers residueInputs(std::int64_t n) {
+  std::vector<std::int32_t> a;
+  for (std::int64_t gid = 0; gid < n; ++gid) a.push_back(residue(gid));
+  return {bytesOf(a), std::vector<std::byte>(static_cast<std::size_t>(n) * 4)};
+}
+
+TEST(KernelcBatch, ParameterWrittenBeforeADivergentBranchIsSplit) {
+  // p is reassigned per lane, then read after the branch in both arms: the
+  // split must move it.  q is never written: every lane holds the argument.
+  forBothSplitModes(
+      "__kernel void k(__global int* a, __global int* out, int p, int q) {\n",
+      "  p = p * 3 + a[gid];\n"
+      "  int r;\n"
+      "  if (a[gid] % 3 == 0) r = p + q; else r = p - q * 2;\n"
+      "  out[gid] = r + p * q;\n",
+      [](const std::string& src, int) {
+        const auto program = compileProgram(src, CompileOptions{2});
+        const FunctionCode& fn = kernelCode(*program, "k");
+        EXPECT_TRUE(std::count(fn.entrySlots.begin(), fn.entrySlots.end(), 2));
+        EXPECT_TRUE(std::count(fn.entrySlots.begin(), fn.entrySlots.end(), 3));
+        bool splitsP = false;
+        for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+          const std::vector<std::int32_t> split = splitSlotsAt(fn, pc);
+          splitsP = splitsP || std::count(split.begin(), split.end(), 2);
+          EXPECT_FALSE(std::count(split.begin(), split.end(), 3)) << "q is uniform, pc " << pc;
+        }
+        EXPECT_TRUE(splitsP);
+        const Launch bat = expectTiersMatch(src, "k", residueInputs(300), 300,
+                                            {Slot::fromInt(-41), Slot::fromInt(9)});
+        EXPECT_EQ(bat.fault, "");
+      });
+}
+
+TEST(KernelcBatch, LocalReadBeforeWriteIsZeroAfterAnotherKernelDirtiedTheArena) {
+  // On odd a[gid], acc and other are read before any write and must read
+  // 0, as per item, even though the kernel before it left non-zero values
+  // in every column of this thread's arena.
+  const std::string dirty =
+      "__kernel void dirty(__global int* a, __global int* out) {\n"
+      "  int gid = get_global_id(0);\n"
+      "  int v0 = a[gid] + 1; int v1 = v0 * 3; int v2 = v1 - 7; int v3 = v2 ^ 5;\n"
+      "  int v4 = v3 + v0; int v5 = v4 * 9; int v6 = v5 + 11; int v7 = v6 - v1;\n"
+      "  int v8 = v7 * 13; int v9 = v8 + v2; int v10 = v9 | 1; int v11 = v10 + v3;\n"
+      "  out[gid] = v0 + v1 + v2 + v3 + v4 + v5 + v6 + v7 + v8 + v9 + v10 + v11;\n"
+      "}\n";
+  forBothSplitModes(
+      "__kernel void k(__global int* a, __global int* out) {\n",
+      "  int acc;\n"
+      "  int other;\n"
+      "  if (a[gid] % 2 == 0) { acc = a[gid] * 5; other = 3; }\n"
+      "  out[gid] = acc + gid + other;\n",
+      [&](const std::string& src, int pad) {
+        const auto program = compileProgram(src, CompileOptions{2});
+        const FunctionCode& fn = kernelCode(*program, "k");
+        const std::vector<std::int32_t> entry{0, 1, 3 + pad, 4 + pad};
+        EXPECT_EQ(fn.entrySlots, entry) << "the buffers, acc and other";
+        const std::int64_t n = 300;
+        const auto dirtyProgram = compileProgram(dirty, CompileOptions{2});
+        for (int round = 0; round < 2; ++round) {
+          const Launch d = launch(*dirtyProgram, "dirty", residueInputs(n), {}, n, true);
+          ASSERT_EQ(d.fault, "");
+          const Launch bat = expectTiersMatch(src, "k", residueInputs(n), n);
+          EXPECT_EQ(bat.fault, "");
+        }
+      });
+}
+
+TEST(KernelcBatch, SlotDeadAtTheBranchIsNotSplitAndEachArmWritesItsOwn) {
+  // t is live before the branch and after the if, but dead at the branch:
+  // each arm writes it before reading it.
+  forBothSplitModes(
+      "__kernel void k(__global int* a, __global int* out) {\n",
+      "  int t = gid * 11;\n"
+      "  out[gid] = t;\n"
+      "  if (a[gid] % 3 == 0) { t = a[gid] + 1; out[gid] = out[gid] + t * 2; }\n"
+      "  else { t = a[gid] - 1; out[gid] = out[gid] + t * 3; }\n"
+      "  out[gid] = out[gid] + t;\n",
+      [](const std::string& src, int) {
+        const auto program = compileProgram(src, CompileOptions{2});
+        const FunctionCode& fn = kernelCode(*program, "k");
+        // Only gid (slot 2) moves; t is dead at the branch.
+        int branches = 0;
+        for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+          if (!conditionalBranch(fn.code[pc].op)) continue;
+          ++branches;
+          EXPECT_EQ(splitSlotsAt(fn, pc), std::vector<std::int32_t>{2}) << "pc " << pc;
+        }
+        EXPECT_EQ(branches, 1);
+        const Launch bat = expectTiersMatch(src, "k", residueInputs(300), 300);
+        EXPECT_EQ(bat.fault, "");
+      });
+}
+
+TEST(KernelcBatch, DivergentBranchWithValuesOnTheOperandStack) {
+  // Both ternaries branch with partial sums on the stack (two values, then
+  // three), which the split must move with their lanes.
+  forBothSplitModes(
+      "__kernel void k(__global int* a, __global int* out) {\n",
+      "  out[gid] = a[gid] * 2 + (a[gid] % 3 == 0 ? a[gid] + 5 : gid - 7) *\n"
+      "             (a[gid] > 500 ? 3 : a[gid]);\n",
+      [](const std::string& src, int) {
+        const auto program = compileProgram(src, CompileOptions{2});
+        const FunctionCode& fn = kernelCode(*program, "k");
+        const std::vector<int> height = stackHeights(fn, program->functions);
+        std::vector<int> below;  // stack height under each conditional branch
+        for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+          if (conditionalBranch(fn.code[pc].op)) {
+            below.push_back(height[pc] - stackEffect(fn.code[pc], program->functions).pops);
+          }
+        }
+        EXPECT_EQ(below, (std::vector<int>{2, 3}));
+        const Launch bat = expectTiersMatch(src, "k", residueInputs(300), 300);
+        EXPECT_EQ(bat.fault, "");
+      });
+}
+
+TEST(KernelcBatch, NestedDivergenceIntoFiveGroups) {
+  // Five paths, one of which divides by gid - bad: with bad = 1000 nothing
+  // faults; with bad = the first work-item taking that path, it faults.
+  const std::string head = "__kernel void k(__global int* a, __global int* out, int bad) {\n";
+  const std::string body =
+      "  int v = a[gid];\n"
+      "  int r = 0;\n"
+      "  if (v % 2 == 0) { if (v % 3 == 0) r = v * 7; else r = v + 100; }\n"
+      "  else { if (v % 5 == 0) r = v - 3;\n"
+      "         else { if (v % 7 == 0) r = 100 / (gid - bad); else r = 2; } }\n"
+      "  out[gid] = r * 3 + v;\n";
+  // The first item, in order, whose value is odd, no multiple of 5 but a
+  // multiple of 7.
+  std::int64_t victim = -1;
+  for (std::int64_t gid = 0; gid < 300 && victim < 0; ++gid) {
+    const std::int64_t v = residue(gid);
+    if (v % 2 != 0 && v % 5 != 0 && v % 7 == 0) victim = gid;
+  }
+  ASSERT_GE(victim, 0);
+  forBothSplitModes(head, body, [&](const std::string& src, int) {
+    const Launch clean = expectTiersMatch(src, "k", residueInputs(300), 300, {Slot::fromInt(1000)});
+    EXPECT_EQ(clean.fault, "");
+    const Launch faulting =
+        expectTiersMatch(src, "k", residueInputs(300), 300, {Slot::fromInt(victim)});
+    EXPECT_NE(faulting.fault.find("(work-item " + std::to_string(victim) +
+                                  "): integer division by zero"),
+              std::string::npos)
+        << faulting.fault;
+  });
+}
+
+TEST(KernelcBatch, GeneratedPackKernelLivenessIsPinned) {
+  // The clamp-padding halo pack kernel as SkelCL generates it
+  // (skeleton_exec.cpp, overlapSource), whose splits dominate cluster_mix's
+  // batched time.  Slots: parameters 0-9 (src, pad, total, rows, cols,
+  // stride, r, row0, prows, neutral), then i 10, prow 11, col 12, arow 13,
+  // crow 14, ccol 15 and the store scratch 16.  Only the parameters it
+  // reads are live at entry, and a split moves at most three slots, where
+  // it moved all 17.
+  const std::string src =
+      "float func(__global float* m, int i, int s) {"
+      "  return 0.25f * (m[i - s] + m[i - 1] + m[i + 1] + m[i + s]);"
+      "}\n"
+      "__kernel void skelcl_mo_pack(__global float* skelcl_src, __global float* skelcl_pad, "
+      "int skelcl_total, int skelcl_rows, int skelcl_cols, int skelcl_stride, int skelcl_r, "
+      "int skelcl_row0, int skelcl_prows, float skelcl_neutral) {\n"
+      "  int skelcl_i = get_global_id(0);\n"
+      "  if (skelcl_i < skelcl_total) {\n"
+      "    int skelcl_prow = skelcl_i / skelcl_stride;\n"
+      "    int skelcl_col = skelcl_i % skelcl_stride - skelcl_r;\n"
+      "    int skelcl_arow = skelcl_row0 - skelcl_r + skelcl_prow;\n"
+      "    if (skelcl_col < 0 || skelcl_col >= skelcl_cols || skelcl_arow < 0 || "
+      "skelcl_arow >= skelcl_rows) {\n"
+      "      int skelcl_crow = clamp(skelcl_arow, 0, skelcl_rows - 1);\n"
+      "      int skelcl_ccol = clamp(skelcl_col, 0, skelcl_cols - 1);\n"
+      "      if (skelcl_crow >= skelcl_row0 && skelcl_crow < skelcl_row0 + skelcl_prows) {\n"
+      "        skelcl_pad[skelcl_i] = "
+      "skelcl_src[(skelcl_crow - skelcl_row0) * skelcl_cols + skelcl_ccol];\n"
+      "      } else {\n"
+      "        skelcl_pad[skelcl_i] = skelcl_pad[(skelcl_crow - skelcl_row0 + skelcl_r) * "
+      "skelcl_stride + skelcl_r + skelcl_ccol];\n"
+      "      }\n"
+      "    } else if (skelcl_arow >= skelcl_row0 && skelcl_arow < skelcl_row0 + skelcl_prows) "
+      "{\n"
+      "      skelcl_pad[skelcl_i] = "
+      "skelcl_src[(skelcl_arow - skelcl_row0) * skelcl_cols + skelcl_col];\n"
+      "    }\n"
+      "  }\n}\n";
+  const auto program = compileProgram(src, CompileOptions{2});
+  const FunctionCode& fn = kernelCode(*program, "skelcl_mo_pack");
+  ASSERT_EQ(fn.numSlots, 17);
+  EXPECT_EQ(fn.entrySlots, (std::vector<std::int32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  std::string splits;
+  for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
+    if (!conditionalBranch(fn.code[pc].op)) continue;
+    splits += std::to_string(pc) + " " + opName(fn.code[pc].op) + ":";
+    for (const std::int32_t s : splitSlotsAt(fn, pc)) splits += " s" + std::to_string(s);
+    splits += "\n";
+  }
+  EXPECT_EQ(splits, R"(3 reg.jz: s10
+10 reg.jnz: s10 s12 s13
+15 jnz: s10 s12 s13
+20 jnz: s10 s12 s13
+25 jz: s10 s12 s13
+36 reg.jz: s10 s14 s15
+43 jz: s10 s14 s15
+62 reg.jz: s10 s12 s13
+69 jz: s10 s12 s13
+)");
+
+  // Packing an 8 x 30 part with radius 1 (stride 32): each split moves
+  // three slots and laneGid, with nothing on the stack.
+  const std::int64_t rows = 8;
+  const std::int64_t cols = 30;
+  const std::int64_t stride = cols + 2;
+  const std::int64_t total = (rows + 2) * stride;
+  std::vector<float> part(static_cast<std::size_t>(rows * cols));
+  for (std::size_t i = 0; i < part.size(); ++i) part[i] = static_cast<float>(i);
+  const Launch bat = expectTiersMatch(
+      src, "skelcl_mo_pack", {bytesOf(part), std::vector<std::byte>(total * 4)}, total,
+      {Slot::fromInt(total), Slot::fromInt(rows), Slot::fromInt(cols), Slot::fromInt(stride),
+       Slot::fromInt(1), Slot::fromInt(0), Slot::fromInt(rows), Slot::fromFloat(0.0)});
+  EXPECT_EQ(bat.fault, "");
+  EXPECT_EQ(bat.splits, 6u);
+  EXPECT_EQ(bat.columnsMoved, 24u) << "all 17 slots and laneGid would be 108";
+}
+
+// --- 32-bit division: the double-precision lane loop ------------------------
+//
+// div.i, rem.i, div.u and rem.u divide in double precision when no lane of
+// the group has a zero divisor, a signed operand that is not a sign-extended
+// 32-bit value, or INT_MIN / -1; otherwise the exact loop runs.  Batched
+// results must match tier 1 bit for bit on every path.
+
+/// x / y and x % y in register form (locals) and stack form (loads), on the
+/// whole group and after a split (compacted, or a lane list when padded).
+/// Output j of item gid is out[gid * 8 + j].
+std::string divisionKernel(const std::string& type, int pad) {
+  const auto forms = [](int base) {
+    std::string f;
+    const char* const exprs[] = {"x / y", "x % y", "a[gid] / b[gid]", "a[gid] % b[gid]"};
+    for (int j = 0; j < 4; ++j) {
+      f += "    out[o + " + std::to_string(base + j) + "] = " + exprs[j] + ";\n";
+    }
+    return f;
+  };
+  return "__kernel void divide(__global " + type + "* a, __global " + type + "* b, __global " +
+         type + "* out) {\n  int gid = get_global_id(0);\n" + padLocals(pad) + "  " + type +
+         " x = a[gid];\n  " + type + " y = b[gid];\n  int o = gid * 8;\n" + forms(0) +
+         "  if (gid % 3 != 0) {\n" + forms(4) + "  }\n}\n";
+}
+
+/// The signed or unsigned division opcodes `fn` runs in stack form and in
+/// register form.
+std::set<std::pair<bool, Op>> divisionForms(const FunctionCode& fn) {
+  std::set<std::pair<bool, Op>> seen;
+  for (const PackedInsn& insn : fn.packed) {
+    const bool reg = isRegisterForm(insn.op);
+    const Op op = reg ? regOp(insn.c) : insn.op;
+    if (op == Op::DivI || op == Op::RemI || op == Op::DivU || op == Op::RemU) seen.insert({reg, op});
+  }
+  return seen;
+}
+
+/// Random 32-bit pairs, divisors of every magnitude, and the edge pairs:
+/// INT_MIN, INT_MAX, +-1, INT_MIN / -1, powers of two and divisors next to
+/// the dividend.  Zero divisors become 1.
+template <typename T>
+std::pair<std::vector<T>, std::vector<T>> divisionPairs() {
+  std::vector<T> a;
+  std::vector<T> b;
+  const auto add = [&](std::int64_t x, std::int64_t y) {
+    a.push_back(static_cast<T>(x));
+    b.push_back(static_cast<T>(y) == 0 ? T{1} : static_cast<T>(y));
+  };
+  std::vector<std::int64_t> edges{std::numeric_limits<std::int32_t>::min(),
+                                  std::numeric_limits<std::int32_t>::min() + 1,
+                                  std::numeric_limits<std::int32_t>::max(),
+                                  std::numeric_limits<std::int32_t>::max() - 1,
+                                  0xFFFFFFFFll, 0xFFFFFFFEll, 0x80000001ll, -1, 0, 1, 2, 3, -2, -3};
+  for (int k = 1; k < 32; ++k) {
+    edges.push_back(std::int64_t{1} << k);
+    edges.push_back(-(std::int64_t{1} << k));
+    edges.push_back((std::int64_t{1} << k) - 1);
+    edges.push_back((std::int64_t{1} << k) + 1);
+  }
+  for (const std::int64_t x : edges) {
+    for (const std::int64_t y : edges) add(x, y);
+    for (const std::int64_t d : {-2, -1, 1, 2}) add(x, x + d);
+    add(x, x);
+    add(x, -x);
+    add(x, x / 2);
+  }
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  const auto next = [&] {  // splitmix64: the same pairs on every host
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t r = next();
+    const auto x = static_cast<std::int32_t>(r);
+    const auto y = static_cast<std::int32_t>(r >> 32) >> (next() % 32);  // any magnitude
+    add(x, y);
+  }
+  return {a, b};
+}
+
+template <typename T>
+void checkDivisionFamily(const std::string& type) {
+  const auto [a, b] = divisionPairs<T>();
+  const auto n = static_cast<std::int64_t>(a.size());
+  ASSERT_GE(n, 100000);
+  const bool isSigned = std::is_signed_v<T>;
+  const std::set<std::pair<bool, Op>> want{
+      {false, isSigned ? Op::DivI : Op::DivU}, {false, isSigned ? Op::RemI : Op::RemU},
+      {true, isSigned ? Op::DivI : Op::DivU}, {true, isSigned ? Op::RemI : Op::RemU}};
+  for (const int pad : {0, kLaneListPad}) {
+    SCOPED_TRACE(type + " pad " + std::to_string(pad));
+    const std::string src = divisionKernel(type, pad);
+    if (pad == 0) {
+      ASSERT_LE(columns(src, "divide"), Vm::kLaneListColumns) << src;
+    } else {
+      ASSERT_GT(columns(src, "divide"), Vm::kLaneListColumns) << src;
+    }
+    const std::set<std::pair<bool, Op>> seen =
+        divisionForms(kernelCode(*compileProgram(src, CompileOptions{2}), "divide"));
+    EXPECT_TRUE(std::includes(seen.begin(), seen.end(), want.begin(), want.end()));
+    const Launch bat = expectTiersMatch(
+        src, "divide", {bytesOf(a), bytesOf(b), std::vector<std::byte>(a.size() * 8 * sizeof(T))},
+        n);
+    EXPECT_EQ(bat.fault, "");
+  }
+}
+
+TEST(KernelcBatch, SignedDivisionMatchesTierOneOnRandomAndEdgePairs) {
+  checkDivisionFamily<std::int32_t>("int");
+}
+
+TEST(KernelcBatch, UnsignedDivisionMatchesTierOneOnRandomAndEdgePairs) {
+  checkDivisionFamily<std::uint32_t>("uint");
+}
+
+TEST(KernelcBatch, ZeroDivisorFaultsOnItsWorkItemAloneAndInAGroup) {
+  // Item k's divisor is 0 and every other item's is valid.  The division
+  // runs on item k alone (a group split off by gid == k), on a compacted or
+  // lane-list group after a split, and on the whole group; in register and
+  // stack form.
+  const std::int64_t n = 300;
+  for (const std::string type : {"int", "uint"}) {
+    for (const std::string op : {"/", "%"}) {
+      for (const std::string where : {"gid == k", "gid % 3 != 0", "gid >= 0"}) {
+        for (const std::string operands : {"x OP y", "a[gid] OP b[gid]"}) {
+          for (const int pad : {0, kLaneListPad}) {
+            std::string expr = operands;
+            expr.replace(expr.find("OP"), 2, op);
+            const std::string src =
+                "__kernel void k(__global " + type + "* a, __global " + type + "* b, __global " +
+                type + "* out, int k) {\n  int gid = get_global_id(0);\n" + padLocals(pad) + "  " +
+                type + " x = a[gid];\n  " + type + " y = b[gid];\n  if (" + where +
+                ") out[gid] = " + expr + ";\n}\n";
+            SCOPED_TRACE(src);
+            for (const std::int64_t k : {std::int64_t{0}, std::int64_t{101}, std::int64_t{257},
+                                         std::int64_t{299}}) {
+              std::vector<std::int32_t> x(n);
+              std::vector<std::int32_t> y(n);
+              for (std::int64_t gid = 0; gid < n; ++gid) {
+                x[gid] = static_cast<std::int32_t>(gid * 7919 - 1000000);
+                y[gid] = static_cast<std::int32_t>(gid % 13 + 1);
+              }
+              y[k] = 0;
+              const Launch bat = expectTiersMatch(
+                  src, "k", {bytesOf(x), bytesOf(y), std::vector<std::byte>(n * 4)}, n,
+                  {Slot::fromInt(k)});
+              const bool reached = where != "gid % 3 != 0" || k % 3 != 0;
+              EXPECT_EQ(bat.fault.find("(work-item " + std::to_string(k) + "): integer " +
+                                       (op == "/" ? "division" : "remainder") + " by zero") !=
+                            std::string::npos,
+                        reached)
+                  << k << ": " << bat.fault;
+            }
+          }
+        }
+      }
     }
   }
 }

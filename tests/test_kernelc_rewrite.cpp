@@ -122,7 +122,7 @@ FunctionCode sumTimesFive() {
 /// The pointer-bias shape.
 FunctionCode loadBiased() {
   FunctionCode fn;
-  fn.name = "g";
+  fn.name = std::string("g");  // not `= "g"`: GCC 12 -Wrestrict misfires on that at -O3
   fn.returnType = types::Float;
   fn.paramTypes = {types::Int, types::Int};  // Ptr slots marshal raw
   fn.numSlots = 2;
