@@ -14,8 +14,9 @@
 // preempting it does not count; fast and batch run as interleaved
 // repetitions, each reported at its median, and batch/fast is the median of
 // the per-repetition ratios.  Each row ends with the batched run's
-// dispatches per work-item, mean live lanes per dispatch and columns moved
-// per compaction split.  Outputs must be bit-identical and the
+// dispatches per work-item, mean live lanes per dispatch, columns moved per
+// compaction split, and divergent splits and lane-list merges per
+// work-item.  Outputs must be bit-identical and the
 // retired-instruction counts equal across every run, otherwise the
 // simulated GPU timings would drift; the benchmark exits nonzero on any
 // divergence.
@@ -24,7 +25,7 @@
 //     --smoke   small sizes (CI), one repetition: divergence checks only
 //     --gate    additionally require batch >= 3x fast on mandelbrot, osem
 //               and the map, reduce, stencil and halo pack kernels, and
-//               batch >= 1.5x fast on OSEM's step 1
+//               batch >= 2.5x fast on OSEM's step 1
 #include <time.h>
 
 #include <algorithm>
@@ -192,6 +193,7 @@ struct RunResult {
   std::uint64_t dispatches = 0;  ///< batched dispatches (Vm::batchDispatches)
   std::uint64_t laneSum = 0;     ///< live lanes summed over them
   std::uint64_t splits = 0;      ///< divergent splits (Vm::batchSplits)
+  std::uint64_t merges = 0;      ///< lane-list merges (Vm::batchMerges)
   std::uint64_t columnsMoved = 0;  ///< columns they partitioned (Vm::batchColumnsMoved)
 };
 
@@ -304,6 +306,7 @@ RunResult runWorkload(const Workload& w, const Config& cfg,
   r.dispatches = vm.batchDispatches();
   r.laneSum = vm.batchLaneSum();
   r.splits = vm.batchSplits();
+  r.merges = vm.batchMerges();
   r.columnsMoved = vm.batchColumnsMoved();
   return r;
 }
@@ -373,14 +376,18 @@ BenchOutcome benchWorkload(const Workload& w, int reps) {
   std::printf("   batch/fast %.2fx  batch/ref %.2fx", outcome.speedupBatchOverFast,
               batchSec > 0 ? ref.seconds / batchSec : 0.0);
   // Where the batched interpreter's time goes: dispatches (one opcode over
-  // one lane group) per work-item, how many lanes each one drives, and how
-  // many columns a divergent split partitions (0 on lane lists).
+  // one lane group) per work-item, how many lanes each one drives, how many
+  // columns a divergent split partitions (0 on lane lists), and how often
+  // groups split and, on lane lists, merge again.
+  const auto items = static_cast<double>(w.items);
   const auto dispatches = static_cast<double>(batched.dispatches);
   const auto splits = static_cast<double>(batched.splits);
-  std::printf("   %.3f disp/item  %.1f lanes/disp  %.1f cols/split\n",
-              dispatches / static_cast<double>(w.items),
+  std::printf("   %.3f disp/item  %.1f lanes/disp  %.1f cols/split  %.3f splits/item"
+              "  %.3f merges/item\n",
+              dispatches / items,
               dispatches > 0 ? static_cast<double>(batched.laneSum) / dispatches : 0.0,
-              splits > 0 ? static_cast<double>(batched.columnsMoved) / splits : 0.0);
+              splits > 0 ? static_cast<double>(batched.columnsMoved) / splits : 0.0,
+              splits / items, static_cast<double>(batched.merges) / items);
   return outcome;
 }
 
@@ -481,6 +488,6 @@ int main(int argc, char** argv) {
   run(skelReduce, 3.0);
   run(skelJacobi, 3.0);
   run(skelPack, 3.0);
-  run(skelOsem, 1.5);
+  run(skelOsem, 2.5);
   return ok ? 0 : 1;
 }

@@ -291,10 +291,130 @@ std::size_t lower(const Window& w, std::vector<Insn>& out) {
   return len;
 }
 
+/// A short-circuit window threadShortCircuits can rewrite: the first branch
+/// at `at` goes to a pad jumping to `dest` with `padWeight`, reusing the
+/// instruction `reuse` when one like it already stands before `dest`.
+struct Threading {
+  std::size_t at;
+  std::size_t dest;
+  int padWeight;
+  std::optional<std::size_t> reuse;
+};
+
+/// The window `B L <c1>; reg <c2>; boolnorm; jmp M; L: push.i v; M: jz|jnz T`
+/// at i, B any conditional branch, c2 a comparison, and L and M the target
+/// of no other branch (`incoming` counts each pc's branches), when its pad
+/// has a place: immediately before the pc control reaches from L, or from
+/// the target of an unconditional jmp there (the pad then carries that
+/// jmp's weight too), and after an instruction that cannot fall through.
+/// The batched scheduler runs the lowest pc first, so a pad placed there
+/// keeps its lanes in step with the code they rejoin.
+std::optional<Threading> threadable(const std::vector<Insn>& code,
+                                    const std::vector<int>& incoming, std::size_t i) {
+  const std::size_t l = i + 4;
+  const std::size_t m = i + 5;
+  if (m >= code.size()) return std::nullopt;
+  const Insn& second = code[i + 1];
+  const Insn& use = code[m];
+  const bool shape = isBranch(code[i].op) && !(opInfo(code[i].op).flags & kStops) &&
+                     code[i].a == static_cast<std::int32_t>(l) && second.op == Op::RegOp &&
+                     (opInfo(regOp(second.c)).flags & kFusableCompare) &&
+                     regPops(second.c) == 0 && code[i + 2].op == Op::BoolNorm &&
+                     code[i + 3].op == Op::Jmp && code[i + 3].a == static_cast<std::int32_t>(m) &&
+                     code[l].op == Op::PushI && (use.op == Op::Jz || use.op == Op::Jnz);
+  const int branchWeight = second.weight + code[i + 2].weight + code[i + 3].weight + use.weight;
+  if (!shape || incoming[i + 1] + incoming[i + 2] + incoming[i + 3] != 0 || incoming[l] != 1 ||
+      incoming[m] != 1 || branchWeight > 255) {
+    return std::nullopt;
+  }
+  // Where the value pushed at L sends control, and the unconditional jmps
+  // from there on.
+  const bool jumps = (use.op == Op::Jnz) == (code[l].imm != 0);
+  std::size_t dest = jumps ? static_cast<std::size_t>(use.a) : m + 1;
+  int weight = code[l].weight + use.weight;
+  std::optional<Threading> found;
+  for (std::size_t hops = 0; dest < code.size() && weight <= 255 && hops < code.size(); ++hops) {
+    if (dest > 0 && (opInfo(code[dest - 1].op).flags & kStops)) {
+      found = Threading{i, dest, weight, std::nullopt};
+    }
+    if (code[dest].op != Op::Jmp) break;
+    weight += code[dest].weight;
+    dest = static_cast<std::size_t>(code[dest].a);
+  }
+  if (!found) return std::nullopt;
+  // Pads of equal weight before one destination are one pad.
+  for (std::size_t p = found->dest; p > 0 && code[p - 1].op == Op::Jmp &&
+                                    code[p - 1].a == static_cast<std::int32_t>(found->dest);
+       --p) {
+    if (code[p - 1].weight == found->padWeight) found->reuse = p - 1;
+  }
+  return found;
+}
+
+/// Apply `t`: the first branch goes to the pad, `reg <c2>` becomes `reg.jz`
+/// or `reg.jnz T <c2>` carrying the weight of it, boolnorm, jmp and the
+/// consumer, and the pad is inserted before its destination; every other
+/// branch keeps its instruction.
+void applyThreading(FunctionCode& fn, const Threading& t) {
+  const std::vector<Insn>& code = fn.code;
+  const std::size_t n = code.size();
+  const std::size_t i = t.at;
+  const Insn& use = code[i + 5];
+  Insn branch = code[i + 1];
+  branch.op = use.op == Op::Jz ? Op::RegJz : Op::RegJnz;
+  branch.a = use.a;
+  branch.weight = static_cast<std::uint8_t>(code[i + 1].weight + code[i + 2].weight +
+                                            code[i + 3].weight + use.weight);
+  std::vector<Insn> out;
+  out.reserve(n + 1);
+  std::vector<std::int32_t> newIndexOf(n + 1, -1);
+  std::int32_t pad = -1;
+  for (std::size_t p = 0; p < n; ++p) {
+    if (p == t.dest && !t.reuse) {
+      pad = static_cast<std::int32_t>(out.size());
+      out.push_back(make(Op::Jmp, static_cast<std::int32_t>(t.dest), 0, 0,
+                         static_cast<std::uint8_t>(t.padWeight)));
+    }
+    if (p > i + 1 && p <= i + 5) continue;  // folded into `branch` or the pad
+    newIndexOf[p] = static_cast<std::int32_t>(out.size());
+    out.push_back(p == i + 1 ? branch : code[p]);
+  }
+  newIndexOf[n] = static_cast<std::int32_t>(out.size());
+  const std::int32_t first = newIndexOf[i];
+  for (std::size_t p = 0; p < out.size(); ++p) {
+    Insn& insn = out[p];
+    if (!isBranch(insn.op)) continue;
+    if (static_cast<std::int32_t>(p) == first) {
+      insn.a = t.reuse ? newIndexOf[*t.reuse] : pad;
+      continue;
+    }
+    insn.a = newIndexOf[static_cast<std::size_t>(insn.a)];
+    SKELCL_CHECK(insn.a >= 0, "branch into a threaded short-circuit window");
+  }
+  fn.code = std::move(out);
+}
+
 }  // namespace
 
 void peepholeOptimize(FunctionCode& fn) { rewriteWindows(fn, fuse); }
 
 void lowerToRegisters(FunctionCode& fn) { rewriteWindows(fn, lower); }
+
+void threadShortCircuits(FunctionCode& fn) {
+  // One window at a time, the last first: an outer `&&` threads before the
+  // inner one whose consumer is its first branch, and the inner pad then
+  // threads through the outer pad.
+  for (;;) {
+    const std::vector<Insn>& code = fn.code;
+    std::vector<int> incoming(code.size() + 1, 0);
+    for (const Insn& insn : code) {
+      if (isBranch(insn.op)) ++incoming[static_cast<std::size_t>(insn.a)];
+    }
+    std::optional<Threading> t;
+    for (std::size_t i = code.size(); i-- > 0 && !t;) t = threadable(code, incoming, i);
+    if (!t) return;
+    applyThreading(fn, *t);
+  }
+}
 
 }  // namespace skelcl::kc

@@ -26,4 +26,16 @@ void peepholeOptimize(FunctionCode& fn);
 /// rules and branch remapping as peepholeOptimize.
 void lowerToRegisters(FunctionCode& fn);
 
+/// Tier 2, after lowerToRegisters: a condition built with `&&` or `||`
+/// branches on its second comparison directly instead of building a bool
+/// (docs/VM.md, "Short-circuit threading").  In the window
+/// `B L <c1>; reg <c2>; boolnorm; jmp M; L: push.i v; M: jz|jnz T`, B goes
+/// to a pad and `reg <c2>` becomes `reg.jz|reg.jnz T <c2>`, carrying the
+/// weight of reg, boolnorm, jmp and the consumer; the pad is a jmp carrying
+/// push.i's and the consumer's weight (and any unconditional jmp's it
+/// threads through), placed immediately before its destination where
+/// nothing falls into it.  So every path retires what it retired before.
+/// Windows whose pad has no such place stay as they are.
+void threadShortCircuits(FunctionCode& fn);
+
 }  // namespace skelcl::kc

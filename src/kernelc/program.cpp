@@ -59,7 +59,10 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
   if (options.tier >= 1) {
     for (FunctionCode& fn : program->functions) {
       peepholeOptimize(fn);
-      if (options.tier >= 2) lowerToRegisters(fn);
+      if (options.tier >= 2) {
+        lowerToRegisters(fn);
+        threadShortCircuits(fn);
+      }
     }
     finalizeFunctions(program->functions);
     program->optimized = true;

@@ -26,8 +26,9 @@ int CompiledProgram::findFunction(const std::string& name) const {
   return -1;
 }
 
-Vm::Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions)
-    : program_(program) {
+Vm::Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions,
+       std::uint64_t budget)
+    : program_(program), budget_(budget) {
   regions_.push_back(MemRegion{});  // region 0: null
   for (const auto& r : globalRegions) regions_.push_back(r);
 }
@@ -318,7 +319,7 @@ void Vm::executeFast(int functionIndex, std::span<const Slot> args, bool expectR
   const PackedInsn* const codeBase = fn.packed.data();
   const std::uint64_t* const pool = fn.pool.data();
   const PackedInsn* ip = codeBase;
-  const std::uint64_t budget = instructions_ + kMaxInstructionsPerItem;
+  const std::uint64_t budget = instructions_ + budget_;
   Slot* sp = base;
 
   // Infinite-loop protection: the retired counter advances per instruction
@@ -796,7 +797,7 @@ void Vm::executeRef(int functionIndex, std::span<const Slot> args, bool expectRe
 
   const Insn* code = fn.code.data();
   std::size_t pc = 0;
-  std::uint64_t budget = instructions_ + kMaxInstructionsPerItem;
+  std::uint64_t budget = instructions_ + budget_;
 
   for (;;) {
     const Insn& insn = code[pc++];

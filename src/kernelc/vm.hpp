@@ -77,7 +77,9 @@ struct CompiledProgram {
 class Vm final : public BuiltinCtx {
  public:
   /// `globalRegions[i]` backs pointer region id `i + 1` (region 0 is null).
-  Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions);
+  /// `budget` is the per-invocation instruction budget; only tests lower it.
+  Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions,
+     std::uint64_t budget = kMaxInstructionsPerItem);
 
   /// Execute one work-item of a kernel.  `args` are the kernel arguments:
   /// buffer arguments as Ptr slots referring to global regions, scalars by
@@ -132,6 +134,9 @@ class Vm final : public BuiltinCtx {
   /// splits partitioned among them (slots, stack and the lane->work-item
   /// column; a lane-list split moves none).
   std::uint64_t batchSplits() const { return batchSplits_; }
+  /// Lane-list groups that met at one pc and became one (compaction groups
+  /// never merge).
+  std::uint64_t batchMerges() const { return batchMerges_; }
   std::uint64_t batchColumnsMoved() const { return batchColumnsMoved_; }
 
   // BuiltinCtx
@@ -139,7 +144,8 @@ class Vm final : public BuiltinCtx {
   std::int64_t globalSize() const override { return globalSize_; }
   void* resolve(Ptr p, std::uint32_t bytes) override;
 
-  /// Per-invocation instruction budget; exceeded -> VmError ("infinite loop").
+  /// Default per-invocation instruction budget; exceeded -> VmError
+  /// ("infinite loop").
   static constexpr std::uint64_t kMaxInstructionsPerItem = 1ull << 30;
 
  private:
@@ -159,6 +165,7 @@ class Vm final : public BuiltinCtx {
   [[noreturn]] void fault(const std::string& message) const;
 
   const CompiledProgram& program_;
+  const std::uint64_t budget_;
   std::vector<MemRegion> regions_;  ///< [0] reserved null; then global args; then frames
 
   // reference path: growable operand stack with per-push guards
@@ -190,6 +197,7 @@ class Vm final : public BuiltinCtx {
   std::uint64_t batchDispatches_ = 0;
   std::uint64_t batchLaneSum_ = 0;
   std::uint64_t batchSplits_ = 0;
+  std::uint64_t batchMerges_ = 0;
   std::uint64_t batchColumnsMoved_ = 0;
   int currentFunction_ = -1;
 

@@ -24,7 +24,8 @@
 //
 //  * A fused compare-branch switches on its comparison once and runs one
 //    typed loop counting the lanes where it holds; only a branch that
-//    splits the group also writes the per-lane results.
+//    splits the group also writes the per-lane results.  A lane list
+//    evaluates and partitions in that one loop (splitOnCompare).
 //  * A load or store writes each lane's raw pointer word to a scratch
 //    column and checks the group at once: one region, every offset in
 //    bounds.  A group that passes runs an unchecked loop, a contiguous one
@@ -33,8 +34,9 @@
 //    work-item with the same message.  PtrAdd is a 64-bit add on the
 //    offset word.
 //  * A builtin with a column kind (BuiltinDef::column) runs as one lane loop
-//    calling the same std:: function as its table entry; others are called
-//    through the table once per lane.
+//    calling the same std:: function as its table entry (fmin and fmax
+//    select inline where that function would return the same bits:
+//    minMaxLanes); others are called through the table once per lane.
 //  * Binary arithmetic, comparisons and ptradd run one typed loop per op
 //    (arithLanes, compareLanes) on whatever columns hold the operands: the
 //    top two stack columns in the stack form, slot, stack or constant
@@ -56,13 +58,15 @@
 //    segments would re-partition them at the next divergent branch.
 //
 //  * Lane lists (many columns, Vm::kLaneListColumns).  No data moves: a
-//    group is a list of physical lanes, a split divides the list, and
-//    groups that reach the same pc merge by concatenating their lists, so
-//    a divergent loop body — OSEM's Siddon march — reconverges every
-//    iteration instead of decaying to one lane per dispatch.  A group
-//    holding the whole batch runs dense.  A merged group keeps one retired
-//    count; laneBase holds each lane's offset from it, so the instruction
-//    budget stays per work-item.
+//    group is a list of physical lanes, a split divides the list in the
+//    pass that evaluates its condition, and groups that reach the same pc
+//    merge by concatenating their lists, so a divergent loop body — OSEM's
+//    Siddon march — reconverges every iteration instead of decaying to one
+//    lane per dispatch.  A group parked where another waits merges with it
+//    on the spot, so at most one group waits per pc.  A group holding the
+//    whole batch runs dense.  A merged group keeps one retired count;
+//    laneBase holds each lane's offset from it, so the instruction budget
+//    stays per work-item.
 //
 // Invariants relied on:
 //  - The encoder's computeMaxStack proves the operand-stack height at each
@@ -459,6 +463,77 @@ template <typename Store>
   });
 }
 
+// A lane-list split in one pass: each lane of `g`, in group order, is
+// written to the end of both `stay` and `taken`, and only the cursor of the
+// list it belongs to advances (branch-free).  `stay` may be g's own list: a
+// position is written no earlier than it is read.  Both return how many
+// lanes take the branch.
+
+/// Split `g` on comparison `cmp` of columns x and y.
+[[gnu::noinline]] std::int32_t splitOnCompare(Op cmp, const LaneSet g, const Slot* x,
+                                              const Slot* y, bool jumpOnTrue, std::int32_t* stay,
+                                              std::int32_t* taken) {
+  std::int32_t w = 0;
+  std::int32_t t = 0;
+  compareLanes(cmp, g, x, y, [&](std::int32_t l, std::int32_t, bool holds) {
+    const std::int32_t takes = holds == jumpOnTrue ? 1 : 0;
+    stay[w] = l;
+    taken[t] = l;
+    w += 1 - takes;
+    t += takes;
+  });
+  return t;
+}
+
+/// Split `g` on whether column `cond` is non-zero.
+[[gnu::noinline]] std::int32_t splitOnTruth(const LaneSet g, const std::int64_t* cond,
+                                            bool jumpOnTrue, std::int32_t* stay,
+                                            std::int32_t* taken) {
+  std::int32_t w = 0;
+  std::int32_t t = 0;
+  forLanes(g, [&](std::int32_t l, std::int32_t) {
+    const std::int32_t takes = (cond[l] != 0) == jumpOnTrue ? 1 : 0;
+    stay[w] = l;
+    taken[t] = l;
+    w += 1 - takes;
+    t += takes;
+  });
+  return t;
+}
+
+/// x = fmin(x, y), or fmax when kMax, rounded to float, on every lane of
+/// `g`: the column kinds FminF and FmaxF.  Where the operands are ordered
+/// and distinct, or bit-equal, std::fmin and std::fmax return what a select
+/// returns, and the select loop vectorizes.  For a NaN operand or a -0/+0
+/// pair the result is the libm's choice (glibc 2.36 returns the second of
+/// two zeros), which no one select matches in both orders, so a
+/// branch-free scan first looks for one, as divideInDouble does, and a
+/// group that has one calls the std:: function on every lane, as the table
+/// entry does.
+template <bool kMax>
+[[gnu::noinline]] void minMaxLanes(const LaneSet g, double* x, const double* y) {
+  std::uint64_t libm = 0;
+  forLanes(g, [&](std::int32_t l, std::int32_t) {
+    const double a = x[l];
+    const double b = y[l];
+    libm |= static_cast<std::uint64_t>(a != a) | static_cast<std::uint64_t>(b != b) |
+            (static_cast<std::uint64_t>(a == b) &
+             static_cast<std::uint64_t>(std::bit_cast<std::uint64_t>(a) !=
+                                        std::bit_cast<std::uint64_t>(b)));
+  });
+  if (libm != 0) {
+    forLanes(g, [=](std::int32_t l, std::int32_t) {
+      x[l] = static_cast<float>(kMax ? std::fmax(x[l], y[l]) : std::fmin(x[l], y[l]));
+    });
+    return;
+  }
+  forLanes(g, [=](std::int32_t l, std::int32_t) {
+    const double a = x[l];
+    const double b = y[l];
+    x[l] = static_cast<float>(kMax ? (a < b ? b : a) : (b < a ? b : a));
+  });
+}
+
 /// Apply the records `order` lists, in that order.  kOp is the one op the
 /// batch logged, hoisting the dispatch out of the loop; None dispatches per
 /// record.
@@ -667,7 +742,39 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
       laneOff = off;
     }
   };
-  const auto park = [&](const Group& g) { pending[nPending++] = g; };
+  const auto current = [&] { return Group{ip, sp, off, cnt, retired, maxBase}; };
+  /// Lane lists: `a` absorbs `b`, a group at the same pc (lane sets are
+  /// disjoint, so the lists concatenate).  The larger of the two keeps its
+  /// retired count and its list; each joining lane's laneBase absorbs the
+  /// difference.
+  const auto merge = [&](Group& a, Group b) {
+    if (b.cnt > a.cnt) std::swap(a, b);
+    ++batchMerges_;
+    const std::int32_t* joining = listOf(b.off);
+    const std::int64_t delta =
+        static_cast<std::int64_t>(b.retired) - static_cast<std::int64_t>(a.retired);
+    if (delta != 0) {
+      for (std::int32_t i = 0; i < b.cnt; ++i) laneBase[joining[i]] += delta;
+    }
+    a.maxBase = std::max(a.maxBase, b.maxBase + delta);
+    std::copy(joining, joining + b.cnt, listOf(a.off) + a.cnt);
+    freeSlots[nFree++] = static_cast<std::int16_t>(b.off);
+    a.cnt += b.cnt;
+  };
+  /// Park `g`.  Lane lists merge it into the group already waiting at its
+  /// pc, so at most one group waits per pc, and keep minPendingIp.
+  const auto park = [&](const Group& g) {
+    if constexpr (kLaneLists) {
+      for (std::int32_t j = 0; j < nPending; ++j) {
+        if (pending[j].ip == g.ip) {
+          merge(pending[j], g);
+          return;
+        }
+      }
+      minPendingIp = std::min(minPendingIp, g.ip);
+    }
+    pending[nPending++] = g;
+  };
   /// Enter the parked group with the lowest pc.
   const auto enterLowest = [&] {
     std::int32_t best = 0;
@@ -677,46 +784,25 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     const Group g = pending[best];
     pending[best] = pending[--nPending];
     enter(g);
-  };
-  /// Lane lists: merge every parked group at the current pc into the
-  /// current group (lane sets are disjoint, so the lists concatenate), then
-  /// refresh minPendingIp.  The merged group keeps the current `retired`;
-  /// a joining lane's laneBase absorbs the difference.
-  const auto mergeAtIp = [&] {
-    for (std::int32_t j = 0; j < nPending;) {
-      if (pending[j].ip != ip) {
-        ++j;
-        continue;
+    if constexpr (kLaneLists) {
+      minPendingIp = std::numeric_limits<std::int32_t>::max();
+      for (std::int32_t j = 0; j < nPending; ++j) {
+        minPendingIp = std::min(minPendingIp, pending[j].ip);
       }
-      const Group b = pending[j];
-      pending[j] = pending[--nPending];
-      const std::int32_t* joining = listOf(b.off);
-      const std::int64_t delta =
-          static_cast<std::int64_t>(b.retired) - static_cast<std::int64_t>(retired);
-      if (delta != 0) {
-        for (std::int32_t i = 0; i < b.cnt; ++i) laneBase[joining[i]] += delta;
-      }
-      maxBase = std::max(maxBase, b.maxBase + delta);
-      std::copy(joining, joining + b.cnt, lanes + cnt);
-      freeSlots[nFree++] = static_cast<std::int16_t>(b.off);
-      cnt += b.cnt;
-      dense = cnt == n;
     }
-    minPendingIp = std::numeric_limits<std::int32_t>::max();
-    for (std::int32_t j = 0; j < nPending; ++j) minPendingIp = std::min(minPendingIp, pending[j].ip);
   };
 
   // The sequential per-item budget, checked on back-edges and builtin calls
   // as the per-item interpreter does.  The cold path finds the exact lane:
   // maxBase may overestimate after a split.
+  const auto budget = static_cast<std::int64_t>(budget_);
   const auto budgetFault = [&] {
     std::int64_t exact = std::numeric_limits<std::int64_t>::min();
     for (std::int32_t i = 0; i < cnt; ++i) {
       const std::int32_t l = dense ? laneOff + i : lanes[i];
       std::int64_t base = 0;
       if constexpr (kLaneLists) base = laneBase[l];
-      if (base + static_cast<std::int64_t>(retired) >
-          static_cast<std::int64_t>(kMaxInstructionsPerItem)) {
+      if (base + static_cast<std::int64_t>(retired) > budget) {
         globalId_ = laneGid[l];
         fault("instruction budget exceeded (infinite loop?)");
       }
@@ -725,10 +811,7 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     maxBase = exact;
   };
   const auto checkBudget = [&] {
-    if (static_cast<std::int64_t>(retired) + maxBase >
-        static_cast<std::int64_t>(kMaxInstructionsPerItem)) {
-      budgetFault();
-    }
+    if (static_cast<std::int64_t>(retired) + maxBase > budget) budgetFault();
   };
 
 // Run BODY for every lane `l` of the current group (`li` is its position in
@@ -830,87 +913,99 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
     }
   };
 
-  // Divergence: mask[li] is 1 for the lanes of the current group that jump
-  // to `target`, nTaken of them.  Lane lists split the lane set; compaction
-  // moves the data: stay lanes keep the front of the group's segment of
-  // the branch's split slots, the stack below it and laneGid (order
-  // preserved), taken lanes follow.  The group with the lower pc runs next,
-  // the other is parked.
-  const auto diverge = [&](std::int32_t target, std::int32_t nTaken) {
+  // Divergence makes two groups, the lanes that fall through (stay) and the
+  // lanes that jump to `target` (taken); the one with the lower pc runs
+  // next, the other is parked.
+  const auto runLower = [&](const Group& stay, const Group& taken) {
     ++batchSplits_;
-    const std::int32_t stayCnt = cnt - nTaken;
-    Group stay{ip, sp, off, stayCnt, retired, maxBase};
-    Group taken{target, sp, off + stayCnt, nTaken, retired, maxBase};
-    if constexpr (kLaneLists) {
-      // Branch-free: stay lanes compact in place, taken lanes fill a
-      // fresh slot.
-      taken.off = freeSlots[--nFree];
-      std::int32_t* takenList = listOf(taken.off);
-      std::int32_t w = 0;
-      std::int32_t t = 0;
-      for (std::int32_t i = 0; i < cnt; ++i) {
-        const std::int32_t l = dense ? laneOff + i : lanes[i];
-        lanes[w] = l;
-        takenList[t] = l;
-        w += 1 - mask[i];
-        t += mask[i];
-      }
-    } else {
-      // Branch-free: both destinations are written, one cursor advances.
-      const auto partitionSeg = [&](std::uint64_t* seg) {
-        std::int32_t w = 0;
-        std::int32_t t = 0;
-        for (std::int32_t l = 0; l < cnt; ++l) {
-          const std::uint64_t v = seg[l];
-          seg[w] = v;
-          scratch[t] = v;
-          w += 1 - mask[l];
-          t += mask[l];
-        }
-        std::memcpy(seg + w, scratch, static_cast<std::size_t>(t) * sizeof(std::uint64_t));
-      };
-      const std::int32_t* const split = fn.splitSlots.data() + fn.splitBegin[ip - 1];
-      const std::int32_t* const splitEnd = fn.splitSlots.data() + fn.splitBegin[ip];
-      for (const std::int32_t* s = split; s != splitEnd; ++s) {
-        partitionSeg(rawCol(slotAt(*s) + laneOff));
-      }
-      for (std::int32_t d = 0; d < sp; ++d) {
-        partitionSeg(rawCol(stackAt(d) + laneOff));
-      }
-      partitionSeg(reinterpret_cast<std::uint64_t*>(laneGid + laneOff));
-      batchColumnsMoved_ += static_cast<std::uint64_t>(splitEnd - split + sp + 1);
-    }
-    const bool backward = target < ip;
+    const bool backward = taken.ip < stay.ip;
     park(backward ? stay : taken);
     enter(backward ? taken : stay);
     if (backward) checkBudget();
-    if constexpr (kLaneLists) {
-      minPendingIp = std::min(minPendingIp, pending[nPending - 1].ip);
-    }
   };
-  // A branch to `target` that nTaken of the group's lanes take: all of
-  // them jump, none fall through, or the group splits on `mask`, which
-  // `buildMask()` fills only then.
-  const auto branch = [&](std::int32_t target, std::int32_t nTaken, auto buildMask) {
-    if (nTaken == 0) return;  // whole group falls through
-    if (nTaken == cnt) {
-      if (target < ip) checkBudget();
-      ip = target;
+  const auto jump = [&](std::int32_t target) {
+    if (target < ip) checkBudget();
+    ip = target;
+  };
+  // Lane lists: `partition(stay, taken)` splits the group's lanes in one
+  // pass, the stay lanes into the group's own list and the taken lanes into
+  // a fresh one, and returns how many it took.  No data moves.
+  const auto splitList = [&](std::int32_t target, auto partition) {
+    const std::int32_t slot = freeSlots[--nFree];
+    const std::int32_t nTaken = partition(lanes, listOf(slot));
+    if (nTaken == 0) {
+      freeSlots[nFree++] = static_cast<std::int16_t>(slot);
       return;
     }
-    buildMask();
-    diverge(target, nTaken);
+    if (nTaken == cnt) {  // the fresh list holds the whole group
+      freeSlots[nFree++] = static_cast<std::int16_t>(off);
+      off = slot;
+      lanes = listOf(slot);
+      jump(target);
+      return;
+    }
+    runLower(Group{ip, sp, off, cnt - nTaken, retired, maxBase},
+             Group{target, sp, slot, nTaken, retired, maxBase});
+  };
+  // Compaction: mask[li] is 1 for the nTaken lanes that jump.  Stay lanes
+  // keep the front of the group's segment of the branch's split slots, the
+  // stack below it and laneGid (order preserved), taken lanes follow.
+  const auto diverge = [&](std::int32_t target, std::int32_t nTaken) {
+    // Branch-free: both destinations are written, one cursor advances.
+    const auto partitionSeg = [&](std::uint64_t* seg) {
+      std::int32_t w = 0;
+      std::int32_t t = 0;
+      for (std::int32_t l = 0; l < cnt; ++l) {
+        const std::uint64_t v = seg[l];
+        seg[w] = v;
+        scratch[t] = v;
+        w += 1 - mask[l];
+        t += mask[l];
+      }
+      std::memcpy(seg + w, scratch, static_cast<std::size_t>(t) * sizeof(std::uint64_t));
+    };
+    const std::int32_t* const split = fn.splitSlots.data() + fn.splitBegin[ip - 1];
+    const std::int32_t* const splitEnd = fn.splitSlots.data() + fn.splitBegin[ip];
+    for (const std::int32_t* s = split; s != splitEnd; ++s) {
+      partitionSeg(rawCol(slotAt(*s) + laneOff));
+    }
+    for (std::int32_t d = 0; d < sp; ++d) {
+      partitionSeg(rawCol(stackAt(d) + laneOff));
+    }
+    partitionSeg(reinterpret_cast<std::uint64_t*>(laneGid + laneOff));
+    batchColumnsMoved_ += static_cast<std::uint64_t>(splitEnd - split + sp + 1);
+    const std::int32_t stayCnt = cnt - nTaken;
+    runLower(Group{ip, sp, off, stayCnt, retired, maxBase},
+             Group{target, sp, off + stayCnt, nTaken, retired, maxBase});
+  };
+  // A conditional branch to `target`.  A lane-list group partitions its
+  // list in one pass (splitList).  A dense group first counts the lanes
+  // that jump with `count()`, a loop that vectorizes, and ends there when
+  // all of them jump or none does; otherwise it splits, by `partition` on
+  // lane lists, or, under compaction, on the mask `markTaken()` fills.
+  const auto condBranch = [&](std::int32_t target, auto count, auto partition,
+                              auto markTaken) {
+    if constexpr (kLaneLists) {
+      if (!dense) return splitList(target, partition);
+    }
+    const std::int32_t nTaken = count();
+    if (nTaken == 0) return;  // whole group falls through
+    if (nTaken == cnt) return jump(target);
+    if constexpr (kLaneLists) {
+      splitList(target, partition);
+    } else {
+      markTaken();
+      diverge(target, nTaken);
+    }
   };
 
   for (;;) {
     if constexpr (kLaneLists) {
-      // Reached a parked group's pc (merge), or passed it (run it first).
+      // Reached a parked group's pc or passed it: park (merging with the
+      // group that waits here, if any) and run the lowest.
       if (ip >= minPendingIp) {
-        if (ip > minPendingIp) {
-          park(Group{ip, sp, off, cnt, retired, maxBase});
-          enterLowest();
-        }
-        mergeAtIp();
+        park(current());
+        enterLowest();
       }
     }
     const PackedInsn insn = codeBase[ip];
@@ -1139,13 +1234,13 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
 #undef KC_CONV
 
       case Op::Jmp:
-        if (insn.a < ip) checkBudget();
-        ip = insn.a;
+        jump(insn.a);
         break;
 
-      // A compare-branch counts the lanes where its comparison holds; only a
-      // branch that splits the group also builds the split mask, with the
-      // same comparison loop.  Plain jz/jnz count and mask the same way.
+      // Compare-branches and plain jz/jnz share condBranch: a dense group
+      // counts the lanes that jump and splits only when some do and some do
+      // not; a lane-list group partitions its list in the same pass that
+      // evaluates the condition.
       case Op::CmpJz:
       case Op::CmpJnz:
       case Op::RegJz:
@@ -1155,19 +1250,33 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         const Slot* y = reg ? operand(regY(insn.c), insn.k) : stackAt(--sp);
         const Slot* x = reg ? operand(regX(insn.c), insn.b) : stackAt(--sp);
         const bool jumpOnTrue = insn.op == Op::CmpJnz || insn.op == Op::RegJnz;
-        const std::int32_t nTrue = countHolds(cmp, laneSet(), x, y);
-        branch(insn.a, jumpOnTrue ? nTrue : cnt - nTrue,
-               [&] { branchMask(cmp, laneSet(), x, y, jumpOnTrue, mask); });
+        condBranch(
+            insn.a,
+            [&] {
+              const std::int32_t nTrue = countHolds(cmp, laneSet(), x, y);
+              return jumpOnTrue ? nTrue : cnt - nTrue;
+            },
+            [&](std::int32_t* stay, std::int32_t* taken) {
+              return splitOnCompare(cmp, laneSet(), x, y, jumpOnTrue, stay, taken);
+            },
+            [&] { branchMask(cmp, laneSet(), x, y, jumpOnTrue, mask); });
         break;
       }
       case Op::Jz:
       case Op::Jnz: {
         const bool jumpOnTrue = insn.op == Op::Jnz;
         const std::int64_t* cond = iCol(stackAt(--sp));
-        std::int32_t nTrue = 0;
-        KC_LANES(nTrue += cond[l] != 0 ? 1 : 0;);
-        branch(insn.a, jumpOnTrue ? nTrue : cnt - nTrue,
-               [&] { KC_LANES(mask[li] = (cond[l] != 0) == jumpOnTrue ? 1 : 0;); });
+        condBranch(
+            insn.a,
+            [&] {
+              std::int32_t nTrue = 0;
+              KC_LANES(nTrue += cond[l] != 0 ? 1 : 0;);
+              return jumpOnTrue ? nTrue : cnt - nTrue;
+            },
+            [&](std::int32_t* stay, std::int32_t* taken) {
+              return splitOnTruth(laneSet(), cond, jumpOnTrue, stay, taken);
+            },
+            [&] { KC_LANES(mask[li] = (cond[l] != 0) == jumpOnTrue ? 1 : 0;); });
         break;
       }
 
@@ -1196,12 +1305,16 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
             KC_COLUMN1(SqrtF, fCol, static_cast<float>(std::sqrt(x[l])))
             KC_COLUMN1(FabsF, fCol, static_cast<float>(std::fabs(x[l])))
             KC_COLUMN1(FloorF, fCol, static_cast<float>(std::floor(x[l])))
-            KC_COLUMN2(FminF, fCol, static_cast<float>(std::fmin(x[l], y[l])))
-            KC_COLUMN2(FmaxF, fCol, static_cast<float>(std::fmax(x[l], y[l])))
             KC_COLUMN2(MinI, iCol, std::min(x[l], y[l]))
             KC_COLUMN2(MaxI, iCol, std::max(x[l], y[l]))
 #undef KC_COLUMN1
 #undef KC_COLUMN2
+            case BuiltinColumn::FminF:
+              minMaxLanes<false>(laneSet(), fCol(stackAt(sp)), fCol(stackAt(sp + 1)));
+              break;
+            case BuiltinColumn::FmaxF:
+              minMaxLanes<true>(laneSet(), fCol(stackAt(sp)), fCol(stackAt(sp + 1)));
+              break;
             case BuiltinColumn::ClampI: {
               std::int64_t* x = iCol(stackAt(sp));
               const std::int64_t* lo = iCol(stackAt(sp + 1));
@@ -1216,19 +1329,22 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
           break;
         }
         if (def.atomic != AtomicOp::None) {
-          // Deferred (FunctionCode::atomicArgs): checked now, on the right
-          // work-item; applied by finishBatchAtomics.  The result is
-          // dropped by the next instruction.
+          // Deferred (FunctionCode::atomicArgs): the group memory check
+          // faults now, on the right work-item; finishBatchAtomics applies
+          // the records.  The result is dropped by the next instruction.
           const Slot* ptr = stackAt(sp);
           const Slot* va = argc > 1 ? stackAt(sp + 1) : ptr;
           const Slot* vb = argc > 2 ? stackAt(sp + 2) : ptr;
-          atomicOps |= 1u << static_cast<unsigned>(def.atomic);
-          KC_LANES(const Ptr p = ptr[l].p;
-                   resolveLane(p, 4, laneGid[l]);
-                   batchAtomics_.push_back(DeferredAtomic{
-                       p.offset, static_cast<std::uint16_t>(p.region), def.atomic,
-                       static_cast<std::uint8_t>(laneGid[l] - gidBase),
-                       atomicWord(def.atomic, va[l]), atomicWord(def.atomic, vb[l])}););
+          const AtomicOp op = def.atomic;
+          atomicOps |= 1u << static_cast<unsigned>(op);
+          groupAccess(4, rawCol(ptr), nullptr, 0);  // fills addr
+          const std::size_t logged = batchAtomics_.size();
+          batchAtomics_.resize(logged + static_cast<std::size_t>(cnt));
+          DeferredAtomic* const rec = batchAtomics_.data() + logged;
+          KC_LANES(const std::uint64_t word = addr[li];
+                   rec[li] = DeferredAtomic{offsetOf(word), static_cast<std::uint16_t>(word), op,
+                                            static_cast<std::uint8_t>(laneGid[l] - gidBase),
+                                            atomicWord(op, va[l]), atomicWord(op, vb[l])};);
           std::int64_t* res = iCol(stackAt(sp));
           KC_LANES(res[l] = 0;);
           ++sp;
@@ -1281,7 +1397,6 @@ void Vm::executeBatch(int functionIndex, std::span<const Slot> args, std::int64_
         }
         if constexpr (kLaneLists) freeSlots[nFree++] = static_cast<std::int16_t>(off);
         enterLowest();
-        if constexpr (kLaneLists) mergeAtIp();
         break;
       }
 

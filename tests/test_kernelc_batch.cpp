@@ -10,8 +10,9 @@
 // (every fused comparison, the group memory check and its per-lane
 // fallback, the column builtins) are driven with adversarial per-lane
 // operands in dense and lane-list groups, as are the encoder's slot
-// liveness (which slots a batch fills at entry and a split moves) and the
-// double-precision 32-bit division.
+// liveness (which slots a batch fills at entry and a split moves), the
+// double-precision 32-bit division, the lane-list merges, the per-item
+// instruction budget and short-circuit threading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -575,14 +576,17 @@ struct Launch {
   std::uint64_t instructions = 0;
   std::string fault;  ///< the VmError message, empty when none
   std::uint64_t splits = 0;        ///< Vm::batchSplits
+  std::uint64_t merges = 0;        ///< Vm::batchMerges
   std::uint64_t columnsMoved = 0;  ///< Vm::batchColumnsMoved
+  std::vector<std::uint64_t> perItem;  ///< per item: each item's retired count
 };
 
 /// Run `kernel` over `n` items with every buffer bound in order, then
-/// `scalars`: per item, or batched in kBatchLanes chunks.  A fault ends the
-/// run and is recorded.
+/// `scalars`: per item, or batched in kBatchLanes chunks, on a Vm with the
+/// per-item instruction `budget`.  A fault ends the run and is recorded.
 Launch launch(const CompiledProgram& program, const std::string& kernel, Buffers buffers,
-              const std::vector<Slot>& scalars, std::int64_t n, bool batch) {
+              const std::vector<Slot>& scalars, std::int64_t n, bool batch,
+              std::uint64_t budget = Vm::kMaxInstructionsPerItem) {
   Launch out;
   out.buffers = std::move(buffers);
   std::vector<MemRegion> regions;
@@ -594,16 +598,18 @@ Launch launch(const CompiledProgram& program, const std::string& kernel, Buffers
     args.push_back(Slot::fromPtr(p));
   }
   args.insert(args.end(), scalars.begin(), scalars.end());
-  Vm vm(program, regions);
+  Vm vm(program, regions, budget);
   const int k = program.findKernel(kernel);
   EXPECT_GE(k, 0);
   try {
     for (std::int64_t gid = 0; gid < n;) {
       const std::int64_t lanes = batch ? std::min<std::int64_t>(n - gid, Vm::kBatchLanes) : 1;
+      const std::uint64_t before = vm.instructionsExecuted();
       if (batch) {
         vm.runKernelBatch(k, args, gid, lanes, n);
       } else {
         vm.runKernel(k, args, gid, n);
+        out.perItem.push_back(vm.instructionsExecuted() - before);
       }
       gid += lanes;
     }
@@ -612,6 +618,7 @@ Launch launch(const CompiledProgram& program, const std::string& kernel, Buffers
   }
   out.instructions = vm.instructionsExecuted();
   out.splits = vm.batchSplits();
+  out.merges = vm.batchMerges();
   out.columnsMoved = vm.batchColumnsMoved();
   return out;
 }
@@ -796,12 +803,22 @@ class ItemCtx final : public BuiltinCtx {
 };
 
 TEST(KernelcBatch, ColumnBuiltinsMatchTheirTableFunctions) {
-  // Item gid reads operand k from value (gid / 8^k) % 8, so 600 items see
-  // every pair and 512 triples.
+  // Item gid reads operand k from value (gid / V^k) % V, V = 16 float or 8
+  // int values, so 600 items see every pair of floats and 512 triples of
+  // ints: NaNs quiet, signaling and with payloads of either sign, zeros of
+  // either sign in both orders, infinities, denormals, and equal operands.
+  // Float operands arrive as int bits through as_float.
   const std::int64_t n = 600;
   const float inf = std::numeric_limits<float>::infinity();
-  const std::vector<float> floats{std::numeric_limits<float>::quiet_NaN(), -0.0f, 0.0f, -inf,
-                                  inf, 1.5f, -2.5f, 0.3f};
+  const std::vector<float> floats{std::numeric_limits<float>::quiet_NaN(),
+                                  std::bit_cast<float>(0x7F800001u),  // signaling
+                                  std::bit_cast<float>(0x7FC12345u),  // payload
+                                  std::bit_cast<float>(0xFFA00005u),  // negative, signaling
+                                  -0.0f, 0.0f, -inf, inf, 1.5f, -2.5f, 0.3f, -1.5f,
+                                  std::numeric_limits<float>::denorm_min(),
+                                  std::bit_cast<float>(0x807FFFFFu),  // largest negative denormal
+                                  std::bit_cast<float>(0x007FFFFFu),
+                                  std::numeric_limits<float>::min()};
   const std::vector<std::int32_t> ints{INT_MIN, -7, -1, 0, 1, 2, 7, INT_MAX};
   const std::vector<std::int32_t> dims{0, 1, 2, 0, 0, 1, 0, 3};
   const auto& table = builtinTable();
@@ -812,18 +829,20 @@ TEST(KernelcBatch, ColumnBuiltinsMatchTheirTableFunctions) {
     covered.insert(def.column);
     const bool isFloat = def.ret == BType::Float;
     const std::string type = isFloat ? "float" : "int";
+    const std::int64_t values = isFloat ? 16 : 8;
     std::string params;
     std::string call = std::string(def.name) + "(";
     Buffers buffers;
     for (std::size_t k = 0; k < def.params.size(); ++k) {
       ASSERT_EQ(def.params[k], def.ret) << def.name;
-      params += "__global " + type + "* a" + std::to_string(k) + ", ";
-      call += (k ? ", a" : "a") + std::to_string(k) + "[gid]";
+      params += "__global int* a" + std::to_string(k) + ", ";
+      const std::string arg = "a" + std::to_string(k) + "[gid]";
+      call += (k ? ", " : "") + (isFloat ? "as_float(" + arg + ")" : arg);
       std::int64_t stride = 1;
-      for (std::size_t j = 0; j < k; ++j) stride *= 8;
+      for (std::size_t j = 0; j < k; ++j) stride *= values;
       std::vector<std::int32_t> words;
       for (std::int64_t gid = 0; gid < n; ++gid) {
-        const auto v = static_cast<std::size_t>(gid / stride % 8);
+        const auto v = static_cast<std::size_t>(gid / stride % values);
         words.push_back(isFloat ? std::bit_cast<std::int32_t>(floats[v])
                                 : def.column == BuiltinColumn::GlobalId ? dims[v] : ints[v]);
       }
@@ -1063,13 +1082,14 @@ std::string edgeKernel(const std::string& type, const std::string& op, const std
 /// stops mid-way); bit-identical buffers (batched: when nothing faults).
 Launch expectTiersMatch(const std::string& source, const std::string& kernel,
                         const Buffers& buffers, std::int64_t n,
-                        const std::vector<Slot>& scalars = {}) {
+                        const std::vector<Slot>& scalars = {},
+                        std::uint64_t budget = Vm::kMaxInstructionsPerItem) {
   const auto tier1 = compileProgram(source, CompileOptions{1});
   const auto tier2 = compileProgram(source, CompileOptions{2});
   EXPECT_TRUE(kernelCode(*tier2, kernel).batchable) << source;
-  const Launch ref = launch(*tier1, kernel, buffers, scalars, n, /*batch=*/false);
-  const Launch seq = launch(*tier2, kernel, buffers, scalars, n, /*batch=*/false);
-  const Launch bat = launch(*tier2, kernel, buffers, scalars, n, /*batch=*/true);
+  const Launch ref = launch(*tier1, kernel, buffers, scalars, n, /*batch=*/false, budget);
+  const Launch seq = launch(*tier2, kernel, buffers, scalars, n, /*batch=*/false, budget);
+  const Launch bat = launch(*tier2, kernel, buffers, scalars, n, /*batch=*/true, budget);
   EXPECT_EQ(seq.fault, ref.fault) << source;
   EXPECT_EQ(bat.fault, ref.fault) << source;
   EXPECT_EQ(seq.instructions, ref.instructions) << source;
@@ -1610,15 +1630,19 @@ TEST(KernelcBatch, GeneratedPackKernelLivenessIsPinned) {
     for (const std::int32_t s : splitSlotsAt(fn, pc)) splits += " s" + std::to_string(s);
     splits += "\n";
   }
+  // The four-way `||` branches on its first three comparisons directly
+  // (pcs 10-12, short-circuit threading): the jnz of each inner `||` became
+  // a register-form branch, and their pads (16, 17) feed the push.i 1 of the
+  // last, which keeps its bool because its pad would have no place.
   EXPECT_EQ(splits, R"(3 reg.jz: s10
 10 reg.jnz: s10 s12 s13
-15 jnz: s10 s12 s13
-20 jnz: s10 s12 s13
-25 jz: s10 s12 s13
-36 reg.jz: s10 s14 s15
-43 jz: s10 s14 s15
-62 reg.jz: s10 s12 s13
-69 jz: s10 s12 s13
+11 reg.jnz: s10 s12 s13
+12 reg.jnz: s10 s12 s13
+19 jz: s10 s12 s13
+30 reg.jz: s10 s14 s15
+37 jz: s10 s14 s15
+56 reg.jz: s10 s12 s13
+63 jz: s10 s12 s13
 )");
 
   // Packing an 8 x 30 part with radius 1 (stride 32): each split moves
@@ -1798,6 +1822,190 @@ TEST(KernelcBatch, ZeroDivisorFaultsOnItsWorkItemAloneAndInAGroup) {
       }
     }
   }
+}
+
+// --- reconvergence: one waiting group per pc ---------------------------------
+//
+// A lane-list group that parks at a pc where another group waits merges with
+// it on the spot, and a running group that reaches a waiting group's pc
+// absorbs it; each lane keeps its own retired count.  Each kernel runs tier 1
+// per item against tier 2 per item and batched, in compaction mode and,
+// padded, on lane lists.
+
+/// Item gid's input (gid * 37 + 11) mod 256: over 256 items, every value
+/// from 0 to 255 once, in no lane order.  One int output per item.
+Buffers exitInputs(std::int64_t n) {
+  std::vector<std::int32_t> a;
+  for (std::int64_t gid = 0; gid < n; ++gid) {
+    a.push_back(static_cast<std::int32_t>((gid * 37 + 11) % 256));
+  }
+  return {bytesOf(a), std::vector<std::byte>(static_cast<std::size_t>(n) * 4)};
+}
+
+TEST(KernelcBatch, LanesLeavingALoopAtEveryIterationReconvergeAtItsExit) {
+  // 256 lanes leave the loop after 256 different iteration counts.  On lane
+  // lists each leaver parks at the exit pc and merges with the lanes already
+  // waiting there, and the last one, jumping there alone, absorbs them: one
+  // group runs the tail.  Under compaction every leaver stays a group.
+  const std::string head = "__kernel void k(__global int* a, __global int* out, int bad) {\n";
+  const std::string body =
+      "  int stop = a[gid];\n"
+      "  int it = 0;\n"
+      "  int acc = gid;\n"
+      "  while (it < stop) { acc = acc * 3 + it; it = it + 1; }\n"
+      "  out[gid] = acc + 100 / (gid - bad);\n";
+  forBothSplitModes(head, body, [&](const std::string& src, int pad) {
+    const Launch clean = expectTiersMatch(src, "k", exitInputs(256), 256, {Slot::fromInt(1000)});
+    EXPECT_EQ(clean.fault, "");
+    EXPECT_EQ(clean.splits, 255u) << "one leaver per iteration but the last";
+    EXPECT_EQ(clean.merges, pad ? 255u : 0u);
+    for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{77}, std::int64_t{255}}) {
+      const Launch faulting =
+          expectTiersMatch(src, "k", exitInputs(256), 256, {Slot::fromInt(bad)});
+      EXPECT_NE(faulting.fault.find("(work-item " + std::to_string(bad) +
+                                    "): integer division by zero"),
+                std::string::npos)
+          << faulting.fault;
+    }
+  });
+}
+
+// --- the instruction budget ----------------------------------------------------
+//
+// A work-item that retires more than the Vm's per-item budget faults, and the
+// fault names it: per item, in a dense batch, after a compaction split, and
+// in a lane-list group whose lanes merged, at a pc and on park, with
+// different retired counts.
+
+/// Work-item `bad` takes a detour of `spin` iterations, before the loop
+/// whose lanes leave it at different iterations or inside it; then every
+/// item runs the same 4 000-step tail.  bad < 0: every item spins.
+std::string budgetBody(bool detourInsideTheLoop) {
+  const std::string spins = "(gid == bad || bad < 0)";
+  return std::string("  int stop = a[gid] % 7;\n  int extra = 0;\n") +
+         (detourInsideTheLoop
+              ? "  if " + spins + " stop = stop + spin;\n"
+              : "  if " + spins + " { for (int s = 0; s < spin; ++s) extra = extra + s; }\n") +
+         "  int it = 0;\n"
+         "  while (it < stop) it = it + 1;\n"
+         "  int acc = 0;\n"
+         "  for (int j = 0; j < 4000; ++j) acc = acc + j;\n"
+         "  out[gid] = acc + it + extra;\n";
+}
+
+TEST(KernelcBatch, BudgetFaultNamesTheWorkItemOnEveryPath) {
+  const std::string head =
+      "__kernel void k(__global int* a, __global int* out, int bad, int spin) {\n";
+  const std::int64_t n = 300;
+  for (const bool inside : {false, true}) {
+    forBothSplitModes(head, budgetBody(inside), [&](const std::string& src, int pad) {
+      SCOPED_TRACE(inside ? "detour inside the loop" : "detour before the loop");
+      // Every item spins: the first faults, per item and in a dense batch.
+      const std::vector<Slot> allSpin{Slot::fromInt(-1), Slot::fromInt(1 << 30)};
+      const Launch all = expectTiersMatch(src, "k", residueInputs(n), n, allSpin, 20000);
+      EXPECT_NE(all.fault.find("(work-item 0): instruction budget exceeded"), std::string::npos)
+          << all.fault;
+      // One item's detour puts it alone over a budget half-way between its
+      // count and the others' highest.  On lane lists it rejoins the others
+      // at the loop's exit (or, from before the loop, at the join and at
+      // each exit), and exceeds the budget in the tail: the merged group's
+      // own count stays under it, and only that lane's offset goes over.
+      const auto tier2 = compileProgram(src, CompileOptions{2});
+      for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{101}, std::int64_t{255},
+                                     std::int64_t{299}}) {
+        SCOPED_TRACE(bad);
+        const std::vector<Slot> scalars{Slot::fromInt(bad), Slot::fromInt(2000)};
+        const std::vector<std::uint64_t> retired =
+            launch(*tier2, "k", residueInputs(n), scalars, n, /*batch=*/false).perItem;
+        std::uint64_t others = 0;
+        for (std::int64_t gid = 0; gid < n; ++gid) {
+          if (gid != bad) others = std::max(others, retired[static_cast<std::size_t>(gid)]);
+        }
+        ASSERT_GT(retired[static_cast<std::size_t>(bad)], others + 10000);
+        const std::uint64_t budget = (retired[static_cast<std::size_t>(bad)] + others) / 2;
+        const Launch one = expectTiersMatch(src, "k", residueInputs(n), n, scalars, budget);
+        EXPECT_NE(one.fault.find("(work-item " + std::to_string(bad) +
+                                 "): instruction budget exceeded"),
+                  std::string::npos)
+            << one.fault;
+        if (pad) {
+          EXPECT_GT(one.merges, 0u);
+        } else {
+          EXPECT_EQ(one.merges, 0u);
+          EXPECT_GT(one.splits, 0u);
+        }
+        // Under the budget of the detour alone, nothing faults.
+        const Launch under = expectTiersMatch(src, "k", residueInputs(n), n, scalars,
+                                              retired[static_cast<std::size_t>(bad)]);
+        EXPECT_EQ(under.fault, "");
+      }
+    });
+  }
+}
+
+// --- short-circuit threading ---------------------------------------------------
+//
+// Tier 2 branches on the second comparison of an `&&` or `||` condition
+// directly where the window's pad has a place (threadShortCircuits); every
+// path must retire what tier 1 retires and compute the same bits.
+
+TEST(KernelcBatch, ShortCircuitConditionsMatchTierOneOnEveryPath) {
+  // `&&` and `||` feeding jz (if, while, for) and jnz (do-while), with an
+  // else arm and without, breaking and continuing, chained, mixed, with a
+  // stack-form first comparison, and stored as values.
+  const std::string head = "__kernel void k(__global int* a, __global int* out) {\n";
+  const std::string body =
+      "  int v = a[gid];\n"
+      "  int x = v % 50;\n"
+      "  int y = v / 20;\n"
+      "  int r = 0;\n"
+      "  if (x < y && y < 30) r = r + 1; else r = r + 2;\n"
+      "  if (x < y || y < 30) r = r + 4; else r = r + 8;\n"
+      "  if (x > 10 && y > 10) r = r + 16;\n"
+      "  if (x > 40 || y < 5) r = r + 32;\n"
+      "  if (x < y && y < 40 && x > 3) r = r + 64; else r = r + 128;\n"
+      "  if (x < 5 || y < 5 || x == y) r = r + 256; else r = r + 512;\n"
+      "  if (x < y || y < 20 && x > 30) r = r + 1024; else r = r + 2048;\n"
+      "  if ((x < y || y < 20) && x > 30) r = r + 4096;\n"
+      "  if (a[gid] > 500 && y < 30) r = r + 8192; else r = r - 1;\n"
+      "  int i = 0;\n"
+      "  while (i < x && i < 40) i = i + 1;\n"
+      "  r = r + i * 16384;\n"
+      "  i = 0;\n"
+      "  while (i < x || i < y) i = i + 1;\n"
+      "  r = r + i;\n"
+      "  int k = 0;\n"
+      "  do { k = k + 1; } while (k < x && k < 30);\n"
+      "  do { k = k + 1; } while (k < x || k < y);\n"
+      "  r = r ^ (k << 20);\n"
+      "  for (int j = 0; j < 60; ++j) {\n"
+      "    if (j > x || j > y + 20) break;\n"
+      "    r = r + 3;\n"
+      "  }\n"
+      "  for (int j = 0; j < 60; ++j) {\n"
+      "    if (j > x && j > y) break;\n"
+      "    if (j < x && j < 10) continue;\n"
+      "    if (j == y || j == x / 2) continue;\n"
+      "    r = r + 5;\n"
+      "  }\n"
+      "  int t = x < y && y < 30;\n"
+      "  int u = x > 40 || y > 40;\n"
+      "  out[gid] = r + t * 7 + u * 11;\n";
+  forBothSplitModes(head, body, [](const std::string& src, int) {
+    const auto count = [](const CompiledProgram& program, Op op) {
+      const auto& code = kernelCode(program, "k").code;
+      return std::count_if(code.begin(), code.end(),
+                           [op](const Insn& insn) { return insn.op == op; });
+    };
+    const auto tier1 = compileProgram(src, CompileOptions{1});
+    const auto tier2 = compileProgram(src, CompileOptions{2});
+    EXPECT_LT(count(*tier2, Op::BoolNorm), count(*tier1, Op::BoolNorm)) << "nothing threaded";
+    EXPECT_GE(count(*tier2, Op::BoolNorm), 2) << "a stored short-circuit value was threaded";
+    for (const std::int64_t n : {std::int64_t{1}, std::int64_t{37}, std::int64_t{300}}) {
+      const Launch bat = expectTiersMatch(src, "k", residueInputs(n), n);
+      EXPECT_EQ(bat.fault, "");
+    }
+  });
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // weight moves onto the first instruction of the inlined block, each Ret's
 // onto the Jmp that replaces it).  Recursive and frame-carrying callees must
 // stay calls.  One test pins the tier-2 register-form listing and retired
-// count of cluster_mix's 64-step map loop and of an OSEM Siddon step.  The
+// count of cluster_mix's 64-step map loop and of an OSEM Siddon step, and
+// one which `&&`/`||` conditions short-circuit threading rewrites.  The
 // last test drives every skeleton through the runtime —
 // OSEM's step-1 map included — and requires each generated kernel to run on
 // the batched interpreter.
@@ -562,74 +563,64 @@ TEST(KernelcInline, HotLoopsLowerToPinnedRegisterForm) {
     }
   }
   ASSERT_GT(backEdge, 0u);
-  EXPECT_EQ(packedLines(osemFn, head, backEdge), R"(  672  load.slot2 s64 s65  ;w=2
-  673  load.slot 66
-  674  call.builtin 39 argc=2
-  675  call.builtin 39 argc=2
-  676  store.slot 72
-  677  reg.jz 680 gt.f s72 s41  ;w=4
-  678  load.slot 41
-  679  store.slot 72  ;w=3
-  680  reg sub.f32 s72 s70  ;w=3
-  681  reg.store mul.f32 stack s51 -> s73  ;w=3
-  682  reg.jz 699 gt.f s73 0  ;w=4
-  683  reg mul.i s57 s26  ;w=3
-  684  reg add.i stack s56  ;w=2
-  685  reg mul.i stack s25  ;w=2
-  686  reg.store add.i stack s55 -> s74  ;w=3
-  687  load.slot 75  ;w=3
-  688  jz 694
-  689  reg ptradd sz=4 s24 s74  ;w=3
-  690  reg div.f32 s73 s29  ;w=3
-  691  call.builtin 61 argc=2
-  692  drop
-  693  jmp 699
-  694  load.slot2 s71 s23  ;w=2
-  695  load.slot 74
-  696  loadelem.f32 sz=4  ;w=2
-  697  reg mul.f32 stack s73  ;w=2
-  698  reg.store add.f32 stack stack -> s71  ;w=4
-  699  reg.jz 701 ge.f s72 s41  ;w=4
-  700  jmp 740
-  701  reg.jz 705 le.f s64 s65  ;w=4
-  702  reg le.f s64 s66  ;w=3
-  703  boolnorm
-  704  jmp 706
-  705  push.i 0
-  706  jz 717
-  707  reg.store add.i s55 s58 -> s55  ;w=6
-  708  reg.jnz 712 lt.i s55 0  ;w=4
-  709  reg ge.i s55 s25  ;w=3
-  710  boolnorm
-  711  jmp 713
-  712  push.i 1
-  713  jz 715
-  714  jmp 740
-  715  reg.store add.f32 s64 s61 -> s64  ;w=6
-  716  jmp 737
-  717  reg.jz 728 le.f s65 s66  ;w=4
-  718  reg.store add.i s56 s59 -> s56  ;w=6
-  719  reg.jnz 723 lt.i s56 0  ;w=4
-  720  reg ge.i s56 s26  ;w=3
-  721  boolnorm
-  722  jmp 724
-  723  push.i 1
-  724  jz 726
-  725  jmp 740
-  726  reg.store add.f32 s65 s62 -> s65  ;w=6
-  727  jmp 737
-  728  reg.store add.i s57 s60 -> s57  ;w=6
-  729  reg.jnz 733 lt.i s57 0  ;w=4
-  730  reg ge.i s57 s27  ;w=3
-  731  boolnorm
-  732  jmp 734
-  733  push.i 1
-  734  jz 736
-  735  jmp 740
-  736  reg.store add.f32 s66 s63 -> s66  ;w=6
-  737  load.slot 72
-  738  store.slot 70  ;w=3
-  739  jmp 672
+  // Each `||` that breaks out of the march branches on its second
+  // comparison directly and shares the pad after the back-edge (711); the
+  // `&&` that picks the x step does too, with its pad (695) before the
+  // else arm (short-circuit threading).
+  EXPECT_EQ(packedLines(osemFn, head, backEdge + 1), R"(  658  load.slot2 s64 s65  ;w=2
+  659  load.slot 66
+  660  call.builtin 39 argc=2
+  661  call.builtin 39 argc=2
+  662  store.slot 72
+  663  reg.jz 666 gt.f s72 s41  ;w=4
+  664  load.slot 41
+  665  store.slot 72  ;w=3
+  666  reg sub.f32 s72 s70  ;w=3
+  667  reg.store mul.f32 stack s51 -> s73  ;w=3
+  668  reg.jz 685 gt.f s73 0  ;w=4
+  669  reg mul.i s57 s26  ;w=3
+  670  reg add.i stack s56  ;w=2
+  671  reg mul.i stack s25  ;w=2
+  672  reg.store add.i stack s55 -> s74  ;w=3
+  673  load.slot 75  ;w=3
+  674  jz 680
+  675  reg ptradd sz=4 s24 s74  ;w=3
+  676  reg div.f32 s73 s29  ;w=3
+  677  call.builtin 61 argc=2
+  678  drop
+  679  jmp 685
+  680  load.slot2 s71 s23  ;w=2
+  681  load.slot 74
+  682  loadelem.f32 sz=4  ;w=2
+  683  reg mul.f32 stack s73  ;w=2
+  684  reg.store add.f32 stack stack -> s71  ;w=4
+  685  reg.jz 687 ge.f s72 s41  ;w=4
+  686  jmp 712
+  687  reg.jz 695 le.f s64 s65  ;w=4
+  688  reg.jz 696 le.f s64 s66  ;w=6
+  689  reg.store add.i s55 s58 -> s55  ;w=6
+  690  reg.jnz 711 lt.i s55 0  ;w=4
+  691  reg.jz 693 ge.i s55 s25  ;w=6
+  692  jmp 712
+  693  reg.store add.f32 s64 s61 -> s64  ;w=6
+  694  jmp 708
+  695  jmp 696  ;w=2
+  696  reg.jz 703 le.f s65 s66  ;w=4
+  697  reg.store add.i s56 s59 -> s56  ;w=6
+  698  reg.jnz 711 lt.i s56 0  ;w=4
+  699  reg.jz 701 ge.i s56 s26  ;w=6
+  700  jmp 712
+  701  reg.store add.f32 s65 s62 -> s65  ;w=6
+  702  jmp 708
+  703  reg.store add.i s57 s60 -> s57  ;w=6
+  704  reg.jnz 711 lt.i s57 0  ;w=4
+  705  reg.jz 707 ge.i s57 s27  ;w=6
+  706  jmp 712
+  707  reg.store add.f32 s66 s63 -> s66  ;w=6
+  708  load.slot 72
+  709  store.slot 70  ;w=3
+  710  jmp 658
+  711  jmp 712  ;w=3
 )");
 
   skelcl::osem::OsemConfig cfg;
@@ -663,6 +654,100 @@ TEST(KernelcInline, HotLoopsLowerToPinnedRegisterForm) {
     images.push_back(c);
   }
   EXPECT_EQ(images[0], images[1]);
+}
+
+// --- short-circuit threading ---------------------------------------------------
+
+/// Kernel `k` on locals x and y with `body` in the middle.
+std::string shortCircuitKernel(const std::string& body) {
+  return "__kernel void k(__global int* a, __global int* out) {\n"
+         "  int gid = get_global_id(0);\n"
+         "  int x = a[gid];\n"
+         "  int y = a[gid + 1];\n"
+         "  int r = 0;\n" +
+         body + "\n  out[gid] = r + x + y;\n}\n";
+}
+
+TEST(KernelcInline, ShortCircuitWindowsThreadWhereTheirPadHasAPlace) {
+  // A window threads when the value its push.i would give sends control to
+  // a pc (or through unconditional jmps to one) whose predecessor cannot
+  // fall through; a threaded condition leaves no boolnorm behind.  A value
+  // that is stored, or consumed by anything but jz/jnz, keeps its bool.
+  struct Shape {
+    const char* body;
+    int boolnorms;  ///< left at tier 2; tier 1 has one per `&&`/`||`
+  };
+  const Shape shapes[] = {
+      {"if (x < y && y < 30) r = 1; else r = 2;", 0},  // pad before the else arm
+      {"if (x < y || y < 30) r = 1; else r = 2;", 1},  // 1 falls into the then arm
+      {"if (x < y && y < 30) r = 1;", 1},              // 0 goes to the join, reached by falling
+      {"if (x < y || y < 30) r = 1;", 1},
+      {"while (x < y && y < 30) y = y + 1;", 0},        // pad after the back-edge
+      {"while (y < x || y < 30) y = y + 1;", 1},
+      {"do y = y + 1; while (x < y && y < 30);", 1},    // jnz: 0 falls out of the loop
+      {"do y = y + 1; while (y < x || y < 30);", 1},
+      {"for (;;) { if (x < y || y < 30) break; y = y + 1; }", 0},  // through the break's jmp
+      {"for (;;) { if (x < y && y > 30) break; y = y + 1; }", 0},  // after the break
+      // The inner pad threads through the outer one.
+      {"if (x < y && y < 30 && x > 3) r = 1; else r = 2;", 0},
+      // The inner `&&` feeds a boolnorm, and the `||`'s second operand is no
+      // single comparison.
+      {"if (x < y || y < 20 && x > 30) r = 1; else r = 2;", 2},
+      {"int t = x < y && y < 30; r = t;", 1},
+      {"r = !(x < y && y < 30);", 1},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.body);
+    const std::string src = shortCircuitKernel(shape.body);
+    const auto tier2 = compileProgram(src, CompileOptions{2});
+    const FunctionCode& fn = tier2->functions[static_cast<std::size_t>(tier2->findKernel("k"))];
+    EXPECT_EQ(std::count_if(fn.code.begin(), fn.code.end(),
+                            [](const Insn& insn) { return insn.op == Op::BoolNorm; }),
+              shape.boolnorms)
+        << disassemblePacked(fn);
+    // Retired counts per path: every item against tier 1.
+    const auto tier1 = compileProgram(src, CompileOptions{1});
+    std::vector<std::int32_t> in;
+    for (std::int32_t i = 0; i < 65; ++i) in.push_back((i * 13) % 41);
+    std::vector<std::vector<std::int32_t>> outs;
+    std::vector<std::uint64_t> counts;
+    for (const CompiledProgram* program : {tier1.get(), tier2.get()}) {
+      std::vector<std::int32_t> out(64, 0);
+      const std::vector<MemRegion> regions{
+          MemRegion{reinterpret_cast<std::byte*>(in.data()), in.size() * 4},
+          MemRegion{reinterpret_cast<std::byte*>(out.data()), out.size() * 4}};
+      Ptr inPtr;
+      inPtr.region = 1;
+      Ptr outPtr;
+      outPtr.region = 2;
+      Vm vm(*program, regions);
+      for (std::int64_t gid = 0; gid < 64; ++gid) {
+        vm.runKernel(program->findKernel("k"), std::vector<Slot>{Slot::fromPtr(inPtr),
+                                                                 Slot::fromPtr(outPtr)},
+                     gid, 64);
+      }
+      outs.push_back(out);
+      counts.push_back(vm.instructionsExecuted());
+    }
+    EXPECT_EQ(outs[0], outs[1]);
+    EXPECT_EQ(counts[0], counts[1]);
+  }
+
+  // The if/else `&&`: the first comparison goes to the pad before the else
+  // arm, the second is a reg.jz carrying reg, boolnorm, jmp and jz (3 + 1 +
+  // 1 + 1), and the pad carries push.i and jz.
+  const auto program = compileProgram(shortCircuitKernel(shapes[0].body), CompileOptions{2});
+  EXPECT_EQ(packedLines(program->functions[static_cast<std::size_t>(program->findKernel("k"))],
+                        12, 19),
+            R"(   12  reg.jz 17 lt.i s3 s4  ;w=4
+   13  reg.jz 18 lt.i s4 30  ;w=6
+   14  push.i 1
+   15  store.slot 5  ;w=3
+   16  jmp 20
+   17  jmp 18  ;w=2
+   18  push.i 2
+   19  store.slot 5  ;w=3
+)");
 }
 
 // --- every skeleton template batches ----------------------------------------
