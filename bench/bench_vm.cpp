@@ -5,8 +5,8 @@
 // ladder —
 //   ref    tier 0, the guarded reference interpreter (SKELCL_KC_OPT=0)
 //   fast   tier 1, peephole superinstructions + packed encoding
-//   tier2  tier 2 pipeline (rewrite pass, call inlining) on the sequential
-//          interpreter
+//   tier2  tier 2 pipeline (struct scalar replacement, call inlining,
+//          register form) on the sequential interpreter
 //   batch  tier 2 pipeline on the work-group-batched interpreter
 //          (Vm::runKernelBatch, 256-lane groups)
 // and reports Minstructions/s plus speedups over the tiers below.  Times are
@@ -77,8 +77,8 @@ const char* const kOsemSrc = R"(
 
 // Vertical 5-tap Gaussian over a column-pitched image: each work-item reads
 // its own column's taps at gid + t*512 from a halo-padded input.  Exercises
-// the strength-reduction rule (t*512 becomes a tracked increment) and the
-// LoadSlotElem superinstructions on the weight lookups.
+// register-form index arithmetic (t*512 reads the loop slot and a constant)
+// and the LoadElem superinstructions on the tap and weight loads.
 const char* const kBlurSrc = R"(
   __kernel void blur(__global float* in, __global float* w, __global float* out) {
     int gid = get_global_id(0);

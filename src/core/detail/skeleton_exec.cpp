@@ -565,6 +565,23 @@ void runScanOnce(Session& sess, const std::string& userSource, VectorData& input
   // device (paper Figure 2, bottom).  On a cluster the offsets cross the
   // network once per node (to the leader) and fan out over PCIe.
   std::vector<std::pair<int, ExecGraph::NodeId>> step4;
+  // The map on d's device, once `offsetsReady` has put its offsets there.
+  const auto addScanAdd = [&](DeviceScan& d, ExecGraph::NodeId offsetsReady) {
+    const int dev = d.range.device;
+    step4.emplace_back(dev, g.add(
+        StageKind::Kernel, dev, "scan step2 dev" + std::to_string(dev),
+        [&, &d = d, dev](std::span<const ocl::Event> deps) {
+          const VectorData::DevicePart* outPart =
+              inPlace ? input.partOn(dev) : output.partOn(dev);
+          scanAdd.setArg(0, *outPart->buffer);
+          scanAdd.setArg(1, *d.offsets);
+          scanAdd.setArg(2, static_cast<std::int32_t>(d.chunk));
+          scanAdd.setArg(3, static_cast<std::int32_t>(d.range.size));
+          scanAdd.setArg(4, static_cast<std::int32_t>(d.skipFirst ? 1 : 0));
+          return sess.queue(dev).enqueueNDRangeKernel(scanAdd, d.numChunks, 0, deps);
+        },
+        {offsetsReady, d.step1}));
+  };
   if (tree) {
     for (ScanNode& sn : scanNodes) {
       const ExecGraph::NodeId up = g.add(
@@ -596,19 +613,7 @@ void runScanOnce(Session& sess, const std::string& userSource, VectorData& input
             },
             {up});
         srcOffset += d.hostOffsets.size();
-        step4.emplace_back(dev, g.add(
-            StageKind::Kernel, dev, "scan step2 dev" + std::to_string(dev),
-            [&, &d = d, dev](std::span<const ocl::Event> deps) {
-              const VectorData::DevicePart* outPart =
-                  inPlace ? input.partOn(dev) : output.partOn(dev);
-              scanAdd.setArg(0, *outPart->buffer);
-              scanAdd.setArg(1, *d.offsets);
-              scanAdd.setArg(2, static_cast<std::int32_t>(d.chunk));
-              scanAdd.setArg(3, static_cast<std::int32_t>(d.range.size));
-              scanAdd.setArg(4, static_cast<std::int32_t>(d.skipFirst ? 1 : 0));
-              return sess.queue(dev).enqueueNDRangeKernel(scanAdd, d.numChunks, 0, deps);
-            },
-            {scatter, d.step1}));
+        addScanAdd(d, scatter);
       }
     }
   } else {
@@ -622,19 +627,7 @@ void runScanOnce(Session& sess, const std::string& userSource, VectorData& input
                                                       deps);
           },
           {offsetsNode});
-      step4.emplace_back(dev, g.add(
-          StageKind::Kernel, dev, "scan step2 dev" + std::to_string(dev),
-          [&, &d = d, dev](std::span<const ocl::Event> deps) {
-            const VectorData::DevicePart* outPart =
-                inPlace ? input.partOn(dev) : output.partOn(dev);
-            scanAdd.setArg(0, *outPart->buffer);
-            scanAdd.setArg(1, *d.offsets);
-            scanAdd.setArg(2, static_cast<std::int32_t>(d.chunk));
-            scanAdd.setArg(3, static_cast<std::int32_t>(d.range.size));
-            scanAdd.setArg(4, static_cast<std::int32_t>(d.skipFirst ? 1 : 0));
-            return sess.queue(dev).enqueueNDRangeKernel(scanAdd, d.numChunks, 0, deps);
-          },
-          {up, d.step1}));
+      addScanAdd(d, up);
     }
   }
 

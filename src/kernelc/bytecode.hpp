@@ -42,7 +42,7 @@ enum class Operands : std::uint8_t {
 
 /// OpInfo::flags bits.  Which pass reads which is in docs/VM.md.
 enum OpFlag : std::uint8_t {
-  kPure = 1 << 0,            ///< pure and never faults: the hoister may copy it
+  kPure = 1 << 0,            ///< pure and never faults: reg.store may absorb its store
   kStraight = 1 << 1,        ///< straight-line, not pure: the struct-copy scan passes it
   kStops = 1 << 2,           ///< control never falls through to the next instruction
   kReturns = 1 << 3,         ///< leaves the function, returning its `pops` values
@@ -172,10 +172,10 @@ enum OpFlag : std::uint8_t {
   X(Drop, "drop", 1, 0, kStraight, None)                                                 \
   /* a = trap message index (e.g. missing return), not printed */                        \
   X(Trap, "trap", 0, 0, kStops, None)                                                    \
-  /* Superinstructions: never emitted by the compiler proper, only by the */           \
-  /* peephole pass (and PtrAddImm, IncSlotI by the rewrite pass).  Each one */           \
-  /* replaces a fixed window of naive instructions and carries its weight, */            \
-  /* so retired counts and simulated time equal the unfused program's. */                \
+  /* Superinstructions: never emitted by the compiler proper, only by the */             \
+  /* peephole pass.  Each one replaces a fixed window of naive */                        \
+  /* instructions and carries its weight, so retired counts and */                       \
+  /* simulated time equal the unfused program's. */                                      \
   X(PtrAddImm, "ptradd.imm", 1, 1, kPure, PtrImm) /* pop ptr, push ptr+imm*a */          \
   X(LoadElemI32, "loadelem.i32", 2, 1, 0, ElemSize) /* pop index, pop ptr */             \
   X(LoadElemU32, "loadelem.u32", 2, 1, 0, ElemSize)                                      \
@@ -287,10 +287,11 @@ constexpr int regPops(std::uint16_t c) {
 
 /// Compiler IR instruction: roomy, easy to pattern-match and disassemble.
 /// `weight` is the number of source (naive) instructions this one retires;
-/// 1 for everything the compiler emits, >1 for peephole superinstructions,
-/// and 0 for code the rewrite pass hoisted out of a loop (the hoisted
-/// computation's weight is charged by the in-loop replacement instruction at
-/// its original frequency, keeping retired counts pipeline-independent).
+/// 1 for everything the compiler emits, >1 for peephole superinstructions
+/// and rewrite-pass replacements, and 0 for code the rewrite pass
+/// synthesized (struct field loads, inlined-argument binding and zeroing,
+/// whose cost a replacement carries), keeping retired counts
+/// pipeline-independent.
 /// `c` and `k` are the register form's only (Operands::Reg).
 struct Insn {
   Op op;

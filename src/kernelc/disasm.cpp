@@ -82,10 +82,9 @@ void printInsn(std::ostream& os, std::size_t index, const Insn& insn) {
       printReg(os, insn);
       break;
   }
-  // Weight 0 marks code the rewrite pass synthesized (hoisted / tracking
-  // instructions, inlined-argument binding); its cost is charged elsewhere.
-  if (insn.weight == 0) os << "  ;hoisted";
-  if (insn.weight > 1) os << "  ;w=" << static_cast<int>(insn.weight);
+  // Weight 0 marks code the rewrite pass synthesized (struct field loads,
+  // inlined-argument binding and zeroing); its cost is charged elsewhere.
+  if (insn.weight != 1) os << "  ;w=" << static_cast<int>(insn.weight);
   os << "\n";
 }
 

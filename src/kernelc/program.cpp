@@ -50,9 +50,9 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
   program->source = source;
   program->tier = options.tier;
   if (options.tier >= 2) {
-    // Rewrite rules run on the naive IR so the peephole pass can fuse the
-    // rewritten index arithmetic into its superinstructions; inlining then
-    // splices the rewritten user functions into the skeleton kernels.
+    // Struct scalar replacement frees user functions of their frames, so
+    // inlining can then splice them into the skeleton kernels; both run on
+    // the naive IR the peephole pass expects.
     for (FunctionCode& fn : program->functions) rewriteOptimize(fn);
     inlineCalls(program->functions);
   }
@@ -65,7 +65,6 @@ std::shared_ptr<const CompiledProgram> compileProgram(const std::string& source,
       }
     }
     finalizeFunctions(program->functions);
-    program->optimized = true;
   }
   // Sema rejects redefinitions, so every name maps to exactly one function.
   for (std::size_t i = 0; i < program->functions.size(); ++i) {

@@ -15,10 +15,10 @@ struct CompileOptions {
   ///       The differential-testing oracle.
   ///   1 — fast: peephole superinstructions + packed 16-byte encoding + fast
   ///       interpreter (PR 4).
-  ///   2 — fast + the rewrite pass (kernelc/rewrite.hpp: loop-invariant
-  ///       hoisting, strength reduction, pointer-bias fusion) and call
-  ///       inlining before the peephole pass, and eligibility for
-  ///       work-group-batched execution (Vm::runKernelBatch).
+  ///   2 — fast + the rewrite pass (kernelc/rewrite.hpp: struct scalar
+  ///       replacement and call inlining) before the peephole pass, the
+  ///       register form after it, and eligibility for work-group-batched
+  ///       execution (Vm::runKernelBatch).
   /// Every tier produces bit-identical outputs and identical
   /// retired-instruction counts; higher tiers only run faster.
   int tier = 2;

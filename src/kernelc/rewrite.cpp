@@ -1,22 +1,16 @@
 #include "kernelc/rewrite.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
 
 #include "base/error.hpp"
-#include "kernelc/builtins.hpp"
 #include "kernelc/encode.hpp"
 
 namespace skelcl::kc {
 
 namespace {
-
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-std::int32_t t32(std::int64_t v) { return static_cast<std::int32_t>(v); }
 
 bool fitsI32(std::int64_t v) {
   return v >= std::numeric_limits<std::int32_t>::min() &&
@@ -33,474 +27,64 @@ Insn make(Op op, std::int32_t a, std::int32_t b, std::int64_t imm, std::uint8_t 
   return insn;
 }
 
-/// Pure, never-faulting operations the hoister may duplicate into a
-/// preheader: the kPure opcodes (no integer division, which faults, and no
-/// memory access; PtrAdd is one, as pointer arithmetic wraps and faults
-/// happen at the access), and builtins without observable side effects or
-/// pointer parameters.
-bool pureOp(const Insn& insn) {
-  if (insn.op != Op::CallBuiltin) return opInfo(insn.op).flags & kPure;
-  const auto& table = builtinTable();
-  if (insn.a < 0 || static_cast<std::size_t>(insn.a) >= table.size()) return false;
-  const BuiltinDef& def = table[static_cast<std::size_t>(insn.a)];
-  if (std::strcmp(def.name, "barrier") == 0 || def.atomic != AtomicOp::None) return false;
-  return std::none_of(def.params.begin(), def.params.end(), [](BType p) {
-    return p == BType::PtrInt || p == BType::PtrUint || p == BType::PtrFloat ||
-           p == BType::PtrDouble;
-  });
-}
-
-/// A natural loop, identified by a backward branch: body is [head, back].
-struct Loop {
-  std::size_t head;
-  std::size_t back;
-};
-
-/// Innermost well-formed natural loops.  A loop qualifies when no other
-/// backward branch nests inside it and no branch from outside its body
-/// targets the body's interior (so the rewrite may treat [head, back] as a
-/// single-entry region with `head` the only way in).
-std::vector<Loop> innermostLoops(const std::vector<Insn>& code) {
-  std::vector<Loop> all;
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    if (isBranch(code[i].op) && static_cast<std::size_t>(code[i].a) <= i) {
-      all.push_back({static_cast<std::size_t>(code[i].a), i});
-    }
-  }
-  std::vector<Loop> out;
-  for (const Loop& loop : all) {
-    bool innermost = true;
-    for (const Loop& other : all) {
-      if (other.head == loop.head && other.back == loop.back) continue;
-      if (other.head >= loop.head && other.back <= loop.back) {
-        innermost = false;
-        break;
-      }
-    }
-    if (!innermost) continue;
-    bool wellFormed = true;
-    for (std::size_t i = 0; i < code.size() && wellFormed; ++i) {
-      if (!isBranch(code[i].op)) continue;
-      const auto t = static_cast<std::size_t>(code[i].a);
-      if (t > loop.head && t <= loop.back && (i < loop.head || i > loop.back)) {
-        wellFormed = false;
-      }
-    }
-    if (wellFormed) out.push_back(loop);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Edit engine: every rule is expressed as insert/replace edits against the
-// original instruction stream, applied in one rebuild with branch-target
-// remapping.  Branches to a Preheader edit's position are origin-dependent:
-// jumps from inside [loopLo, loopHi] skip the inserted block (the hoisted
-// values are still valid), everything else — including fall-through — runs
-// it, so re-entering the loop recomputes hoisted state.
+// Edit engine: struct scalar replacement and call inlining express their
+// changes as edits, each replacing a window of the original instruction
+// stream, applied in one rebuild that remaps branch targets.  A branch to a
+// window's first instruction lands on its replacement.
 // ---------------------------------------------------------------------------
 
 struct Edit {
-  enum Kind { Preheader = 0, Append = 1, Replace = 2 };
-  std::size_t pos;           ///< original index the edit anchors at
-  Kind kind;
-  std::size_t remove = 0;    ///< original instructions consumed (Replace only)
-  std::vector<Insn> add;
-  bool relocate = false;     ///< branches in `add` target indices within `add`
+  std::size_t pos;         ///< original index of the window's first instruction
+  std::size_t remove = 0;  ///< original instructions the window spans
+  std::vector<Insn> add;   ///< its replacement; branches in it target indices in it
 };
 
-void applyEdits(FunctionCode& fn, std::vector<Edit> edits, std::size_t preheaderPos,
-                std::size_t loopLo, std::size_t loopHi) {
+void applyEdits(FunctionCode& fn, std::vector<Edit> edits) {
   const std::vector<Insn>& code = fn.code;
   const std::size_t n = code.size();
-  std::sort(edits.begin(), edits.end(), [](const Edit& x, const Edit& y) {
-    return x.pos != y.pos ? x.pos < y.pos : x.kind < y.kind;
-  });
+  std::sort(edits.begin(), edits.end(),
+            [](const Edit& x, const Edit& y) { return x.pos < y.pos; });
 
-  // Pass 1: new index of every original position.  `before` is where an
-  // arbitrary branch to the position lands; `after` is where in-loop
-  // branches land when the position hosts a Preheader edit.  -1 marks the
-  // interior of a replaced window (must never be a branch target).
-  std::vector<std::int64_t> before(n + 1, -1);
-  std::vector<std::int64_t> after(n + 1, -1);
-  {
-    std::size_t cur = 0;
-    std::size_t e = 0;
-    std::size_t i = 0;
-    while (i <= n) {
-      std::size_t outside = cur;
-      std::size_t inside = kNpos;
-      bool replaced = false;
-      std::size_t removed = 0;
-      while (e < edits.size() && edits[e].pos == i) {
-        const Edit& ed = edits[e];
-        if (ed.kind == Edit::Preheader) {
-          cur += ed.add.size();
-          inside = cur;
-        } else if (ed.kind == Edit::Append) {
-          cur += ed.add.size();
-          outside = cur;  // all branches (and nobody else) skip the block
-          if (inside != kNpos) inside = cur;
-        } else {
-          replaced = true;
-          removed = ed.remove;
-          cur += ed.add.size();
-        }
-        ++e;
-      }
-      before[i] = static_cast<std::int64_t>(outside);
-      after[i] = static_cast<std::int64_t>(inside == kNpos ? outside : inside);
-      if (i == n) break;
-      if (replaced) {
-        i += removed;  // interior positions keep -1
-      } else {
-        cur += 1;
-        i += 1;
-      }
-    }
-  }
-
-  // Pass 2: remap branch targets on a scratch copy (the branch's *original*
-  // index decides the in-loop test for preheader targets).
-  std::vector<Insn> src = code;
-  for (std::size_t i = 0; i < n; ++i) {
-    Insn& insn = src[i];
-    if (!isBranch(insn.op)) continue;
-    const auto t = static_cast<std::size_t>(insn.a);
-    const bool fromLoop = i >= loopLo && i <= loopHi;
-    const std::int64_t mapped =
-        (t == preheaderPos && fromLoop) ? after[t] : before[t];
-    SKELCL_CHECK(mapped >= 0, "rewrite: branch target landed inside a replaced window");
-    insn.a = static_cast<std::int32_t>(mapped);
-  }
-
-  // Pass 3: emit.
-  std::vector<Insn> out;
-  out.reserve(n + 8);
-  std::size_t e = 0;
-  std::size_t i = 0;
-  while (i <= n) {
-    bool replaced = false;
-    std::size_t removed = 0;
-    while (e < edits.size() && edits[e].pos == i) {
-      const auto at = static_cast<std::int32_t>(out.size());
-      for (Insn add : edits[e].add) {
-        if (edits[e].relocate && isBranch(add.op)) add.a += at;
-        out.push_back(add);
-      }
-      if (edits[e].kind == Edit::Replace) {
-        replaced = true;
-        removed = edits[e].remove;
-      }
+  // New index of every original position; -1 marks the interior of a
+  // replaced window, which must never be a branch target.
+  std::vector<std::int64_t> moved(n + 1, -1);
+  std::size_t size = 0;
+  for (std::size_t i = 0, e = 0; i < n;) {
+    moved[i] = static_cast<std::int64_t>(size);
+    if (e < edits.size() && edits[e].pos == i) {
+      size += edits[e].add.size();
+      i += edits[e].remove;
       ++e;
-    }
-    if (i == n) break;
-    if (replaced) {
-      i += removed;
     } else {
-      out.push_back(src[i]);
+      size += 1;
       i += 1;
     }
   }
-  fn.code = std::move(out);
-}
+  moved[n] = static_cast<std::int64_t>(size);
 
-// ---------------------------------------------------------------------------
-// R3: pointer-bias fusion.  p[i +/- k] compiles to
-//     LoadSlot p; LoadSlot i; PushI k; AddI|SubI; PtrAdd sz; Load<T>
-// Precompute p' = p +/- k*sz once at function entry (PtrAddImm wraps mod
-// 2^32 and never faults, so this is exact and safe even when p' is
-// transiently out of bounds) and rewrite the window to
-//     LoadSlot p'; LoadSlot i; PtrAdd sz; Load<T>
-// which the peephole pass fuses into a single LoadSlotElem.  LoadSlot p'
-// carries the three removed instructions' weight.
-// ---------------------------------------------------------------------------
-
-bool isTypedLoad(Op op) {
-  return op == Op::LoadI32 || op == Op::LoadU32 || op == Op::LoadF32 ||
-         op == Op::LoadF64 || op == Op::LoadI64;
-}
-
-bool fusePointerBias(FunctionCode& fn) {
-  const std::vector<Insn>& code = fn.code;
-  const std::size_t n = code.size();
-  if (n < 6) return false;
-  const std::vector<bool> target = branchTargets(code);
-
-  std::vector<bool> written(static_cast<std::size_t>(fn.numSlots), false);
-  for (const Insn& insn : code) {
-    const int s = slotUse(insn).write;
-    if (s >= 0) written[static_cast<std::size_t>(s)] = true;
-  }
-
-  for (std::size_t m = 0; m + 6 <= n; ++m) {
-    if (code[m].op != Op::LoadSlot || code[m + 1].op != Op::LoadSlot ||
-        code[m + 2].op != Op::PushI ||
-        (code[m + 3].op != Op::AddI && code[m + 3].op != Op::SubI) ||
-        code[m + 4].op != Op::PtrAdd || !isTypedLoad(code[m + 5].op)) {
+  std::vector<Insn> out;
+  out.reserve(size);
+  for (std::size_t i = 0, e = 0; i < n;) {
+    if (e < edits.size() && edits[e].pos == i) {
+      const Edit& edit = edits[e++];
+      const auto at = static_cast<std::int32_t>(out.size());
+      for (Insn insn : edit.add) {
+        if (isBranch(insn.op)) insn.a += at;
+        out.push_back(insn);
+      }
+      i += edit.remove;
       continue;
     }
-    const std::int32_t p = code[m].a;
-    if (written[static_cast<std::size_t>(p)]) continue;
-    const std::int64_t k = code[m + 2].imm;
-    const std::int64_t bias = code[m + 3].op == Op::AddI ? k : -k;
-    if (!fitsI32(k) || !fitsI32(bias)) continue;
-    bool clear = true;
-    int wsum = 0;
-    for (std::size_t j = m; j < m + 6; ++j) {
-      if (j > m && target[j]) clear = false;
-      wsum += code[j].weight;
+    Insn insn = code[i++];
+    if (isBranch(insn.op)) {
+      const std::int64_t target = moved[static_cast<std::size_t>(insn.a)];
+      SKELCL_CHECK(target >= 0, "rewrite: branch target landed inside a replaced window");
+      insn.a = static_cast<std::int32_t>(target);
     }
-    // Replacement weights: LoadSlot p' absorbs LoadSlot p + PushI + AddI.
-    const int carried = code[m].weight + code[m + 2].weight + code[m + 3].weight;
-    if (!clear || wsum > 255 || carried > 255) continue;
-
-    const std::int32_t pBiased = fn.numSlots++;
-    Edit entry;
-    entry.pos = 0;
-    entry.kind = Edit::Preheader;  // loopLo/hi = npos: every branch to 0 reruns
-    entry.add.push_back(make(Op::LoadSlot, p, 0, 0, 0));
-    entry.add.push_back(make(Op::PtrAddImm, code[m + 4].a, 0, bias, 0));
-    entry.add.push_back(make(Op::StoreSlot, pBiased, 0, 0, 0));
-
-    Edit rep;
-    rep.pos = m;
-    rep.kind = Edit::Replace;
-    rep.remove = 6;
-    rep.add.push_back(make(Op::LoadSlot, pBiased, 0, 0,
-                           static_cast<std::uint8_t>(carried)));
-    rep.add.push_back(code[m + 1]);  // LoadSlot i (weight preserved)
-    rep.add.push_back(code[m + 4]);  // PtrAdd sz
-    rep.add.push_back(code[m + 5]);  // Load<T>
-
-    applyEdits(fn, {entry, rep}, 0, kNpos, kNpos);
-    return true;
+    out.push_back(insn);
   }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// R2: strength reduction.  Inside an innermost loop whose slot i has exactly
-// one write — a canonical increment i += d — every multiply window
-//     LoadSlot i; PushI C; MulI     (or PushI C; LoadSlot i; MulI)
-// becomes LoadSlot j of a fresh slot j that tracks t32(i*C): initialized in
-// the preheader by the same three operations (weight 0) and bumped by
-// IncSlotI j, t32(d*C) right after the increment (weight 0).  Exact because
-// (i+d)*C == i*C + d*C mod 2^32.  The LoadSlot j replacement carries the
-// window's summed weight.
-// ---------------------------------------------------------------------------
-
-struct IncWindow {
-  std::size_t begin = kNpos;
-  std::size_t end = kNpos;  ///< one past the window
-  std::int64_t delta = 0;
-};
-
-/// Match the canonical increment statement writing `slot` at position q
-/// (the naive post-inc/pre-inc/bare-assign shapes the peephole pass also
-/// recognizes, plus an IncSlotI from an earlier rewrite iteration).
-bool matchIncrement(const std::vector<Insn>& code, std::size_t q, std::int32_t slot,
-                    IncWindow& out) {
-  const auto at = [&](std::size_t i) { return code[i]; };
-  if (code[q].op == Op::IncSlotI) {
-    out = {q, q + 1, code[q].imm};
-    return true;
-  }
-  if (code[q].op != Op::StoreSlot) return false;
-  // post-inc: LoadSlot s; Dup; PushI d; AddI; StoreSlot s; Drop
-  if (q >= 4 && q + 2 <= code.size() && at(q - 4).op == Op::LoadSlot &&
-      at(q - 4).a == slot && at(q - 3).op == Op::Dup && at(q - 2).op == Op::PushI &&
-      at(q - 1).op == Op::AddI && at(q + 1).op == Op::Drop) {
-    out = {q - 4, q + 2, at(q - 2).imm};
-    return true;
-  }
-  // pre-inc: LoadSlot s; PushI d; AddI; Dup; StoreSlot s; Drop
-  if (q >= 4 && q + 2 <= code.size() && at(q - 4).op == Op::LoadSlot &&
-      at(q - 4).a == slot && at(q - 3).op == Op::PushI && at(q - 2).op == Op::AddI &&
-      at(q - 1).op == Op::Dup && at(q + 1).op == Op::Drop) {
-    out = {q - 4, q + 2, at(q - 3).imm};
-    return true;
-  }
-  // bare: LoadSlot s; PushI d; AddI; StoreSlot s
-  if (q >= 3 && at(q - 3).op == Op::LoadSlot && at(q - 3).a == slot &&
-      at(q - 2).op == Op::PushI && at(q - 1).op == Op::AddI) {
-    out = {q - 3, q + 1, at(q - 2).imm};
-    return true;
-  }
-  return false;
-}
-
-bool strengthReduce(FunctionCode& fn) {
-  const std::vector<Insn>& code = fn.code;
-  const std::size_t n = code.size();
-  const std::vector<bool> target = branchTargets(code);
-
-  for (const Loop& loop : innermostLoops(code)) {
-    // Writes per slot inside the body.
-    std::vector<int> writes(static_cast<std::size_t>(fn.numSlots), 0);
-    std::vector<std::size_t> writePos(static_cast<std::size_t>(fn.numSlots), kNpos);
-    for (std::size_t i = loop.head; i <= loop.back; ++i) {
-      const int s = slotUse(code[i]).write;
-      if (s >= 0) {
-        writes[static_cast<std::size_t>(s)] += 1;
-        writePos[static_cast<std::size_t>(s)] = i;
-      }
-    }
-
-    for (std::size_t m = loop.head; m + 3 <= loop.back + 1; ++m) {
-      std::int32_t indSlot = -1;
-      std::int64_t factor = 0;
-      if (code[m].op == Op::LoadSlot && code[m + 1].op == Op::PushI &&
-          code[m + 2].op == Op::MulI) {
-        indSlot = code[m].a;
-        factor = code[m + 1].imm;
-      } else if (code[m].op == Op::PushI && code[m + 1].op == Op::LoadSlot &&
-                 code[m + 2].op == Op::MulI) {
-        indSlot = code[m + 1].a;
-        factor = code[m].imm;
-      } else {
-        continue;
-      }
-      if (writes[static_cast<std::size_t>(indSlot)] != 1 || !fitsI32(factor)) continue;
-      IncWindow inc;
-      if (!matchIncrement(code, writePos[static_cast<std::size_t>(indSlot)], indSlot, inc)) {
-        continue;
-      }
-      if (inc.begin < loop.head || inc.end > loop.back + 1 || !fitsI32(inc.delta)) continue;
-      bool ok = true;
-      for (std::size_t j = inc.begin + 1; j < inc.end; ++j) {
-        if (target[j]) ok = false;  // jumps into the middle of the increment
-      }
-      if (!ok) continue;
-
-      // Collect every multiply window of this (slot, factor) pair in the
-      // body: disjoint from the increment window and from each other.  Each
-      // replacement carries its own window's summed weight.
-      std::vector<std::pair<std::size_t, int>> windows;  // (pos, weight)
-      for (std::size_t w = loop.head; w + 3 <= loop.back + 1;) {
-        const bool formA = code[w].op == Op::LoadSlot && code[w].a == indSlot &&
-                           code[w + 1].op == Op::PushI && code[w + 1].imm == factor &&
-                           code[w + 2].op == Op::MulI;
-        const bool formB = code[w].op == Op::PushI && code[w].imm == factor &&
-                           code[w + 1].op == Op::LoadSlot && code[w + 1].a == indSlot &&
-                           code[w + 2].op == Op::MulI;
-        const bool overlapsInc = w < inc.end && w + 3 > inc.begin;
-        const bool interiorTarget = target[w + 1] || target[w + 2];
-        if ((formA || formB) && !overlapsInc && !interiorTarget) {
-          const int wsum = code[w].weight + code[w + 1].weight + code[w + 2].weight;
-          if (wsum <= 255) {
-            windows.push_back({w, wsum});
-            w += 3;
-            continue;
-          }
-        }
-        ++w;
-      }
-      if (windows.empty()) continue;
-
-      const std::int32_t tracked = fn.numSlots++;
-      std::vector<Edit> edits;
-      Edit pre;
-      pre.pos = loop.head;
-      pre.kind = Edit::Preheader;
-      pre.add.push_back(make(Op::LoadSlot, indSlot, 0, 0, 0));
-      pre.add.push_back(make(Op::PushI, 0, 0, factor, 0));
-      pre.add.push_back(make(Op::MulI, 0, 0, 0, 0));
-      pre.add.push_back(make(Op::StoreSlot, tracked, 0, 0, 0));
-      edits.push_back(std::move(pre));
-
-      Edit bump;
-      bump.pos = inc.end;
-      bump.kind = Edit::Append;
-      bump.add.push_back(make(Op::IncSlotI, tracked, 0, t32(inc.delta * factor), 0));
-      edits.push_back(std::move(bump));
-
-      for (const auto& [w, wsum] : windows) {
-        Edit rep;
-        rep.pos = w;
-        rep.kind = Edit::Replace;
-        rep.remove = 3;
-        rep.add.push_back(make(Op::LoadSlot, tracked, 0, 0,
-                               static_cast<std::uint8_t>(wsum)));
-        edits.push_back(std::move(rep));
-      }
-      applyEdits(fn, std::move(edits), loop.head, loop.head, loop.back);
-      return true;
-    }
-  }
-  (void)n;
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// R1: loop-invariant hoisting.  The longest pure window inside an innermost
-// loop that reads only loop-invariant slots, never dips into the pre-window
-// stack, and nets exactly one pushed value moves to a preheader (weight 0)
-// that stores into a fresh slot; the window becomes LoadSlot of that slot,
-// carrying the window's summed weight.  Branches from inside the loop to its
-// head skip the preheader; entering the loop from anywhere else runs it.
-// ---------------------------------------------------------------------------
-
-bool hoistLoopInvariant(FunctionCode& fn) {
-  const std::vector<Insn>& code = fn.code;
-  const std::vector<bool> target = branchTargets(code);
-
-  for (const Loop& loop : innermostLoops(code)) {
-    std::vector<bool> written(static_cast<std::size_t>(fn.numSlots), false);
-    for (std::size_t i = loop.head; i <= loop.back; ++i) {
-      const int s = slotUse(code[i]).write;
-      if (s >= 0) written[static_cast<std::size_t>(s)] = true;
-    }
-
-    for (std::size_t w = loop.head; w <= loop.back; ++w) {
-      int height = 0;
-      int weight = 0;
-      std::size_t end = 0;  // one past the chosen window; 0 = none found
-      int endWeight = 0;
-      std::size_t j = w;
-      while (j <= loop.back) {
-        if (j > w && target[j]) break;
-        if (!pureOp(code[j])) break;
-        if (code[j].op == Op::LoadSlot &&
-            written[static_cast<std::size_t>(code[j].a)]) {
-          break;
-        }
-        const StackEffect e = stackEffect(code[j], {});  // calls no function
-        if (height < e.pops) break;  // would consume pre-window stack
-        height += e.pushes - e.pops;
-        weight += code[j].weight;
-        if (weight > 255) break;
-        ++j;
-        if (height == 1 && j - w >= 2) {
-          end = j;
-          endWeight = weight;
-        }
-      }
-      if (end == 0) continue;
-
-      const std::int32_t hoisted = fn.numSlots++;
-      Edit pre;
-      pre.pos = loop.head;
-      pre.kind = Edit::Preheader;
-      for (std::size_t i = w; i < end; ++i) {
-        Insn copy = code[i];
-        copy.weight = 0;
-        pre.add.push_back(copy);
-      }
-      pre.add.push_back(make(Op::StoreSlot, hoisted, 0, 0, 0));
-
-      Edit rep;
-      rep.pos = w;
-      rep.kind = Edit::Replace;
-      rep.remove = end - w;
-      rep.add.push_back(make(Op::LoadSlot, hoisted, 0, 0,
-                             static_cast<std::uint8_t>(endWeight)));
-
-      applyEdits(fn, {std::move(pre), std::move(rep)}, loop.head, loop.head, loop.back);
-      return true;
-    }
-  }
-  return false;
+  fn.code = std::move(out);
 }
 
 // ---------------------------------------------------------------------------
@@ -520,8 +104,13 @@ bool hoistLoopInvariant(FunctionCode& fn) {
 // makes it inlinable (and its kernel batchable).
 // ---------------------------------------------------------------------------
 
-std::uint32_t loadBytes(Op load) {
-  return load == Op::LoadF64 || load == Op::LoadI64 ? 8 : 4;
+/// Bytes a typed load reads; 0 for any other opcode.
+std::uint32_t loadBytes(Op op) {
+  switch (op) {
+    case Op::LoadI32: case Op::LoadU32: case Op::LoadF32: return 4;
+    case Op::LoadF64: case Op::LoadI64: return 8;
+    default: return 0;
+  }
 }
 
 /// If the LeaFrame at `p` is the destination of a whole copy — a
@@ -568,11 +157,11 @@ bool scalarReplaceStructs(FunctionCode& fn) {
     Object& obj = objects[code[p].a];
     std::int64_t field = -1;
     std::size_t len = 0;
-    if (p + 1 < n && isTypedLoad(code[p + 1].op) && !target[p + 1]) {
+    if (p + 1 < n && loadBytes(code[p + 1].op) != 0 && !target[p + 1]) {
       field = 0;
       len = 2;
     } else if (p + 3 < n && code[p + 1].op == Op::PushI && code[p + 2].op == Op::PtrAdd &&
-               code[p + 2].a == 1 && isTypedLoad(code[p + 3].op) && !target[p + 1] &&
+               code[p + 2].a == 1 && loadBytes(code[p + 3].op) != 0 && !target[p + 1] &&
                !target[p + 2] && !target[p + 3] && code[p + 1].imm >= 0 &&
                fitsI32(code[p + 1].imm)) {
       field = code[p + 1].imm;
@@ -624,7 +213,6 @@ bool scalarReplaceStructs(FunctionCode& fn) {
     for (const Window& c : obj.copies) {
       Edit rep;
       rep.pos = c.pos;
-      rep.kind = Edit::Replace;
       rep.remove = c.end - c.pos;
       rep.add.assign(code.begin() + static_cast<std::ptrdiff_t>(c.pos + 1),
                      code.begin() + static_cast<std::ptrdiff_t>(c.end - 1));
@@ -649,14 +237,13 @@ bool scalarReplaceStructs(FunctionCode& fn) {
       const std::int64_t field = r.end - r.pos == 2 ? 0 : code[r.pos + 1].imm;
       Edit rep;
       rep.pos = r.pos;
-      rep.kind = Edit::Replace;
       rep.remove = r.end - r.pos;
       rep.add.push_back(make(Op::LoadSlot, slotOf[field], 0, 0, static_cast<std::uint8_t>(w)));
       edits.push_back(std::move(rep));
     }
   }
   if (edits.empty()) return false;
-  applyEdits(fn, std::move(edits), kNpos, kNpos, kNpos);
+  applyEdits(fn, std::move(edits));
   if (std::none_of(fn.code.begin(), fn.code.end(), [](const Insn& insn) {
         return insn.op == Op::LeaFrame || insn.op == Op::MemCopy;
       })) {
@@ -825,9 +412,7 @@ int inlineCalls(std::vector<FunctionCode>& fns) {
         const FunctionCode& callee = fns[static_cast<std::size_t>(call.a)];
         Edit edit;
         edit.pos = m;
-        edit.kind = Edit::Replace;
         edit.remove = 1;
-        edit.relocate = true;
         edit.add = inlineBlock(call, callee, zeroed[static_cast<std::size_t>(call.a)], base);
         if (size + edit.add.size() > kMaxInlinedCode) continue;
         size += edit.add.size() - 1;
@@ -837,7 +422,7 @@ int inlineCalls(std::vector<FunctionCode>& fns) {
       if (edits.empty()) continue;
       sweep += static_cast<int>(edits.size());
       fn.numSlots = base + region;
-      applyEdits(fn, std::move(edits), kNpos, kNpos, kNpos);
+      applyEdits(fn, std::move(edits));
     }
     if (sweep == 0) return inlined;
     inlined += sweep;
@@ -845,16 +430,11 @@ int inlineCalls(std::vector<FunctionCode>& fns) {
 }
 
 int rewriteOptimize(FunctionCode& fn) {
+  // Sweep until the rule stops applying: an object kept in memory because
+  // another started inside it qualifies once that one is replaced.  Every
+  // sweep removes a copy's LeaFrame and adds none, so this ends.
   int applied = 0;
-  // One transformation per iteration (each is a full rebuild); every rule
-  // strictly shrinks its remaining opportunities, the cap is a backstop.
-  while (applied < 64) {
-    if (scalarReplaceStructs(fn)) { ++applied; continue; }
-    if (fusePointerBias(fn)) { ++applied; continue; }
-    if (strengthReduce(fn)) { ++applied; continue; }
-    if (hoistLoopInvariant(fn)) { ++applied; continue; }
-    break;
-  }
+  while (scalarReplaceStructs(fn)) ++applied;
   return applied;
 }
 

@@ -36,7 +36,7 @@ Vm::Vm(const CompiledProgram& program, std::vector<MemRegion> globalRegions,
 void Vm::allocateItemArenas() {
   if (!frameArena_.empty()) return;
   frameArena_.resize(kFrameArenaBytes);
-  if (program_.optimized) {
+  if (program_.tier >= 1) {
     stackBuf_.resize(kMaxStack);
     slotArena_.resize(kSlotArenaSlots);
     sp_ = stackBuf_.data();
@@ -85,7 +85,7 @@ void Vm::runKernel(int functionIndex, std::span<const Slot> args, std::int64_t g
   frameTop_ = 0;
   // Global regions were installed by the constructor and stay put; frame
   // regions pushed beyond them are popped by execute() itself.
-  if (program_.optimized) {
+  if (program_.tier >= 1) {
     slotTop_ = 0;
     Slot* base = stackBuf_.data();
     std::copy(args.begin(), args.end(), base);
@@ -110,7 +110,7 @@ Slot Vm::callFunction(int functionIndex, std::span<const Slot> args) {
   globalId_ = 0;
   globalSize_ = 1;
   frameTop_ = 0;
-  if (program_.optimized) {
+  if (program_.tier >= 1) {
     slotTop_ = 0;
     Slot* base = stackBuf_.data();
     std::copy(args.begin(), args.end(), base);
@@ -131,7 +131,7 @@ Slot Vm::callFunction(int functionIndex, std::span<const Slot> args) {
 }
 
 void Vm::execute(int functionIndex, std::span<const Slot> args, bool expectResult) {
-  if (program_.optimized) {
+  if (program_.tier >= 1) {
     executeFast(functionIndex, args, expectResult);
   } else {
     executeRef(functionIndex, args, expectResult);
@@ -1213,7 +1213,7 @@ void Vm::executeRef(int functionIndex, std::span<const Slot> args, bool expectRe
         fault("non-void function reached the end without returning a value");
         break;
 
-      // The reference interpreter runs the naive pipeline only; optimized
+      // The reference interpreter runs the naive pipeline only; tier 1 and 2
       // programs always dispatch through executeFast.
       case Op::PtrAddImm:
       case Op::LoadElemI32: case Op::LoadElemU32: case Op::LoadElemF32:

@@ -57,12 +57,11 @@ struct CompiledProgram {
   std::vector<FunctionCode> functions;
   std::uint64_t complexity = 0;  ///< token count; drives the compile-cost model
   std::string source;
-  /// True when the optimized pipeline ran (peephole + packed encoding); the
-  /// VM picks its interpreter path from this.
-  bool optimized = false;
   /// Optimization tier this program was compiled at (CompileOptions::tier):
-  /// 0 reference, 1 fast, 2 fast + rewrite pass + batch eligibility.
-  /// Hand-assembled programs default to 0 regardless of `optimized`.
+  /// 0 reference, 1 fast, 2 fast + rewrite pass + batch eligibility.  The VM
+  /// runs tier 0 on the reference interpreter and the packed encoding of
+  /// tiers 1 and 2 on the fast one.  Hand-assembled programs default to 0
+  /// and set 1 or 2 once finalizeFunctions has encoded them.
   int tier = 0;
   /// name -> index over `functions`, built once at compile time (names are
   /// unique; sema rejects redefinitions).  Empty for hand-assembled programs.
@@ -94,7 +93,7 @@ class Vm final : public BuiltinCtx {
   /// into lane subsets, the lowest-pc subset runs first, and subsets that
   /// reach the same pc merge again (docs/VM.md).  Falls back to per-item
   /// runKernel when the function is not batchable (FunctionCode::batchable)
-  /// or the program is not optimized.  Outputs and retired-instruction
+  /// or the program is below tier 1.  Outputs and retired-instruction
   /// counts are bit-identical to `count` sequential runKernel calls; only
   /// the order in which work-items touch memory changes (which batchability
   /// guarantees is unobservable).  Atomics are logged per lane and applied

@@ -559,7 +559,7 @@ void Vm::runKernelBatch(int functionIndex, std::span<const Slot> args, std::int6
   SKELCL_CHECK(fn.isKernel, "runKernelBatch on a non-kernel function");
   SKELCL_CHECK(count >= 1 && count <= kBatchLanes, "batch lane count out of range");
   // A single lane runs per item, except when its atomics must join the log.
-  if (!program_.optimized || !fn.batchable || (count == 1 && fn.atomicArgs.empty())) {
+  if (program_.tier < 1 || !fn.batchable || (count == 1 && fn.atomicArgs.empty())) {
     for (std::int64_t l = 0; l < count; ++l) {
       runKernel(functionIndex, args, gidBase + l, globalSize);
     }

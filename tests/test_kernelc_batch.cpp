@@ -968,8 +968,8 @@ TEST(KernelcBatch, NegativeOffsetsWrapBackIntoBounds) {
 
 TEST(KernelcBatch, ReversedStridedAndOffsetAddressesMatchPerItem) {
   // Loads, stores (post-increment) and tee-stores at reversed (stride -1),
-  // strided (2 and 3) and offset-start unit-stride addresses; every output
-  // element has one writer.
+  // strided (2 and 3), unit-stride and offset-start unit-stride addresses;
+  // every output element has one writer.
   const std::string src = R"(
     __kernel void addr(__global float* in, __global float* out, __global int* cnt, int n) {
       int gid = get_global_id(0);
@@ -977,7 +977,8 @@ TEST(KernelcBatch, ReversedStridedAndOffsetAddressesMatchPerItem) {
       float strided = in[3 * gid];
       float shifted = in[gid + 5];
       float plain = *(in + gid + 2);
-      out[n - 1 - gid] = rev + plain;
+      float direct = in[gid];
+      out[n - 1 - gid] = rev + plain + direct;
       out[n + 2 * gid] = strided;
       out[3 * n + 5 + gid] = shifted;
       cnt[n - 1 - gid]++;

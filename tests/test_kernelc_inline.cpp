@@ -99,11 +99,11 @@ std::unique_ptr<Programs> build(std::vector<FunctionCode> fns) {
   auto p = std::make_unique<Programs>();
   p->plain.functions = fns;
   finalizeFunctions(p->plain.functions);
-  p->plain.optimized = true;
+  p->plain.tier = 1;
   p->inlined.functions = std::move(fns);
   p->applied = inlineCalls(p->inlined.functions);
   finalizeFunctions(p->inlined.functions);
-  p->inlined.optimized = true;
+  p->inlined.tier = 2;
   return p;
 }
 
@@ -564,63 +564,63 @@ TEST(KernelcInline, HotLoopsLowerToPinnedRegisterForm) {
   }
   ASSERT_GT(backEdge, 0u);
   // Each `||` that breaks out of the march branches on its second
-  // comparison directly and shares the pad after the back-edge (711); the
-  // `&&` that picks the x step does too, with its pad (695) before the
-  // else arm (short-circuit threading).
-  EXPECT_EQ(packedLines(osemFn, head, backEdge + 1), R"(  658  load.slot2 s64 s65  ;w=2
-  659  load.slot 66
-  660  call.builtin 39 argc=2
-  661  call.builtin 39 argc=2
-  662  store.slot 72
-  663  reg.jz 666 gt.f s72 s41  ;w=4
-  664  load.slot 41
-  665  store.slot 72  ;w=3
-  666  reg sub.f32 s72 s70  ;w=3
-  667  reg.store mul.f32 stack s51 -> s73  ;w=3
-  668  reg.jz 685 gt.f s73 0  ;w=4
-  669  reg mul.i s57 s26  ;w=3
-  670  reg add.i stack s56  ;w=2
-  671  reg mul.i stack s25  ;w=2
-  672  reg.store add.i stack s55 -> s74  ;w=3
-  673  load.slot 75  ;w=3
-  674  jz 680
-  675  reg ptradd sz=4 s24 s74  ;w=3
-  676  reg div.f32 s73 s29  ;w=3
-  677  call.builtin 61 argc=2
-  678  drop
-  679  jmp 685
-  680  load.slot2 s71 s23  ;w=2
-  681  load.slot 74
-  682  loadelem.f32 sz=4  ;w=2
-  683  reg mul.f32 stack s73  ;w=2
-  684  reg.store add.f32 stack stack -> s71  ;w=4
-  685  reg.jz 687 ge.f s72 s41  ;w=4
-  686  jmp 712
-  687  reg.jz 695 le.f s64 s65  ;w=4
-  688  reg.jz 696 le.f s64 s66  ;w=6
-  689  reg.store add.i s55 s58 -> s55  ;w=6
-  690  reg.jnz 711 lt.i s55 0  ;w=4
-  691  reg.jz 693 ge.i s55 s25  ;w=6
-  692  jmp 712
-  693  reg.store add.f32 s64 s61 -> s64  ;w=6
-  694  jmp 708
-  695  jmp 696  ;w=2
-  696  reg.jz 703 le.f s65 s66  ;w=4
-  697  reg.store add.i s56 s59 -> s56  ;w=6
-  698  reg.jnz 711 lt.i s56 0  ;w=4
-  699  reg.jz 701 ge.i s56 s26  ;w=6
-  700  jmp 712
-  701  reg.store add.f32 s65 s62 -> s65  ;w=6
+  // comparison directly and shares the pad after the back-edge (707); the
+  // `&&` that picks the x step does too, with its pad (691) before the
+  // else arm (short-circuit threading).  The loop-invariant `mode == 1` is
+  // one reg.jz per step (670).
+  EXPECT_EQ(packedLines(osemFn, head, backEdge + 1), R"(  655  load.slot2 s64 s65  ;w=2
+  656  load.slot 66
+  657  call.builtin 39 argc=2
+  658  call.builtin 39 argc=2
+  659  store.slot 72
+  660  reg.jz 663 gt.f s72 s41  ;w=4
+  661  load.slot 41
+  662  store.slot 72  ;w=3
+  663  reg sub.f32 s72 s70  ;w=3
+  664  reg.store mul.f32 stack s51 -> s73  ;w=3
+  665  reg.jz 681 gt.f s73 0  ;w=4
+  666  reg mul.i s57 s26  ;w=3
+  667  reg add.i stack s56  ;w=2
+  668  reg mul.i stack s25  ;w=2
+  669  reg.store add.i stack s55 -> s74  ;w=3
+  670  reg.jz 676 eq.i s30 1  ;w=4
+  671  reg ptradd sz=4 s24 s74  ;w=3
+  672  reg div.f32 s73 s29  ;w=3
+  673  call.builtin 61 argc=2
+  674  drop
+  675  jmp 681
+  676  load.slot2 s71 s23  ;w=2
+  677  load.slot 74
+  678  loadelem.f32 sz=4  ;w=2
+  679  reg mul.f32 stack s73  ;w=2
+  680  reg.store add.f32 stack stack -> s71  ;w=4
+  681  reg.jz 683 ge.f s72 s41  ;w=4
+  682  jmp 708
+  683  reg.jz 691 le.f s64 s65  ;w=4
+  684  reg.jz 692 le.f s64 s66  ;w=6
+  685  reg.store add.i s55 s58 -> s55  ;w=6
+  686  reg.jnz 707 lt.i s55 0  ;w=4
+  687  reg.jz 689 ge.i s55 s25  ;w=6
+  688  jmp 708
+  689  reg.store add.f32 s64 s61 -> s64  ;w=6
+  690  jmp 704
+  691  jmp 692  ;w=2
+  692  reg.jz 699 le.f s65 s66  ;w=4
+  693  reg.store add.i s56 s59 -> s56  ;w=6
+  694  reg.jnz 707 lt.i s56 0  ;w=4
+  695  reg.jz 697 ge.i s56 s26  ;w=6
+  696  jmp 708
+  697  reg.store add.f32 s65 s62 -> s65  ;w=6
+  698  jmp 704
+  699  reg.store add.i s57 s60 -> s57  ;w=6
+  700  reg.jnz 707 lt.i s57 0  ;w=4
+  701  reg.jz 703 ge.i s57 s27  ;w=6
   702  jmp 708
-  703  reg.store add.i s57 s60 -> s57  ;w=6
-  704  reg.jnz 711 lt.i s57 0  ;w=4
-  705  reg.jz 707 ge.i s57 s27  ;w=6
-  706  jmp 712
-  707  reg.store add.f32 s66 s63 -> s66  ;w=6
-  708  load.slot 72
-  709  store.slot 70  ;w=3
-  710  jmp 658
-  711  jmp 712  ;w=3
+  703  reg.store add.f32 s66 s63 -> s66  ;w=6
+  704  load.slot 72
+  705  store.slot 70  ;w=3
+  706  jmp 655
+  707  jmp 708  ;w=3
 )");
 
   skelcl::osem::OsemConfig cfg;
@@ -738,15 +738,15 @@ TEST(KernelcInline, ShortCircuitWindowsThreadWhereTheirPadHasAPlace) {
   // 1 + 1), and the pad carries push.i and jz.
   const auto program = compileProgram(shortCircuitKernel(shapes[0].body), CompileOptions{2});
   EXPECT_EQ(packedLines(program->functions[static_cast<std::size_t>(program->findKernel("k"))],
-                        12, 19),
-            R"(   12  reg.jz 17 lt.i s3 s4  ;w=4
-   13  reg.jz 18 lt.i s4 30  ;w=6
-   14  push.i 1
-   15  store.slot 5  ;w=3
-   16  jmp 20
-   17  jmp 18  ;w=2
-   18  push.i 2
-   19  store.slot 5  ;w=3
+                        11, 18),
+            R"(   11  reg.jz 16 lt.i s3 s4  ;w=4
+   12  reg.jz 17 lt.i s4 30  ;w=6
+   13  push.i 1
+   14  store.slot 5  ;w=3
+   15  jmp 19
+   16  jmp 17  ;w=2
+   17  push.i 2
+   18  store.slot 5  ;w=3
 )");
 }
 

@@ -1,13 +1,13 @@
-// Unit tests for the tier-2 rewrite pass (kernelc/rewrite.hpp) on
-// hand-written Insn IR: each rule is checked against the *exact* expected
-// output stream — opcodes, operands and weights — and then executed, the
-// naive input on the reference interpreter and the rewritten output through
-// the packed pipeline, requiring identical results and identical
-// retired-instruction counts.  The weight rules under test (docs/VM.md):
-// hoisted/preheader/tracking code retires 0, each in-loop replacement
-// carries its window's summed weight, so the static weight sum — and the
-// dynamic retired count on every control-flow path, including zero-trip
-// loops — is exactly what the unrewritten program reports.
+// Unit tests for the tier-2 rewrite pass's struct scalar replacement
+// (kernelc/rewrite.hpp) on hand-written Insn IR: the rule is checked against
+// the *exact* expected output stream — opcodes, operands and weights — and
+// then executed, the naive input on the reference interpreter and the
+// rewritten output through the packed pipeline, requiring identical results
+// and identical retired-instruction counts.  The weight rules under test
+// (docs/VM.md): synthesized field loads retire 0, each replacement carries
+// its window's summed weight, so the static weight sum — and the dynamic
+// retired count on every control-flow path, faults included — is exactly
+// what the unrewritten program reports.
 //
 // Inputs use only naive opcodes: the reference interpreter rejects
 // superinstructions, and the compiler never feeds the rewrite pass anything
@@ -40,14 +40,6 @@ Insn ins(Op op, std::int32_t a = 0, std::int32_t b = 0, std::int64_t imm = 0,
   return insn;
 }
 
-Insn insF(Op op, double fimm, int weight = 1) {
-  Insn insn;
-  insn.op = op;
-  insn.fimm = fimm;
-  insn.weight = static_cast<std::uint8_t>(weight);
-  return insn;
-}
-
 void expectCode(const FunctionCode& fn, const std::vector<Insn>& want) {
   ASSERT_EQ(fn.code.size(), want.size()) << disassemble(fn);
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -69,320 +61,17 @@ int staticWeightSum(const FunctionCode& fn) {
   return sum;
 }
 
-/// Wrap one function in a runnable program.  `optimize` runs the encoder so
-/// the packed pipeline executes it — required once the rewrite pass has
-/// inserted superinstructions (IncSlotI, PtrAddImm), which the reference
-/// interpreter rejects by design.
+/// Wrap one function in a runnable program.  `optimize` runs the encoder and
+/// marks the program tier 2, so the packed pipeline executes it as the
+/// tier-2 pipeline would; otherwise the reference interpreter runs it.
 std::unique_ptr<CompiledProgram> makeProgram(FunctionCode fn, bool optimize) {
   auto program = std::make_unique<CompiledProgram>();
   program->functions.push_back(std::move(fn));
   if (optimize) {
     finalizeFunctions(program->functions);
-    program->optimized = true;
+    program->tier = 2;
   }
   return program;
-}
-
-/// `int f(int n) { int acc = 0; for (int i = 0; i < n; i += 1) acc += i * 5;
-/// return acc; }` — slots: 0 = n, 1 = i, 2 = acc.  The canonical
-/// strength-reduction shape with a bare-assignment increment.
-FunctionCode sumTimesFive() {
-  FunctionCode fn;
-  fn.name = "f";
-  fn.returnType = types::Int;
-  fn.paramTypes = {types::Int};
-  fn.numSlots = 3;
-  fn.code = {
-      ins(Op::PushI, 0, 0, 0),   //  0: acc = 0
-      ins(Op::StoreSlot, 2),     //  1
-      ins(Op::PushI, 0, 0, 0),   //  2: i = 0
-      ins(Op::StoreSlot, 1),     //  3
-      ins(Op::LoadSlot, 1),      //  4: head: exit when i >= n
-      ins(Op::LoadSlot, 0),      //  5
-      ins(Op::GeI),              //  6
-      ins(Op::Jnz, 19),          //  7
-      ins(Op::LoadSlot, 2),      //  8: acc = acc + i * 5
-      ins(Op::LoadSlot, 1),      //  9
-      ins(Op::PushI, 0, 0, 5),   // 10
-      ins(Op::MulI),             // 11
-      ins(Op::AddI),             // 12
-      ins(Op::StoreSlot, 2),     // 13
-      ins(Op::LoadSlot, 1),      // 14: i = i + 1
-      ins(Op::PushI, 0, 0, 1),   // 15
-      ins(Op::AddI),             // 16
-      ins(Op::StoreSlot, 1),     // 17
-      ins(Op::Jmp, 4),           // 18
-      ins(Op::LoadSlot, 2),      // 19
-      ins(Op::Ret),              // 20
-  };
-  return fn;
-}
-
-/// `float g(float* p, int i) { return p[i + 2]; }` — slots: 0 = p, 1 = i.
-/// The pointer-bias shape.
-FunctionCode loadBiased() {
-  FunctionCode fn;
-  fn.name = std::string("g");  // not `= "g"`: GCC 12 -Wrestrict misfires on that at -O3
-  fn.returnType = types::Float;
-  fn.paramTypes = {types::Int, types::Int};  // Ptr slots marshal raw
-  fn.numSlots = 2;
-  fn.code = {
-      ins(Op::LoadSlot, 0),     // 0: p
-      ins(Op::LoadSlot, 1),     // 1: i
-      ins(Op::PushI, 0, 0, 2),  // 2
-      ins(Op::AddI),            // 3
-      ins(Op::PtrAdd, 4),       // 4: float elements
-      ins(Op::LoadF32),         // 5
-      ins(Op::Ret),             // 6
-  };
-  return fn;
-}
-
-/// `float h(float x, int n) { float acc = 0; for (int i = 0; i < n; i += 1)
-/// acc += x * x; return acc; }` — slots: 0 = x, 1 = n, 2 = i, 3 = acc.
-/// The loop-invariant window is `LoadSlot x; LoadSlot x; MulF32`.
-FunctionCode accumulateSquare() {
-  FunctionCode fn;
-  fn.name = "h";
-  fn.returnType = types::Float;
-  fn.paramTypes = {types::Float, types::Int};
-  fn.numSlots = 4;
-  fn.code = {
-      insF(Op::PushF, 0.0),     //  0: acc = 0
-      ins(Op::StoreSlot, 3),    //  1
-      ins(Op::PushI, 0, 0, 0),  //  2: i = 0
-      ins(Op::StoreSlot, 2),    //  3
-      ins(Op::LoadSlot, 2),     //  4: head: exit when i >= n
-      ins(Op::LoadSlot, 1),     //  5
-      ins(Op::GeI),             //  6
-      ins(Op::Jnz, 19),         //  7
-      ins(Op::LoadSlot, 3),     //  8: acc = acc + x * x
-      ins(Op::LoadSlot, 0),     //  9
-      ins(Op::LoadSlot, 0),     // 10
-      ins(Op::MulF32),          // 11
-      ins(Op::AddF32),          // 12
-      ins(Op::StoreSlot, 3),    // 13
-      ins(Op::LoadSlot, 2),     // 14: i = i + 1
-      ins(Op::PushI, 0, 0, 1),  // 15
-      ins(Op::AddI),            // 16
-      ins(Op::StoreSlot, 2),    // 17
-      ins(Op::Jmp, 4),          // 18
-      ins(Op::LoadSlot, 3),     // 19
-      ins(Op::Ret),             // 20
-  };
-  return fn;
-}
-
-// --- R2: strength reduction -------------------------------------------------
-
-TEST(KernelcRewrite, StrengthReductionExactStream) {
-  FunctionCode fn = sumTimesFive();
-  const int weightBefore = staticWeightSum(fn);
-  EXPECT_EQ(rewriteOptimize(fn), 1);
-  EXPECT_EQ(fn.numSlots, 4);  // tracked slot appended
-  EXPECT_EQ(staticWeightSum(fn), weightBefore);
-
-  // Preheader (weight 0) seeds slot 3 = i * 5 before the loop head; every
-  // in-loop branch to the old head lands *after* it.  The multiply window
-  // becomes LoadSlot 3 carrying the three retired instructions' weight, and
-  // the tracking increment rides weight-free behind the induction update.
-  expectCode(fn, {
-      ins(Op::PushI, 0, 0, 0),         //  0
-      ins(Op::StoreSlot, 2),           //  1
-      ins(Op::PushI, 0, 0, 0),         //  2
-      ins(Op::StoreSlot, 1),           //  3
-      ins(Op::LoadSlot, 1, 0, 0, 0),   //  4: preheader: slot3 = i * 5
-      ins(Op::PushI, 0, 0, 5, 0),      //  5
-      ins(Op::MulI, 0, 0, 0, 0),       //  6
-      ins(Op::StoreSlot, 3, 0, 0, 0),  //  7
-      ins(Op::LoadSlot, 1),            //  8: head
-      ins(Op::LoadSlot, 0),            //  9
-      ins(Op::GeI),                    // 10
-      ins(Op::Jnz, 22),                // 11
-      ins(Op::LoadSlot, 2),            // 12
-      ins(Op::LoadSlot, 3, 0, 0, 3),   // 13: was LoadSlot i; PushI 5; MulI
-      ins(Op::AddI),                   // 14
-      ins(Op::StoreSlot, 2),           // 15
-      ins(Op::LoadSlot, 1),            // 16
-      ins(Op::PushI, 0, 0, 1),         // 17
-      ins(Op::AddI),                   // 18
-      ins(Op::StoreSlot, 1),           // 19
-      ins(Op::IncSlotI, 3, 0, 5, 0),   // 20: slot3 += 1 * 5
-      ins(Op::Jmp, 8),                 // 21: in-loop edge skips the preheader
-      ins(Op::LoadSlot, 2),            // 22
-      ins(Op::Ret),                    // 23
-  });
-}
-
-TEST(KernelcRewrite, StrengthReductionExecutesIdentically) {
-  FunctionCode naive = sumTimesFive();
-  FunctionCode rewritten = sumTimesFive();
-  ASSERT_EQ(rewriteOptimize(rewritten), 1);
-
-  const auto ref = makeProgram(naive, /*optimize=*/false);
-  const auto opt = makeProgram(std::move(rewritten), /*optimize=*/true);
-  Vm vmRef(*ref, {});
-  Vm vmOpt(*opt, {});
-  const std::vector<Slot> args{Slot::fromInt(4)};
-  EXPECT_EQ(vmRef.callFunction(0, args).i, 30);  // 0 + 5 + 10 + 15
-  EXPECT_EQ(vmOpt.callFunction(0, args).i, 30);
-  // 4 prologue + 4 iterations x (4 cond + 6 body + 4 inc + 1 jmp)
-  // + 4 final cond + 2 exit = 70 on both pipelines.
-  EXPECT_EQ(vmRef.instructionsExecuted(), 70u);
-  EXPECT_EQ(vmOpt.instructionsExecuted(), 70u);
-}
-
-TEST(KernelcRewrite, StrengthReductionZeroTripLoopCountsMatch) {
-  // n = 0: the loop body never runs, but the preheader does.  Its weight is
-  // 0, so the rewritten program must retire exactly what the naive one does.
-  FunctionCode naive = sumTimesFive();
-  FunctionCode rewritten = sumTimesFive();
-  ASSERT_EQ(rewriteOptimize(rewritten), 1);
-
-  const auto ref = makeProgram(naive, false);
-  const auto opt = makeProgram(std::move(rewritten), true);
-  Vm vmRef(*ref, {});
-  Vm vmOpt(*opt, {});
-  const std::vector<Slot> args{Slot::fromInt(0)};
-  EXPECT_EQ(vmRef.callFunction(0, args).i, 0);
-  EXPECT_EQ(vmOpt.callFunction(0, args).i, 0);
-  EXPECT_EQ(vmRef.instructionsExecuted(), 10u);
-  EXPECT_EQ(vmOpt.instructionsExecuted(), 10u);
-}
-
-TEST(KernelcRewrite, StrengthReductionNeedsConstantFactor) {
-  // i * s with s a slot, not an immediate: no rule applies, the stream must
-  // come back untouched.
-  FunctionCode fn;
-  fn.name = "m";
-  fn.returnType = types::Int;
-  fn.paramTypes = {types::Int, types::Int};  // 0 = n, 1 = s
-  fn.numSlots = 4;                           // 2 = i, 3 = acc
-  fn.code = {
-      ins(Op::PushI, 0, 0, 0),  ins(Op::StoreSlot, 3),
-      ins(Op::PushI, 0, 0, 0),  ins(Op::StoreSlot, 2),
-      ins(Op::LoadSlot, 2),     ins(Op::LoadSlot, 0),
-      ins(Op::GeI),             ins(Op::Jnz, 19),
-      ins(Op::LoadSlot, 3),     ins(Op::LoadSlot, 2),
-      ins(Op::LoadSlot, 1),     ins(Op::MulI),
-      ins(Op::AddI),            ins(Op::StoreSlot, 3),
-      ins(Op::LoadSlot, 2),     ins(Op::PushI, 0, 0, 1),
-      ins(Op::AddI),            ins(Op::StoreSlot, 2),
-      ins(Op::Jmp, 4),          ins(Op::LoadSlot, 3),
-      ins(Op::Ret),
-  };
-  const std::vector<Insn> before = fn.code;
-  EXPECT_EQ(rewriteOptimize(fn), 0);
-  EXPECT_EQ(fn.numSlots, 4);
-  expectCode(fn, before);
-}
-
-// --- R3: pointer-bias fusion ------------------------------------------------
-
-TEST(KernelcRewrite, PointerBiasExactStream) {
-  FunctionCode fn = loadBiased();
-  const int weightBefore = staticWeightSum(fn);
-  EXPECT_EQ(rewriteOptimize(fn), 1);
-  EXPECT_EQ(fn.numSlots, 3);  // biased-pointer slot appended
-  EXPECT_EQ(staticWeightSum(fn), weightBefore);
-
-  // Entry preheader precomputes p' = p + 2 elements (weight 0); the window
-  // keeps its index load and access but drops PushI/AddI, with LoadSlot p'
-  // carrying their weight plus the original pointer load's.
-  expectCode(fn, {
-      ins(Op::LoadSlot, 0, 0, 0, 0),    // 0: preheader: slot2 = p + 2*4B
-      ins(Op::PtrAddImm, 4, 0, 2, 0),   // 1
-      ins(Op::StoreSlot, 2, 0, 0, 0),   // 2
-      ins(Op::LoadSlot, 2, 0, 0, 3),    // 3: was LoadSlot p (+ PushI, AddI)
-      ins(Op::LoadSlot, 1),             // 4
-      ins(Op::PtrAdd, 4),               // 5
-      ins(Op::LoadF32),                 // 6
-      ins(Op::Ret),                     // 7
-  });
-}
-
-TEST(KernelcRewrite, PointerBiasExecutesIdentically) {
-  FunctionCode naive = loadBiased();
-  FunctionCode rewritten = loadBiased();
-  ASSERT_EQ(rewriteOptimize(rewritten), 1);
-
-  std::vector<float> buf = {10.f, 11.f, 12.f, 13.f, 14.f, 15.f};
-  const std::vector<MemRegion> regions{
-      MemRegion{reinterpret_cast<std::byte*>(buf.data()), buf.size() * sizeof(float)}};
-  Ptr p;
-  p.region = 1;
-  p.offset = 0;
-  const std::vector<Slot> args{Slot::fromPtr(p), Slot::fromInt(1)};
-
-  const auto ref = makeProgram(naive, false);
-  const auto opt = makeProgram(std::move(rewritten), true);
-  Vm vmRef(*ref, regions);
-  Vm vmOpt(*opt, regions);
-  EXPECT_EQ(vmRef.callFunction(0, args).f, 13.0);  // p[1 + 2]
-  EXPECT_EQ(vmOpt.callFunction(0, args).f, 13.0);
-  EXPECT_EQ(vmRef.instructionsExecuted(), 7u);
-  EXPECT_EQ(vmOpt.instructionsExecuted(), 7u);
-}
-
-// --- R1: loop-invariant hoisting --------------------------------------------
-
-TEST(KernelcRewrite, HoistExactStream) {
-  FunctionCode fn = accumulateSquare();
-  const int weightBefore = staticWeightSum(fn);
-  EXPECT_EQ(rewriteOptimize(fn), 1);
-  EXPECT_EQ(fn.numSlots, 5);  // hoisted-value slot appended
-  EXPECT_EQ(staticWeightSum(fn), weightBefore);
-
-  expectCode(fn, {
-      insF(Op::PushF, 0.0),            //  0
-      ins(Op::StoreSlot, 3),           //  1
-      ins(Op::PushI, 0, 0, 0),         //  2
-      ins(Op::StoreSlot, 2),           //  3
-      ins(Op::LoadSlot, 0, 0, 0, 0),   //  4: preheader: slot4 = x * x
-      ins(Op::LoadSlot, 0, 0, 0, 0),   //  5
-      ins(Op::MulF32, 0, 0, 0, 0),     //  6
-      ins(Op::StoreSlot, 4, 0, 0, 0),  //  7
-      ins(Op::LoadSlot, 2),            //  8: head
-      ins(Op::LoadSlot, 1),            //  9
-      ins(Op::GeI),                    // 10
-      ins(Op::Jnz, 21),                // 11
-      ins(Op::LoadSlot, 3),            // 12
-      ins(Op::LoadSlot, 4, 0, 0, 3),   // 13: was LoadSlot x; LoadSlot x; MulF32
-      ins(Op::AddF32),                 // 14
-      ins(Op::StoreSlot, 3),           // 15
-      ins(Op::LoadSlot, 2),            // 16
-      ins(Op::PushI, 0, 0, 1),         // 17
-      ins(Op::AddI),                   // 18
-      ins(Op::StoreSlot, 2),           // 19
-      ins(Op::Jmp, 8),                 // 20
-      ins(Op::LoadSlot, 3),            // 21
-      ins(Op::Ret),                    // 22
-  });
-}
-
-TEST(KernelcRewrite, HoistExecutesIdentically) {
-  FunctionCode naive = accumulateSquare();
-  FunctionCode rewritten = accumulateSquare();
-  ASSERT_EQ(rewriteOptimize(rewritten), 1);
-
-  const auto ref = makeProgram(naive, false);
-  const auto opt = makeProgram(std::move(rewritten), true);
-  Vm vmRef(*ref, {});
-  Vm vmOpt(*opt, {});
-  const std::vector<Slot> args{Slot::fromFloat(2.0), Slot::fromInt(3)};
-  EXPECT_EQ(vmRef.callFunction(0, args).f, 12.0);  // 3 * (2 * 2)
-  EXPECT_EQ(vmOpt.callFunction(0, args).f, 12.0);
-  // 4 prologue + 3 x (4 cond + 6 body + 4 inc + 1 jmp) + 4 + 2 = 55.
-  EXPECT_EQ(vmRef.instructionsExecuted(), 55u);
-  EXPECT_EQ(vmOpt.instructionsExecuted(), 55u);
-}
-
-TEST(KernelcRewrite, HoistedCodeAnnotatedInDisassembly) {
-  FunctionCode fn = accumulateSquare();
-  ASSERT_EQ(rewriteOptimize(fn), 1);
-  const std::string text = disassemble(fn);
-  EXPECT_NE(text.find(";hoisted"), std::string::npos);
-  EXPECT_NE(text.find(";w=3"), std::string::npos);
 }
 
 // --- R0: struct scalar replacement -------------------------------------------

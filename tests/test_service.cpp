@@ -563,13 +563,11 @@ TEST(SessionProgramCache, TierIsPartOfTheCacheKey) {
   detail::SharedDeviceState state(sim::SystemConfig::teslaS1070(1));
   ::setenv("SKELCL_KC_OPT", "1", 1);
   const auto fast = state.hostProgram(kAddSrc);
-  EXPECT_TRUE(fast->optimized);
   EXPECT_EQ(fast->tier, 1);
 
   ::setenv("SKELCL_KC_OPT", "0", 1);
   const auto ref = state.hostProgram(kAddSrc);
-  EXPECT_FALSE(ref->optimized) << "stale tier-1 program served for a tier-0 request";
-  EXPECT_EQ(ref->tier, 0);
+  EXPECT_EQ(ref->tier, 0) << "stale tier-1 program served for a tier-0 request";
   EXPECT_NE(fast.get(), ref.get());
 
   // Same tier again: the cache must still hit.

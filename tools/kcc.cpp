@@ -5,8 +5,8 @@
 //   kcc -d FILE.cl         compile and disassemble every function
 //   kcc -p FILE.cl         dump the packed (16-byte) dispatch encoding
 //   kcc -r FILE.cl         dump the Insn IR right after the rewrite pass and
-//                          call inlining (before peephole): hoisted code and
-//                          argument binding show as ;hoisted
+//                          call inlining (before peephole): struct field
+//                          loads and argument binding show as ;w=0
 //   kcc -O<tier> ...       compile at tier 0/1/2 instead of the default
 //   kcc -e 'EXPR' ARGS...  compile `double f(double...)`-style one-liners and
 //                          evaluate: kcc -e 'sqrt(x*x + 1.0f)' 3
